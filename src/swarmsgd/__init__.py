@@ -20,7 +20,9 @@ from .metrics import (
 from .objective import (
     ObjectiveSpec,
     nonconvex_sine_spec,
+    optimum,
     quadratic_spec,
+    regularity,
     ridge_spec,
     ridge_spec_random,
 )
@@ -64,8 +66,10 @@ __all__ = [
     "lemma4_check",
     "nonconvex_bound",
     "nonconvex_sine_spec",
+    "optimum",
     "path_graph",
     "quadratic_spec",
+    "regularity",
     "ridge_spec",
     "ridge_spec_random",
     "run_centralized",

@@ -68,6 +68,7 @@ _RUN_KEYS = {
     "track_running_average",
 }
 _GRAPH_KEYS = {"kind", "p", "file", "fixed_across_replications"}
+_GRAPH_KINDS = ("complete", "path", "star", "erdos_renyi", "file")
 _VALIDATE_KEYS = {"max_updates", "record_every", "lemma2_states", "lemma2_replications", "sigma_samples"}
 
 
@@ -141,8 +142,10 @@ def experiment_config_from_dict(data: dict) -> ExperimentConfig:
     graph = dict(data.get("graph", {}))
     _check_keys(graph, _GRAPH_KEYS, "graph.")
     graph.setdefault("kind", "erdos_renyi")
-    if graph["kind"] not in ("complete", "erdos_renyi", "file"):
-        raise ConfigError(f"unknown graph kind {graph['kind']!r}")
+    if graph["kind"] not in _GRAPH_KINDS:
+        raise ConfigError(
+            f"graph.kind must be one of {', '.join(_GRAPH_KINDS)}, got {graph['kind']!r}"
+        )
     if graph["kind"] == "file":
         _require(graph, "file", "graph.")
     graph.setdefault("p", None)
@@ -217,6 +220,10 @@ def build_graph(config: ExperimentConfig, replication: int) -> topology.Graph:
     n = int(config.run["n_threads"])
     if block["kind"] == "complete":
         return topology.complete_graph(n)
+    if block["kind"] == "path":
+        return topology.path_graph(n)
+    if block["kind"] == "star":
+        return topology.star_graph(n)
     if block["kind"] == "file":
         graph = topology.load_graph(block["file"])
         if graph.n_vertices != n:
@@ -828,7 +835,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"lemma2 {report['lemma2_checks'] - report['lemma2_violations']}"
                 f"/{report['lemma2_checks']} pass"
             )
-            return 1 if report["lemma4_violations"] else 0
+            return 1 if report["lemma4_violations"] or report["lemma2_violations"] else 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -17,6 +17,17 @@ Updates move a thread down its sampled gradient and, for the swarm
 schemes, toward its graph neighbors with a configurable attraction
 strength. Virtual time, not update count, is the cost measure the
 schemes are compared on.
+
+Every run draws from one generator seeded with ``config.seed``. The two
+swarm schemes share one update loop and draw their randomness in whole
+blocks of ``BLOCK_ROWS`` updates, so a run cut off earlier is an exact
+prefix of a longer run with the same seed. The event-driven scheme
+first draws the N initial sampling durations, then per block the
+durations of the samples the block's updates start, then the block's
+oracle noise (``objective.draw_noise_block``). The global-tick scheme
+draws per block the inter-update gaps, the updating threads, then the
+oracle noise. The centralized scheme draws per step N gradient samples,
+then N sampling durations.
 """
 from __future__ import annotations
 
@@ -39,6 +50,11 @@ SCHEME_CENTRALIZED = "centralized"
 SCHEMES = (SCHEME_SWARM, SCHEME_GLOBAL_TICK, SCHEME_CENTRALIZED)
 
 TRACE_CSV_HEADER = "k,t,U,Vbar,f_gap,grad_norm_sq"
+
+# Swarm updates whose randomness is drawn at once: large enough to take
+# the generator calls out of the per-update cost, small enough that the
+# drawn block stays in cache.
+BLOCK_ROWS = 256
 
 
 class EngineInvariantError(RuntimeError):
@@ -77,6 +93,11 @@ class RunConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.n_threads < 1:
             raise ValueError(f"need at least one thread, got {self.n_threads}")
+        for name in ("step_size", "attraction", "mean_sample_time", "max_virtual_time",
+                     "threshold"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.step_size <= 0.0:
             raise ValueError(f"step size must be positive, got {self.step_size}")
         if self.attraction < 0.0:
@@ -103,36 +124,6 @@ class RunConfig:
             raise ValueError("stop_at_threshold requires a threshold")
         if any(k < 0 for k in self.capture_mean_at):
             raise ValueError("capture_mean_at indices must be nonnegative")
-
-
-@dataclass
-class SwarmState:
-    """Mutable state of a swarm run: thread positions, the virtual
-    clock, per-thread update counts, and the pending-event queue of
-    (fire_time, thread_id) pairs."""
-
-    positions: np.ndarray
-    virtual_clock: float
-    per_thread_update_counts: np.ndarray
-    event_queue: list[tuple[float, int]]
-    global_update_count: int = 0
-
-
-def next_event(state: SwarmState) -> tuple[float, int]:
-    """Pop the earliest pending completion; thread id breaks ties."""
-    if not state.event_queue:
-        raise EngineInvariantError("event queue is empty")
-    return heapq.heappop(state.event_queue)
-
-
-@dataclass
-class CentralState:
-    """Mutable state of a centralized run: the shared iterate, the
-    virtual clock, and the number of batch steps applied."""
-
-    position: np.ndarray
-    virtual_clock: float
-    update_count: int = 0
 
 
 @dataclass(frozen=True)
@@ -178,6 +169,7 @@ class _TraceBuilder:
         self.config = config
         self.spec = spec
         self.x_star = x_star
+        self.f_star = obj.optimal_value(spec)
         self.on_record = on_record
         self.records: list[TraceRecord] = []
         self.last_recorded_k = -1
@@ -191,7 +183,7 @@ class _TraceBuilder:
     def record(self, k: int, t: float, positions: np.ndarray) -> None:
         if k == self.last_recorded_k:
             return
-        snap = metrics.snapshot(positions, self.spec, self.x_star)
+        snap = metrics.snapshot(positions, self.spec, self.x_star, self.f_star)
         self.records.append(
             TraceRecord(
                 k=k,
@@ -237,7 +229,7 @@ class _TraceBuilder:
         t: float,
         positions: np.ndarray,
         n_samples: int,
-        per_thread_counts: np.ndarray | None,
+        per_thread_counts: list[int] | None,
     ) -> Trace:
         self.record(k, t, positions)
         final = self.records[-1]
@@ -286,15 +278,66 @@ def _require_scheme(config: RunConfig, scheme: str) -> None:
         raise ValueError(f"config.scheme is {config.scheme!r}, expected {scheme!r}")
 
 
-def run_swarm(
-    config: RunConfig,
-    graph: topology.Graph,
-    spec: obj.ObjectiveSpec,
-    init: np.ndarray | None = None,
-    on_record=None,
-) -> Trace:
-    """Event-driven swarm run over an interaction graph."""
-    _require_scheme(config, SCHEME_SWARM)
+def _sampling_durations(rng: np.random.Generator, mean_time: float, n: int) -> np.ndarray:
+    """``n`` exponential sampling durations; a draw that is not positive
+    is redrawn, so no sample completes instantly."""
+    durations = rng.exponential(mean_time, n)
+    redraw = np.flatnonzero(durations <= 0.0)
+    while redraw.size:
+        durations[redraw] = rng.exponential(mean_time, redraw.size)
+        redraw = redraw[durations[redraw] <= 0.0]
+    return durations
+
+
+def _event_schedule(n_threads: int, mean_time: float, rng: np.random.Generator):
+    """Who fires when in the event-driven scheme, a block at a time.
+
+    A heap holds every thread's pending completion as (fire_time,
+    thread_id), thread id breaking exact ties; the firing thread starts
+    a new sample whose duration is the next pre-drawn one. Fire times
+    never depend on positions, so a whole block is popped ahead of the
+    updates that consume it. Yields (fire times, thread ids) lists.
+    """
+    # A thread's first fire time is the duration of the sample it
+    # starts computing at t = 0.
+    first = _sampling_durations(rng, mean_time, n_threads).tolist()
+    heap = [(t, i) for i, t in enumerate(first)]
+    heapq.heapify(heap)
+    while True:
+        times: list[float] = []
+        threads: list[int] = []
+        for duration in _sampling_durations(rng, mean_time, BLOCK_ROWS).tolist():
+            t, i = heap[0]
+            heapq.heapreplace(heap, (t + duration, i))
+            times.append(t)
+            threads.append(i)
+        yield times, threads
+
+
+def _tick_schedule(n_threads: int, mean_time: float, rng: np.random.Generator):
+    """Who fires when in the global-tick scheme: gaps exponential with
+    mean ``mean_time / N``, the updating thread uniform. Yields (fire
+    times, thread ids) lists, one block at a time."""
+    clock = 0.0
+    while True:
+        gaps = rng.exponential(mean_time / n_threads, BLOCK_ROWS)
+        threads = rng.integers(n_threads, size=BLOCK_ROWS).tolist()
+        # cumsum adds one gap at a time, as a scalar clock would.
+        times = np.cumsum(np.concatenate(([clock], gaps)))[1:].tolist()
+        clock = times[-1]
+        yield times, threads
+
+
+def _run_swarm_loop(config, graph, spec, init, on_record, schedule) -> Trace:
+    """The update loop shared by both swarm schemes.
+
+    The firing thread moves by ``-gamma (g + a sum_j a_ij (x_i - x_j))``
+    with ``g`` one oracle sample at ``x_i``. Every term linear in
+    ``x_i`` (the attraction's degree term and the linear part of the
+    gradient) is folded into one coefficient per thread, so an update
+    costs the oracle's own vector work, one neighbour sum and a few
+    in-place vector operations.
+    """
     if config.n_threads < 2:
         raise ValueError("swarm schemes need at least two threads")
     if graph.n_vertices != config.n_threads:
@@ -304,77 +347,119 @@ def run_swarm(
     N = config.n_threads
     gamma = config.step_size
     a = config.attraction
-    mean_time = config.mean_sample_time
     rng = make_rng(config.seed)
     X = _initial_positions(config, spec.dim, init)
     x_star = obj.optimum(spec)
+    blocks = schedule(N, config.mean_sample_time, rng)
 
-    state = SwarmState(
-        positions=X,
-        virtual_clock=0.0,
-        per_thread_update_counts=np.zeros(N, dtype=np.int64),
-        event_queue=[],
-    )
-    # The first fire time of a thread is the duration of the sample it
-    # starts computing at t = 0.
-    for i in range(N):
-        heapq.heappush(state.event_queue, (rng.exponential(mean_time), i))
+    kind = spec.kind
+    if kind == obj.RIDGE:
+        # g = 2 (u . x - c) u + 2 rho x
+        linear = 2.0 * spec.rho
+        two_gamma = 2.0 * gamma
+    elif kind == obj.QUADRATIC:
+        # g = Q x + b + noise
+        linear = 0.0
+        neg_gamma_Q = -gamma * spec.Q
+        neg_gamma_b = -gamma * spec.b
+    elif kind == obj.NONCONVEX_SINE:
+        # g = x + 3 sin(2x) + noise
+        linear = 1.0
+        sine_coef = -3.0 * gamma
+    else:
+        raise ValueError(f"unknown objective kind {kind!r}")
 
-    neighbor_lists = [np.flatnonzero(graph.adjacency[i]) for i in range(N)]
-    degrees = graph.degrees.astype(float)
+    complete = int(graph.degrees.min()) == N - 1
+    gamma_a = gamma * a
+    if complete:
+        # On the complete graph sum_j (x_i - x_j) = N x_i - sum_vec.
+        x_coef = [-gamma * (linear + a * N)] * N
+    else:
+        x_coef = [-gamma * (linear + a * d) for d in graph.degrees.tolist()]
+        neighbors = [np.flatnonzero(graph.adjacency[i]) for i in range(N)]
+        neighbor_weights = [np.full(idx.size, gamma_a) for idx in neighbors]
 
     builder = _TraceBuilder(config, spec, x_star, on_record)
     builder.record(0, 0.0, X)
 
+    counts = [0] * N
     sum_vec = X.sum(axis=0)
     inv_n = 1.0 / N
-    n_samples = 0
-    max_updates = config.max_updates
-    max_virtual_time = config.max_virtual_time
+    clock = 0.0
+    k = 0
+    max_updates = math.inf if config.max_updates is None else config.max_updates
+    max_virtual_time = math.inf if config.max_virtual_time is None else config.max_virtual_time
     record_every = config.record_every
     threshold_active = config.threshold is not None
     need_pre = config.track_running_average or bool(builder.capture_set)
+    take = X.take
+    sin = np.sin
 
-    while True:
-        k = state.global_update_count
-        if max_updates is not None and k >= max_updates:
-            break
-        fire_time, i = next_event(state)
-        if fire_time < state.virtual_clock:
-            raise EngineInvariantError("event fires before the current clock")
-        if max_virtual_time is not None and fire_time > max_virtual_time:
-            break
-        if need_pre:
-            builder.pre_update(k, sum_vec * inv_n)
-        state.virtual_clock = fire_time
+    for times, threads in blocks:
+        features, noise = obj.draw_noise_block(spec, BLOCK_ROWS, rng)
+        if kind == obj.RIDGE:
+            scaled_targets = (two_gamma * noise).tolist()
+        else:
+            shifts = -gamma * noise
+            if kind == obj.QUADRATIC:
+                shifts += neg_gamma_b
+        # The inner loop breaks only to end the run.
+        for j in range(BLOCK_ROWS):
+            t = times[j]
+            if t < clock:
+                raise EngineInvariantError("event fires before the current clock")
+            if t > max_virtual_time:
+                break
+            if need_pre:
+                builder.pre_update(k, sum_vec * inv_n)
+            clock = t
+            i = threads[j]
+            xi = X[i]
+            if kind == obj.RIDGE:
+                u = features[j]
+                delta = u * (scaled_targets[j] - two_gamma * u.dot(xi))
+            elif kind == obj.QUADRATIC:
+                delta = neg_gamma_Q.dot(xi)
+                delta += shifts[j]
+            else:
+                delta = sin(xi * 2.0)
+                delta *= sine_coef
+                delta += shifts[j]
+            coef = x_coef[i]
+            if coef:
+                delta += xi * coef
+            if gamma_a:
+                if complete:
+                    delta += sum_vec * gamma_a
+                else:
+                    delta += neighbor_weights[i].dot(take(neighbors[i], axis=0))
+            xi += delta
+            sum_vec += delta
+            counts[i] += 1
+            k += 1
 
-        sample = obj.sample_gradient(spec, X[i], mean_time, rng)
-        n_samples += 1
-        delta = -sample.g
-        if a > 0.0:
-            delta = delta - a * (degrees[i] * X[i] - X[neighbor_lists[i]].sum(axis=0))
-        delta *= gamma
-        X[i] += delta
-        sum_vec += delta
-        state.per_thread_update_counts[i] += 1
-        state.global_update_count = k = k + 1
-        heapq.heappush(state.event_queue, (fire_time + sample.sampling_time, i))
+            stop = threshold_active and builder.check_crossing(k, t, X, sum_vec * inv_n)
+            if k % record_every == 0:
+                builder.record(k, t, X)
+            if stop or k >= max_updates:
+                break
+        else:
+            continue
+        break
 
-        stop = False
-        if threshold_active:
-            stop = builder.check_crossing(k, fire_time, X, sum_vec * inv_n)
-        if k % record_every == 0:
-            builder.record(k, fire_time, X)
-        if stop:
-            break
+    return builder.finish(k, clock, X, k, counts)
 
-    return builder.finish(
-        state.global_update_count,
-        state.virtual_clock,
-        X,
-        n_samples,
-        state.per_thread_update_counts,
-    )
+
+def run_swarm(
+    config: RunConfig,
+    graph: topology.Graph,
+    spec: obj.ObjectiveSpec,
+    init: np.ndarray | None = None,
+    on_record=None,
+) -> Trace:
+    """Event-driven swarm run over an interaction graph."""
+    _require_scheme(config, SCHEME_SWARM)
+    return _run_swarm_loop(config, graph, spec, init, on_record, _event_schedule)
 
 
 def run_swarm_global_tick(
@@ -388,73 +473,11 @@ def run_swarm_global_tick(
 
     Inter-update gaps are exponential with mean ``mean_sample_time / N``
     and the updating thread is uniform, which matches the event-driven
-    scheme in distribution. Per update the stream is consumed in the
-    order: gap, thread index, gradient sample.
+    scheme in distribution. Per block of ``BLOCK_ROWS`` updates the
+    stream is consumed in the order: gaps, thread indices, oracle noise.
     """
     _require_scheme(config, SCHEME_GLOBAL_TICK)
-    if config.n_threads < 2:
-        raise ValueError("swarm schemes need at least two threads")
-    if graph.n_vertices != config.n_threads:
-        raise ValueError(
-            f"graph has {graph.n_vertices} vertices for {config.n_threads} threads"
-        )
-    N = config.n_threads
-    gamma = config.step_size
-    a = config.attraction
-    tick_mean = config.mean_sample_time / N
-    rng = make_rng(config.seed)
-    X = _initial_positions(config, spec.dim, init)
-    x_star = obj.optimum(spec)
-
-    neighbor_lists = [np.flatnonzero(graph.adjacency[i]) for i in range(N)]
-    degrees = graph.degrees.astype(float)
-    counts = np.zeros(N, dtype=np.int64)
-
-    builder = _TraceBuilder(config, spec, x_star, on_record)
-    builder.record(0, 0.0, X)
-
-    sum_vec = X.sum(axis=0)
-    inv_n = 1.0 / N
-    clock = 0.0
-    k = 0
-    n_samples = 0
-    max_updates = config.max_updates
-    max_virtual_time = config.max_virtual_time
-    record_every = config.record_every
-    threshold_active = config.threshold is not None
-    need_pre = config.track_running_average or bool(builder.capture_set)
-
-    while True:
-        if max_updates is not None and k >= max_updates:
-            break
-        tick_time = clock + rng.exponential(tick_mean)
-        if max_virtual_time is not None and tick_time > max_virtual_time:
-            break
-        if need_pre:
-            builder.pre_update(k, sum_vec * inv_n)
-        clock = tick_time
-        i = int(rng.integers(N))
-
-        g = obj.noisy_gradient(spec, X[i], rng)
-        n_samples += 1
-        delta = -g
-        if a > 0.0:
-            delta = delta - a * (degrees[i] * X[i] - X[neighbor_lists[i]].sum(axis=0))
-        delta *= gamma
-        X[i] += delta
-        sum_vec += delta
-        counts[i] += 1
-        k += 1
-
-        stop = False
-        if threshold_active:
-            stop = builder.check_crossing(k, clock, X, sum_vec * inv_n)
-        if k % record_every == 0:
-            builder.record(k, clock, X)
-        if stop:
-            break
-
-    return builder.finish(k, clock, X, n_samples, counts)
+    return _run_swarm_loop(config, graph, spec, init, on_record, _tick_schedule)
 
 
 def run_centralized(
@@ -484,7 +507,6 @@ def run_centralized(
         if x.shape != (spec.dim,):
             raise ValueError(f"init has shape {x.shape}, expected ({spec.dim},)")
     x_star = obj.optimum(spec)
-    state = CentralState(position=x, virtual_clock=0.0)
 
     builder = _TraceBuilder(config, spec, x_star, on_record)
     builder.record(0, 0.0, x[None, :])
@@ -514,8 +536,6 @@ def run_centralized(
         n_samples += N
         x += gamma * -G.mean(axis=0)
         k += 1
-        state.virtual_clock = clock
-        state.update_count = k
 
         stop = False
         if threshold_active:

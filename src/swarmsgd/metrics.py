@@ -37,8 +37,13 @@ def snapshot(
     positions: np.ndarray,
     spec: obj.ObjectiveSpec,
     x_star: np.ndarray | None = None,
+    f_star: float | None = None,
 ) -> MetricSnapshot:
-    """Compute all trace metrics for an (N, m) position matrix."""
+    """Compute all trace metrics for an (N, m) position matrix.
+
+    ``f_star`` is the optimal value when the caller already has it;
+    when None it is computed from ``spec``.
+    """
     X = np.asarray(positions, dtype=float)
     if X.ndim != 2 or X.shape[1] != spec.dim:
         raise ValueError(f"positions have shape {X.shape}, expected (*, {spec.dim})")
@@ -49,7 +54,8 @@ def snapshot(
         diff = mean - x_star
         U = float(diff @ diff)
     Vbar = float(((X - mean) ** 2).sum() / X.shape[0])
-    f_star = obj.optimal_value(spec)
+    if f_star is None:
+        f_star = obj.optimal_value(spec)
     f_gap = math.nan if f_star is None else obj.value(spec, mean) - f_star
     g = obj.grad_exact(spec, mean)
     return MetricSnapshot(U=U, Vbar=Vbar, f_gap=f_gap, grad_norm_sq=float(g @ g))

@@ -14,7 +14,9 @@ Three families are supported:
 
 Oracles return one unbiased gradient sample per call together with an
 exponentially distributed sampling duration, which is the unit of
-virtual time used by the simulation engine.
+virtual time used by the simulation engine. The engine itself draws
+the oracle randomness a block of calls at a time (``draw_noise_block``)
+and evaluates the samples inline.
 """
 from __future__ import annotations
 
@@ -204,6 +206,29 @@ def noisy_gradients(spec: ObjectiveSpec, X: np.ndarray, rng: np.random.Generator
         if spec.noise_std > 0.0:
             G = G + spec.noise_std * polar_normals(rng, n * spec.dim).reshape(n, spec.dim)
         return G
+    raise ValueError(f"unknown objective kind {spec.kind!r}")
+
+
+def draw_noise_block(
+    spec: ObjectiveSpec, rows: int, rng: np.random.Generator
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """Randomness of the next ``rows`` oracle calls, drawn in one go.
+
+    Returns ``(U, c)``. For ``ridge``, ``U`` holds the (rows, dim)
+    feature rows, uniform on [-1, 1]^m, and ``c = U @ x_tilde + eps``
+    the (rows,) responses with standard normal ``eps``; call ``j`` at
+    ``x`` samples ``2 (U[j] . x - c[j]) U[j] + 2 rho x``. For the
+    additive-noise kinds ``U`` is None and ``c`` is the (rows, dim)
+    noise ``noise_std * Z`` added to the exact gradient; nothing is
+    drawn when ``noise_std`` is 0. Each row is one unbiased sample.
+    """
+    if spec.kind == RIDGE:
+        U = 2.0 * rng.random((rows, spec.dim)) - 1.0
+        return U, U @ spec.x_tilde + polar_normals(rng, rows)
+    if spec.kind in (QUADRATIC, NONCONVEX_SINE):
+        if spec.noise_std == 0.0:
+            return None, np.zeros((rows, spec.dim))
+        return None, spec.noise_std * polar_normals(rng, rows * spec.dim).reshape(rows, spec.dim)
     raise ValueError(f"unknown objective kind {spec.kind!r}")
 
 

@@ -432,6 +432,79 @@ def test_main_validate_command(tmp_path):
     assert main(["validate", "--config", str(path)]) == 0
 
 
+@pytest.mark.parametrize(
+    "kind,build", [("path", topology.path_graph), ("star", topology.star_graph)]
+)
+def test_documented_graph_kinds_run(tmp_path, kind, build):
+    cfg = _config_dict(graph={"kind": kind}, output_dir=str(tmp_path / kind))
+    assert np.array_equal(
+        build_graph(experiment_config_from_dict(cfg), 0).adjacency, build(5).adjacency
+    )
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(path)]) == 0
+    assert (tmp_path / kind / "summary.json").exists()
+
+
+def test_unknown_graph_kind_is_exit_2_naming_the_field(tmp_path, capsys):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(_config_dict(graph={"kind": "ring"})))
+    assert main(["simulate", "--config", str(path)]) == 2
+    assert "graph.kind" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field", ["step_size", "attraction", "mean_sample_time", "max_virtual_time"]
+)
+def test_non_finite_run_parameter_is_exit_2(tmp_path, capsys, field):
+    run = {"n_threads": 5, "record_every": 200, field: math.nan}
+    if field != "max_virtual_time":
+        run["max_updates"] = 600
+    path = tmp_path / "exp.json"
+    # json writes NaN as a bare literal, which json.load reads back
+    path.write_text(json.dumps(_config_dict(run=run, output_dir=str(tmp_path / "o"))))
+    assert main(["simulate", "--config", str(path)]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_main_validate_exit_1_on_lemma2_failure(tmp_path, monkeypatch):
+    real_check = cli.metrics.lemma2_monte_carlo_check
+
+    def failing_check(*args, **kwargs):
+        result = real_check(*args, **kwargs)
+        return type(result)(**{**result.__dict__, "holds": False})
+
+    monkeypatch.setattr(cli.metrics, "lemma2_monte_carlo_check", failing_check)
+    cfg = _config_dict(
+        output_dir=str(tmp_path / "val"),
+        validate={
+            "max_updates": 60,
+            "record_every": 20,
+            "lemma2_states": 1,
+            "lemma2_replications": 1200,
+            "sigma_samples": 5000,
+        },
+    )
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["validate", "--config", str(path)]) == 1
+    report = json.loads((tmp_path / "val" / "validation.json").read_text())
+    assert report["lemma2_violations"] == 1 and report["lemma4_violations"] == 0
+
+
+def test_cmd_compare_jobs_parallel_identical(tmp_path):
+    serial = cmd_compare(
+        experiment_config_from_dict(_config_dict(output_dir=str(tmp_path / "serial"))), jobs=1
+    )
+    parallel = cmd_compare(
+        experiment_config_from_dict(_config_dict(output_dir=str(tmp_path / "parallel"))), jobs=2
+    )
+    assert serial.per_run == parallel.per_run
+    assert (tmp_path / "serial" / "comparison.json").read_bytes() == (
+        tmp_path / "parallel" / "comparison.json"
+    ).read_bytes()
+
+
 def test_compare_horizon_requires_prediction_or_time(tmp_path):
     # a nonconvex objective has no closed-form crossing prediction, so
     # compare demands an explicit horizon

@@ -126,6 +126,48 @@ def test_noisy_gradient_scalar_unbiased():
     assert np.all(np.abs(G.mean(axis=0) - obj.grad_exact(spec, x)) < 4.0 * se)
 
 
+def _block_gradients(spec, x, block):
+    """Sampled gradients at ``x``, one per row of a drawn noise block."""
+    U, c = block
+    if spec.kind == obj.RIDGE:
+        return 2.0 * (U @ x - c)[:, None] * U + 2.0 * spec.rho * x
+    return obj.grad_exact(spec, x) + c
+
+
+def test_noise_block_unbiased_all_kinds():
+    # same 4-standard-error corridor as the per-call oracle
+    for seed, spec in zip((41, 42, 43), _specs()):
+        rng = make_rng(seed)
+        x = make_rng(seed + 100).normal(size=spec.dim)
+        n = 120_000
+        G = _block_gradients(spec, x, obj.draw_noise_block(spec, n, rng))
+        assert G.shape == (n, spec.dim)
+        mean = G.mean(axis=0)
+        se = G.std(axis=0, ddof=1) / np.sqrt(n)
+        assert np.all(np.abs(mean - obj.grad_exact(spec, x)) < 4.0 * se + 1e-12)
+
+
+def test_noise_block_shapes_and_determinism():
+    ridge, quad, sine = _specs()
+    U, c = obj.draw_noise_block(ridge, 7, make_rng(3))
+    assert U.shape == (7, ridge.dim) and c.shape == (7,)
+    assert U.min() >= -1.0 and U.max() <= 1.0
+    U2, c2 = obj.draw_noise_block(ridge, 7, make_rng(3))
+    assert np.array_equal(U, U2) and np.array_equal(c, c2)
+    for spec in (quad, sine):
+        U, c = obj.draw_noise_block(spec, 7, make_rng(3))
+        assert U is None and c.shape == (7, spec.dim)
+
+
+def test_zero_noise_block_is_zero_and_draws_nothing():
+    spec = obj.nonconvex_sine_spec(3, noise_std=0.0)
+    rng = make_rng(8)
+    before = rng.bit_generator.state
+    U, c = obj.draw_noise_block(spec, 5, rng)
+    assert U is None and np.array_equal(c, np.zeros((5, 3)))
+    assert rng.bit_generator.state == before
+
+
 def test_zero_noise_quadratic_gradient_is_exact():
     spec = obj.quadratic_spec(np.eye(2), np.zeros(2), noise_std=0.0)
     rng = make_rng(5)
