@@ -24,6 +24,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -44,32 +45,51 @@ STREAM_VALIDATE = 5
 # crossing time when no explicit horizon is configured.
 HORIZON_SAFETY_FACTOR = 10.0
 
-_TOP_KEYS = {
-    "objective",
-    "run",
-    "graph",
-    "replications",
-    "threshold",
-    "master_seed",
-    "output_dir",
-    "validate",
-}
-_OBJECTIVE_KEYS = {"kind", "dim", "rho", "noise_std", "x_tilde", "Q", "b"}
-_RUN_KEYS = {
-    "n_threads",
-    "step_size",
-    "attraction",
-    "mean_sample_time",
-    "scheme",
-    "record_every",
-    "max_updates",
-    "max_virtual_time",
-    "stop_at_threshold",
-    "track_running_average",
-}
-_GRAPH_KEYS = {"kind", "p", "file", "fixed_across_replications"}
 _GRAPH_KINDS = ("complete", "path", "star", "erdos_renyi", "file")
-_VALIDATE_KEYS = {"max_updates", "record_every", "lemma2_states", "lemma2_replications", "sigma_samples"}
+_OBJECTIVE_KINDS = (obj.RIDGE, obj.QUADRATIC, obj.NONCONVEX_SINE)
+
+# The fields of each experiment config block: name -> (type, default).
+# A type (list, t) is a list of t. A field given as null takes its
+# default; a _REQUIRED field has none.
+_REQUIRED = object()
+_VECTOR = (list, float)
+_SCHEMA = {
+    "objective": {
+        "kind": (str, obj.RIDGE),
+        "dim": (int, None),
+        "rho": (float, 0.1),
+        "noise_std": (float, 1.0),
+        "x_tilde": (_VECTOR, None),
+        "Q": ((list, _VECTOR), None),
+        "b": (_VECTOR, None),
+    },
+    "run": {
+        "n_threads": (int, _REQUIRED),
+        "step_size": (float, 0.01),
+        "attraction": (float, 1.0),
+        "mean_sample_time": (float, 0.02),
+        "scheme": (str, engine.SCHEME_SWARM),
+        "record_every": (int, 100),
+        "max_updates": (int, None),
+        "max_virtual_time": (float, None),
+        "stop_at_threshold": (bool, False),
+        "track_running_average": (bool, False),
+    },
+    "graph": {
+        "kind": (str, "erdos_renyi"),
+        "p": (float, None),
+        "file": (str, None),
+        "fixed_across_replications": (bool, False),
+    },
+    "validate": {
+        "max_updates": (int, 500),
+        "record_every": (int, 10),
+        "lemma2_states": (int, 5),
+        "lemma2_replications": (int, 10_000),
+        "sigma_samples": (int, 100_000),
+    },
+}
+_TOP_KEYS = {*_SCHEMA, "replications", "threshold", "master_seed", "output_dir"}
 
 
 class ConfigError(ValueError):
@@ -91,81 +111,95 @@ class ExperimentConfig:
     validate: dict
 
 
-def _check_keys(block: dict, allowed: set[str], context: str) -> None:
+def _number(value, field: str, integer: bool = False):
+    """A numeric config value as a finite float, or as an int when
+    ``integer``; ConfigError naming ``field`` on a wrong type or a
+    non-finite value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{field} must be a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{field} must be finite, got {value!r}")
+    if integer:
+        if isinstance(value, float) and not value.is_integer():
+            raise ConfigError(f"{field} must be an integer, got {value!r}")
+        return int(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{field} must be finite, got {value!r}") from None
+
+
+def _convert(value, kind, field: str):
+    """``value`` checked against a schema type; see ``_SCHEMA``."""
+    if isinstance(kind, tuple):
+        if not isinstance(value, list):
+            raise ConfigError(f"{field} must be a list, got {value!r}")
+        return [_convert(item, kind[1], f"{field}[{i}]") for i, item in enumerate(value)]
+    if kind is float or kind is int:
+        return _number(value, field, integer=kind is int)
+    if not isinstance(value, kind):
+        raise ConfigError(f"{field} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
+def _block(data: dict, name: str) -> dict:
+    """Config block ``name``, checked against its schema, defaults filled in."""
+    block = data.get(name)
+    if block is None:
+        block = {}
+    if not isinstance(block, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {block!r}")
+    schema = _SCHEMA[name]
     for key in block:
-        if key not in allowed:
-            raise ConfigError(f"unknown config field: {context}{key}")
+        if key not in schema:
+            raise ConfigError(f"unknown config field: {name}.{key}")
+    parsed = {}
+    for key, (kind, default) in schema.items():
+        value = block.get(key)
+        if value is not None:
+            parsed[key] = _convert(value, kind, f"{name}.{key}")
+        elif default is _REQUIRED:
+            raise ConfigError(f"missing required config field: {name}.{key}")
+        else:
+            parsed[key] = default
+    return parsed
 
 
-def _require(block: dict, key: str, context: str):
-    if key not in block or block[key] is None:
-        raise ConfigError(f"missing required config field: {context}{key}")
-    return block[key]
+def _one_of(value: str, choices: tuple[str, ...], field: str) -> None:
+    if value not in choices:
+        raise ConfigError(f"{field} must be one of {', '.join(choices)}, got {value!r}")
 
 
 def experiment_config_from_dict(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    _check_keys(data, _TOP_KEYS, "")
-    if "objective" not in data:
+    for key in data:
+        if key not in _TOP_KEYS:
+            raise ConfigError(f"unknown config field: {key}")
+    if data.get("objective") is None:
         raise ConfigError("missing required config field: objective")
-    objective = dict(data["objective"])
-    _check_keys(objective, _OBJECTIVE_KEYS, "objective.")
-    objective.setdefault("kind", obj.RIDGE)
-    if objective["kind"] not in (obj.RIDGE, obj.QUADRATIC, obj.NONCONVEX_SINE):
-        raise ConfigError(f"unknown objective kind {objective['kind']!r}")
-    if objective["kind"] == obj.QUADRATIC:
-        _require(objective, "Q", "objective.")
-        _require(objective, "b", "objective.")
-        objective.setdefault("dim", len(objective["b"]))
-    else:
-        _require(objective, "dim", "objective.")
-    objective.setdefault("rho", 0.1)
-    objective.setdefault("noise_std", 1.0)
-    objective.setdefault("x_tilde", None)
+    objective = _block(data, "objective")
+    _one_of(objective["kind"], _OBJECTIVE_KINDS, "objective.kind")
+    required = ("Q", "b") if objective["kind"] == obj.QUADRATIC else ("dim",)
+    for key in required:
+        if objective[key] is None:
+            raise ConfigError(f"missing required config field: objective.{key}")
+    if objective["dim"] is None:
+        objective["dim"] = len(objective["b"])
 
-    run = dict(data.get("run", {}))
-    _check_keys(run, _RUN_KEYS, "run.")
-    _require(run, "n_threads", "run.")
-    run.setdefault("step_size", 0.01)
-    run.setdefault("attraction", 1.0)
-    run.setdefault("mean_sample_time", 0.02)
-    run.setdefault("scheme", engine.SCHEME_SWARM)
-    run.setdefault("record_every", 100)
-    run.setdefault("max_updates", None)
-    run.setdefault("max_virtual_time", None)
-    run.setdefault("stop_at_threshold", False)
-    run.setdefault("track_running_average", False)
-    if run["scheme"] not in engine.SCHEMES:
-        raise ConfigError(f"unknown scheme {run['scheme']!r}")
+    run = _block(data, "run")
+    _one_of(run["scheme"], engine.SCHEMES, "run.scheme")
+    graph = _block(data, "graph")
+    _one_of(graph["kind"], _GRAPH_KINDS, "graph.kind")
+    if graph["kind"] == "file" and graph["file"] is None:
+        raise ConfigError("missing required config field: graph.file")
 
-    graph = dict(data.get("graph", {}))
-    _check_keys(graph, _GRAPH_KEYS, "graph.")
-    graph.setdefault("kind", "erdos_renyi")
-    if graph["kind"] not in _GRAPH_KINDS:
-        raise ConfigError(
-            f"graph.kind must be one of {', '.join(_GRAPH_KINDS)}, got {graph['kind']!r}"
-        )
-    if graph["kind"] == "file":
-        _require(graph, "file", "graph.")
-    graph.setdefault("p", None)
-    graph.setdefault("file", None)
-    graph.setdefault("fixed_across_replications", False)
-
-    validate = dict(data.get("validate", {}))
-    _check_keys(validate, _VALIDATE_KEYS, "validate.")
-    validate.setdefault("max_updates", 500)
-    validate.setdefault("record_every", 10)
-    validate.setdefault("lemma2_states", 5)
-    validate.setdefault("lemma2_replications", 10_000)
-    validate.setdefault("sigma_samples", 100_000)
-
-    replications = int(data.get("replications", 100))
+    replications = _number(data.get("replications", 100), "replications", integer=True)
     if replications < 1:
         raise ConfigError(f"replications must be at least 1, got {replications}")
     threshold = data.get("threshold", 0.1)
     if threshold is not None:
-        threshold = float(threshold)
+        threshold = _number(threshold, "threshold")
         if threshold <= 0.0:
             raise ConfigError(f"threshold must be positive, got {threshold}")
     return ExperimentConfig(
@@ -174,9 +208,9 @@ def experiment_config_from_dict(data: dict) -> ExperimentConfig:
         graph=graph,
         replications=replications,
         threshold=threshold,
-        master_seed=int(data.get("master_seed", 0)),
-        output_dir=str(data.get("output_dir", "out")),
-        validate=validate,
+        master_seed=_number(data.get("master_seed", 0), "master_seed", integer=True),
+        output_dir=_convert(data.get("output_dir", "out"), str, "output_dir"),
+        validate=_block(data, "validate"),
     )
 
 
@@ -199,18 +233,21 @@ def build_objective(config: ExperimentConfig) -> obj.ObjectiveSpec:
     """
     block = config.objective
     kind = block["kind"]
-    if kind == obj.RIDGE:
-        if block["x_tilde"] is not None:
-            return obj.ridge_spec(float(block["rho"]), np.asarray(block["x_tilde"], dtype=float))
-        rng = make_rng(derive_seed(config.master_seed, 0, STREAM_TARGET))
-        return obj.ridge_spec_random(float(block["rho"]), int(block["dim"]), rng)
-    if kind == obj.QUADRATIC:
-        return obj.quadratic_spec(
-            np.asarray(block["Q"], dtype=float),
-            np.asarray(block["b"], dtype=float),
-            float(block["noise_std"]),
-        )
-    return obj.nonconvex_sine_spec(int(block["dim"]), float(block["noise_std"]))
+    try:
+        if kind == obj.RIDGE:
+            if block["x_tilde"] is not None:
+                return obj.ridge_spec(block["rho"], np.asarray(block["x_tilde"], dtype=float))
+            rng = make_rng(derive_seed(config.master_seed, 0, STREAM_TARGET))
+            return obj.ridge_spec_random(block["rho"], block["dim"], rng)
+        if kind == obj.QUADRATIC:
+            return obj.quadratic_spec(
+                np.asarray(block["Q"], dtype=float),
+                np.asarray(block["b"], dtype=float),
+                block["noise_std"],
+            )
+        return obj.nonconvex_sine_spec(block["dim"], block["noise_std"])
+    except ValueError as exc:
+        raise ConfigError(f"objective: {exc}") from exc
 
 
 def build_graph(config: ExperimentConfig, replication: int) -> topology.Graph:
@@ -258,20 +295,20 @@ def build_run_config(
         )
     try:
         return engine.RunConfig(
-            n_threads=int(run["n_threads"]),
-            step_size=float(run["step_size"]),
-            attraction=float(run["attraction"]),
-            mean_sample_time=float(run["mean_sample_time"]),
+            n_threads=run["n_threads"],
+            step_size=run["step_size"],
+            attraction=run["attraction"],
+            mean_sample_time=run["mean_sample_time"],
             seed=seed,
             scheme=scheme,
-            max_updates=None if max_updates is None else int(max_updates),
-            max_virtual_time=None if max_virtual_time is None else float(max_virtual_time),
-            record_every=int(run["record_every"]),
+            max_updates=max_updates,
+            max_virtual_time=max_virtual_time,
+            record_every=run["record_every"],
             threshold=config.threshold,
             stop_at_threshold=(
-                bool(run["stop_at_threshold"]) if stop_at_threshold is None else stop_at_threshold
+                run["stop_at_threshold"] if stop_at_threshold is None else stop_at_threshold
             ),
-            track_running_average=bool(run["track_running_average"]),
+            track_running_average=run["track_running_average"],
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -341,11 +378,20 @@ def _simulate_one(task: tuple[ExperimentConfig, int]) -> engine.Trace:
     return engine.run_swarm(run_config, graph, spec)
 
 
+def _replication(worker, task: tuple[ExperimentConfig, int]):
+    """One replication; a run that diverges is reported with its index."""
+    try:
+        return worker(task)
+    except engine.DivergenceError as exc:
+        raise RuntimeError(f"replication {task[1]}: {exc}") from exc
+
+
 def _run_tasks(worker, tasks, jobs: int):
+    run = partial(_replication, worker)
     if jobs <= 1:
-        return [worker(task) for task in tasks]
+        return [run(task) for task in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, tasks))
+        return list(pool.map(run, tasks))
 
 
 def cmd_simulate(config: ExperimentConfig, jobs: int = 1) -> dict:
@@ -401,20 +447,6 @@ def comparison_report_to_dict(report: ComparisonReport) -> dict:
         "lemma4_violations": report.lemma4_violations,
         "per_run": list(report.per_run),
     }
-
-
-def comparison_report_from_dict(data: dict) -> ComparisonReport:
-    return ComparisonReport(
-        instance=(int(data["instance"]["dim"]), int(data["instance"]["n_threads"])),
-        T_s_mean=data["T_s_mean"],
-        T_c_mean=data["T_c_mean"],
-        ratio=data["ratio"],
-        predicted_ratio=float(data["predicted_ratio"]),
-        replications=int(data["replications"]),
-        excluded=tuple(data["excluded"]),
-        lemma4_violations=int(data["lemma4_violations"]),
-        per_run=tuple(data["per_run"]),
-    )
 
 
 def _compare_one(task: tuple[ExperimentConfig, int]) -> dict:
@@ -494,23 +526,27 @@ _BOUND_REQUIRED = ("kappa", "L", "sigma_sq", "gamma", "a", "lambda2", "d_bar", "
 
 
 def _bounds_report(params: dict) -> dict:
+    if not isinstance(params, dict):
+        raise ConfigError("bound parameters must be a JSON object")
     for key in _BOUND_REQUIRED:
         if key not in params:
             raise ConfigError(f"missing required config field: {key}")
-    kappa = float(params["kappa"])
-    L = float(params["L"])
-    sigma_sq = float(params["sigma_sq"])
-    gamma = float(params["gamma"])
-    a = float(params["a"])
-    lambda2 = float(params["lambda2"])
-    d_bar = float(params["d_bar"])
-    N = int(params["N"])
-    K = int(params.get("K", 10_000))
-    U0 = float(params.get("U0", 1.0))
-    V0 = float(params.get("V0", 0.0))
-    G0 = float(params.get("G0", U0))
-    f0_gap = float(params.get("f0_gap", 1.0))
+    kappa = _number(params["kappa"], "kappa")
+    L = _number(params["L"], "L")
+    sigma_sq = _number(params["sigma_sq"], "sigma_sq")
+    gamma = _number(params["gamma"], "gamma")
+    a = _number(params["a"], "a")
+    lambda2 = _number(params["lambda2"], "lambda2")
+    d_bar = _number(params["d_bar"], "d_bar")
+    N = _number(params["N"], "N", integer=True)
+    K = _number(params.get("K", 10_000), "K", integer=True)
+    U0 = _number(params.get("U0", 1.0), "U0")
+    V0 = _number(params.get("V0", 0.0), "V0")
+    G0 = _number(params.get("G0", U0), "G0")
+    f0_gap = _number(params.get("f0_gap", 1.0), "f0_gap")
     D = params.get("D")
+    if D is not None:
+        D = _number(D, "D")
 
     h = theory.harmonic_speedup(N)
     report: dict = {
@@ -558,9 +594,7 @@ def _bounds_report(params: dict) -> dict:
     except theory.InadmissibleParametersError as exc:
         report["centralized"] = {"admissible": False, "reason": str(exc)}
 
-    cv = theory.convex_bound(
-        L, sigma_sq, gamma, a, lambda2, d_bar, N, K, U0, V0, None if D is None else float(D)
-    )
+    cv = theory.convex_bound(L, sigma_sq, gamma, a, lambda2, d_bar, N, K, U0, V0, D)
     report["convex"] = {
         "admissible": cv.admissible,
         "tilde_omega": _json_float(cv.tilde_omega),
@@ -692,29 +726,35 @@ def cmd_sweep(params_path: str, out_dir: str) -> str:
         raise ConfigError(f"cannot read config {params_path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {params_path} is not valid JSON: {exc}") from exc
-    base = dict(params.get("base", {}))
-    grid = dict(params.get("grid", {}))
+    if not isinstance(params, dict):
+        raise ConfigError("sweep parameters must be a JSON object")
+    base, grid = params.get("base", {}), params.get("grid", {})
+    if not isinstance(base, dict) or not isinstance(grid, dict):
+        raise ConfigError("base and grid must be JSON objects")
     for key in ("kappa", "L", "sigma_sq"):
         if key not in base:
             raise ConfigError(f"missing required config field: base.{key}")
-    kappa = float(base["kappa"])
-    L = float(base["L"])
-    sigma_sq = float(base["sigma_sq"])
-    K = int(base.get("K", 10_000))
-    U0 = float(base.get("U0", 1.0))
-    V0 = float(base.get("V0", 0.0))
-    G0 = float(base.get("G0", U0))
-    f0_gap = float(base.get("f0_gap", 1.0))
+    kappa = _number(base["kappa"], "base.kappa")
+    L = _number(base["L"], "base.L")
+    sigma_sq = _number(base["sigma_sq"], "base.sigma_sq")
+    K = _number(base.get("K", 10_000), "base.K", integer=True)
+    U0 = _number(base.get("U0", 1.0), "base.U0")
+    V0 = _number(base.get("V0", 0.0), "base.V0")
+    G0 = _number(base.get("G0", U0), "base.G0")
+    f0_gap = _number(base.get("f0_gap", 1.0), "base.f0_gap")
+    fixed_d_bar = _number(base["d_bar"], "base.d_bar") if "d_bar" in base else None
 
-    gammas = [float(g) for g in grid.get("gamma", [0.01])]
-    attractions = [float(a) for a in grid.get("a", [1.0])]
-    thread_counts = [int(n) for n in grid.get("N", [20])]
+    gammas = _convert(grid.get("gamma", [0.01]), _VECTOR, "grid.gamma")
+    attractions = _convert(grid.get("a", [1.0]), _VECTOR, "grid.a")
+    thread_counts = _convert(grid.get("N", [20]), (list, int), "grid.N")
     lambda2_grid = grid.get("lambda2")
+    if lambda2_grid is not None:
+        lambda2_grid = _convert(lambda2_grid, _VECTOR, "grid.lambda2")
 
     lines = [_SWEEP_HEADER]
     for N in thread_counts:
-        lambda2_values = [float(l) for l in lambda2_grid] if lambda2_grid else [float(N)]
-        d_bar = float(base.get("d_bar", N - 1))
+        lambda2_values = lambda2_grid or [float(N)]
+        d_bar = float(N - 1) if fixed_d_bar is None else fixed_d_bar
         for gamma in gammas:
             for a in attractions:
                 for lam2 in lambda2_values:
@@ -787,8 +827,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config or parameter file")
         p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--jobs", type=int, default=1, help="parallel replications")
-        p.add_argument("--seed", type=int, default=None, help="master seed override")
+        # The bound calculators draw nothing and run no replications.
+        if name not in ("bounds", "sweep"):
+            p.add_argument("--jobs", type=int, default=1, help="parallel replications")
+            p.add_argument("--seed", type=int, default=None, help="master seed override")
     return parser
 
 

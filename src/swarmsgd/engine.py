@@ -18,21 +18,21 @@ schemes, toward its graph neighbors with a configurable attraction
 strength. Virtual time, not update count, is the cost measure the
 schemes are compared on.
 
-Every run draws from one generator seeded with ``config.seed``. The two
-swarm schemes share one update loop and draw their randomness in whole
-blocks of ``BLOCK_ROWS`` updates, so a run cut off earlier is an exact
-prefix of a longer run with the same seed. The event-driven scheme
-first draws the N initial sampling durations, then per block the
+Every run draws from one generator seeded with ``config.seed``. All
+three schemes share one update loop and draw their randomness in whole
+blocks, so a run cut off earlier is an exact prefix of a longer run with
+the same seed. The event-driven scheme first draws the N initial
+sampling durations, then per block of ``BLOCK_ROWS`` updates the
 durations of the samples the block's updates start, then the block's
 oracle noise (``objective.draw_noise_block``). The global-tick scheme
 draws per block the inter-update gaps, the updating threads, then the
-oracle noise. The centralized scheme draws per step N gradient samples,
-then N sampling durations.
+oracle noise. The centralized scheme draws per block of
+``max(1, BATCH_SAMPLES // N)`` steps the N sampling durations of every
+step, then the oracle noise of all the block's samples.
 """
 from __future__ import annotations
 
 import heapq
-import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -55,10 +55,25 @@ TRACE_CSV_HEADER = "k,t,U,Vbar,f_gap,grad_norm_sq"
 # the generator calls out of the per-update cost, small enough that the
 # drawn block stays in cache.
 BLOCK_ROWS = 256
+# Oracle samples a centralized block draws at once: BATCH_SAMPLES // N
+# steps of N samples each, 0.8 MB of ridge features at dim 100.
+BATCH_SAMPLES = 1024
 
 
 class EngineInvariantError(RuntimeError):
     """An internal simulation invariant was violated."""
+
+
+class DivergenceError(RuntimeError):
+    """A record of scheme ``scheme`` at update ``k``, virtual time ``t``,
+    has a non-finite dispersion or gradient norm."""
+
+    def __init__(self, scheme: str, k: int, t: float) -> None:
+        super().__init__(scheme, k, t)  # the args are what pickling keeps
+        self.scheme, self.k, self.t = scheme, k, t
+
+    def __str__(self) -> str:
+        return f"{self.scheme} run diverged at update {self.k} (t={self.t!r})"
 
 
 @dataclass(frozen=True)
@@ -165,10 +180,10 @@ class Trace:
 class _TraceBuilder:
     """Shared recording, crossing detection, and summary assembly."""
 
-    def __init__(self, config, spec, x_star, on_record):
+    def __init__(self, config, spec, on_record):
         self.config = config
         self.spec = spec
-        self.x_star = x_star
+        self.x_star = obj.optimum(spec)
         self.f_star = obj.optimal_value(spec)
         self.on_record = on_record
         self.records: list[TraceRecord] = []
@@ -184,16 +199,9 @@ class _TraceBuilder:
         if k == self.last_recorded_k:
             return
         snap = metrics.snapshot(positions, self.spec, self.x_star, self.f_star)
-        self.records.append(
-            TraceRecord(
-                k=k,
-                t=t,
-                U=snap.U,
-                Vbar=snap.Vbar,
-                f_gap=snap.f_gap,
-                grad_norm_sq=snap.grad_norm_sq,
-            )
-        )
+        if not (math.isfinite(snap.Vbar) and math.isfinite(snap.grad_norm_sq)):
+            raise DivergenceError(self.config.scheme, k, t)
+        self.records.append(TraceRecord(k, t, snap.U, snap.Vbar, snap.f_gap, snap.grad_norm_sq))
         self.last_recorded_k = k
         if self.on_record is not None:
             self.on_record(k, t, positions)
@@ -229,7 +237,7 @@ class _TraceBuilder:
         t: float,
         positions: np.ndarray,
         n_samples: int,
-        per_thread_counts: list[int] | None,
+        per_thread_counts: tuple[int, ...] | None,
     ) -> Trace:
         self.record(k, t, positions)
         final = self.records[-1]
@@ -247,9 +255,7 @@ class _TraceBuilder:
             virtual_time=t,
             wall_time=time.perf_counter() - self.started,
             hit_update=self.hit_update,
-            per_thread_update_counts=(
-                None if per_thread_counts is None else tuple(int(c) for c in per_thread_counts)
-            ),
+            per_thread_update_counts=per_thread_counts,
         )
         running = None
         if self.running is not None and self.running.value is not None:
@@ -262,7 +268,13 @@ class _TraceBuilder:
         )
 
 
-def _initial_positions(config: RunConfig, dim: int, init: np.ndarray | None) -> np.ndarray:
+def _swarm_positions(config: RunConfig, graph, dim: int, init: np.ndarray | None) -> np.ndarray:
+    if config.n_threads < 2:
+        raise ValueError("swarm schemes need at least two threads")
+    if graph.n_vertices != config.n_threads:
+        raise ValueError(
+            f"graph has {graph.n_vertices} vertices for {config.n_threads} threads"
+        )
     if init is None:
         return np.zeros((config.n_threads, dim))
     X = np.array(init, dtype=float)
@@ -328,35 +340,47 @@ def _tick_schedule(n_threads: int, mean_time: float, rng: np.random.Generator):
         yield times, threads
 
 
-def _run_swarm_loop(config, graph, spec, init, on_record, schedule) -> Trace:
-    """The update loop shared by both swarm schemes.
+def _batch_schedule(n_threads: int, mean_time: float, rng: np.random.Generator):
+    """Who moves when in the centralized scheme: a step ends when the
+    slowest of its N samples arrives, and the row that moves is always
+    the shared iterate, row 0. Yields (step end times, rows) lists of
+    ``max(1, BATCH_SAMPLES // N)`` steps at a time."""
+    steps = max(1, BATCH_SAMPLES // n_threads)
+    rows = [0] * steps
+    clock = 0.0
+    while True:
+        durations = _sampling_durations(rng, mean_time, steps * n_threads)
+        slowest = durations.reshape(steps, n_threads).max(axis=1)
+        times = np.cumsum(np.concatenate(([clock], slowest)))[1:].tolist()
+        clock = times[-1]
+        yield times, rows
 
-    The firing thread moves by ``-gamma (g + a sum_j a_ij (x_i - x_j))``
-    with ``g`` one oracle sample at ``x_i``. Every term linear in
-    ``x_i`` (the attraction's degree term and the linear part of the
-    gradient) is folded into one coefficient per thread, so an update
-    costs the oracle's own vector work, one neighbour sum and a few
-    in-place vector operations.
+
+def _run_loop(config, spec, X, graph, on_record, schedule) -> Trace:
+    """The update loop of all three schemes.
+
+    ``schedule`` yields blocks of (fire times, rows of ``X`` that move).
+    A swarm thread ``i`` moves by ``-gamma (g + a sum_j a_ij (x_i -
+    x_j))`` with ``g`` one oracle sample at ``x_i``; with ``graph`` None
+    the single row of ``X`` is the centralized iterate and ``g`` the
+    mean of N samples. Every term linear in the moving row is folded
+    into one coefficient per row, so an update costs the oracle's own
+    vector work, one neighbour sum and a few in-place vector operations.
     """
-    if config.n_threads < 2:
-        raise ValueError("swarm schemes need at least two threads")
-    if graph.n_vertices != config.n_threads:
-        raise ValueError(
-            f"graph has {graph.n_vertices} vertices for {config.n_threads} threads"
-        )
     N = config.n_threads
     gamma = config.step_size
-    a = config.attraction
     rng = make_rng(config.seed)
-    X = _initial_positions(config, spec.dim, init)
-    x_star = obj.optimum(spec)
     blocks = schedule(N, config.mean_sample_time, rng)
+    # Oracle samples per update, whose mean the update applies.
+    batch = 1 if graph is not None else N
+    single = batch == 1
 
     kind = spec.kind
     if kind == obj.RIDGE:
-        # g = 2 (u . x - c) u + 2 rho x
+        # g = 2 (u . x - c) u + 2 rho x; a mean over N samples scales
+        # the data term by 1/N.
         linear = 2.0 * spec.rho
-        two_gamma = 2.0 * gamma
+        two_gamma = 2.0 * gamma / batch
     elif kind == obj.QUADRATIC:
         # g = Q x + b + noise
         linear = 0.0
@@ -369,22 +393,25 @@ def _run_swarm_loop(config, graph, spec, init, on_record, schedule) -> Trace:
     else:
         raise ValueError(f"unknown objective kind {kind!r}")
 
-    complete = int(graph.degrees.min()) == N - 1
+    # The centralized iterate is one row with no neighbours and no pull.
+    rows = X.shape[0]
+    a = 0.0 if graph is None else config.attraction
     gamma_a = gamma * a
+    complete = graph is None or int(graph.degrees.min()) == N - 1
     if complete:
         # On the complete graph sum_j (x_i - x_j) = N x_i - sum_vec.
-        x_coef = [-gamma * (linear + a * N)] * N
+        x_coef = [-gamma * (linear + a * rows)] * rows
     else:
         x_coef = [-gamma * (linear + a * d) for d in graph.degrees.tolist()]
         neighbors = [np.flatnonzero(graph.adjacency[i]) for i in range(N)]
         neighbor_weights = [np.full(idx.size, gamma_a) for idx in neighbors]
 
-    builder = _TraceBuilder(config, spec, x_star, on_record)
+    builder = _TraceBuilder(config, spec, on_record)
     builder.record(0, 0.0, X)
 
-    counts = [0] * N
+    counts = [0] * rows
     sum_vec = X.sum(axis=0)
-    inv_n = 1.0 / N
+    inv_n = 1.0 / rows
     clock = 0.0
     k = 0
     max_updates = math.inf if config.max_updates is None else config.max_updates
@@ -396,19 +423,29 @@ def _run_swarm_loop(config, graph, spec, init, on_record, schedule) -> Trace:
     sin = np.sin
 
     for times, threads in blocks:
-        features, noise = obj.draw_noise_block(spec, BLOCK_ROWS, rng)
+        n = len(times)
+        # Update j draws the samples j*batch .. j*batch + batch - 1.
+        features, noise = obj.draw_noise_block(spec, n * batch, rng)
         if kind == obj.RIDGE:
-            scaled_targets = (two_gamma * noise).tolist()
+            scaled_targets = two_gamma * noise
+            if single:
+                scaled_targets = scaled_targets.tolist()
+            else:
+                features = features.reshape(n, batch, spec.dim)
+                scaled_targets = scaled_targets.reshape(n, batch)
         else:
+            if not single:
+                noise = noise.reshape(n, batch, spec.dim).mean(axis=1)
             shifts = -gamma * noise
             if kind == obj.QUADRATIC:
                 shifts += neg_gamma_b
         # The inner loop breaks only to end the run.
-        for j in range(BLOCK_ROWS):
+        for j in range(n):
             t = times[j]
             if t < clock:
                 raise EngineInvariantError("event fires before the current clock")
             if t > max_virtual_time:
+                # A step still in flight is not applied, nor its samples counted.
                 break
             if need_pre:
                 builder.pre_update(k, sum_vec * inv_n)
@@ -416,8 +453,10 @@ def _run_swarm_loop(config, graph, spec, init, on_record, schedule) -> Trace:
             i = threads[j]
             xi = X[i]
             if kind == obj.RIDGE:
+                # One sample: r u; N samples: (2 gamma / N) (c - U x)' U.
                 u = features[j]
-                delta = u * (scaled_targets[j] - two_gamma * u.dot(xi))
+                r = scaled_targets[j] - two_gamma * u.dot(xi)
+                delta = u * r if single else r.dot(u)
             elif kind == obj.QUADRATIC:
                 delta = neg_gamma_Q.dot(xi)
                 delta += shifts[j]
@@ -447,7 +486,7 @@ def _run_swarm_loop(config, graph, spec, init, on_record, schedule) -> Trace:
             continue
         break
 
-    return builder.finish(k, clock, X, k, counts)
+    return builder.finish(k, clock, X, k * batch, None if graph is None else tuple(counts))
 
 
 def run_swarm(
@@ -459,7 +498,8 @@ def run_swarm(
 ) -> Trace:
     """Event-driven swarm run over an interaction graph."""
     _require_scheme(config, SCHEME_SWARM)
-    return _run_swarm_loop(config, graph, spec, init, on_record, _event_schedule)
+    X = _swarm_positions(config, graph, spec.dim, init)
+    return _run_loop(config, spec, X, graph, on_record, _event_schedule)
 
 
 def run_swarm_global_tick(
@@ -477,7 +517,8 @@ def run_swarm_global_tick(
     stream is consumed in the order: gaps, thread indices, oracle noise.
     """
     _require_scheme(config, SCHEME_GLOBAL_TICK)
-    return _run_swarm_loop(config, graph, spec, init, on_record, _tick_schedule)
+    X = _swarm_positions(config, graph, spec.dim, init)
+    return _run_loop(config, spec, X, graph, on_record, _tick_schedule)
 
 
 def run_centralized(
@@ -492,60 +533,16 @@ def run_centralized(
     iterate and applies their average; the step duration is the maximum
     of the N sampling times, so a step of the baseline is exactly one
     synchronized round. ``init`` is the shared start point of shape
-    (dim,). Per step the stream order is: N gradient samples, then N
-    sampling durations.
+    (dim,); records and ``on_record`` see it as a (1, dim) array. Per
+    block of ``max(1, BATCH_SAMPLES // N)`` steps the stream order is:
+    the N sampling durations of every step, then the oracle noise of
+    all the block's samples. The attraction is not used.
     """
     _require_scheme(config, SCHEME_CENTRALIZED)
-    N = config.n_threads
-    gamma = config.step_size
-    mean_time = config.mean_sample_time
-    rng = make_rng(config.seed)
-    if init is None:
-        x = np.zeros(spec.dim)
-    else:
-        x = np.array(init, dtype=float)
-        if x.shape != (spec.dim,):
-            raise ValueError(f"init has shape {x.shape}, expected ({spec.dim},)")
-    x_star = obj.optimum(spec)
-
-    builder = _TraceBuilder(config, spec, x_star, on_record)
-    builder.record(0, 0.0, x[None, :])
-
-    clock = 0.0
-    k = 0
-    n_samples = 0
-    max_updates = config.max_updates
-    max_virtual_time = config.max_virtual_time
-    record_every = config.record_every
-    threshold_active = config.threshold is not None
-    need_pre = config.track_running_average or bool(builder.capture_set)
-
-    while True:
-        if max_updates is not None and k >= max_updates:
-            break
-        G = obj.noisy_gradients(spec, np.broadcast_to(x, (N, spec.dim)), rng)
-        durations = rng.exponential(mean_time, size=N)
-        step_time = clock + float(durations.max())
-        if max_virtual_time is not None and step_time > max_virtual_time:
-            # The batch is still in flight at the horizon; its samples
-            # never arrive and are not counted.
-            break
-        if need_pre:
-            builder.pre_update(k, x)
-        clock = step_time
-        n_samples += N
-        x += gamma * -G.mean(axis=0)
-        k += 1
-
-        stop = False
-        if threshold_active:
-            stop = builder.check_crossing(k, clock, x[None, :], x)
-        if k % record_every == 0:
-            builder.record(k, clock, x[None, :])
-        if stop:
-            break
-
-    return builder.finish(k, clock, x[None, :], n_samples, None)
+    x = np.zeros(spec.dim) if init is None else np.array(init, dtype=float)
+    if x.shape != (spec.dim,):
+        raise ValueError(f"init has shape {x.shape}, expected ({spec.dim},)")
+    return _run_loop(config, spec, x[None, :], None, on_record, _batch_schedule)
 
 
 def write_trace_csv(trace: Trace, path: str) -> None:
@@ -614,9 +611,3 @@ def summary_json_dict(summary: RunSummary) -> dict:
             else list(summary.per_thread_update_counts)
         ),
     }
-
-
-def write_summary_json(summary: RunSummary, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary_json_dict(summary), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -82,12 +82,6 @@ class RunningAverage:
             self.value += x / k
 
 
-def running_average_push(avg: RunningAverage, x: np.ndarray) -> RunningAverage:
-    """Push ``x`` and return the (mutated) accumulator."""
-    avg.push(x)
-    return avg
-
-
 def select_random_index(n_updates: int, rng: np.random.Generator) -> int:
     """Uniform draw from {0, ..., n_updates - 1}."""
     if n_updates < 1:

@@ -223,7 +223,9 @@ def draw_noise_block(
     drawn when ``noise_std`` is 0. Each row is one unbiased sample.
     """
     if spec.kind == RIDGE:
-        U = 2.0 * rng.random((rows, spec.dim)) - 1.0
+        U = rng.random((rows, spec.dim))
+        U *= 2.0
+        U -= 1.0
         return U, U @ spec.x_tilde + polar_normals(rng, rows)
     if spec.kind in (QUADRATIC, NONCONVEX_SINE):
         if spec.noise_std == 0.0:
@@ -310,36 +312,3 @@ def estimate_noise_variance(
         total += float(((G - g_exact) ** 2).sum())
         remaining -= rows
     return total / n_samples
-
-
-def spec_to_json_dict(spec: ObjectiveSpec) -> dict:
-    """JSON-friendly form of a spec; inverse of ``spec_from_json_dict``."""
-    data: dict = {"kind": spec.kind, "dim": spec.dim, "noise_std": spec.noise_std}
-    if spec.kind == RIDGE:
-        data["rho"] = spec.rho
-        data["x_tilde"] = [float(v) for v in spec.x_tilde]
-    elif spec.kind == QUADRATIC:
-        data["Q"] = [[float(v) for v in row] for row in spec.Q]
-        data["b"] = [float(v) for v in spec.b]
-    return data
-
-
-def spec_from_json_dict(data: dict) -> ObjectiveSpec:
-    kind = data.get("kind")
-    if kind == RIDGE:
-        if "rho" not in data or "x_tilde" not in data:
-            raise ValueError("ridge json needs fields 'rho' and 'x_tilde'")
-        return ridge_spec(float(data["rho"]), np.asarray(data["x_tilde"], dtype=float))
-    if kind == QUADRATIC:
-        if "Q" not in data or "b" not in data:
-            raise ValueError("quadratic json needs fields 'Q' and 'b'")
-        return quadratic_spec(
-            np.asarray(data["Q"], dtype=float),
-            np.asarray(data["b"], dtype=float),
-            float(data.get("noise_std", 1.0)),
-        )
-    if kind == NONCONVEX_SINE:
-        if "dim" not in data:
-            raise ValueError("nonconvex_sine json needs field 'dim'")
-        return nonconvex_sine_spec(int(data["dim"]), float(data.get("noise_std", 1.0)))
-    raise ValueError(f"unknown objective kind {kind!r}")

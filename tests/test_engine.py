@@ -1,5 +1,7 @@
 import json
 import math
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from swarmsgd.engine import (
     SCHEME_CENTRALIZED,
     SCHEME_GLOBAL_TICK,
     SCHEME_SWARM,
+    SCHEMES,
     TRACE_CSV_HEADER,
     RunConfig,
     read_trace_csv,
@@ -19,7 +22,6 @@ from swarmsgd.engine import (
     run_swarm,
     run_swarm_global_tick,
     summary_json_dict,
-    write_summary_json,
     write_trace_csv,
 )
 from swarmsgd.randomness import make_rng
@@ -324,7 +326,7 @@ def test_schedulers_have_matching_final_error_distributions():
     assert p > 0.01
 
 
-def test_summary_json_excludes_wall_time(tmp_path):
+def test_summary_json_excludes_wall_time():
     spec = _spec()
     graph = topology.complete_graph(5)
     trace = run_swarm(_swarm_config(), graph, spec)
@@ -332,13 +334,10 @@ def test_summary_json_excludes_wall_time(tmp_path):
     assert "wall_time" not in data
     assert data["scheme"] == SCHEME_SWARM
     assert data["seed"] == 7
-    path = tmp_path / "summary.json"
-    write_summary_json(trace.summary, str(path))
     again = run_swarm(_swarm_config(), graph, spec)
-    path2 = tmp_path / "summary2.json"
-    write_summary_json(again.summary, str(path2))
-    assert path.read_bytes() == path2.read_bytes()
-    json.loads(path.read_text())
+    text = json.dumps(data, indent=2, sort_keys=True)
+    assert text == json.dumps(summary_json_dict(again.summary), indent=2, sort_keys=True)
+    assert json.loads(text) == data
 
 
 def test_summary_nan_becomes_null():
@@ -487,3 +486,122 @@ def test_fused_update_matches_reference_loop(scheme, runner, schedule, kind, gra
     # operations per update; drift stays within a few hundred ulps.
     for k, expected in enumerate(reference):
         np.testing.assert_allclose(seen[k], expected, rtol=1e-10, atol=1e-12)
+
+
+S_CENTRAL = engine.BATCH_SAMPLES // 6
+
+
+def _central_config(**overrides):
+    return _swarm_config(n_threads=6, scheme=SCHEME_CENTRALIZED, **overrides)
+
+
+def _kept_central_states(config, spec, init=None):
+    seen = {}
+
+    def keep(k, t, positions):
+        seen[k] = positions[0].copy()
+
+    trace = run_centralized(config, spec, init=init, on_record=keep)
+    return trace, seen
+
+
+def _central_reference_states(config, spec, init):
+    """Centralized steps on the engine's streams, each the plain mean of
+    its N sample gradients evaluated one by one."""
+    rng = make_rng(config.seed)
+    N = config.n_threads
+    x = np.array(init, dtype=float)
+    blocks = engine._batch_schedule(N, config.mean_sample_time, rng)
+    states = [x.copy()]
+    while len(states) <= config.max_updates:
+        times, _ = next(blocks)
+        U, c = obj.draw_noise_block(spec, len(times) * N, rng)
+        for s in range(min(len(times), config.max_updates + 1 - len(states))):
+            samples = []
+            for m in range(s * N, (s + 1) * N):
+                if spec.kind == obj.RIDGE:
+                    samples.append(2.0 * (U[m] @ x - c[m]) * U[m] + 2.0 * spec.rho * x)
+                else:
+                    samples.append(obj.grad_exact(spec, x) + c[m])
+            x = x - config.step_size * np.mean(samples, axis=0)
+            states.append(x.copy())
+    return states
+
+
+@pytest.mark.parametrize("kind", range(3))
+def test_centralized_matches_reference_loop(kind):
+    spec = _kind_specs()[kind]
+    init = make_rng(13).normal(size=spec.dim)
+    config = _central_config(attraction=0.7, max_updates=2 * S_CENTRAL + 9, record_every=1)
+    _, seen = _kept_central_states(config, spec, init=init)
+    reference = _central_reference_states(config, spec, init)
+    assert len(seen) == len(reference)
+    for k, expected in enumerate(reference):
+        np.testing.assert_allclose(seen[k], expected, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("budget", [S_CENTRAL - 1, S_CENTRAL, S_CENTRAL + 1])
+def test_centralized_shorter_budget_is_a_prefix(budget):
+    spec = _spec()
+    short = _central_config(max_updates=budget, record_every=1)
+    long = _central_config(max_updates=budget + 37, record_every=1)
+    t_short, s_short = _kept_central_states(short, spec)
+    t_long, s_long = _kept_central_states(long, spec)
+    assert len(t_short.records) == budget + 1
+    assert t_short.records == t_long.records[: budget + 1]
+    assert all(np.array_equal(s_short[k], s_long[k]) for k in s_short)
+    assert t_short.summary.n_samples == 6 * budget
+
+
+def test_centralized_shorter_time_horizon_is_a_prefix():
+    spec = _spec()
+    # 40 threads: blocks of 25 steps, each about H_40 * 0.02 = 0.086 long
+    short = _swarm_config(
+        n_threads=40, scheme=SCHEME_CENTRALIZED, max_updates=None, max_virtual_time=3.0,
+        record_every=1,
+    )
+    long = replace(short, max_virtual_time=4.5)
+    t_short = run_centralized(short, spec)
+    t_long = run_centralized(long, spec)
+    n = t_short.summary.n_updates
+    assert n > engine.BATCH_SAMPLES // 40
+    assert t_short.records == t_long.records[: n + 1]
+    assert t_long.records[n + 1].t > 3.0
+    assert t_short.summary.n_samples == 40 * n
+
+
+def _diverging(scheme, **overrides):
+    base = dict(n_threads=4, scheme=scheme, step_size=50.0, max_updates=2000, record_every=1)
+    return _swarm_config(**{**base, **overrides})
+
+
+RUNNERS = {
+    SCHEME_SWARM: lambda c, s: run_swarm(c, topology.complete_graph(4), s),
+    SCHEME_GLOBAL_TICK: lambda c, s: run_swarm_global_tick(c, topology.complete_graph(4), s),
+    SCHEME_CENTRALIZED: run_centralized,
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_diverging_run_raises_at_first_non_finite_record(scheme):
+    spec = _spec()
+    with pytest.raises(engine.DivergenceError) as info:
+        RUNNERS[scheme](_diverging(scheme), spec)
+    err = info.value
+    assert err.scheme == scheme and 0 < err.k < 2000 and math.isfinite(err.t)
+    assert f"update {err.k}" in str(err) and scheme in str(err)
+    # every earlier record is finite: the run stopped just before is whole
+    before = RUNNERS[scheme](_diverging(scheme, max_updates=err.k - 1), spec)
+    assert math.isfinite(before.summary.final_grad_norm_sq)
+    # the error survives the trip to and from a worker process
+    back = pickle.loads(pickle.dumps(err))
+    assert (back.scheme, back.k, back.t, str(back)) == (err.scheme, err.k, err.t, str(err))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergence_between_records_is_caught_at_the_final_record():
+    spec = _spec()
+    with pytest.raises(engine.DivergenceError) as info:
+        run_swarm(_diverging(SCHEME_SWARM, record_every=10_000), topology.complete_graph(4), spec)
+    assert info.value.k == 2000

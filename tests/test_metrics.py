@@ -68,8 +68,8 @@ def test_snapshot_dimension_mismatch():
 
 def test_running_average_trivial_cases():
     ra = metrics.RunningAverage()
-    metrics.running_average_push(ra, np.array([2.0, 4.0]))
-    metrics.running_average_push(ra, np.array([2.0, 4.0]))
+    ra.push(np.array([2.0, 4.0]))
+    ra.push(np.array([2.0, 4.0]))
     assert np.allclose(ra.value, [2.0, 4.0], atol=1e-15)
     assert ra.count == 2
 

@@ -245,22 +245,6 @@ def test_ridge_gradient_lipschitz_between_random_points(rho, seed):
     assert lhs <= reg.L * np.linalg.norm(x - y) * (1.0 + 1e-9)
 
 
-def test_spec_json_round_trip():
-    for spec in _specs():
-        back = obj.spec_from_json_dict(obj.spec_to_json_dict(spec))
-        assert back.kind == spec.kind
-        assert back.dim == spec.dim
-        assert back.noise_std == spec.noise_std
-        if spec.kind == obj.RIDGE:
-            assert np.array_equal(back.x_tilde, spec.x_tilde)
-            assert back.rho == spec.rho
-        if spec.kind == obj.QUADRATIC:
-            assert np.array_equal(back.Q, spec.Q)
-            assert np.array_equal(back.b, spec.b)
-    with pytest.raises(ValueError):
-        obj.spec_from_json_dict({"kind": "mystery", "dim": 2})
-
-
 def test_ridge_spec_random_uses_stream():
     a = obj.ridge_spec_random(0.1, 5, make_rng(3))
     b = obj.ridge_spec_random(0.1, 5, make_rng(3))
