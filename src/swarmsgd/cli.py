@@ -18,6 +18,7 @@ validation failure, 2 bad configuration.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -25,6 +26,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import product
+from operator import itemgetter
 
 import numpy as np
 
@@ -49,13 +52,13 @@ _GRAPH_KINDS = ("complete", "path", "star", "erdos_renyi", "file")
 _OBJECTIVE_KINDS = (obj.RIDGE, obj.QUADRATIC, obj.NONCONVEX_SINE)
 
 # The fields of each experiment config block: name -> (type, default).
-# A type (list, t) is a list of t. A field given as null takes its
-# default; a _REQUIRED field has none.
+# A type (list, t) is a list of t, a tuple of strings one of them. A
+# field given as null takes its default; a _REQUIRED field has none.
 _REQUIRED = object()
 _VECTOR = (list, float)
 _SCHEMA = {
     "objective": {
-        "kind": (str, obj.RIDGE),
+        "kind": (_OBJECTIVE_KINDS, obj.RIDGE),
         "dim": (int, None),
         "rho": (float, 0.1),
         "noise_std": (float, 1.0),
@@ -68,7 +71,7 @@ _SCHEMA = {
         "step_size": (float, 0.01),
         "attraction": (float, 1.0),
         "mean_sample_time": (float, 0.02),
-        "scheme": (str, engine.SCHEME_SWARM),
+        "scheme": (engine.SCHEMES, engine.SCHEME_SWARM),
         "record_every": (int, 100),
         "max_updates": (int, None),
         "max_virtual_time": (float, None),
@@ -76,7 +79,7 @@ _SCHEMA = {
         "track_running_average": (bool, False),
     },
     "graph": {
-        "kind": (str, "erdos_renyi"),
+        "kind": (_GRAPH_KINDS, "erdos_renyi"),
         "p": (float, None),
         "file": (str, None),
         "fixed_across_replications": (bool, False),
@@ -90,6 +93,68 @@ _SCHEMA = {
     },
 }
 _TOP_KEYS = {*_SCHEMA, "replications", "threshold", "master_seed", "output_dir"}
+
+# The inputs of ``bounds``, typed like the config blocks; a null G0
+# takes U0. ``sweep`` reads the same fields from its ``base``, except
+# the grid axes and D, and with d_bar optional: a null d_bar is N - 1
+# at each grid point.
+_BOUND_SCHEMA = {
+    "kappa": (float, _REQUIRED),
+    "L": (float, _REQUIRED),
+    "sigma_sq": (float, _REQUIRED),
+    "gamma": (float, _REQUIRED),
+    "a": (float, _REQUIRED),
+    "lambda2": (float, _REQUIRED),
+    "d_bar": (float, _REQUIRED),
+    "N": (int, _REQUIRED),
+    "K": (int, 10_000),
+    "U0": (float, 1.0),
+    "V0": (float, 0.0),
+    "G0": (float, None),
+    "f0_gap": (float, 1.0),
+    "D": (float, None),
+}
+_GRID_AXES = ("gamma", "a", "N", "lambda2")
+_SWEEP_SCHEMA = {
+    "base": {
+        **{k: v for k, v in _BOUND_SCHEMA.items() if k not in (*_GRID_AXES, "D")},
+        "d_bar": (float, None),
+    },
+    "grid": {
+        "gamma": (_VECTOR, [0.01]),
+        "a": (_VECTOR, [1.0]),
+        "N": ((list, int), [20]),
+        "lambda2": (_VECTOR, None),
+    },
+}
+
+# The four bound families: family -> (result fields that bounds.json
+# reports besides ``admissible``, result fields behind the sweep's
+# omega, rate and bound columns, None reading NaN). Family f is computed
+# by ``theory.<f>_bound``, which takes the bound inputs of the same names.
+_BOUND_FAMILIES = {
+    "strong_convex": (
+        ("hat_omega", "C", "phi_star", "gamma_caps", "root_ambiguous", "corollary_gamma_ok"),
+        ("hat_omega", "C", "phi_star"),
+    ),
+    "centralized": (("phi_star_star", "contraction"), (None, "contraction", "phi_star_star")),
+    "convex": (
+        (
+            "tilde_omega", "mu", "bound_at_K", "D", "gamma_rule_value", "gamma_rule_caps",
+            "gamma_rule_ok", "phi_K_star",
+        ),
+        ("tilde_omega", "mu", "bound_at_K"),
+    ),
+    "nonconvex": (
+        ("check_omega", "check_mu", "bound_at_K", "attraction_ok"),
+        ("check_omega", "check_mu", "bound_at_K"),
+    ),
+}
+# family -> its calculator's arguments, picked from the bound inputs
+_BOUND_ARGS = {
+    family: itemgetter(*inspect.signature(getattr(theory, f"{family}_bound")).parameters)
+    for family in _BOUND_FAMILIES
+}
 
 
 class ConfigError(ValueError):
@@ -131,10 +196,14 @@ def _number(value, field: str, integer: bool = False):
 
 def _convert(value, kind, field: str):
     """``value`` checked against a schema type; see ``_SCHEMA``."""
-    if isinstance(kind, tuple):
+    if isinstance(kind, tuple) and kind[0] is list:
         if not isinstance(value, list):
             raise ConfigError(f"{field} must be a list, got {value!r}")
         return [_convert(item, kind[1], f"{field}[{i}]") for i, item in enumerate(value)]
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(f"{field} must be one of {', '.join(kind)}, got {value!r}")
+        return value
     if kind is float or kind is int:
         return _number(value, field, integer=kind is int)
     if not isinstance(value, kind):
@@ -142,44 +211,46 @@ def _convert(value, kind, field: str):
     return value
 
 
-def _block(data: dict, name: str) -> dict:
-    """Config block ``name``, checked against its schema, defaults filled in."""
-    block = data.get(name)
-    if block is None:
-        block = {}
-    if not isinstance(block, dict):
-        raise ConfigError(f"{name} must be a JSON object, got {block!r}")
-    schema = _SCHEMA[name]
+def _reject_unknown(block: dict, known, prefix: str = "") -> None:
     for key in block:
-        if key not in schema:
-            raise ConfigError(f"unknown config field: {name}.{key}")
+        if key not in known:
+            raise ConfigError(f"unknown config field: {prefix}{key}")
+
+
+def _fields(block: dict, schema: dict, prefix: str = "") -> dict:
+    """``block`` checked against ``schema``, defaults filled in; messages
+    name a field by ``prefix`` and its key."""
+    _reject_unknown(block, schema, prefix)
     parsed = {}
     for key, (kind, default) in schema.items():
         value = block.get(key)
         if value is not None:
-            parsed[key] = _convert(value, kind, f"{name}.{key}")
+            parsed[key] = _convert(value, kind, f"{prefix}{key}")
         elif default is _REQUIRED:
-            raise ConfigError(f"missing required config field: {name}.{key}")
+            raise ConfigError(f"missing required config field: {prefix}{key}")
         else:
             parsed[key] = default
     return parsed
 
 
-def _one_of(value: str, choices: tuple[str, ...], field: str) -> None:
-    if value not in choices:
-        raise ConfigError(f"{field} must be one of {', '.join(choices)}, got {value!r}")
+def _block(data: dict, name: str, schemas: dict) -> dict:
+    """Block ``name`` of ``data`` checked against ``schemas[name]``; a
+    missing block is empty."""
+    block = data.get(name)
+    if block is None:
+        block = {}
+    if not isinstance(block, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {block!r}")
+    return _fields(block, schemas[name], f"{name}.")
 
 
 def experiment_config_from_dict(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    for key in data:
-        if key not in _TOP_KEYS:
-            raise ConfigError(f"unknown config field: {key}")
+    _reject_unknown(data, _TOP_KEYS)
     if data.get("objective") is None:
         raise ConfigError("missing required config field: objective")
-    objective = _block(data, "objective")
-    _one_of(objective["kind"], _OBJECTIVE_KINDS, "objective.kind")
+    objective = _block(data, "objective", _SCHEMA)
     required = ("Q", "b") if objective["kind"] == obj.QUADRATIC else ("dim",)
     for key in required:
         if objective[key] is None:
@@ -187,10 +258,8 @@ def experiment_config_from_dict(data: dict) -> ExperimentConfig:
     if objective["dim"] is None:
         objective["dim"] = len(objective["b"])
 
-    run = _block(data, "run")
-    _one_of(run["scheme"], engine.SCHEMES, "run.scheme")
-    graph = _block(data, "graph")
-    _one_of(graph["kind"], _GRAPH_KINDS, "graph.kind")
+    run = _block(data, "run", _SCHEMA)
+    graph = _block(data, "graph", _SCHEMA)
     if graph["kind"] == "file" and graph["file"] is None:
         raise ConfigError("missing required config field: graph.file")
 
@@ -210,19 +279,24 @@ def experiment_config_from_dict(data: dict) -> ExperimentConfig:
         threshold=threshold,
         master_seed=_number(data.get("master_seed", 0), "master_seed", integer=True),
         output_dir=_convert(data.get("output_dir", "out"), str, "output_dir"),
-        validate=_block(data, "validate"),
+        validate=_block(data, "validate", _SCHEMA),
     )
 
 
-def load_experiment_config(path: str) -> ExperimentConfig:
+def _load_json(path: str, what: str = "config"):
+    """The JSON document at ``path``; ConfigError naming ``what`` when the
+    file cannot be read or is not JSON."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return experiment_config_from_dict(data)
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def load_experiment_config(path: str) -> ExperimentConfig:
+    return experiment_config_from_dict(_load_json(path))
 
 
 def build_objective(config: ExperimentConfig) -> obj.ObjectiveSpec:
@@ -262,7 +336,11 @@ def build_graph(config: ExperimentConfig, replication: int) -> topology.Graph:
     if block["kind"] == "star":
         return topology.star_graph(n)
     if block["kind"] == "file":
-        graph = topology.load_graph(block["file"])
+        data = _load_json(block["file"], "graph.file")
+        try:
+            graph = topology.graph_from_json_dict(data)
+        except (TypeError, ValueError, topology.GraphConnectivityError) as exc:
+            raise ConfigError(f"graph.file {block['file']}: {exc}") from exc
         if graph.n_vertices != n:
             raise ConfigError(
                 f"graph file has {graph.n_vertices} vertices, run.n_threads is {n}"
@@ -314,6 +392,19 @@ def build_run_config(
         raise ConfigError(str(exc)) from exc
 
 
+def _evaluate(family: str, inputs: dict):
+    """Bound family ``family`` at the bound inputs ``inputs``: its result,
+    or the InadmissibleParametersError it raised. An input out of range
+    is a ConfigError. The calculator is looked up at each call, so a
+    wrapper set on the ``theory`` module is seen."""
+    try:
+        return getattr(theory, f"{family}_bound")(*_BOUND_ARGS[family](inputs))
+    except theory.InadmissibleParametersError as exc:
+        return exc
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def predicted_crossing_updates(
     spec: obj.ObjectiveSpec, gamma: float, threshold: float
 ) -> int | None:
@@ -322,15 +413,20 @@ def predicted_crossing_updates(
     None when the objective gives no usable contraction."""
     reg = obj.regularity(spec)
     x_star = obj.optimum(spec)
-    if reg.convexity_class != obj.STRONGLY_CONVEX or x_star is None:
-        return None
-    contraction = 1.0 - 2.0 * reg.kappa * gamma + reg.kappa * reg.L * gamma**2
-    if not 0.0 < contraction < 1.0:
+    # A step that is not positive never contracts; the run config rejects it.
+    if reg.convexity_class != obj.STRONGLY_CONVEX or x_star is None or not gamma > 0.0:
         return None
     U0 = float(x_star @ x_star)
+    bound = _evaluate(
+        "centralized",
+        {"kappa": reg.kappa, "L": reg.L, "sigma_sq": 0.0, "gamma": gamma, "N": 1, "G0": U0},
+    )
+    # kappa = L with gamma = 1/L contracts to the optimum in one step.
+    if isinstance(bound, theory.InadmissibleParametersError) or bound.contraction <= 0.0:
+        return None
     if U0 <= threshold:
         return 1
-    return max(1, math.ceil(math.log(U0 / threshold) / -math.log(contraction)))
+    return max(1, math.ceil(math.log(U0 / threshold) / -math.log(bound.contraction)))
 
 
 def _compare_horizons(config: ExperimentConfig, spec: obj.ObjectiveSpec) -> tuple[float, float]:
@@ -343,21 +439,16 @@ def _compare_horizons(config: ExperimentConfig, spec: obj.ObjectiveSpec) -> tupl
         # Interpreting an update budget in shared virtual time: K swarm
         # updates span about K/N mean rounds.
         rounds = float(run["max_updates"]) / float(run["n_threads"])
-        dt = float(run["mean_sample_time"])
-        h = theory.harmonic_speedup(int(run["n_threads"])).H_N
-        return rounds * dt, rounds * dt * h
-    steps = predicted_crossing_updates(spec, float(run["step_size"]), config.threshold or 0.1)
-    if steps is None:
-        raise ConfigError(
-            "missing required config field: run.max_virtual_time "
-            "(no closed-form crossing prediction for this objective)"
-        )
-    dt = float(run["mean_sample_time"])
-    h = theory.harmonic_speedup(int(run["n_threads"])).H_N
-    return (
-        HORIZON_SAFETY_FACTOR * steps * dt,
-        HORIZON_SAFETY_FACTOR * steps * dt * h,
-    )
+    else:
+        steps = predicted_crossing_updates(spec, float(run["step_size"]), config.threshold or 0.1)
+        if steps is None:
+            raise ConfigError(
+                "missing required config field: run.max_virtual_time "
+                "(no closed-form crossing prediction for this objective)"
+            )
+        rounds = HORIZON_SAFETY_FACTOR * steps
+    t = rounds * float(run["mean_sample_time"])
+    return t, t * theory.harmonic_speedup(int(run["n_threads"])).H_N
 
 
 def _simulate_one(task: tuple[ExperimentConfig, int]) -> engine.Trace:
@@ -522,111 +613,37 @@ def cmd_compare(config: ExperimentConfig, jobs: int = 1) -> ComparisonReport:
     return report
 
 
-_BOUND_REQUIRED = ("kappa", "L", "sigma_sq", "gamma", "a", "lambda2", "d_bar", "N")
-
-
-def _bounds_report(params: dict) -> dict:
-    if not isinstance(params, dict):
-        raise ConfigError("bound parameters must be a JSON object")
-    for key in _BOUND_REQUIRED:
-        if key not in params:
-            raise ConfigError(f"missing required config field: {key}")
-    kappa = _number(params["kappa"], "kappa")
-    L = _number(params["L"], "L")
-    sigma_sq = _number(params["sigma_sq"], "sigma_sq")
-    gamma = _number(params["gamma"], "gamma")
-    a = _number(params["a"], "a")
-    lambda2 = _number(params["lambda2"], "lambda2")
-    d_bar = _number(params["d_bar"], "d_bar")
-    N = _number(params["N"], "N", integer=True)
-    K = _number(params.get("K", 10_000), "K", integer=True)
-    U0 = _number(params.get("U0", 1.0), "U0")
-    V0 = _number(params.get("V0", 0.0), "V0")
-    G0 = _number(params.get("G0", U0), "G0")
-    f0_gap = _number(params.get("f0_gap", 1.0), "f0_gap")
-    D = params.get("D")
-    if D is not None:
-        D = _number(D, "D")
-
-    h = theory.harmonic_speedup(N)
-    report: dict = {
-        "parameters": {
-            "kappa": kappa,
-            "L": L,
-            "sigma_sq": sigma_sq,
-            "gamma": gamma,
-            "a": a,
-            "lambda2": lambda2,
-            "d_bar": d_bar,
-            "N": N,
-            "K": K,
-            "U0": U0,
-            "V0": V0,
-            "G0": G0,
-            "f0_gap": f0_gap,
-        },
-        "harmonic": {"H_N": h.H_N, "delta_t_c_over_delta_t": h.delta_t_c_over_delta_t},
-    }
-
-    try:
-        sc = theory.strong_convex_bound(
-            kappa, L, sigma_sq, gamma, a, lambda2, d_bar, N, U0, V0
-        )
-        report["strong_convex"] = {
-            "admissible": sc.admissible,
-            "hat_omega": sc.hat_omega,
-            "C": sc.C,
-            "phi_star": _json_float(sc.phi_star),
-            "gamma_caps": [_json_float(c) for c in sc.gamma_caps],
-            "root_ambiguous": sc.root_ambiguous,
-            "corollary_gamma_ok": sc.corollary_gamma_ok,
-        }
-    except theory.InadmissibleParametersError as exc:
-        report["strong_convex"] = {"admissible": False, "reason": str(exc)}
-
-    try:
-        cb = theory.centralized_bound(kappa, L, sigma_sq, gamma, N, G0)
-        report["centralized"] = {
-            "admissible": True,
-            "phi_star_star": cb.phi_star_star,
-            "contraction": cb.contraction,
-        }
-    except theory.InadmissibleParametersError as exc:
-        report["centralized"] = {"admissible": False, "reason": str(exc)}
-
-    cv = theory.convex_bound(L, sigma_sq, gamma, a, lambda2, d_bar, N, K, U0, V0, D)
-    report["convex"] = {
-        "admissible": cv.admissible,
-        "tilde_omega": _json_float(cv.tilde_omega),
-        "mu": cv.mu,
-        "bound_at_K": _json_float(cv.bound_at_K),
-        "D": _json_float(cv.D),
-        "gamma_rule_value": _json_float(cv.gamma_rule_value),
-        "gamma_rule_caps": [_json_float(c) for c in cv.gamma_rule_caps],
-        "gamma_rule_ok": cv.gamma_rule_ok,
-        "phi_K_star": _json_float(cv.phi_K_star),
-    }
-
-    nc = theory.nonconvex_bound(L, sigma_sq, gamma, a, lambda2, d_bar, N, K, f0_gap, V0)
-    report["nonconvex"] = {
-        "admissible": nc.admissible,
-        "check_omega": _json_float(nc.check_omega),
-        "check_mu": nc.check_mu,
-        "bound_at_K": _json_float(nc.bound_at_K),
-        "attraction_ok": nc.attraction_ok,
-    }
-    return report
+def _json_value(v):
+    """A result field as strict JSON: NaN is null, an infinity "inf" or
+    "-inf", a tuple a list."""
+    if isinstance(v, tuple):
+        return [_json_value(item) for item in v]
+    if math.isfinite(v):
+        return v
+    if math.isnan(v):
+        return None
+    return "inf" if v > 0 else "-inf"
 
 
 def cmd_bounds(params_path: str, out_dir: str | None = None) -> dict:
-    try:
-        with open(params_path, "r", encoding="utf-8") as fh:
-            params = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {params_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {params_path} is not valid JSON: {exc}") from exc
-    report = _bounds_report(params)
+    """Evaluate every bound family at the inputs of one parameter file."""
+    params = _load_json(params_path)
+    if not isinstance(params, dict):
+        raise ConfigError("bound parameters must be a JSON object")
+    inputs = _fields(params, _BOUND_SCHEMA)
+    if inputs["G0"] is None:
+        inputs["G0"] = inputs["U0"]
+    report: dict = {}
+    for family, (fields, _) in _BOUND_FAMILIES.items():
+        result = _evaluate(family, inputs)
+        if isinstance(result, theory.InadmissibleParametersError):
+            report[family] = {"admissible": False, "reason": str(result)}
+        else:
+            report[family] = {f: _json_value(getattr(result, f)) for f in ("admissible", *fields)}
+    h = theory.harmonic_speedup(inputs["N"])
+    report["harmonic"] = {"H_N": h.H_N, "delta_t_c_over_delta_t": h.delta_t_c_over_delta_t}
+    # D is reported by the convex family.
+    report["parameters"] = {k: v for k, v in inputs.items() if k != "D"}
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         _write_json(report, os.path.join(out_dir, "bounds.json"))
@@ -719,90 +736,36 @@ _SWEEP_HEADER = "family,gamma,a,N,lambda2,d_bar,admissible,omega,rate,bound"
 
 def cmd_sweep(params_path: str, out_dir: str) -> str:
     """Evaluate all bound families over a parameter grid, long CSV."""
-    try:
-        with open(params_path, "r", encoding="utf-8") as fh:
-            params = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {params_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {params_path} is not valid JSON: {exc}") from exc
+    params = _load_json(params_path)
     if not isinstance(params, dict):
         raise ConfigError("sweep parameters must be a JSON object")
-    base, grid = params.get("base", {}), params.get("grid", {})
-    if not isinstance(base, dict) or not isinstance(grid, dict):
-        raise ConfigError("base and grid must be JSON objects")
-    for key in ("kappa", "L", "sigma_sq"):
-        if key not in base:
-            raise ConfigError(f"missing required config field: base.{key}")
-    kappa = _number(base["kappa"], "base.kappa")
-    L = _number(base["L"], "base.L")
-    sigma_sq = _number(base["sigma_sq"], "base.sigma_sq")
-    K = _number(base.get("K", 10_000), "base.K", integer=True)
-    U0 = _number(base.get("U0", 1.0), "base.U0")
-    V0 = _number(base.get("V0", 0.0), "base.V0")
-    G0 = _number(base.get("G0", U0), "base.G0")
-    f0_gap = _number(base.get("f0_gap", 1.0), "base.f0_gap")
-    fixed_d_bar = _number(base["d_bar"], "base.d_bar") if "d_bar" in base else None
-
-    gammas = _convert(grid.get("gamma", [0.01]), _VECTOR, "grid.gamma")
-    attractions = _convert(grid.get("a", [1.0]), _VECTOR, "grid.a")
-    thread_counts = _convert(grid.get("N", [20]), (list, int), "grid.N")
-    lambda2_grid = grid.get("lambda2")
-    if lambda2_grid is not None:
-        lambda2_grid = _convert(lambda2_grid, _VECTOR, "grid.lambda2")
+    _reject_unknown(params, _SWEEP_SCHEMA)
+    inputs = _block(params, "base", _SWEEP_SCHEMA)
+    grid = _block(params, "grid", _SWEEP_SCHEMA)
+    if inputs["G0"] is None:
+        inputs["G0"] = inputs["U0"]
+    inputs["D"] = None  # the convex family derives D from gamma
+    fixed_d_bar = inputs["d_bar"]
 
     lines = [_SWEEP_HEADER]
-    for N in thread_counts:
-        lambda2_values = lambda2_grid or [float(N)]
+    for N in grid["N"]:
         d_bar = float(N - 1) if fixed_d_bar is None else fixed_d_bar
-        for gamma in gammas:
-            for a in attractions:
-                for lam2 in lambda2_values:
-                    lines.extend(
-                        _sweep_rows(
-                            kappa, L, sigma_sq, gamma, a, lam2, d_bar, N, K, U0, V0, G0, f0_gap
-                        )
-                    )
+        inputs["N"], inputs["d_bar"] = N, d_bar
+        for gamma, a, lambda2 in product(grid["gamma"], grid["a"], grid["lambda2"] or [float(N)]):
+            inputs["gamma"], inputs["a"], inputs["lambda2"] = gamma, a, lambda2
+            point = f"{gamma!r},{a!r},{N},{lambda2!r},{d_bar!r}"
+            for family, (_, columns) in _BOUND_FAMILIES.items():
+                result = _evaluate(family, inputs)
+                if isinstance(result, theory.InadmissibleParametersError):
+                    lines.append(f"{family},{point},0,nan,nan,nan")
+                    continue
+                omega, rate, bound = [getattr(result, f) if f else math.nan for f in columns]
+                lines.append(f"{family},{point},{result.admissible:d},{omega!r},{rate!r},{bound!r}")
     os.makedirs(out_dir, exist_ok=True)
     out_path = os.path.join(out_dir, "sweep.csv")
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     return out_path
-
-
-def _sweep_rows(
-    kappa, L, sigma_sq, gamma, a, lam2, d_bar, N, K, U0, V0, G0, f0_gap
-) -> list[str]:
-    def fmt(family, admissible, omega, rate, bound):
-        return (
-            f"{family},{gamma!r},{a!r},{N},{lam2!r},{d_bar!r},"
-            f"{int(admissible)},{omega!r},{rate!r},{bound!r}"
-        )
-
-    rows = []
-    try:
-        sc = theory.strong_convex_bound(kappa, L, sigma_sq, gamma, a, lam2, d_bar, N, U0, V0)
-        rows.append(fmt("strong_convex", sc.admissible, sc.hat_omega, sc.C, sc.phi_star))
-    except theory.InadmissibleParametersError:
-        rows.append(fmt("strong_convex", False, math.nan, math.nan, math.nan))
-    try:
-        cb = theory.centralized_bound(kappa, L, sigma_sq, gamma, N, G0)
-        rows.append(fmt("centralized", True, math.nan, cb.contraction, cb.phi_star_star))
-    except theory.InadmissibleParametersError:
-        rows.append(fmt("centralized", False, math.nan, math.nan, math.nan))
-    cv = theory.convex_bound(L, sigma_sq, gamma, a, lam2, d_bar, N, K, U0, V0)
-    rows.append(fmt("convex", cv.admissible, cv.tilde_omega, cv.mu, cv.bound_at_K))
-    nc = theory.nonconvex_bound(L, sigma_sq, gamma, a, lam2, d_bar, N, K, f0_gap, V0)
-    rows.append(fmt("nonconvex", nc.admissible, nc.check_omega, nc.check_mu, nc.bound_at_K))
-    return rows
-
-
-def _json_float(v: float) -> float | None:
-    if v is None or math.isnan(v):
-        return None
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return float(v)
 
 
 def _write_json(data: dict, path: str) -> None:

@@ -195,18 +195,11 @@ def noisy_gradient(spec: ObjectiveSpec, x: np.ndarray, rng: np.random.Generator)
 def noisy_gradients(spec: ObjectiveSpec, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Independent stochastic gradients, one per row of ``X``."""
     X = _check_rows(spec, X)
-    n = X.shape[0]
-    if spec.kind == RIDGE:
-        u = 2.0 * rng.random((n, spec.dim)) - 1.0
-        eps = polar_normals(rng, n)
-        residual = np.einsum("ij,ij->i", u, X) - (u @ spec.x_tilde + eps)
-        return 2.0 * residual[:, None] * u + 2.0 * spec.rho * X
-    if spec.kind in (QUADRATIC, NONCONVEX_SINE):
-        G = grad_exact_rows(spec, X)
-        if spec.noise_std > 0.0:
-            G = G + spec.noise_std * polar_normals(rng, n * spec.dim).reshape(n, spec.dim)
-        return G
-    raise ValueError(f"unknown objective kind {spec.kind!r}")
+    U, c = draw_noise_block(spec, X.shape[0], rng)
+    if U is None:
+        return grad_exact_rows(spec, X) + c
+    residual = np.einsum("ij,ij->i", U, X) - c
+    return 2.0 * residual[:, None] * U + 2.0 * spec.rho * X
 
 
 def draw_noise_block(

@@ -24,22 +24,22 @@ class InadmissibleParametersError(ValueError):
 
 def _check_common(L: float, gamma: float, sigma_sq: float, N: int) -> None:
     if L <= 0.0:
-        raise ValueError(f"smoothness constant must be positive, got {L}")
+        raise ValueError(f"L must be positive, got {L}")
     if gamma <= 0.0:
-        raise ValueError(f"step size must be positive, got {gamma}")
+        raise ValueError(f"gamma must be positive, got {gamma}")
     if sigma_sq < 0.0:
-        raise ValueError(f"noise variance must be nonnegative, got {sigma_sq}")
+        raise ValueError(f"sigma_sq must be nonnegative, got {sigma_sq}")
     if N < 1:
-        raise ValueError(f"thread count must be positive, got {N}")
+        raise ValueError(f"N must be positive, got {N}")
 
 
 def _check_graph_constants(a: float, lambda2: float, d_bar: float) -> None:
     if a < 0.0:
-        raise ValueError(f"attraction must be nonnegative, got {a}")
+        raise ValueError(f"a must be nonnegative, got {a}")
     if lambda2 <= 0.0:
-        raise ValueError(f"algebraic connectivity must be positive, got {lambda2}")
+        raise ValueError(f"lambda2 must be positive, got {lambda2}")
     if d_bar < 1.0:
-        raise ValueError(f"max degree must be at least 1, got {d_bar}")
+        raise ValueError(f"d_bar must be at least 1, got {d_bar}")
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ class HarmonicSpeedup:
 
 def harmonic_speedup(N: int) -> HarmonicSpeedup:
     if N < 1:
-        raise ValueError(f"thread count must be positive, got {N}")
+        raise ValueError(f"N must be positive, got {N}")
     h = math.fsum(1.0 / i for i in range(1, N + 1))
     return HarmonicSpeedup(H_N=h, delta_t_c_over_delta_t=h)
 
@@ -76,24 +76,33 @@ def _hat_omega_coefficients(
 
 
 def _hat_omega_roots(
-    kappa: float, L: float, gamma: float, a: float, lambda2: float, d_bar: float, N: int
+    kappa: float,
+    L: float,
+    sigma_sq: float,
+    gamma: float,
+    a: float,
+    lambda2: float,
+    d_bar: float,
+    N: int,
 ) -> list[float]:
-    """Roots of the weight equation inside the open interval (0, 1)."""
+    """Roots of the weight equation inside the open interval (0, 1),
+    smallest first, after checking the inputs; raises
+    InadmissibleParametersError when there is none."""
+    if kappa <= 0.0:
+        raise ValueError(f"kappa must be positive, got {kappa}")
+    _check_common(L, gamma, sigma_sq, N)
+    _check_graph_constants(a, lambda2, d_bar)
     A, B, C0 = _hat_omega_coefficients(kappa, L, gamma, a, lambda2, d_bar, N)
     disc = B * B - 4.0 * A * C0
-    if disc < 0.0:
-        return []
-    sqrt_disc = math.sqrt(disc)
-    # Citardauq-style split avoids cancellation in the small root.
-    if B >= 0.0:
-        q = -0.5 * (B + sqrt_disc)
-    else:
-        q = -0.5 * (B - sqrt_disc)
     candidates = []
-    if A != 0.0:
-        candidates.append(q / A)
-    if q != 0.0:
-        candidates.append(C0 / q)
+    if disc >= 0.0:
+        sqrt_disc = math.sqrt(disc)
+        # Citardauq-style split avoids cancellation in the small root.
+        q = -0.5 * (B + sqrt_disc) if B >= 0.0 else -0.5 * (B - sqrt_disc)
+        if A != 0.0:
+            candidates.append(q / A)
+        if q != 0.0:
+            candidates.append(C0 / q)
     roots = []
     for r in candidates:
         if not 0.0 < r < 1.0:
@@ -109,6 +118,11 @@ def _hat_omega_roots(
         residual = abs(A * r * r + B * r + C0)
         if residual >= 1e-10:
             raise ArithmeticError(f"weight equation residual {residual:.3e} too large")
+    if not roots:
+        raise InadmissibleParametersError(
+            "weight equation has no root in (0, 1); the step size or "
+            "attraction is outside the admissible range"
+        )
     return roots
 
 
@@ -122,17 +136,7 @@ def solve_hat_omega(
     (``strong_convex_bound`` additionally flags that case). As the step
     size tends to zero the root tends to (L - kappa) / (a lambda2 + L - kappa).
     """
-    if kappa <= 0.0:
-        raise ValueError(f"strong convexity constant must be positive, got {kappa}")
-    _check_common(L, gamma, 1.0, N)
-    _check_graph_constants(a, lambda2, d_bar)
-    roots = _hat_omega_roots(kappa, L, gamma, a, lambda2, d_bar, N)
-    if not roots:
-        raise InadmissibleParametersError(
-            "weight equation has no root in (0, 1); the step size or "
-            "attraction is outside the admissible range"
-        )
-    return roots[0]
+    return _hat_omega_roots(kappa, L, 0.0, gamma, a, lambda2, d_bar, N)[0]
 
 
 @dataclass(frozen=True)
@@ -174,19 +178,9 @@ def strong_convex_bound(
     U0: float,
     V0: float,
 ) -> StrongConvexBound:
-    if kappa <= 0.0:
-        raise ValueError(f"strong convexity constant must be positive, got {kappa}")
     if U0 < 0.0 or V0 < 0.0:
-        raise ValueError("initial errors must be nonnegative")
-    _check_common(L, gamma, sigma_sq, N)
-    _check_graph_constants(a, lambda2, d_bar)
-
-    roots = _hat_omega_roots(kappa, L, gamma, a, lambda2, d_bar, N)
-    if not roots:
-        raise InadmissibleParametersError(
-            "weight equation has no root in (0, 1); the step size or "
-            "attraction is outside the admissible range"
-        )
+        raise ValueError(f"U0 and V0 must be nonnegative, got {U0} and {V0}")
+    roots = _hat_omega_roots(kappa, L, sigma_sq, gamma, a, lambda2, d_bar, N)
     hat_omega = roots[0]
     root_ambiguous = len(roots) > 1
 
@@ -228,6 +222,8 @@ class CentralizedBound:
     phi_star_star: float
     contraction: float
     G0: float
+    # Inadmissible inputs raise instead of being reported.
+    admissible = True
 
     def trajectory(self, k: int) -> float:
         """Bound on the squared error after k >= 1 steps."""
@@ -242,9 +238,9 @@ def centralized_bound(
     kappa: float, L: float, sigma_sq: float, gamma: float, N: int, G0: float
 ) -> CentralizedBound:
     if kappa <= 0.0:
-        raise ValueError(f"strong convexity constant must be positive, got {kappa}")
+        raise ValueError(f"kappa must be positive, got {kappa}")
     if G0 < 0.0:
-        raise ValueError("initial error must be nonnegative")
+        raise ValueError(f"G0 must be nonnegative, got {G0}")
     _check_common(L, gamma, sigma_sq, N)
     if gamma >= 2.0 / L:
         raise InadmissibleParametersError(
@@ -293,9 +289,9 @@ def convex_bound(
     """Bound for convex objectives; ``D`` defaults to the value that
     makes the step rule reproduce the given gamma exactly."""
     if K < 1:
-        raise ValueError(f"horizon must be positive, got {K}")
+        raise ValueError(f"K must be positive, got {K}")
     if U0 < 0.0 or V0 < 0.0:
-        raise ValueError("initial errors must be nonnegative")
+        raise ValueError(f"U0 and V0 must be nonnegative, got {U0} and {V0}")
     _check_common(L, gamma, sigma_sq, N)
     _check_graph_constants(a, lambda2, d_bar)
 
@@ -385,9 +381,9 @@ def nonconvex_bound(
     V0: float,
 ) -> NonconvexBound:
     if K < 1:
-        raise ValueError(f"horizon must be positive, got {K}")
+        raise ValueError(f"K must be positive, got {K}")
     if f0_gap < 0.0 or V0 < 0.0:
-        raise ValueError("initial errors must be nonnegative")
+        raise ValueError(f"f0_gap and V0 must be nonnegative, got {f0_gap} and {V0}")
     _check_common(L, gamma, sigma_sq, N)
     _check_graph_constants(a, lambda2, d_bar)
 

@@ -199,8 +199,3 @@ def save_graph(graph: Graph, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(graph_to_json_dict(graph), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def load_graph(path: str) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return graph_from_json_dict(json.load(fh))

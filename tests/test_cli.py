@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swarmsgd import cli, engine, topology
+from swarmsgd import cli, engine, theory, topology
 from swarmsgd import objective as obj
 from swarmsgd.cli import (
     ComparisonReport,
@@ -160,6 +161,15 @@ def test_predicted_crossing_updates():
     assert 0 < k_loose < k_tight
     sine = obj.nonconvex_sine_spec(3)
     assert predicted_crossing_updates(sine, 0.01, 0.1) is None
+
+    quad = obj.quadratic_spec(np.eye(2), np.array([0.6, -0.8]), noise_std=0.0)  # U0 = 1
+    for gamma in (0.01, 0.3, 0.5, 1.5):
+        rate = 1.0 - 2.0 * gamma + gamma**2
+        expected = max(1, math.ceil(math.log(1.0 / 0.1) / -math.log(rate)))
+        assert predicted_crossing_updates(quad, gamma, 0.1) == expected
+    # kappa = L with gamma = 1/L contracts to zero; gamma >= 2/L diverges
+    for gamma in (1.0, 2.0, 2.5, 0.0, -0.1, math.nan):
+        assert predicted_crossing_updates(quad, gamma, 0.1) is None
 
 
 def test_cmd_simulate_outputs_and_determinism(tmp_path):
@@ -376,14 +386,17 @@ def test_main_exit_codes(tmp_path):
         main(["simulate"])  # --config is required
 
 
-def test_main_runtime_error_is_exit_1(tmp_path):
+def test_main_missing_graph_file_is_exit_2(tmp_path, capsys):
     cfg = _config_dict(
         graph={"kind": "file", "file": str(tmp_path / "absent.json")},
         output_dir=str(tmp_path / "sim"),
     )
     path = tmp_path / "exp.json"
     path.write_text(json.dumps(cfg))
-    assert main(["simulate", "--config", str(path)]) == 1
+    # A missing graph file is bad input; exit 1 is covered by
+    # test_diverging_simulate_is_exit_1_naming_the_run.
+    assert main(["simulate", "--config", str(path)]) == 2
+    assert "graph.file" in capsys.readouterr().err
 
 
 def test_main_overrides(tmp_path):
@@ -582,6 +595,10 @@ def test_bad_experiment_field_is_exit_2_naming_it(tmp_path, capsys, overrides, f
         (_bounds_params(N=6.5), "N"),
         (_bounds_params(D=[1]), "D"),
         ([1, 2], "bound parameters"),
+        (_bounds_params(sigma2=3), "unknown config field: sigma2"),
+        (_bounds_params(gamma=-0.01), "gamma"),
+        (_bounds_params(N=0), "N"),
+        (_bounds_params(G0=-1.0), "G0"),
     ],
 )
 def test_bad_bound_parameter_is_exit_2_naming_it(tmp_path, capsys, params, field):
@@ -600,6 +617,15 @@ def test_bad_bound_parameter_is_exit_2_naming_it(tmp_path, capsys, params, field
         ({"base": {"kappa": 1.0, "L": 1.0, "sigma_sq": 1.0}, "grid": {"gamma": 0.01}}, "grid.gamma"),
         ({"base": {"kappa": 1.0, "L": 1.0, "sigma_sq": 1.0}, "grid": {"N": [20, "x"]}}, "grid.N[1]"),
         ({"base": [], "grid": {}}, "base"),
+        ({"base": {"kappa": 1.0, "L": 1.0, "sigma_sq": 1.0, "gamma": 0.5}}, "base.gamma"),
+        ({"base": {"kappa": 1.0, "L": 1.0, "sigma_sq": 1.0, "D": 0.5}}, "base.D"),
+        ({"base": {"kappa": 1.0, "L": 1.0, "sigma_sq": 1.0}, "grid": {"gama": [0.5]}},
+         "grid.gama"),
+        ({"base": {"kappa": 1.0, "L": 1.0, "sigma_sq": 1.0}, "grids": {}}, "grids"),
+        ({"base": {"kappa": 1.0, "L": 1.0, "sigma_sq": 1.0}, "grid": {"gamma": [-0.1]}},
+         "gamma"),
+        ({"base": {"kappa": 1.0, "L": 1.0, "sigma_sq": 1.0}, "grid": {"N": [0]}}, "N"),
+        ({"base": {"kappa": 1.0, "L": 1.0, "sigma_sq": 1.0, "d_bar": 0.5}}, "d_bar"),
     ],
 )
 def test_bad_sweep_parameter_is_exit_2_naming_it(tmp_path, capsys, params, field):
@@ -608,6 +634,118 @@ def test_bad_sweep_parameter_is_exit_2_naming_it(tmp_path, capsys, params, field
     code, err = _exit_code_and_err(capsys, ["sweep", "--config", str(path), "--out", str(tmp_path)])
     assert code == 2
     assert field in err
+
+
+@pytest.mark.parametrize(
+    "content", ['{"n": 5, "edges": 5}', "{", "[1, 2]", '{"n": 5, "edges": [[0, 1]]}', "7"]
+)
+def test_malformed_graph_file_is_exit_2_naming_it(tmp_path, capsys, content):
+    graph = tmp_path / "g.json"
+    graph.write_text(content)
+    path = tmp_path / "exp.json"
+    cfg = _config_dict(graph={"kind": "file", "file": str(graph)}, output_dir=str(tmp_path / "o"))
+    path.write_text(json.dumps(cfg))
+    code, err = _exit_code_and_err(capsys, ["simulate", "--config", str(path)])
+    assert code == 2
+    assert "graph.file" in err
+
+
+def test_bounds_json_is_strict_json(tmp_path):
+    # the convex weight's denominator vanishes here, so mu is -inf
+    path = tmp_path / "p.json"
+    path.write_text(
+        '{"kappa":0.5,"L":1,"sigma_sq":1,"gamma":0.5,"a":1,"lambda2":1,"d_bar":1,"N":2}'
+    )
+    cmd_bounds(str(path), str(tmp_path))
+
+    def reject(constant):
+        raise ValueError(f"bounds.json holds the non-JSON constant {constant}")
+
+    report = json.loads((tmp_path / "bounds.json").read_text(), parse_constant=reject)
+    assert report["convex"]["mu"] == "-inf"
+    assert report["convex"]["tilde_omega"] == "inf"
+    assert report["convex"]["bound_at_K"] is None
+
+
+# Fixed inputs of bounds and sweep and the sha256 of what they write.
+# The sweeps mix admissible, reportedly inadmissible and raising points
+# for every family; the second pins d_bar and uses a = 0.
+_RIDGE_CURVATURE = 2.0 / 3.0 + 2.0 * 0.1
+_PINNED_BOUNDS = (
+    {
+        "kappa": _RIDGE_CURVATURE, "L": _RIDGE_CURVATURE, "sigma_sq": 24.0, "gamma": 0.01,
+        "a": 1.0, "lambda2": 10.0, "d_bar": 9.0, "N": 10,
+    },
+    "0324cbeaed0258cdc7a7b75df2ad8495a93e0e9746c3217ca0e8ea47a7a78097",
+)
+_PINNED_SWEEPS = (
+    (
+        {
+            "base": {
+                "kappa": _RIDGE_CURVATURE, "L": _RIDGE_CURVATURE, "sigma_sq": 24.0, "K": 500,
+                "U0": 4.0,
+            },
+            "grid": {"gamma": [0.01, 0.5, 3.0], "a": [0.5, 2.0], "N": [2, 10]},
+        },
+        "0ab0fa401f6f32ebd33a3960314b3289437b958c66258cc19de3af2626bfd0a5",
+    ),
+    (
+        {
+            "base": {
+                "kappa": 0.5, "L": 1.0, "sigma_sq": 1.0, "d_bar": 3.0, "V0": 0.2, "G0": 2.0,
+                "f0_gap": 0.5,
+            },
+            "grid": {
+                "gamma": [0.01, 0.5, 3.0], "a": [0.0, 1.0], "N": [2, 5], "lambda2": [0.5, 4.0],
+            },
+        },
+        "2d2ab21bbca3357677d096beb0c97f2104132b294b282b3a4e6b67d9569a1ec0",
+    ),
+)
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+
+
+def test_bound_outputs_are_pinned(tmp_path):
+    params, digest = _PINNED_BOUNDS
+    path = tmp_path / "bounds_in.json"
+    path.write_text(json.dumps(params))
+    cmd_bounds(str(path), str(tmp_path / "bounds"))
+    assert _sha256(tmp_path / "bounds" / "bounds.json") == digest
+    for i, (params, digest) in enumerate(_PINNED_SWEEPS):
+        path = tmp_path / f"sweep_in_{i}.json"
+        path.write_text(json.dumps(params))
+        assert _sha256(cmd_sweep(str(path), str(tmp_path / f"sweep_{i}"))) == digest
+
+
+def test_bound_calculators_are_called_through_the_theory_module(tmp_path, monkeypatch):
+    # a wrapper set on the module (as a profiler does) sees every call
+    calls = {}
+    for family in ("strong_convex", "centralized", "convex", "nonconvex"):
+        name = f"{family}_bound"
+
+        def counting(*args, _original=getattr(theory, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args)
+
+        monkeypatch.setattr(theory, name, counting)
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps(_bounds_params()))
+    cmd_bounds(str(path), None)
+    path = tmp_path / "s.json"
+    path.write_text(
+        json.dumps(
+            {"base": {"kappa": 1.0, "L": 1.0, "sigma_sq": 1.0}, "grid": {"gamma": [0.01, 3.0]}}
+        )
+    )
+    cmd_sweep(str(path), str(tmp_path))
+    assert calls == dict.fromkeys(
+        ("strong_convex_bound", "centralized_bound", "convex_bound", "nonconvex_bound"), 3
+    )
+    predicted_crossing_updates(obj.ridge_spec(0.1, np.full(4, 0.9)), 0.01, 0.5)
+    assert calls["centralized_bound"] == 4
 
 
 @pytest.mark.parametrize("command", ["bounds", "sweep"])

@@ -134,6 +134,19 @@ def _block_gradients(spec, x, block):
     return obj.grad_exact(spec, x) + c
 
 
+def test_batch_oracle_draws_the_noise_block():
+    # row i of noisy_gradients is the sample of noise block row i at X[i]
+    for seed, spec in zip((51, 52, 53), _specs()):
+        X = make_rng(seed + 100).normal(size=(9, spec.dim))
+        rng_batch, rng_block = make_rng(seed), make_rng(seed)
+        G = obj.noisy_gradients(spec, X, rng_batch)
+        U, c = obj.draw_noise_block(spec, 9, rng_block)
+        for i in range(9):
+            row = (None if U is None else U[i : i + 1], c[i : i + 1])
+            assert np.allclose(G[i], _block_gradients(spec, X[i], row)[0], rtol=1e-12, atol=1e-14)
+        assert rng_batch.bit_generator.state == rng_block.bit_generator.state
+
+
 def test_noise_block_unbiased_all_kinds():
     # same 4-standard-error corridor as the per-call oracle
     for seed, spec in zip((41, 42, 43), _specs()):

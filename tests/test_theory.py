@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -338,6 +339,42 @@ def test_input_validation_common():
         nonconvex_bound(1.0, 1.0, 0.01, 1.0, 2.0, 0.5, 4, 10, 1.0, 0.0)
     with pytest.raises(ValueError):
         centralized_bound(1.0, 0.0, 1.0, 0.01, 4, 1.0)
+
+
+# Valid inputs for every calculator, by argument name.
+_VALID_INPUTS = dict(
+    kappa=1.0, L=1.0, sigma_sq=1.0, gamma=0.01, a=1.0, lambda2=2.0, d_bar=1.0, N=4, K=10,
+    U0=1.0, V0=0.0, G0=1.0, f0_gap=1.0,
+)
+
+
+@pytest.mark.parametrize(
+    "calculator,name,bad",
+    [
+        (strong_convex_bound, "kappa", -1.0),
+        (strong_convex_bound, "L", 0.0),
+        (strong_convex_bound, "sigma_sq", -1.0),
+        (strong_convex_bound, "gamma", -0.01),
+        (strong_convex_bound, "a", -1.0),
+        (strong_convex_bound, "lambda2", 0.0),
+        (strong_convex_bound, "d_bar", 0.5),
+        (strong_convex_bound, "N", 0),
+        (strong_convex_bound, "U0", -1.0),
+        (strong_convex_bound, "V0", -1.0),
+        (centralized_bound, "G0", -1.0),
+        (convex_bound, "K", 0),
+        (nonconvex_bound, "f0_gap", -1.0),
+        (solve_hat_omega, "gamma", 0.0),
+        (harmonic_speedup, "N", 0),
+    ],
+)
+def test_out_of_range_input_names_the_argument(calculator, name, bad):
+    params = inspect.signature(calculator).parameters
+    args = {p: _VALID_INPUTS[p] for p in params if p in _VALID_INPUTS}
+    args[name] = bad
+    with pytest.raises(ValueError, match=rf"\b{name}\b.* must be ") as info:
+        calculator(**args)
+    assert not isinstance(info.value, InadmissibleParametersError)
 
 
 def test_bound_evaluators_are_pure():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -19,7 +20,6 @@ from swarmsgd.topology import (
     graph_to_json_dict,
     is_connected,
     laplacian,
-    load_graph,
     max_degree,
     path_graph,
     save_graph,
@@ -156,7 +156,8 @@ def test_json_round_trip(tmp_path):
 
     path = tmp_path / "graph.json"
     save_graph(g, str(path))
-    loaded = load_graph(str(path))
+    with open(path, encoding="utf-8") as fh:
+        loaded = graph_from_json_dict(json.load(fh))
     assert np.array_equal(loaded.adjacency, g.adjacency)
 
 
