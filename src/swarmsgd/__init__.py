@@ -12,7 +12,6 @@ from .engine import (
 )
 from .metrics import (
     MetricSnapshot,
-    RunningAverage,
     lemma2_monte_carlo_check,
     lemma4_check,
     snapshot,
@@ -52,7 +51,6 @@ __all__ = [
     "ObjectiveSpec",
     "RunConfig",
     "RunSummary",
-    "RunningAverage",
     "Trace",
     "TraceRecord",
     "algebraic_connectivity",

@@ -24,7 +24,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from itertools import product
 from operator import itemgetter
@@ -76,7 +76,6 @@ _SCHEMA = {
         "max_updates": (int, None),
         "max_virtual_time": (float, None),
         "stop_at_threshold": (bool, False),
-        "track_running_average": (bool, False),
     },
     "graph": {
         "kind": (_GRAPH_KINDS, "erdos_renyi"),
@@ -194,6 +193,14 @@ def _number(value, field: str, integer: bool = False):
         raise ConfigError(f"{field} must be finite, got {value!r}") from None
 
 
+def _seed(value, field: str) -> int:
+    """A master seed: an integer in [0, 2**64)."""
+    seed = _number(value, field, integer=True)
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"{field} must be in [0, 2**64), got {seed}")
+    return seed
+
+
 def _convert(value, kind, field: str):
     """``value`` checked against a schema type; see ``_SCHEMA``."""
     if isinstance(kind, tuple) and kind[0] is list:
@@ -259,9 +266,22 @@ def experiment_config_from_dict(data: dict) -> ExperimentConfig:
         objective["dim"] = len(objective["b"])
 
     run = _block(data, "run", _SCHEMA)
+    if run["n_threads"] < 1:
+        raise ConfigError(f"run.n_threads must be positive, got {run['n_threads']}")
     graph = _block(data, "graph", _SCHEMA)
     if graph["kind"] == "file" and graph["file"] is None:
         raise ConfigError("missing required config field: graph.file")
+    if graph["p"] is not None and not 0.0 < graph["p"] <= 1.0:
+        raise ConfigError(f"graph.p must be in (0, 1], got {graph['p']}")
+    validate = _block(data, "validate", _SCHEMA)
+    for key in ("max_updates", "record_every"):
+        if validate[key] < 1:
+            raise ConfigError(f"validate.{key} must be positive, got {validate[key]}")
+    if validate["lemma2_replications"] < metrics.MIN_REPLICATIONS:
+        raise ConfigError(
+            f"validate.lemma2_replications must be at least {metrics.MIN_REPLICATIONS}, "
+            f"got {validate['lemma2_replications']}"
+        )
 
     replications = _number(data.get("replications", 100), "replications", integer=True)
     if replications < 1:
@@ -277,9 +297,9 @@ def experiment_config_from_dict(data: dict) -> ExperimentConfig:
         graph=graph,
         replications=replications,
         threshold=threshold,
-        master_seed=_number(data.get("master_seed", 0), "master_seed", integer=True),
+        master_seed=_seed(data.get("master_seed", 0), "master_seed"),
         output_dir=_convert(data.get("output_dir", "out"), str, "output_dir"),
-        validate=_block(data, "validate", _SCHEMA),
+        validate=validate,
     )
 
 
@@ -329,6 +349,8 @@ def build_graph(config: ExperimentConfig, replication: int) -> topology.Graph:
     replication unless pinned by ``fixed_across_replications``."""
     block = config.graph
     n = int(config.run["n_threads"])
+    if n < 2:
+        raise ConfigError(f"run.n_threads must be at least 2 for a swarm run, got {n}")
     if block["kind"] == "complete":
         return topology.complete_graph(n)
     if block["kind"] == "path":
@@ -386,7 +408,6 @@ def build_run_config(
             stop_at_threshold=(
                 run["stop_at_threshold"] if stop_at_threshold is None else stop_at_threshold
             ),
-            track_running_average=run["track_running_average"],
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -493,7 +514,7 @@ def cmd_simulate(config: ExperimentConfig, jobs: int = 1) -> dict:
     hits = []
     for r, trace in enumerate(traces):
         engine.write_trace_csv(trace, os.path.join(config.output_dir, f"run_{r:04d}.csv"))
-        summary = engine.summary_json_dict(trace.summary)
+        summary = summary_json_dict(trace.summary)
         summary["replication"] = r
         runs.append(summary)
         if summary["T_hit"] is not None:
@@ -615,14 +636,20 @@ def cmd_compare(config: ExperimentConfig, jobs: int = 1) -> ComparisonReport:
 
 def _json_value(v):
     """A result field as strict JSON: NaN is null, an infinity "inf" or
-    "-inf", a tuple a list."""
+    "-inf", a tuple a list; anything else but a float passes as is."""
     if isinstance(v, tuple):
         return [_json_value(item) for item in v]
-    if math.isfinite(v):
+    if not isinstance(v, float) or math.isfinite(v):
         return v
     if math.isnan(v):
         return None
     return "inf" if v > 0 else "-inf"
+
+
+def summary_json_dict(summary: engine.RunSummary) -> dict:
+    """JSON form of a run summary. Wall-clock time is left out, so
+    rerunning a seed yields byte-identical files."""
+    return {f: _json_value(v) for f, v in asdict(summary).items() if f != "wall_time"}
 
 
 def cmd_bounds(params_path: str, out_dir: str | None = None) -> dict:
@@ -769,9 +796,11 @@ def cmd_sweep(params_path: str, out_dir: str) -> str:
 
 
 def _write_json(data: dict, path: str) -> None:
+    """Write ``data`` as strict JSON; a non-finite float raises before the
+    file is opened."""
+    text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -812,7 +841,7 @@ def main(argv: list[str] | None = None) -> int:
 
         config = load_experiment_config(args.config)
         if args.seed is not None:
-            config = replace(config, master_seed=args.seed)
+            config = replace(config, master_seed=_seed(args.seed, "--seed"))
         if args.out is not None:
             config = replace(config, output_dir=args.out)
 

@@ -86,7 +86,8 @@ class RunConfig:
     one horizon is required. ``threshold`` arms first-crossing
     detection on the squared error of the swarm mean (gradient norm
     squared when no optimum is known); ``capture_mean_at`` stores the
-    swarm mean right before the listed update indices.
+    swarm mean right before the listed update indices, so capturing
+    ``range(K)`` gives the running average of the first K means.
     """
 
     n_threads: int
@@ -100,7 +101,6 @@ class RunConfig:
     record_every: int = 100
     threshold: float | None = None
     stop_at_threshold: bool = False
-    track_running_average: bool = False
     capture_mean_at: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
@@ -173,99 +173,7 @@ class RunSummary:
 class Trace:
     records: list[TraceRecord]
     summary: RunSummary
-    running_average: np.ndarray | None = None
     captured_means: dict[int, np.ndarray] = field(default_factory=dict)
-
-
-class _TraceBuilder:
-    """Shared recording, crossing detection, and summary assembly."""
-
-    def __init__(self, config, spec, on_record):
-        self.config = config
-        self.spec = spec
-        self.x_star = obj.optimum(spec)
-        self.f_star = obj.optimal_value(spec)
-        self.on_record = on_record
-        self.records: list[TraceRecord] = []
-        self.last_recorded_k = -1
-        self.T_hit: float | None = None
-        self.hit_update: int | None = None
-        self.running = metrics.RunningAverage() if config.track_running_average else None
-        self.capture_set = frozenset(config.capture_mean_at)
-        self.captured: dict[int, np.ndarray] = {}
-        self.started = time.perf_counter()
-
-    def record(self, k: int, t: float, positions: np.ndarray) -> None:
-        if k == self.last_recorded_k:
-            return
-        snap = metrics.snapshot(positions, self.spec, self.x_star, self.f_star)
-        if not (math.isfinite(snap.Vbar) and math.isfinite(snap.grad_norm_sq)):
-            raise DivergenceError(self.config.scheme, k, t)
-        self.records.append(TraceRecord(k, t, snap.U, snap.Vbar, snap.f_gap, snap.grad_norm_sq))
-        self.last_recorded_k = k
-        if self.on_record is not None:
-            self.on_record(k, t, positions)
-
-    def pre_update(self, k: int, mean: np.ndarray) -> None:
-        """Book-keeping on the state right before update k -> k+1."""
-        if self.running is not None:
-            self.running.push(mean)
-        if k in self.capture_set:
-            self.captured[k] = np.array(mean)
-
-    def crossing_metric(self, mean: np.ndarray) -> float:
-        if self.x_star is not None:
-            diff = mean - self.x_star
-            return float(diff @ diff)
-        g = obj.grad_exact(self.spec, mean)
-        return float(g @ g)
-
-    def check_crossing(self, k: int, t: float, positions, mean) -> bool:
-        """Record a first threshold crossing; True means stop now."""
-        if self.T_hit is not None:
-            return False
-        if self.crossing_metric(mean) <= self.config.threshold:
-            self.T_hit = t
-            self.hit_update = k
-            self.record(k, t, positions)
-            return self.config.stop_at_threshold
-        return False
-
-    def finish(
-        self,
-        k: int,
-        t: float,
-        positions: np.ndarray,
-        n_samples: int,
-        per_thread_counts: tuple[int, ...] | None,
-    ) -> Trace:
-        self.record(k, t, positions)
-        final = self.records[-1]
-        summary = RunSummary(
-            T_hit=self.T_hit,
-            threshold=self.config.threshold,
-            final_U=final.U,
-            final_Vbar=final.Vbar,
-            final_f_gap=final.f_gap,
-            final_grad_norm_sq=final.grad_norm_sq,
-            seed=self.config.seed,
-            scheme=self.config.scheme,
-            n_updates=k,
-            n_samples=n_samples,
-            virtual_time=t,
-            wall_time=time.perf_counter() - self.started,
-            hit_update=self.hit_update,
-            per_thread_update_counts=per_thread_counts,
-        )
-        running = None
-        if self.running is not None and self.running.value is not None:
-            running = self.running.value.copy()
-        return Trace(
-            records=self.records,
-            summary=summary,
-            running_average=running,
-            captured_means=self.captured,
-        )
 
 
 def _swarm_positions(config: RunConfig, graph, dim: int, init: np.ndarray | None) -> np.ndarray:
@@ -356,6 +264,9 @@ def _batch_schedule(n_threads: int, mean_time: float, rng: np.random.Generator):
         yield times, rows
 
 
+# A diverging run is reported by the DivergenceError of its first
+# non-finite record, not by numpy's warnings on the way there.
+@np.errstate(over="ignore", invalid="ignore")
 def _run_loop(config, spec, X, graph, on_record, schedule) -> Trace:
     """The update loop of all three schemes.
 
@@ -406,8 +317,30 @@ def _run_loop(config, spec, X, graph, on_record, schedule) -> Trace:
         neighbors = [np.flatnonzero(graph.adjacency[i]) for i in range(N)]
         neighbor_weights = [np.full(idx.size, gamma_a) for idx in neighbors]
 
-    builder = _TraceBuilder(config, spec, on_record)
-    builder.record(0, 0.0, X)
+    # The monitors: records, the first threshold crossing, captured means.
+    x_star = obj.optimum(spec)
+    f_star = obj.optimal_value(spec)
+    records: list[TraceRecord] = []
+    T_hit = hit_update = None
+    watch = config.threshold is not None
+    threshold = config.threshold
+    captures = frozenset(config.capture_mean_at)
+    captured: dict[int, np.ndarray] = {}
+    started = time.perf_counter()
+
+    def record(k: int, t: float) -> None:
+        """Record the state after update ``k``, once; a non-finite record
+        ends the run with a DivergenceError."""
+        if records and records[-1].k == k:
+            return
+        snap = metrics.snapshot(X, spec, x_star, f_star)
+        if not (math.isfinite(snap.Vbar) and math.isfinite(snap.grad_norm_sq)):
+            raise DivergenceError(config.scheme, k, t)
+        records.append(TraceRecord(k, t, snap.U, snap.Vbar, snap.f_gap, snap.grad_norm_sq))
+        if on_record is not None:
+            on_record(k, t, X)
+
+    record(0, 0.0)
 
     counts = [0] * rows
     sum_vec = X.sum(axis=0)
@@ -417,8 +350,6 @@ def _run_loop(config, spec, X, graph, on_record, schedule) -> Trace:
     max_updates = math.inf if config.max_updates is None else config.max_updates
     max_virtual_time = math.inf if config.max_virtual_time is None else config.max_virtual_time
     record_every = config.record_every
-    threshold_active = config.threshold is not None
-    need_pre = config.track_running_average or bool(builder.capture_set)
     take = X.take
     sin = np.sin
 
@@ -447,8 +378,8 @@ def _run_loop(config, spec, X, graph, on_record, schedule) -> Trace:
             if t > max_virtual_time:
                 # A step still in flight is not applied, nor its samples counted.
                 break
-            if need_pre:
-                builder.pre_update(k, sum_vec * inv_n)
+            if k in captures:
+                captured[k] = sum_vec * inv_n
             clock = t
             i = threads[j]
             xi = X[i]
@@ -477,16 +408,46 @@ def _run_loop(config, spec, X, graph, on_record, schedule) -> Trace:
             counts[i] += 1
             k += 1
 
-            stop = threshold_active and builder.check_crossing(k, t, X, sum_vec * inv_n)
+            if watch:
+                # The squared error of the swarm mean, or its squared
+                # gradient norm when no optimum is known.
+                m = sum_vec * inv_n
+                if x_star is None:
+                    m = obj.grad_exact(spec, m)
+                else:
+                    m -= x_star
+                if m.dot(m) <= threshold:
+                    T_hit, hit_update, watch = t, k, False
+                    record(k, t)
+                    if config.stop_at_threshold:
+                        break
             if k % record_every == 0:
-                builder.record(k, t, X)
-            if stop or k >= max_updates:
+                record(k, t)
+            if k >= max_updates:
                 break
         else:
             continue
         break
 
-    return builder.finish(k, clock, X, k * batch, None if graph is None else tuple(counts))
+    record(k, clock)
+    final = records[-1]
+    summary = RunSummary(
+        T_hit=T_hit,
+        threshold=threshold,
+        final_U=final.U,
+        final_Vbar=final.Vbar,
+        final_f_gap=final.f_gap,
+        final_grad_norm_sq=final.grad_norm_sq,
+        seed=config.seed,
+        scheme=config.scheme,
+        n_updates=k,
+        n_samples=k * batch,
+        virtual_time=clock,
+        wall_time=time.perf_counter() - started,
+        hit_update=hit_update,
+        per_thread_update_counts=None if graph is None else tuple(counts),
+    )
+    return Trace(records=records, summary=summary, captured_means=captured)
 
 
 def run_swarm(
@@ -552,62 +513,3 @@ def write_trace_csv(trace: Trace, path: str) -> None:
         lines.append(f"{r.k},{r.t!r},{r.U!r},{r.Vbar!r},{r.f_gap!r},{r.grad_norm_sq!r}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def read_trace_csv(path: str) -> list[TraceRecord]:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != TRACE_CSV_HEADER:
-            raise ValueError(f"unexpected trace header {header!r}")
-        records = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 6:
-                raise ValueError(f"malformed trace row {line!r}")
-            records.append(
-                TraceRecord(
-                    k=int(parts[0]),
-                    t=float(parts[1]),
-                    U=float(parts[2]),
-                    Vbar=float(parts[3]),
-                    f_gap=float(parts[4]),
-                    grad_norm_sq=float(parts[5]),
-                )
-            )
-    return records
-
-
-def _json_safe(v: float | None) -> float | None:
-    if v is None:
-        return None
-    return None if math.isnan(v) else float(v)
-
-
-def summary_json_dict(summary: RunSummary) -> dict:
-    """JSON form of a run summary.
-
-    Wall-clock time is deliberately left out so rerunning a seed yields
-    byte-identical files; NaN metrics become null.
-    """
-    return {
-        "T_hit": _json_safe(summary.T_hit),
-        "threshold": summary.threshold,
-        "final_U": _json_safe(summary.final_U),
-        "final_Vbar": _json_safe(summary.final_Vbar),
-        "final_f_gap": _json_safe(summary.final_f_gap),
-        "final_grad_norm_sq": _json_safe(summary.final_grad_norm_sq),
-        "seed": summary.seed,
-        "scheme": summary.scheme,
-        "n_updates": summary.n_updates,
-        "n_samples": summary.n_samples,
-        "virtual_time": summary.virtual_time,
-        "hit_update": summary.hit_update,
-        "per_thread_update_counts": (
-            None
-            if summary.per_thread_update_counts is None
-            else list(summary.per_thread_update_counts)
-        ),
-    }

@@ -18,8 +18,9 @@ import numpy as np
 from . import objective as obj
 from . import topology
 
+# The fewest replications ``lemma2_monte_carlo_check`` accepts.
+MIN_REPLICATIONS = 1000
 _REL_SLACK = 1e-9
-_MIN_REPLICATIONS = 1000
 _ESTIMATE_FLOOR = 1000
 
 
@@ -59,34 +60,6 @@ def snapshot(
     f_gap = math.nan if f_star is None else obj.value(spec, mean) - f_star
     g = obj.grad_exact(spec, mean)
     return MetricSnapshot(U=U, Vbar=Vbar, f_gap=f_gap, grad_norm_sq=float(g @ g))
-
-
-@dataclass
-class RunningAverage:
-    """Streaming mean of a vector sequence via the incremental recursion
-    avg_k = (1 - 1/k) avg_{k-1} + (1/k) x_k."""
-
-    count: int = 0
-    value: np.ndarray | None = None
-
-    def push(self, x: np.ndarray) -> None:
-        x = np.asarray(x, dtype=float)
-        if self.value is not None and x.shape != self.value.shape:
-            raise ValueError(f"shape {x.shape} does not match {self.value.shape}")
-        self.count += 1
-        if self.value is None:
-            self.value = x.copy()
-        else:
-            k = self.count
-            self.value *= 1.0 - 1.0 / k
-            self.value += x / k
-
-
-def select_random_index(n_updates: int, rng: np.random.Generator) -> int:
-    """Uniform draw from {0, ..., n_updates - 1}."""
-    if n_updates < 1:
-        raise ValueError(f"need a positive update count, got {n_updates}")
-    return int(rng.integers(n_updates))
 
 
 @dataclass(frozen=True)
@@ -175,8 +148,8 @@ def lemma2_monte_carlo_check(
     drift bound evaluated with an estimated gradient noise variance.
     ``config`` only needs ``step_size`` and ``attraction`` attributes.
     """
-    if n_replications < _MIN_REPLICATIONS:
-        raise ValueError(f"need at least {_MIN_REPLICATIONS} replications, got {n_replications}")
+    if n_replications < MIN_REPLICATIONS:
+        raise ValueError(f"need at least {MIN_REPLICATIONS} replications, got {n_replications}")
     X = np.asarray(positions, dtype=float)
     N = graph.n_vertices
     if X.shape != (N, spec.dim):

@@ -403,10 +403,12 @@ def test_criterion_9_convex_and_nonconvex_bounds():
             seed=randomness.derive_seed(master, rep, STREAM_RUN),
             max_updates=horizon,
             record_every=horizon,
-            track_running_average=True,
+            capture_mean_at=tuple(range(horizon)),
         )
         trace = engine.run_swarm(config, graph, spec)
-        gaps.append(obj.value(spec, trace.running_average) - f_star)
+        # the running average of the swarm means over updates 0 .. K-1
+        running_average = np.mean([trace.captured_means[k] for k in range(horizon)], axis=0)
+        gaps.append(obj.value(spec, running_average) - f_star)
     convex_mean = sum(gaps) / len(gaps)
     convex_ok = convex_mean <= convex.bound_at_K
     details.append(f"convex: {convex_mean:.5f} <= {convex.bound_at_K:.5f}")
@@ -436,7 +438,7 @@ def test_criterion_9_convex_and_nonconvex_bounds():
     stationarity = []
     for rep in range(30):
         index_rng = randomness.make_rng(randomness.derive_seed(master, rep, STREAM_INDEX))
-        draws = [metrics.select_random_index(horizon, index_rng) for _ in range(16)]
+        draws = [int(index_rng.integers(horizon)) for _ in range(16)]
         config = engine.RunConfig(
             n_threads=n_threads,
             step_size=gamma,

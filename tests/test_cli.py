@@ -536,7 +536,7 @@ def test_compare_horizon_requires_prediction_or_time(tmp_path):
         cli._compare_horizons(cfg, build_objective(cfg))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("scheme", engine.SCHEMES)
 def test_diverging_simulate_is_exit_1_naming_the_run(tmp_path, capsys, scheme):
     out = tmp_path / "o"
@@ -576,6 +576,16 @@ def _exit_code_and_err(capsys, argv):
         ({"validate": {"lemma2_states": None, "max_updates": "many"}}, "validate.max_updates"),
         ({"master_seed": 1.5}, "master_seed"),
         ({"output_dir": 3}, "output_dir"),
+        ({"run": {"n_threads": 1, "max_updates": 10}}, "run.n_threads"),
+        ({"run": {"n_threads": 0, "max_updates": 10, "scheme": "centralized"}}, "run.n_threads"),
+        ({"graph": {"kind": "erdos_renyi", "p": 0}}, "graph.p"),
+        ({"graph": {"kind": "erdos_renyi", "p": 1.5}}, "graph.p"),
+        ({"validate": {"lemma2_replications": 10}}, "validate.lemma2_replications"),
+        ({"validate": {"max_updates": 0}}, "validate.max_updates"),
+        ({"master_seed": -1}, "master_seed"),
+        ({"master_seed": 2**64}, "master_seed"),
+        ({"run": {"n_threads": 5, "max_updates": 10, "track_running_average": True}},
+         "unknown config field: run.track_running_average"),
     ],
 )
 def test_bad_experiment_field_is_exit_2_naming_it(tmp_path, capsys, overrides, field):
@@ -584,6 +594,33 @@ def test_bad_experiment_field_is_exit_2_naming_it(tmp_path, capsys, overrides, f
     code, err = _exit_code_and_err(capsys, ["simulate", "--config", str(path)])
     assert code == 2
     assert field in err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_override_out_of_range_is_exit_2(tmp_path, capsys, seed):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(_config_dict(output_dir=str(tmp_path / "o"))))
+    code, err = _exit_code_and_err(capsys, ["simulate", "--config", str(path), "--seed", seed])
+    assert code == 2
+    assert "--seed" in err
+
+
+@pytest.mark.parametrize("command", ["compare", "validate"])
+def test_single_thread_swarm_run_is_exit_2(tmp_path, capsys, command):
+    # compare and validate run the swarm whatever run.scheme says
+    run = {"n_threads": 1, "max_updates": 10, "scheme": "centralized"}
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(_config_dict(run=run, output_dir=str(tmp_path / "o"))))
+    code, err = _exit_code_and_err(capsys, [command, "--config", str(path)])
+    assert code == 2
+    assert "run.n_threads" in err
+
+
+def test_non_finite_output_is_refused_before_writing(tmp_path):
+    path = tmp_path / "x.json"
+    with pytest.raises(ValueError):
+        cli._write_json({"x": math.nan}, str(path))
+    assert not path.exists()
 
 
 @pytest.mark.parametrize(
@@ -775,12 +812,12 @@ def _full_config():
         "run": {
             "n_threads": 3, "step_size": 0.01, "attraction": 1.0, "mean_sample_time": 0.02,
             "scheme": "swarm_event_driven", "record_every": 10, "max_updates": 50,
-            "max_virtual_time": None, "stop_at_threshold": False, "track_running_average": False,
+            "max_virtual_time": None, "stop_at_threshold": False,
         },
         "graph": {"kind": "complete", "p": 0.5, "file": "g.json", "fixed_across_replications": False},
         "validate": {
             "max_updates": 50, "record_every": 10, "lemma2_states": 1,
-            "lemma2_replications": 100, "sigma_samples": 100,
+            "lemma2_replications": 1000, "sigma_samples": 100,
         },
         "replications": 1, "threshold": 0.1, "master_seed": 3, "output_dir": "out",
     }

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from swarmsgd import engine, metrics
+from swarmsgd import cli, engine, metrics
 from swarmsgd import objective as obj
 from swarmsgd import topology
 from swarmsgd.engine import (
@@ -17,11 +17,9 @@ from swarmsgd.engine import (
     SCHEMES,
     TRACE_CSV_HEADER,
     RunConfig,
-    read_trace_csv,
     run_centralized,
     run_swarm,
     run_swarm_global_tick,
-    summary_json_dict,
     write_trace_csv,
 )
 from swarmsgd.randomness import make_rng
@@ -104,8 +102,12 @@ def test_swarm_deterministic_and_csv_round_trip(tmp_path):
     write_trace_csv(t1, str(p1))
     write_trace_csv(t2, str(p2))
     assert p1.read_bytes() == p2.read_bytes()
-    assert read_trace_csv(str(p1)) == t1.records
-    assert p1.read_text().splitlines()[0] == "k,t,U,Vbar,f_gap,grad_norm_sq"
+    header, *rows = p1.read_text().splitlines()
+    assert header == "k,t,U,Vbar,f_gap,grad_norm_sq"
+    # every value reads back to the same float
+    assert [[float(v) for v in row.split(",")] for row in rows] == [
+        [r.k, r.t, r.U, r.Vbar, r.f_gap, r.grad_norm_sq] for r in t1.records
+    ]
     assert TRACE_CSV_HEADER == "k,t,U,Vbar,f_gap,grad_norm_sq"
 
 
@@ -228,18 +230,6 @@ def test_capture_mean_at():
     assert np.allclose(trace.captured_means[0], np.zeros(3))
 
 
-def test_running_average_matches_captured_means():
-    spec = _spec()
-    graph = topology.complete_graph(5)
-    K = 60
-    config = _swarm_config(
-        max_updates=K, track_running_average=True, capture_mean_at=tuple(range(K))
-    )
-    trace = run_swarm(config, graph, spec)
-    stacked = np.stack([trace.captured_means[k] for k in range(K)])
-    assert np.allclose(trace.running_average, stacked.mean(axis=0), rtol=1e-10, atol=1e-12)
-
-
 def test_swarm_init_shape_and_scheme_guards():
     spec = _spec()
     graph = topology.complete_graph(5)
@@ -330,13 +320,13 @@ def test_summary_json_excludes_wall_time():
     spec = _spec()
     graph = topology.complete_graph(5)
     trace = run_swarm(_swarm_config(), graph, spec)
-    data = summary_json_dict(trace.summary)
+    data = cli.summary_json_dict(trace.summary)
     assert "wall_time" not in data
     assert data["scheme"] == SCHEME_SWARM
     assert data["seed"] == 7
     again = run_swarm(_swarm_config(), graph, spec)
     text = json.dumps(data, indent=2, sort_keys=True)
-    assert text == json.dumps(summary_json_dict(again.summary), indent=2, sort_keys=True)
+    assert text == json.dumps(cli.summary_json_dict(again.summary), indent=2, sort_keys=True)
     assert json.loads(text) == data
 
 
@@ -345,16 +335,9 @@ def test_summary_nan_becomes_null():
     graph = topology.complete_graph(4)
     config = _swarm_config(n_threads=4, max_updates=50)
     trace = run_swarm(config, graph, spec)
-    data = summary_json_dict(trace.summary)
+    data = cli.summary_json_dict(trace.summary)
     assert data["final_U"] is None  # no optimum for this objective
     assert math.isfinite(data["final_grad_norm_sq"])
-
-
-def test_read_trace_csv_rejects_bad_header(tmp_path):
-    p = tmp_path / "bad.csv"
-    p.write_text("k,t,U\n0,0,1\n")
-    with pytest.raises(ValueError):
-        read_trace_csv(str(p))
 
 
 B = engine.BLOCK_ROWS
@@ -582,7 +565,7 @@ RUNNERS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_diverging_run_raises_at_first_non_finite_record(scheme):
     spec = _spec()
@@ -599,9 +582,26 @@ def test_diverging_run_raises_at_first_non_finite_record(scheme):
     assert (back.scheme, back.k, back.t, str(back)) == (err.scheme, err.k, err.t, str(err))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_divergence_between_records_is_caught_at_the_final_record():
     spec = _spec()
     with pytest.raises(engine.DivergenceError) as info:
         run_swarm(_diverging(SCHEME_SWARM, record_every=10_000), topology.complete_graph(4), spec)
     assert info.value.k == 2000
+
+
+@pytest.mark.parametrize("stop", [False, True])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_crossing_on_a_record_is_recorded_once(scheme, stop):
+    config = _swarm_config(
+        n_threads=4, scheme=scheme, max_updates=3000, record_every=1, threshold=0.05,
+        stop_at_threshold=stop,
+    )
+    trace = RUNNERS[scheme](config, _spec())
+    hit = trace.summary.hit_update
+    assert hit is not None
+    ks = [r.k for r in trace.records]
+    # one record per update, the crossing and the final state included
+    assert ks == list(range(trace.summary.n_updates + 1))
+    assert trace.summary.n_updates == (hit if stop else 3000)
+    assert trace.records[hit].U <= 0.05 < trace.records[hit - 1].U

@@ -3,8 +3,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from swarmsgd import metrics
 from swarmsgd import objective as obj
@@ -64,59 +62,6 @@ def test_snapshot_dimension_mismatch():
     spec = _ridge()
     with pytest.raises(ValueError):
         metrics.snapshot(np.zeros((4, 2)), spec, obj.optimum(spec))
-
-
-def test_running_average_trivial_cases():
-    ra = metrics.RunningAverage()
-    ra.push(np.array([2.0, 4.0]))
-    ra.push(np.array([2.0, 4.0]))
-    assert np.allclose(ra.value, [2.0, 4.0], atol=1e-15)
-    assert ra.count == 2
-
-    rb = metrics.RunningAverage()
-    rb.push(np.array([0.0]))
-    rb.push(np.array([2.0]))
-    assert rb.value[0] == pytest.approx(1.0, abs=1e-15)
-
-
-def test_running_average_batch_oracle():
-    rng = make_rng(23)
-    xs = rng.normal(size=(1000, 4))
-    ra = metrics.RunningAverage()
-    for x in xs:
-        ra.push(x)
-    batch = xs.mean(axis=0)
-    assert np.allclose(ra.value, batch, rtol=1e-10, atol=1e-12)
-    assert ra.count == 1000
-
-
-def test_running_average_does_not_alias_input():
-    ra = metrics.RunningAverage()
-    x = np.array([1.0, 1.0])
-    ra.push(x)
-    x[0] = 99.0
-    assert ra.value[0] == 1.0
-
-
-@given(st.integers(min_value=1, max_value=50))
-def test_running_average_invariant(k):
-    rng = make_rng(k)
-    xs = rng.normal(size=(k, 3))
-    ra = metrics.RunningAverage()
-    for x in xs:
-        ra.push(x)
-    assert np.allclose(ra.value, xs.mean(axis=0), rtol=1e-12, atol=1e-12)
-
-
-def test_select_random_index():
-    assert metrics.select_random_index(1, make_rng(0)) == 0
-    with pytest.raises(ValueError):
-        metrics.select_random_index(0, make_rng(0))
-    rng = make_rng(101)
-    draws = np.array([metrics.select_random_index(4, rng) for _ in range(100_000)])
-    assert draws.min() >= 0 and draws.max() <= 3
-    freqs = np.bincount(draws, minlength=4) / draws.size
-    assert np.all(np.abs(freqs - 0.25) < 0.006)
 
 
 def _brute_lemma4(X, graph, spec, a):

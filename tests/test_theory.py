@@ -1,5 +1,6 @@
 import inspect
 import math
+import time
 
 import numpy as np
 import pytest
@@ -62,6 +63,21 @@ def test_harmonic_increasing_and_log_bracket():
     for n in (500, 1000, 2000):
         h = harmonic_speedup(n).H_N
         assert 0.577 < h - math.log(n) < 1.0
+
+
+def test_harmonic_expansion_matches_the_sum_past_the_cutoff():
+    cutoff = theory.HARMONIC_SUM_MAX_N
+    for n in (cutoff, cutoff + 1):
+        exact = math.fsum(1.0 / i for i in range(1, n + 1))
+        assert abs(harmonic_speedup(n).H_N - exact) <= 2 * math.ulp(exact)
+    assert harmonic_speedup(cutoff + 1).H_N > harmonic_speedup(cutoff).H_N
+
+
+def test_harmonic_of_a_huge_N_returns_at_once():
+    started = time.perf_counter()
+    h = harmonic_speedup(10**12).H_N
+    assert time.perf_counter() - started < 0.1
+    assert h == pytest.approx(math.log(1e12) + 0.5772156649015329, rel=1e-12)
 
 
 def test_hat_omega_against_bisection_oracle():
