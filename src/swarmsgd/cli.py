@@ -48,82 +48,104 @@ STREAM_VALIDATE = 5
 # crossing time when no explicit horizon is configured.
 HORIZON_SAFETY_FACTOR = 10.0
 
-_GRAPH_KINDS = ("complete", "path", "star", "erdos_renyi", "file")
-_OBJECTIVE_KINDS = (obj.RIDGE, obj.QUADRATIC, obj.NONCONVEX_SINE)
-
-# The fields of each experiment config block: name -> (type, default).
-# A type (list, t) is a list of t, a tuple of strings one of them. A
-# field given as null takes its default; a _REQUIRED field has none.
+# The input schema: what every field of an experiment config, a bounds
+# file and a sweep file may hold. A field is (type, default) or (type,
+# default, range); a nested dict is a block, empty when missing. A type
+# is int, float, bool or str, (list, t) for a list of t, or a tuple of
+# strings for one of them. A block's "kind" type may instead map each
+# kind to the other fields that kind reads; any other field is refused.
+# A range is (test, words): a value failing the test "must be <words>";
+# a list range tests each item. A field given as null takes its
+# default; a _REQUIRED field has none.
 _REQUIRED = object()
 _VECTOR = (list, float)
-_SCHEMA = {
-    "objective": {
-        "kind": (_OBJECTIVE_KINDS, obj.RIDGE),
-        "dim": (int, None),
-        "rho": (float, 0.1),
-        "noise_std": (float, 1.0),
-        "x_tilde": (_VECTOR, None),
-        "Q": ((list, _VECTOR), None),
-        "b": (_VECTOR, None),
-    },
-    "run": {
-        "n_threads": (int, _REQUIRED),
-        "step_size": (float, 0.01),
-        "attraction": (float, 1.0),
-        "mean_sample_time": (float, 0.02),
-        "scheme": (engine.SCHEMES, engine.SCHEME_SWARM),
-        "record_every": (int, 100),
-        "max_updates": (int, None),
-        "max_virtual_time": (float, None),
-        "stop_at_threshold": (bool, False),
-    },
-    "graph": {
-        "kind": (_GRAPH_KINDS, "erdos_renyi"),
-        "p": (float, None),
-        "file": (str, None),
-        "fixed_across_replications": (bool, False),
-    },
-    "validate": {
-        "max_updates": (int, 500),
-        "record_every": (int, 10),
-        "lemma2_states": (int, 5),
-        "lemma2_replications": (int, 10_000),
-        "sigma_samples": (int, 100_000),
-    },
-}
-_TOP_KEYS = {*_SCHEMA, "replications", "threshold", "master_seed", "output_dir"}
+_POSITIVE = (lambda v: v > 0, "positive")
+_NONNEGATIVE = (lambda v: v >= 0, "nonnegative")
+_AT_LEAST_1 = (lambda v: v >= 1, "at least 1")
+# Counts the bound formulas take as floats, so they must convert exactly.
+_COUNT = (lambda v: 1 <= v <= 2**53, "in [1, 2**53]")
 
-# The inputs of ``bounds``, typed like the config blocks; a null G0
-# takes U0. ``sweep`` reads the same fields from its ``base``, except
-# the grid axes and D, and with d_bar optional: a null d_bar is N - 1
-# at each grid point.
-_BOUND_SCHEMA = {
-    "kappa": (float, _REQUIRED),
-    "L": (float, _REQUIRED),
-    "sigma_sq": (float, _REQUIRED),
-    "gamma": (float, _REQUIRED),
-    "a": (float, _REQUIRED),
-    "lambda2": (float, _REQUIRED),
-    "d_bar": (float, _REQUIRED),
-    "N": (int, _REQUIRED),
-    "K": (int, 10_000),
-    "U0": (float, 1.0),
-    "V0": (float, 0.0),
-    "G0": (float, None),
-    "f0_gap": (float, 1.0),
+# The inputs of ``bounds``; a null G0 takes U0. ``sweep`` reads the same
+# fields from its ``base``, except the grid axes and D, and with d_bar
+# optional: a null d_bar is N - 1 at each grid point.
+_BOUND_INPUTS = {
+    "kappa": (float, _REQUIRED, _POSITIVE),
+    "L": (float, _REQUIRED, _POSITIVE),
+    "sigma_sq": (float, _REQUIRED, _NONNEGATIVE),
+    "gamma": (float, _REQUIRED, _POSITIVE),
+    "a": (float, _REQUIRED, _NONNEGATIVE),
+    "lambda2": (float, _REQUIRED, _POSITIVE),
+    "d_bar": (float, _REQUIRED, _AT_LEAST_1),
+    "N": (int, _REQUIRED, _COUNT),
+    "K": (int, 10_000, _COUNT),
+    "U0": (float, 1.0, _NONNEGATIVE),
+    "V0": (float, 0.0, _NONNEGATIVE),
+    "G0": (float, None, _NONNEGATIVE),
+    "f0_gap": (float, 1.0, _NONNEGATIVE),
     "D": (float, None),
 }
 _GRID_AXES = ("gamma", "a", "N", "lambda2")
-_SWEEP_SCHEMA = {
-    "base": {
-        **{k: v for k, v in _BOUND_SCHEMA.items() if k not in (*_GRID_AXES, "D")},
-        "d_bar": (float, None),
+_SCHEMA = {
+    "config": {
+        "objective": {
+            "kind": ({
+                obj.RIDGE: ("dim", "rho", "x_tilde"),
+                obj.QUADRATIC: ("dim", "Q", "b", "noise_std"),
+                obj.NONCONVEX_SINE: ("dim", "noise_std"),
+            }, obj.RIDGE),
+            "dim": (int, None, _POSITIVE),
+            "rho": (float, 0.1, _POSITIVE),
+            "noise_std": (float, 1.0, _NONNEGATIVE),
+            "x_tilde": (_VECTOR, None, (lambda v: 0 <= v <= 1, "in [0, 1]")),
+            "Q": ((list, _VECTOR), _REQUIRED),
+            "b": (_VECTOR, _REQUIRED),
+        },
+        "run": {
+            "n_threads": (int, _REQUIRED, _POSITIVE),
+            "step_size": (float, 0.01, _POSITIVE),
+            "attraction": (float, 1.0, _NONNEGATIVE),
+            "mean_sample_time": (float, 0.02, _POSITIVE),
+            "scheme": (engine.SCHEMES, engine.SCHEME_SWARM),
+            "record_every": (int, 100, _POSITIVE),
+            "max_updates": (int, None, _POSITIVE),
+            "max_virtual_time": (float, None, _POSITIVE),
+            "stop_at_threshold": (bool, False),
+        },
+        "graph": {
+            "kind": ({
+                "complete": (), "path": (), "star": (),
+                "erdos_renyi": ("p", "fixed_across_replications"), "file": ("file",),
+            }, "erdos_renyi"),
+            "p": (float, None, (lambda v: 0 < v <= 1, "in (0, 1]")),
+            "file": (str, _REQUIRED),
+            "fixed_across_replications": (bool, False),
+        },
+        "validate": {
+            "max_updates": (int, 500, _POSITIVE),
+            "record_every": (int, 10, _POSITIVE),
+            "lemma2_states": (int, 5, _NONNEGATIVE),
+            "lemma2_replications": (int, 10_000, (
+                lambda v: v >= metrics.MIN_REPLICATIONS, f"at least {metrics.MIN_REPLICATIONS}")),
+            "sigma_samples": (int, 100_000, _POSITIVE),
+        },
+        "replications": (int, 100, _POSITIVE),
+        # null turns crossing detection off; see experiment_config_from_dict
+        "threshold": (float, 0.1, _POSITIVE),
+        "master_seed": (int, 0, (lambda v: 0 <= v < 2**64, "in [0, 2**64)")),
+        "output_dir": (str, "out"),
     },
-    "grid": {
-        "gamma": (_VECTOR, [0.01]),
-        "a": (_VECTOR, [1.0]),
-        "N": ((list, int), [20]),
-        "lambda2": (_VECTOR, None),
+    "bounds": _BOUND_INPUTS,
+    "sweep": {
+        "base": {
+            **{k: v for k, v in _BOUND_INPUTS.items() if k not in (*_GRID_AXES, "D")},
+            "d_bar": (float, None, _AT_LEAST_1),
+        },
+        "grid": {
+            "gamma": (_VECTOR, [0.01], _POSITIVE),
+            "a": (_VECTOR, [1.0], _NONNEGATIVE),
+            "N": ((list, int), [20], _COUNT),
+            "lambda2": (_VECTOR, None, _POSITIVE),
+        },
     },
 }
 
@@ -193,114 +215,76 @@ def _number(value, field: str, integer: bool = False):
         raise ConfigError(f"{field} must be finite, got {value!r}") from None
 
 
-def _seed(value, field: str) -> int:
-    """A master seed: an integer in [0, 2**64)."""
-    seed = _number(value, field, integer=True)
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"{field} must be in [0, 2**64), got {seed}")
-    return seed
-
-
-def _convert(value, kind, field: str):
-    """``value`` checked against a schema type; see ``_SCHEMA``."""
+def _convert(value, kind, field: str, check=None):
+    """``value`` checked against a schema type and range; see ``_SCHEMA``."""
     if isinstance(kind, tuple) and kind[0] is list:
         if not isinstance(value, list):
             raise ConfigError(f"{field} must be a list, got {value!r}")
-        return [_convert(item, kind[1], f"{field}[{i}]") for i, item in enumerate(value)]
-    if isinstance(kind, tuple):
-        if value not in kind:
+        return [_convert(item, kind[1], f"{field}[{i}]", check) for i, item in enumerate(value)]
+    if isinstance(kind, (tuple, dict)):
+        if not isinstance(value, str) or value not in kind:
             raise ConfigError(f"{field} must be one of {', '.join(kind)}, got {value!r}")
         return value
     if kind is float or kind is int:
-        return _number(value, field, integer=kind is int)
-    if not isinstance(value, kind):
+        value = _number(value, field, integer=kind is int)
+    elif not isinstance(value, kind):
         raise ConfigError(f"{field} must be a {kind.__name__}, got {value!r}")
+    if check is not None and not check[0](value):
+        raise ConfigError(f"{field} must be {check[1]}, got {value!r}")
     return value
 
 
-def _reject_unknown(block: dict, known, prefix: str = "") -> None:
-    for key in block:
-        if key not in known:
+def _value(data: dict, key: str, entry, prefix: str):
+    """Field ``key`` of ``data`` checked against its schema ``entry``."""
+    field = prefix + key
+    if isinstance(entry, dict):
+        return _fields(data.get(key), entry, field, f"{field}.")
+    kind, default, *check = entry
+    value = data.get(key)
+    if value is not None:
+        return _convert(value, kind, field, *check)
+    if default is _REQUIRED:
+        raise ConfigError(f"missing required config field: {field}")
+    return default
+
+
+def _fields(data, schema: dict, name: str, prefix: str = "") -> dict:
+    """The JSON object ``data``, called ``name``, checked against
+    ``schema`` with defaults filled in; null is an empty object. Messages
+    name a field by ``prefix`` and its key. A kind map keeps only the
+    fields the kind reads."""
+    if data is None:
+        data = {}
+    if not isinstance(data, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {data!r}")
+    fields = schema
+    if "kind" in schema and isinstance(schema["kind"][0], dict):
+        kind = _value(data, "kind", schema["kind"], prefix)
+        fields = {"kind": schema["kind"], **{k: schema[k] for k in schema["kind"][0][kind]}}
+    for key in data:
+        if key not in schema:
             raise ConfigError(f"unknown config field: {prefix}{key}")
-
-
-def _fields(block: dict, schema: dict, prefix: str = "") -> dict:
-    """``block`` checked against ``schema``, defaults filled in; messages
-    name a field by ``prefix`` and its key."""
-    _reject_unknown(block, schema, prefix)
-    parsed = {}
-    for key, (kind, default) in schema.items():
-        value = block.get(key)
-        if value is not None:
-            parsed[key] = _convert(value, kind, f"{prefix}{key}")
-        elif default is _REQUIRED:
-            raise ConfigError(f"missing required config field: {prefix}{key}")
-        else:
-            parsed[key] = default
-    return parsed
-
-
-def _block(data: dict, name: str, schemas: dict) -> dict:
-    """Block ``name`` of ``data`` checked against ``schemas[name]``; a
-    missing block is empty."""
-    block = data.get(name)
-    if block is None:
-        block = {}
-    if not isinstance(block, dict):
-        raise ConfigError(f"{name} must be a JSON object, got {block!r}")
-    return _fields(block, schemas[name], f"{name}.")
+        if key not in fields:
+            raise ConfigError(f"{prefix}kind {kind} takes no field {prefix}{key}")
+    return {key: _value(data, key, entry, prefix) for key, entry in fields.items()}
 
 
 def experiment_config_from_dict(data: dict) -> ExperimentConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("config must be a JSON object")
-    _reject_unknown(data, _TOP_KEYS)
-    if data.get("objective") is None:
-        raise ConfigError("missing required config field: objective")
-    objective = _block(data, "objective", _SCHEMA)
-    required = ("Q", "b") if objective["kind"] == obj.QUADRATIC else ("dim",)
-    for key in required:
-        if objective[key] is None:
-            raise ConfigError(f"missing required config field: objective.{key}")
-    if objective["dim"] is None:
-        objective["dim"] = len(objective["b"])
-
-    run = _block(data, "run", _SCHEMA)
-    if run["n_threads"] < 1:
-        raise ConfigError(f"run.n_threads must be positive, got {run['n_threads']}")
-    graph = _block(data, "graph", _SCHEMA)
-    if graph["kind"] == "file" and graph["file"] is None:
-        raise ConfigError("missing required config field: graph.file")
-    if graph["p"] is not None and not 0.0 < graph["p"] <= 1.0:
-        raise ConfigError(f"graph.p must be in (0, 1], got {graph['p']}")
-    validate = _block(data, "validate", _SCHEMA)
-    for key in ("max_updates", "record_every"):
-        if validate[key] < 1:
-            raise ConfigError(f"validate.{key} must be positive, got {validate[key]}")
-    if validate["lemma2_replications"] < metrics.MIN_REPLICATIONS:
-        raise ConfigError(
-            f"validate.lemma2_replications must be at least {metrics.MIN_REPLICATIONS}, "
-            f"got {validate['lemma2_replications']}"
-        )
-
-    replications = _number(data.get("replications", 100), "replications", integer=True)
-    if replications < 1:
-        raise ConfigError(f"replications must be at least 1, got {replications}")
-    threshold = data.get("threshold", 0.1)
-    if threshold is not None:
-        threshold = _number(threshold, "threshold")
-        if threshold <= 0.0:
-            raise ConfigError(f"threshold must be positive, got {threshold}")
-    return ExperimentConfig(
-        objective=objective,
-        run=run,
-        graph=graph,
-        replications=replications,
-        threshold=threshold,
-        master_seed=_seed(data.get("master_seed", 0), "master_seed"),
-        output_dir=_convert(data.get("output_dir", "out"), str, "output_dir"),
-        validate=validate,
-    )
+    config = _fields(data, _SCHEMA["config"], "config")
+    # dim may be left out where the objective's vector gives it
+    objective = config["objective"]
+    key = "b" if objective["kind"] == obj.QUADRATIC else "x_tilde"
+    if objective.get(key) is not None:
+        n = len(objective[key])
+        if objective["dim"] not in (None, n):
+            raise ConfigError(f"objective.dim must be {n}, the length of objective.{key}")
+        objective["dim"] = n
+    elif objective["dim"] is None:
+        raise ConfigError("missing required config field: objective.dim")
+    # a null threshold turns crossing detection off; a missing one is 0.1
+    if "threshold" in data and data["threshold"] is None:
+        config["threshold"] = None
+    return ExperimentConfig(**config)
 
 
 def _load_json(path: str, what: str = "config"):
@@ -311,7 +295,8 @@ def _load_json(path: str, what: str = "config"):
             return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    # also a number with more digits than int() converts
+    except ValueError as exc:
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
@@ -416,14 +401,15 @@ def build_run_config(
 def _evaluate(family: str, inputs: dict):
     """Bound family ``family`` at the bound inputs ``inputs``: its result,
     or the InadmissibleParametersError it raised. An input out of range
-    is a ConfigError. The calculator is looked up at each call, so a
-    wrapper set on the ``theory`` module is seen."""
+    or too large for floats is a ConfigError naming the family. The
+    calculator is looked up at each call, so a wrapper set on the
+    ``theory`` module is seen."""
     try:
         return getattr(theory, f"{family}_bound")(*_BOUND_ARGS[family](inputs))
     except theory.InadmissibleParametersError as exc:
         return exc
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"{family} bound: {exc}") from exc
 
 
 def predicted_crossing_updates(
@@ -654,10 +640,7 @@ def summary_json_dict(summary: engine.RunSummary) -> dict:
 
 def cmd_bounds(params_path: str, out_dir: str | None = None) -> dict:
     """Evaluate every bound family at the inputs of one parameter file."""
-    params = _load_json(params_path)
-    if not isinstance(params, dict):
-        raise ConfigError("bound parameters must be a JSON object")
-    inputs = _fields(params, _BOUND_SCHEMA)
+    inputs = _fields(_load_json(params_path), _SCHEMA["bounds"], "bound parameters")
     if inputs["G0"] is None:
         inputs["G0"] = inputs["U0"]
     report: dict = {}
@@ -763,12 +746,8 @@ _SWEEP_HEADER = "family,gamma,a,N,lambda2,d_bar,admissible,omega,rate,bound"
 
 def cmd_sweep(params_path: str, out_dir: str) -> str:
     """Evaluate all bound families over a parameter grid, long CSV."""
-    params = _load_json(params_path)
-    if not isinstance(params, dict):
-        raise ConfigError("sweep parameters must be a JSON object")
-    _reject_unknown(params, _SWEEP_SCHEMA)
-    inputs = _block(params, "base", _SWEEP_SCHEMA)
-    grid = _block(params, "grid", _SWEEP_SCHEMA)
+    params = _fields(_load_json(params_path), _SCHEMA["sweep"], "sweep parameters")
+    inputs, grid = params["base"], params["grid"]
     if inputs["G0"] is None:
         inputs["G0"] = inputs["U0"]
     inputs["D"] = None  # the convex family derives D from gamma
@@ -841,7 +820,8 @@ def main(argv: list[str] | None = None) -> int:
 
         config = load_experiment_config(args.config)
         if args.seed is not None:
-            config = replace(config, master_seed=_seed(args.seed, "--seed"))
+            kind, _, check = _SCHEMA["config"]["master_seed"]
+            config = replace(config, master_seed=_convert(args.seed, kind, "--seed", check))
         if args.out is not None:
             config = replace(config, output_dir=args.out)
 

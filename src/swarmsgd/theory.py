@@ -124,8 +124,9 @@ def _hat_omega_roots(
             roots.append(r)
     roots = sorted(set(roots))
     for r in roots:
+        # relative to the size of the terms, which grows with L
         residual = abs(A * r * r + B * r + C0)
-        if residual >= 1e-10:
+        if residual > 1e-10 * (abs(A) * r * r + abs(B) * r + abs(C0)):
             raise ArithmeticError(f"weight equation residual {residual:.3e} too large")
     if not roots:
         raise InadmissibleParametersError(

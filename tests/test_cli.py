@@ -55,9 +55,15 @@ def test_config_defaults_and_parsing():
     assert cfg.replications == 2
     assert cfg.threshold == 0.1
     assert cfg.run["scheme"] == engine.SCHEME_SWARM
-    assert cfg.objective["noise_std"] == 1.0
-    assert cfg.graph["fixed_across_replications"] is False
     assert cfg.validate["max_updates"] == 500
+    # a block holds only the fields its kind reads
+    assert cfg.objective == {"kind": "ridge", "dim": 4, "rho": 0.1, "x_tilde": None}
+    assert cfg.graph == {"kind": "complete"}
+    sine = experiment_config_from_dict(
+        _config_dict(objective={"kind": "nonconvex_sine", "dim": 2}, graph=None)
+    )
+    assert sine.objective["noise_std"] == 1.0
+    assert sine.graph == {"kind": "erdos_renyi", "p": None, "fixed_across_replications": False}
 
 
 def test_config_errors_name_the_field():
@@ -586,6 +592,26 @@ def _exit_code_and_err(capsys, argv):
         ({"master_seed": 2**64}, "master_seed"),
         ({"run": {"n_threads": 5, "max_updates": 10, "track_running_average": True}},
          "unknown config field: run.track_running_average"),
+        ({"run": {"n_threads": 5, "max_updates": 10, "step_size": -1}}, "run.step_size"),
+        ({"run": {"n_threads": 5, "max_updates": 10, "mean_sample_time": 0}},
+         "run.mean_sample_time"),
+        ({"run": {"n_threads": 5, "max_updates": 10, "attraction": -1}}, "run.attraction"),
+        ({"run": {"n_threads": 5, "max_updates": 10, "record_every": 0}}, "run.record_every"),
+        ({"run": {"n_threads": 5, "max_updates": 0}}, "run.max_updates"),
+        ({"validate": {"lemma2_states": -1}}, "validate.lemma2_states"),
+        ({"validate": {"sigma_samples": -5}}, "validate.sigma_samples"),
+        ({"objective": {"kind": "ridge", "dim": 0}}, "objective.dim"),
+        ({"objective": {"kind": "ridge", "dim": 2, "rho": 0}}, "objective.rho"),
+        ({"objective": {"kind": "ridge", "x_tilde": [0.5, 1.5]}}, "objective.x_tilde[1]"),
+        ({"objective": {"kind": "nonconvex_sine", "dim": 2, "noise_std": -1}},
+         "objective.noise_std"),
+        ({"objective": {"kind": "ridge", "dim": 2, "noise_std": 1.0}}, "objective.noise_std"),
+        ({"objective": {"kind": "nonconvex_sine", "dim": 2, "rho": 0.1}}, "objective.rho"),
+        ({"objective": {"kind": "quadratic", "dim": 7, "Q": [[1, 0], [0, 1]], "b": [0, 0]}},
+         "objective.dim"),
+        ({"graph": {"kind": "erdos_renyi", "file": "g.json"}}, "graph.file"),
+        ({"graph": {"kind": "complete", "fixed_across_replications": True}},
+         "graph.fixed_across_replications"),
     ],
 )
 def test_bad_experiment_field_is_exit_2_naming_it(tmp_path, capsys, overrides, field):
@@ -636,6 +662,11 @@ def test_non_finite_output_is_refused_before_writing(tmp_path):
         (_bounds_params(gamma=-0.01), "gamma"),
         (_bounds_params(N=0), "N"),
         (_bounds_params(G0=-1.0), "G0"),
+        (_bounds_params(N=10**400), "N"),
+        (_bounds_params(N=10**200), "N"),
+        (_bounds_params(K=2**53 + 1), "K"),
+        # finite inputs whose bound overflows a float name the family
+        (_bounds_params(gamma=1e227), "convex bound"),
     ],
 )
 def test_bad_bound_parameter_is_exit_2_naming_it(tmp_path, capsys, params, field):
@@ -645,6 +676,15 @@ def test_bad_bound_parameter_is_exit_2_naming_it(tmp_path, capsys, params, field
     assert code == 2
     assert field in err
     assert not (tmp_path / "bounds.json").exists()
+
+
+def test_number_too_long_to_read_is_exit_2(tmp_path, capsys):
+    # json reads integers of at most 4300 digits; a longer one is bad input
+    path = tmp_path / "p.json"
+    path.write_text('{"N": ' + "1" * 5000 + "}")
+    code, err = _exit_code_and_err(capsys, ["bounds", "--config", str(path), "--out", str(tmp_path)])
+    assert code == 2
+    assert "not valid JSON" in err
 
 
 @pytest.mark.parametrize(
@@ -663,6 +703,8 @@ def test_bad_bound_parameter_is_exit_2_naming_it(tmp_path, capsys, params, field
          "gamma"),
         ({"base": {"kappa": 1.0, "L": 1.0, "sigma_sq": 1.0}, "grid": {"N": [0]}}, "N"),
         ({"base": {"kappa": 1.0, "L": 1.0, "sigma_sq": 1.0, "d_bar": 0.5}}, "d_bar"),
+        ({"base": {"kappa": 1.0, "L": 1.0, "sigma_sq": 1.0}, "grid": {"N": [10**200]}},
+         "grid.N[0]"),
     ],
 )
 def test_bad_sweep_parameter_is_exit_2_naming_it(tmp_path, capsys, params, field):
@@ -802,25 +844,49 @@ _JSON_VALUES = st.recursive(
 )
 
 
-def _full_config():
-    """A valid config that sets every field of every block."""
+# One block of each kind, setting every field that kind reads.
+_FULL_OBJECTIVES = (
+    {"kind": "ridge", "dim": 2, "rho": 0.1, "x_tilde": [0.2, 0.4]},
+    {"kind": "quadratic", "dim": 2, "Q": [[1.0, 0.0], [0.0, 1.0]], "b": [0.0, 0.0],
+     "noise_std": 1.0},
+    {"kind": "nonconvex_sine", "dim": 2, "noise_std": 1.0},
+)
+_FULL_GRAPHS = (
+    {"kind": "complete"},
+    {"kind": "path"},
+    {"kind": "star"},
+    {"kind": "erdos_renyi", "p": 0.5, "fixed_across_replications": False},
+    {"kind": "file", "file": "g.json"},
+)
+
+
+def _full_config(objective, graph):
+    """A valid config that sets every field its blocks' kinds read."""
     return {
-        "objective": {
-            "kind": "ridge", "dim": 2, "rho": 0.1, "noise_std": 1.0,
-            "x_tilde": [0.2, 0.4], "Q": [[1.0, 0.0], [0.0, 1.0]], "b": [0.0, 0.0],
-        },
+        "objective": objective,
         "run": {
             "n_threads": 3, "step_size": 0.01, "attraction": 1.0, "mean_sample_time": 0.02,
             "scheme": "swarm_event_driven", "record_every": 10, "max_updates": 50,
             "max_virtual_time": None, "stop_at_threshold": False,
         },
-        "graph": {"kind": "complete", "p": 0.5, "file": "g.json", "fixed_across_replications": False},
+        "graph": graph,
         "validate": {
             "max_updates": 50, "record_every": 10, "lemma2_states": 1,
             "lemma2_replications": 1000, "sigma_samples": 100,
         },
         "replications": 1, "threshold": 0.1, "master_seed": 3, "output_dir": "out",
     }
+
+
+_FULL_CONFIGS = [_full_config(o, g) for o in _FULL_OBJECTIVES for g in _FULL_GRAPHS]
+_FULL_BOUNDS = _bounds_params(K=100, U0=1.0, V0=0.5, G0=2.0, f0_gap=1.0, D=0.5)
+_FULL_SWEEP = {
+    "base": {
+        "kappa": 0.5, "L": 1.0, "sigma_sq": 1.0, "d_bar": 3.0, "K": 100, "U0": 1.0, "V0": 0.5,
+        "G0": 2.0, "f0_gap": 1.0,
+    },
+    "grid": {"gamma": [0.01, 0.5], "a": [0.0, 1.0], "N": [2, 5], "lambda2": [0.5, 4.0]},
+}
 
 
 def _field_paths(data, prefix=()):
@@ -830,21 +896,77 @@ def _field_paths(data, prefix=()):
             yield from _field_paths(value, prefix + (key,))
 
 
-@settings(max_examples=300, deadline=None)
-@given(path=st.sampled_from(list(_field_paths(_full_config()))), value=_JSON_VALUES)
-def test_any_one_field_replaced_parses_or_raises_config_error(path, value):
-    data = _full_config()
+def _replaced(data, path, value):
+    """``data`` with the field at ``path`` set to ``value``, through JSON
+    as the cli reads it."""
+    data = json.loads(json.dumps(data))
     block = data
     for key in path[:-1]:
         block = block[key]
     block[path[-1]] = value
-    # through JSON, as the cli reads it
-    data = json.loads(json.dumps(data))
+    return json.loads(json.dumps(data))
+
+
+@pytest.mark.parametrize("graph", _FULL_GRAPHS, ids=lambda g: g["kind"])
+@pytest.mark.parametrize("objective", _FULL_OBJECTIVES, ids=lambda o: o["kind"])
+def test_full_config_of_each_kind_parses(objective, graph):
+    data = _full_config(objective, graph)
+    cfg = experiment_config_from_dict(data)
+    assert (cfg.objective, cfg.graph, cfg.run, cfg.validate) == (
+        objective, graph, data["run"], data["validate"]
+    )
+    assert build_objective(cfg).dim == 2
+    cli.build_run_config(cfg, cfg.run["scheme"], 0)
+
+
+def test_ridge_dim_may_come_from_x_tilde():
+    cfg = experiment_config_from_dict(
+        _config_dict(objective={"kind": "ridge", "x_tilde": [0.25, 0.75, 0.5]})
+    )
+    assert cfg.objective["dim"] == 3
+    assert build_objective(cfg).dim == 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    case=st.sampled_from(
+        [(i, path) for i, data in enumerate(_FULL_CONFIGS) for path in _field_paths(data)]
+    ),
+    value=_JSON_VALUES,
+)
+def test_any_one_field_replaced_parses_or_raises_config_error(case, value):
+    index, path = case
     try:
-        cfg = experiment_config_from_dict(data)
-    except ConfigError:
-        return
-    try:
+        cfg = experiment_config_from_dict(_replaced(_FULL_CONFIGS[index], path, value))
+        build_objective(cfg)
         cli.build_run_config(cfg, cfg.run["scheme"], 0)
     except ConfigError:
         pass
+
+
+_BOUND_DOCUMENTS = {
+    "bounds": (cmd_bounds, _FULL_BOUNDS, "bounds.json"),
+    "sweep": (cmd_sweep, _FULL_SWEEP, "sweep.csv"),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    case=st.sampled_from(
+        [(name, path) for name, (_, doc, _) in _BOUND_DOCUMENTS.items() for path in _field_paths(doc)]
+    ),
+    value=_JSON_VALUES,
+)
+def test_any_one_bound_input_replaced_writes_or_raises_config_error(
+    tmp_path_factory, case, value
+):
+    name, path = case
+    command, doc, written = _BOUND_DOCUMENTS[name]
+    out = tmp_path_factory.mktemp(name)
+    params = out / "params.json"
+    params.write_text(json.dumps(_replaced(doc, path, value)))
+    try:
+        command(str(params), str(out))
+    except ConfigError:
+        return
+    assert (out / written).exists()

@@ -145,6 +145,18 @@ def test_hat_omega_residual_over_log_grid():
     assert admissible > 1000
 
 
+def test_hat_omega_residual_is_relative_to_the_terms():
+    # at L ~ 2e10 the terms of the weight equation are ~4e10, so an
+    # absolute residual of 4e-6 is 1e-16 of them: round-off, not an error
+    args = (0.8, 21807734143.0, 0.01, 1.0, 1.0, 2.0, 5)
+    w = solve_hat_omega(*args)
+    A, B, C0 = theory._hat_omega_coefficients(*args)
+    assert 0.0 < w < 1.0
+    assert abs(A * w * w + B * w + C0) <= 1e-15 * (abs(A) * w * w + abs(B) * w + abs(C0))
+    bound = strong_convex_bound(0.8, 21807734143.0, 1.0, 0.01, 1.0, 1.0, 2.0, 5, 1.0, 0.0)
+    assert bound.hat_omega == w and not bound.admissible
+
+
 def test_strong_convex_bound_basics():
     sc = strong_convex_bound(RIDGE_C, RIDGE_C, 1.0, 0.01, 1.0, 20.0, 19.0, 20, 2.0, 0.5)
     assert sc.admissible
