@@ -14,7 +14,6 @@ import os
 import sys
 
 from swarmsgd.cli import cmd_compare, experiment_config_from_dict
-from swarmsgd.theory import harmonic_speedup
 
 INSTANCES = ((20, 20), (20, 100), (100, 50))
 
@@ -52,23 +51,23 @@ def main(argv=None):
         out_dir = os.path.join(args.out, f"d{dim}_n{n_threads}")
         config = build_config(dim, n_threads, args.seed + offset, out_dir, args.replications)
         report = cmd_compare(config, jobs=args.jobs)
-        predicted = harmonic_speedup(n_threads).delta_t_c_over_delta_t
-        if report.ratio is None:
+        ratio, predicted = report["ratio"], report["predicted_ratio"]
+        if ratio is None:
             print(f"({dim},{n_threads}): no replication crossed the threshold", file=sys.stderr)
             return 1
-        rel = report.ratio / predicted - 1.0
+        excluded = len(report["excluded"])
         rows.append(
             {
                 "dim": dim,
                 "n_threads": n_threads,
-                "measured_ratio": report.ratio,
+                "measured_ratio": ratio,
                 "predicted_ratio": predicted,
-                "excluded": len(report.excluded),
+                "excluded": excluded,
             }
         )
         print(
-            f"({dim:>4},{n_threads:>4}) {report.ratio:9.3f} {predicted:10.3f} "
-            f"{rel:+7.1%} {len(report.excluded):9d}"
+            f"({dim:>4},{n_threads:>4}) {ratio:9.3f} {predicted:10.3f} "
+            f"{ratio / predicted - 1.0:+7.1%} {excluded:9d}"
         )
 
     os.makedirs(args.out, exist_ok=True)

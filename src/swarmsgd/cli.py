@@ -333,7 +333,7 @@ def build_graph(config: ExperimentConfig, replication: int) -> topology.Graph:
     """Graph for one replication; Erdos-Renyi graphs are redrawn per
     replication unless pinned by ``fixed_across_replications``."""
     block = config.graph
-    n = int(config.run["n_threads"])
+    n = config.run["n_threads"]
     if n < 2:
         raise ConfigError(f"run.n_threads must be at least 2 for a swarm run, got {n}")
     if block["kind"] == "complete":
@@ -358,42 +358,25 @@ def build_graph(config: ExperimentConfig, replication: int) -> topology.Graph:
         p = min(1.0, 10.0 / n)
     index = 0 if block["fixed_across_replications"] else replication
     rng = make_rng(derive_seed(config.master_seed, index, STREAM_GRAPH))
-    return topology.erdos_renyi_connected(n, float(p), rng)
+    try:
+        return topology.erdos_renyi_connected(n, p, rng)
+    except topology.GraphConnectivityError as exc:
+        raise ConfigError(f"graph.p {p} is too small for run.n_threads {n}: {exc}") from exc
 
 
-def build_run_config(
-    config: ExperimentConfig,
-    scheme: str,
-    seed: int,
-    *,
-    max_updates: int | None = None,
-    max_virtual_time: float | None = None,
-    stop_at_threshold: bool | None = None,
-) -> engine.RunConfig:
-    run = config.run
-    if max_updates is None and max_virtual_time is None:
-        max_updates = run["max_updates"]
-        max_virtual_time = run["max_virtual_time"]
-    if max_updates is None and max_virtual_time is None:
+def build_run_config(config: ExperimentConfig, seed: int, **overrides) -> engine.RunConfig:
+    """The run block and the threshold as the engine's run config, with
+    ``overrides`` on top; overriding either horizon clears the other."""
+    fields = {**config.run, "seed": seed, "threshold": config.threshold}
+    if "max_updates" in overrides or "max_virtual_time" in overrides:
+        fields["max_updates"] = fields["max_virtual_time"] = None
+    fields.update(overrides)
+    if fields["max_updates"] is None and fields["max_virtual_time"] is None:
         raise ConfigError(
             "missing required config field: run.max_updates or run.max_virtual_time"
         )
     try:
-        return engine.RunConfig(
-            n_threads=run["n_threads"],
-            step_size=run["step_size"],
-            attraction=run["attraction"],
-            mean_sample_time=run["mean_sample_time"],
-            seed=seed,
-            scheme=scheme,
-            max_updates=max_updates,
-            max_virtual_time=max_virtual_time,
-            record_every=run["record_every"],
-            threshold=config.threshold,
-            stop_at_threshold=(
-                run["stop_at_threshold"] if stop_at_threshold is None else stop_at_threshold
-            ),
-        )
+        return engine.RunConfig(**fields)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -440,36 +423,32 @@ def _compare_horizons(config: ExperimentConfig, spec: obj.ObjectiveSpec) -> tupl
     """Virtual-time horizons (swarm, centralized) for a comparison."""
     run = config.run
     if run["max_virtual_time"] is not None:
-        t = float(run["max_virtual_time"])
+        t = run["max_virtual_time"]
         return t, t
     if run["max_updates"] is not None:
         # Interpreting an update budget in shared virtual time: K swarm
         # updates span about K/N mean rounds.
-        rounds = float(run["max_updates"]) / float(run["n_threads"])
+        rounds = run["max_updates"] / run["n_threads"]
     else:
-        steps = predicted_crossing_updates(spec, float(run["step_size"]), config.threshold or 0.1)
+        steps = predicted_crossing_updates(spec, run["step_size"], config.threshold or 0.1)
         if steps is None:
             raise ConfigError(
                 "missing required config field: run.max_virtual_time "
                 "(no closed-form crossing prediction for this objective)"
             )
         rounds = HORIZON_SAFETY_FACTOR * steps
-    t = rounds * float(run["mean_sample_time"])
-    return t, t * theory.harmonic_speedup(int(run["n_threads"])).H_N
+    t = rounds * run["mean_sample_time"]
+    return t, t * theory.harmonic_speedup(run["n_threads"]).H_N
 
 
 def _simulate_one(task: tuple[ExperimentConfig, int]) -> engine.Trace:
     config, replication = task
     spec = build_objective(config)
     scheme = config.run["scheme"]
+    stream = STREAM_CENTRALIZED if scheme == engine.SCHEME_CENTRALIZED else STREAM_SWARM
+    run_config = build_run_config(config, derive_seed(config.master_seed, replication, stream))
     if scheme == engine.SCHEME_CENTRALIZED:
-        run_config = build_run_config(
-            config, scheme, derive_seed(config.master_seed, replication, STREAM_CENTRALIZED)
-        )
         return engine.run_centralized(run_config, spec)
-    run_config = build_run_config(
-        config, scheme, derive_seed(config.master_seed, replication, STREAM_SWARM)
-    )
     graph = build_graph(config, replication)
     if scheme == engine.SCHEME_GLOBAL_TICK:
         return engine.run_swarm_global_tick(run_config, graph, spec)
@@ -518,35 +497,6 @@ def cmd_simulate(config: ExperimentConfig, jobs: int = 1) -> dict:
     return report
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Outcome of racing the swarm scheme against the baseline."""
-
-    instance: tuple[int, int]
-    T_s_mean: float | None
-    T_c_mean: float | None
-    ratio: float | None
-    predicted_ratio: float
-    replications: int
-    excluded: tuple[int, ...]
-    lemma4_violations: int
-    per_run: tuple[dict, ...]
-
-
-def comparison_report_to_dict(report: ComparisonReport) -> dict:
-    return {
-        "instance": {"dim": report.instance[0], "n_threads": report.instance[1]},
-        "T_s_mean": report.T_s_mean,
-        "T_c_mean": report.T_c_mean,
-        "ratio": report.ratio,
-        "predicted_ratio": report.predicted_ratio,
-        "replications": report.replications,
-        "excluded": list(report.excluded),
-        "lemma4_violations": report.lemma4_violations,
-        "per_run": list(report.per_run),
-    }
-
-
 def _compare_one(task: tuple[ExperimentConfig, int]) -> dict:
     config, replication = task
     spec = build_objective(config)
@@ -559,21 +509,21 @@ def _compare_one(task: tuple[ExperimentConfig, int]) -> dict:
 
     def watch_lemma4(k, t, positions):
         nonlocal violations
-        result = metrics.lemma4_check(positions, graph, spec, float(config.run["attraction"]))
+        result = metrics.lemma4_check(positions, graph, spec, config.run["attraction"])
         if not result.holds:
             violations += 1
 
     swarm_config = build_run_config(
         config,
-        engine.SCHEME_SWARM,
         seed_s,
+        scheme=engine.SCHEME_SWARM,
         max_virtual_time=horizon_s,
         stop_at_threshold=True,
     )
     central_config = build_run_config(
         config,
-        engine.SCHEME_CENTRALIZED,
         seed_c,
+        scheme=engine.SCHEME_CENTRALIZED,
         max_virtual_time=horizon_c,
         stop_at_threshold=True,
     )
@@ -591,32 +541,30 @@ def _compare_one(task: tuple[ExperimentConfig, int]) -> dict:
     }
 
 
-def cmd_compare(config: ExperimentConfig, jobs: int = 1) -> ComparisonReport:
+def cmd_compare(config: ExperimentConfig, jobs: int = 1) -> dict:
+    """Race the swarm against the baseline over every replication; the
+    report is what ``comparison.json`` holds."""
     if config.threshold is None:
         raise ConfigError("missing required config field: threshold")
     tasks = [(config, r) for r in range(config.replications)]
     rows = _run_tasks(_compare_one, tasks, jobs)
-    excluded = tuple(r["replication"] for r in rows if r["T_s"] is None or r["T_c"] is None)
     included = [r for r in rows if r["T_s"] is not None and r["T_c"] is not None]
     T_s_mean = sum(r["T_s"] for r in included) / len(included) if included else None
     T_c_mean = sum(r["T_c"] for r in included) / len(included) if included else None
-    ratio = T_c_mean / T_s_mean if included and T_s_mean > 0.0 else None
-    n = int(config.run["n_threads"])
-    report = ComparisonReport(
-        instance=(int(config.objective["dim"]), n),
-        T_s_mean=T_s_mean,
-        T_c_mean=T_c_mean,
-        ratio=ratio,
-        predicted_ratio=theory.harmonic_speedup(n).delta_t_c_over_delta_t,
-        replications=config.replications,
-        excluded=excluded,
-        lemma4_violations=sum(r["lemma4_violations"] for r in rows),
-        per_run=tuple(rows),
-    )
+    n = config.run["n_threads"]
+    report = {
+        "instance": {"dim": config.objective["dim"], "n_threads": n},
+        "T_s_mean": T_s_mean,
+        "T_c_mean": T_c_mean,
+        "ratio": T_c_mean / T_s_mean if included and T_s_mean > 0.0 else None,
+        "predicted_ratio": theory.harmonic_speedup(n).delta_t_c_over_delta_t,
+        "replications": config.replications,
+        "excluded": [r["replication"] for r in rows if r["T_s"] is None or r["T_c"] is None],
+        "lemma4_violations": sum(r["lemma4_violations"] for r in rows),
+        "per_run": rows,
+    }
     os.makedirs(config.output_dir, exist_ok=True)
-    _write_json(
-        comparison_report_to_dict(report), os.path.join(config.output_dir, "comparison.json")
-    )
+    _write_json(report, os.path.join(config.output_dir, "comparison.json"))
     return report
 
 
@@ -650,8 +598,7 @@ def cmd_bounds(params_path: str, out_dir: str | None = None) -> dict:
             report[family] = {"admissible": False, "reason": str(result)}
         else:
             report[family] = {f: _json_value(getattr(result, f)) for f in ("admissible", *fields)}
-    h = theory.harmonic_speedup(inputs["N"])
-    report["harmonic"] = {"H_N": h.H_N, "delta_t_c_over_delta_t": h.delta_t_c_over_delta_t}
+    report["harmonic"] = asdict(theory.harmonic_speedup(inputs["N"]))
     # D is reported by the convex family.
     report["parameters"] = {k: v for k, v in inputs.items() if k != "D"}
     if out_dir is not None:
@@ -665,15 +612,13 @@ def cmd_validate(config: ExperimentConfig) -> dict:
     spec = build_objective(config)
     graph = build_graph(config, 0)
     vcfg = config.validate
+    # A fixed budget of updates: the threshold and its stop do not apply.
     run_config = build_run_config(
         config,
-        engine.SCHEME_SWARM,
         derive_seed(config.master_seed, 0, STREAM_SWARM),
-        max_updates=int(vcfg["max_updates"]),
-    )
-    run_config = replace(
-        run_config,
-        record_every=int(vcfg["record_every"]),
+        scheme=engine.SCHEME_SWARM,
+        max_updates=vcfg["max_updates"],
+        record_every=vcfg["record_every"],
         threshold=None,
         stop_at_threshold=False,
     )
@@ -685,18 +630,15 @@ def cmd_validate(config: ExperimentConfig) -> dict:
 
     engine.run_swarm(run_config, graph, spec, on_record=keep_state)
 
-    a = float(config.run["attraction"])
     checks = []
     lemma4_failures = 0
     for k, positions in recorded:
-        result = metrics.lemma4_check(positions, graph, spec, a)
+        result = metrics.lemma4_check(positions, graph, spec, config.run["attraction"])
         if not result.holds:
             lemma4_failures += 1
-        checks.append(
-            {"check": "lemma4", "k": k, "holds": result.holds, "lhs": result.lhs, "rhs": result.rhs}
-        )
+        checks.append({"check": "lemma4", "k": k, **asdict(result)})
 
-    n_states = min(int(vcfg["lemma2_states"]), len(recorded))
+    n_states = min(vcfg["lemma2_states"], len(recorded))
     lemma2_failures = 0
     if n_states > 0:
         picks = np.linspace(0, len(recorded) - 1, n_states).astype(int)
@@ -708,23 +650,13 @@ def cmd_validate(config: ExperimentConfig) -> dict:
                 graph,
                 spec,
                 run_config,
-                int(vcfg["lemma2_replications"]),
+                vcfg["lemma2_replications"],
                 rng,
-                sigma_samples=int(vcfg["sigma_samples"]),
+                sigma_samples=vcfg["sigma_samples"],
             )
             if not result.holds:
                 lemma2_failures += 1
-            checks.append(
-                {
-                    "check": "lemma2",
-                    "k": k,
-                    "holds": result.holds,
-                    "lhs": result.empirical_mean,
-                    "rhs": result.rhs,
-                    "std_err": result.std_err,
-                    "sigma_sq_hat": result.sigma_sq_hat,
-                }
-            )
+            checks.append({"check": "lemma2", "k": k, **asdict(result)})
 
     n_lemma4 = len(recorded)
     report = {
@@ -732,7 +664,7 @@ def cmd_validate(config: ExperimentConfig) -> dict:
         "lemma4_checks": n_lemma4,
         "lemma4_violations": lemma4_failures,
         "lemma4_pass_rate": (n_lemma4 - lemma4_failures) / n_lemma4 if n_lemma4 else None,
-        "lemma2_checks": int(n_states),
+        "lemma2_checks": n_states,
         "lemma2_violations": lemma2_failures,
         "lemma2_pass_rate": (n_states - lemma2_failures) / n_states if n_states else None,
     }
@@ -822,6 +754,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             kind, _, check = _SCHEMA["config"]["master_seed"]
             config = replace(config, master_seed=_convert(args.seed, kind, "--seed", check))
+        _convert(args.jobs, int, "--jobs", _AT_LEAST_1)
         if args.out is not None:
             config = replace(config, output_dir=args.out)
 
@@ -834,11 +767,11 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         if args.command == "compare":
             report = cmd_compare(config, jobs=args.jobs)
-            ratio = "n/a" if report.ratio is None else f"{report.ratio:.3f}"
+            ratio = "n/a" if report["ratio"] is None else f"{report['ratio']:.3f}"
             print(
-                f"T_s_mean={report.T_s_mean} T_c_mean={report.T_c_mean} "
-                f"ratio={ratio} predicted={report.predicted_ratio:.3f} "
-                f"excluded={len(report.excluded)}"
+                f"T_s_mean={report['T_s_mean']} T_c_mean={report['T_c_mean']} "
+                f"ratio={ratio} predicted={report['predicted_ratio']:.3f} "
+                f"excluded={len(report['excluded'])}"
             )
             return 0
         if args.command == "validate":

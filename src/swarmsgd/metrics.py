@@ -105,7 +105,7 @@ def lemma4_check(
 
 @dataclass(frozen=True)
 class Lemma2Result:
-    empirical_mean: float
+    lhs: float
     rhs: float
     std_err: float
     sigma_sq_hat: float
@@ -183,12 +183,12 @@ def lemma2_monte_carlo_check(
     samples = obj.noisy_gradients(spec, X[idx], rng)
     deltas = gamma * (-samples - a * attraction[idx])
     v_next = dispersion_after_single_update(Vbar, deviations[idx], deltas, N)
-    empirical_mean = float(v_next.mean())
+    lhs = float(v_next.mean())
     std_err = float(v_next.std(ddof=1) / math.sqrt(n_replications))
     return Lemma2Result(
-        empirical_mean=empirical_mean,
+        lhs=lhs,
         rhs=float(rhs),
         std_err=std_err,
         sigma_sq_hat=sigma_sq_hat,
-        holds=empirical_mean <= rhs + 3.0 * std_err,
+        holds=lhs <= rhs + 3.0 * std_err,
     )

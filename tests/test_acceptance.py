@@ -150,9 +150,9 @@ def test_criterion_1_speedup_ratios(table_reports):
     details = []
     ok = True
     for (dim, n_threads), (report, target) in table_reports.items():
-        assert report.ratio is not None
-        rel = abs(report.ratio / target - 1.0)
-        details.append(f"d={dim},N={n_threads}: {report.ratio:.3f} vs {target} ({rel:+.1%})")
+        assert report["ratio"] is not None
+        rel = abs(report["ratio"] / target - 1.0)
+        details.append(f"d={dim},N={n_threads}: {report['ratio']:.3f} vs {target} ({rel:+.1%})")
         ok = ok and rel <= 0.15
     register_criterion(1, "speedup ratios within 15% of targets", ok, "; ".join(details))
     assert ok, details
@@ -170,7 +170,7 @@ def test_criterion_3_earlier_crossing(table_reports):
     report, _ = table_reports[(20, 20)]
     wins = sum(
         1
-        for row in report.per_run
+        for row in report["per_run"]
         if row["T_s"] is not None and row["T_c"] is not None and row["T_s"] < row["T_c"]
     )
     ok = wins >= 45
@@ -178,7 +178,7 @@ def test_criterion_3_earlier_crossing(table_reports):
         3,
         "swarm crosses the error threshold first in at least 45/50 runs",
         ok,
-        f"{wins}/{report.replications} runs",
+        f"{wins}/{report['replications']} runs",
     )
     assert ok, wins
 
@@ -201,10 +201,10 @@ def test_criterion_4_strong_convex_bound(bound_study):
 
 
 def test_criterion_5_no_lemma4_violations(table_reports, bound_study):
-    from_comparisons = sum(report.lemma4_violations for report, _ in table_reports.values())
+    from_comparisons = sum(report["lemma4_violations"] for report, _ in table_reports.values())
     total = from_comparisons + bound_study.lemma4_violations
     states = sum(
-        sum(row["swarm_updates"] // 100 + 2 for row in report.per_run)
+        sum(row["swarm_updates"] // 100 + 2 for row in report["per_run"])
         for report, _ in table_reports.values()
     ) + 30 * (bound_study.horizon // 500 + 1)
     ok = total == 0

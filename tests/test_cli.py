@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 from swarmsgd import cli, engine, theory, topology
 from swarmsgd import objective as obj
 from swarmsgd.cli import (
-    ComparisonReport,
     ConfigError,
     ExperimentConfig,
     build_graph,
@@ -21,7 +21,6 @@ from swarmsgd.cli import (
     cmd_simulate,
     cmd_sweep,
     cmd_validate,
-    comparison_report_to_dict,
     experiment_config_from_dict,
     load_experiment_config,
     main,
@@ -224,25 +223,22 @@ def test_cmd_compare_report_and_mean_identity(tmp_path):
         )
     )
     report = cmd_compare(cfg)
-    assert isinstance(report, ComparisonReport)
-    assert report.instance == (4, 5)
-    assert report.predicted_ratio == pytest.approx(sum(1 / i for i in range(1, 6)))
-    included = [r for r in report.per_run if r["T_s"] is not None and r["T_c"] is not None]
+    assert report["instance"] == {"dim": 4, "n_threads": 5}
+    assert report["predicted_ratio"] == pytest.approx(sum(1 / i for i in range(1, 6)))
+    included = [r for r in report["per_run"] if r["T_s"] is not None and r["T_c"] is not None]
     assert included, "expected the tiny instance to cross"
     # the per-run rows must reproduce the reported means exactly
-    assert report.T_s_mean == pytest.approx(
+    assert report["T_s_mean"] == pytest.approx(
         sum(r["T_s"] for r in included) / len(included), rel=1e-12
     )
-    assert report.T_c_mean == pytest.approx(
+    assert report["T_c_mean"] == pytest.approx(
         sum(r["T_c"] for r in included) / len(included), rel=1e-12
     )
-    assert report.ratio == pytest.approx(report.T_c_mean / report.T_s_mean, rel=1e-12)
-    seeds = {r["seed"] for r in report.per_run}
+    assert report["ratio"] == pytest.approx(report["T_c_mean"] / report["T_s_mean"], rel=1e-12)
+    seeds = {r["seed"] for r in report["per_run"]}
     assert len(seeds) == 3  # one swarm stream per replication
     data = json.loads((tmp_path / "cmp" / "comparison.json").read_text())
-    assert data == json.loads(json.dumps(comparison_report_to_dict(report)))
-    assert data["T_s_mean"] == report.T_s_mean
-    assert tuple(data["excluded"]) == report.excluded
+    assert data == report
 
 
 def test_cmd_compare_excludes_non_crossing_runs(tmp_path):
@@ -256,8 +252,8 @@ def test_cmd_compare_excludes_non_crossing_runs(tmp_path):
         )
     )
     report = cmd_compare(cfg)
-    assert report.excluded == (0, 1)
-    assert report.T_s_mean is None and report.ratio is None
+    assert report["excluded"] == [0, 1]
+    assert report["T_s_mean"] is None and report["ratio"] is None
 
 
 def test_cmd_compare_requires_threshold(tmp_path):
@@ -450,6 +446,19 @@ def test_main_validate_command(tmp_path):
     assert main(["validate", "--config", str(path)]) == 0
 
 
+def test_validate_ignores_threshold_and_stop_at_threshold(tmp_path):
+    run = {"n_threads": 5, "max_updates": 600, "stop_at_threshold": True}
+    cfg = _config_dict(
+        run=run,
+        threshold=None,
+        output_dir=str(tmp_path / "val"),
+        validate={"max_updates": 60, "lemma2_states": 1, "lemma2_replications": 1200},
+    )
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["validate", "--config", str(path)]) == 0
+
+
 @pytest.mark.parametrize(
     "kind,build", [("path", topology.path_graph), ("star", topology.star_graph)]
 )
@@ -517,7 +526,7 @@ def test_cmd_compare_jobs_parallel_identical(tmp_path):
     parallel = cmd_compare(
         experiment_config_from_dict(_config_dict(output_dir=str(tmp_path / "parallel"))), jobs=2
     )
-    assert serial.per_run == parallel.per_run
+    assert serial["per_run"] == parallel["per_run"]
     assert (tmp_path / "serial" / "comparison.json").read_bytes() == (
         tmp_path / "parallel" / "comparison.json"
     ).read_bytes()
@@ -612,6 +621,7 @@ def _exit_code_and_err(capsys, argv):
         ({"graph": {"kind": "erdos_renyi", "file": "g.json"}}, "graph.file"),
         ({"graph": {"kind": "complete", "fixed_across_replications": True}},
          "graph.fixed_across_replications"),
+        ({"graph": {"kind": "erdos_renyi", "p": 0.001}}, "graph.p"),
     ],
 )
 def test_bad_experiment_field_is_exit_2_naming_it(tmp_path, capsys, overrides, field):
@@ -622,13 +632,22 @@ def test_bad_experiment_field_is_exit_2_naming_it(tmp_path, capsys, overrides, f
     assert field in err
 
 
-@pytest.mark.parametrize("seed", ["-1", str(2**64)])
-def test_seed_override_out_of_range_is_exit_2(tmp_path, capsys, seed):
+@pytest.mark.parametrize(
+    "option,value",
+    [("--seed", "-1"), ("--seed", str(2**64)), ("--jobs", "0"), ("--jobs", "-3")],
+)
+def test_option_override_out_of_range_is_exit_2(tmp_path, capsys, option, value):
     path = tmp_path / "exp.json"
     path.write_text(json.dumps(_config_dict(output_dir=str(tmp_path / "o"))))
-    code, err = _exit_code_and_err(capsys, ["simulate", "--config", str(path), "--seed", seed])
+    code, err = _exit_code_and_err(capsys, ["simulate", "--config", str(path), option, value])
     assert code == 2
-    assert "--seed" in err
+    assert option in err
+
+
+def test_every_run_field_is_a_run_config_field():
+    run_config_fields = {f.name for f in dataclasses.fields(engine.RunConfig)}
+    assert set(cli._SCHEMA["config"]["run"]) <= run_config_fields
+
 
 
 @pytest.mark.parametrize("command", ["compare", "validate"])
@@ -916,7 +935,7 @@ def test_full_config_of_each_kind_parses(objective, graph):
         objective, graph, data["run"], data["validate"]
     )
     assert build_objective(cfg).dim == 2
-    cli.build_run_config(cfg, cfg.run["scheme"], 0)
+    cli.build_run_config(cfg, 0)
 
 
 def test_ridge_dim_may_come_from_x_tilde():
@@ -939,7 +958,7 @@ def test_any_one_field_replaced_parses_or_raises_config_error(case, value):
     try:
         cfg = experiment_config_from_dict(_replaced(_FULL_CONFIGS[index], path, value))
         build_objective(cfg)
-        cli.build_run_config(cfg, cfg.run["scheme"], 0)
+        cli.build_run_config(cfg, 0)
     except ConfigError:
         pass
 

@@ -168,7 +168,7 @@ def test_lemma2_zero_step_size_is_exact():
     vbar = sum(float((r - mean) @ (r - mean)) for r in X) / 4.0
     config = SimpleNamespace(step_size=0.0, attraction=1.0)
     res = metrics.lemma2_monte_carlo_check(X, graph, spec, config, 1500, make_rng(5), sigma_samples=4000)
-    assert res.empirical_mean == vbar
+    assert res.lhs == vbar
     assert res.std_err == 0.0
     assert res.holds
 
@@ -193,7 +193,7 @@ def test_lemma2_hand_computed_two_thread_case():
     spread = abs((1.0 + gamma + 0.25 * gamma**2) - (1.0 - 3.0 * gamma + 2.25 * gamma**2)) / 2.0
     se = spread / math.sqrt(4000)
     assert res.rhs == pytest.approx(expected_rhs, rel=1e-12)
-    assert abs(res.empirical_mean - expected_mean) < 4.5 * se
+    assert abs(res.lhs - expected_mean) < 4.5 * se
     assert res.sigma_sq_hat == 0.0
     assert res.holds
 
