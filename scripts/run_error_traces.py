@@ -9,8 +9,9 @@ both error curves and their threshold crossings.
 
 import argparse
 import os
+import sys
 
-from swarmsgd.cli import cmd_simulate, experiment_config_from_dict
+from swarmsgd.cli import ConfigError, cmd_simulate, experiment_config_from_dict
 
 
 def build_config(args, scheme, out_dir):
@@ -26,7 +27,7 @@ def build_config(args, scheme, out_dir):
                 "max_virtual_time": args.horizon,
                 "record_every": args.record_every,
             },
-            "graph": {"kind": "erdos_renyi", "p": 10.0 / args.threads},
+            "graph": {"kind": "erdos_renyi"},
             "replications": args.replications,
             "threshold": 0.1,
             "master_seed": args.seed,
@@ -45,7 +46,14 @@ def main(argv=None):
     parser.add_argument("--record-every", type=int, default=50)
     parser.add_argument("--seed", type=int, default=1001)
     args = parser.parse_args(argv)
+    try:
+        return write_traces(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
+
+def write_traces(args):
     for scheme in ("swarm_event_driven", "centralized"):
         out_dir = os.path.join(args.out, scheme)
         report = cmd_simulate(build_config(args, scheme, out_dir))

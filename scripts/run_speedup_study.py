@@ -13,7 +13,8 @@ import json
 import os
 import sys
 
-from swarmsgd.cli import cmd_compare, experiment_config_from_dict
+from swarmsgd.cli import _AT_LEAST_1, ConfigError, _convert, cmd_compare
+from swarmsgd.cli import experiment_config_from_dict
 
 INSTANCES = ((20, 20), (20, 100), (100, 50))
 
@@ -28,7 +29,7 @@ def build_config(dim, n_threads, seed, out_dir, replications):
                 "attraction": 1.0,
                 "mean_sample_time": 0.02,
             },
-            "graph": {"kind": "erdos_renyi", "p": 10.0 / n_threads},
+            "graph": {"kind": "erdos_renyi"},
             "replications": replications,
             "threshold": 0.1,
             "master_seed": seed,
@@ -44,12 +45,27 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=1001, help="master seed of the first instance")
     parser.add_argument("--jobs", type=int, default=1, help="worker processes per instance")
     args = parser.parse_args(argv)
+    try:
+        # the --jobs check of the swarmsgd command line
+        _convert(args.jobs, int, "--jobs", _AT_LEAST_1)
+        return run_study(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
+
+def run_study(args):
+    # every config is checked before the table starts
+    configs = [
+        build_config(
+            dim, n_threads, args.seed + offset, os.path.join(args.out, f"d{dim}_n{n_threads}"),
+            args.replications,
+        )
+        for offset, (dim, n_threads) in enumerate(INSTANCES)
+    ]
     rows = []
     print(f"{'instance':>12} {'measured':>9} {'predicted':>10} {'error':>7} {'excluded':>9}")
-    for offset, (dim, n_threads) in enumerate(INSTANCES):
-        out_dir = os.path.join(args.out, f"d{dim}_n{n_threads}")
-        config = build_config(dim, n_threads, args.seed + offset, out_dir, args.replications)
+    for (dim, n_threads), config in zip(INSTANCES, configs):
         report = cmd_compare(config, jobs=args.jobs)
         ratio, predicted = report["ratio"], report["predicted_ratio"]
         if ratio is None:

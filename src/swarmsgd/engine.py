@@ -42,7 +42,7 @@ import numpy as np
 from . import metrics
 from . import objective as obj
 from . import topology
-from .randomness import make_rng
+from .randomness import make_rng, sampling_durations
 
 SCHEME_SWARM = "swarm_event_driven"
 SCHEME_GLOBAL_TICK = "swarm_global_tick"
@@ -183,30 +183,25 @@ def _swarm_positions(config: RunConfig, graph, dim: int, init: np.ndarray | None
         raise ValueError(
             f"graph has {graph.n_vertices} vertices for {config.n_threads} threads"
         )
+    return _positions(init, (config.n_threads, dim))
+
+
+def _positions(init: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray:
+    """Start positions: zeros, or a float copy of ``init`` checked for
+    shape and finiteness."""
     if init is None:
-        return np.zeros((config.n_threads, dim))
+        return np.zeros(shape)
     X = np.array(init, dtype=float)
-    if X.shape != (config.n_threads, dim):
-        raise ValueError(
-            f"init has shape {X.shape}, expected ({config.n_threads}, {dim})"
-        )
+    if X.shape != shape:
+        raise ValueError(f"init has shape {X.shape}, expected {shape}")
+    if not np.isfinite(X).all():
+        raise ValueError("init has a non-finite entry")
     return X
 
 
 def _require_scheme(config: RunConfig, scheme: str) -> None:
     if config.scheme != scheme:
         raise ValueError(f"config.scheme is {config.scheme!r}, expected {scheme!r}")
-
-
-def _sampling_durations(rng: np.random.Generator, mean_time: float, n: int) -> np.ndarray:
-    """``n`` exponential sampling durations; a draw that is not positive
-    is redrawn, so no sample completes instantly."""
-    durations = rng.exponential(mean_time, n)
-    redraw = np.flatnonzero(durations <= 0.0)
-    while redraw.size:
-        durations[redraw] = rng.exponential(mean_time, redraw.size)
-        redraw = redraw[durations[redraw] <= 0.0]
-    return durations
 
 
 def _event_schedule(n_threads: int, mean_time: float, rng: np.random.Generator):
@@ -220,13 +215,13 @@ def _event_schedule(n_threads: int, mean_time: float, rng: np.random.Generator):
     """
     # A thread's first fire time is the duration of the sample it
     # starts computing at t = 0.
-    first = _sampling_durations(rng, mean_time, n_threads).tolist()
+    first = sampling_durations(rng, mean_time, n_threads).tolist()
     heap = [(t, i) for i, t in enumerate(first)]
     heapq.heapify(heap)
     while True:
         times: list[float] = []
         threads: list[int] = []
-        for duration in _sampling_durations(rng, mean_time, BLOCK_ROWS).tolist():
+        for duration in sampling_durations(rng, mean_time, BLOCK_ROWS).tolist():
             t, i = heap[0]
             heapq.heapreplace(heap, (t + duration, i))
             times.append(t)
@@ -240,7 +235,7 @@ def _tick_schedule(n_threads: int, mean_time: float, rng: np.random.Generator):
     times, thread ids) lists, one block at a time."""
     clock = 0.0
     while True:
-        gaps = rng.exponential(mean_time / n_threads, BLOCK_ROWS)
+        gaps = sampling_durations(rng, mean_time / n_threads, BLOCK_ROWS)
         threads = rng.integers(n_threads, size=BLOCK_ROWS).tolist()
         # cumsum adds one gap at a time, as a scalar clock would.
         times = np.cumsum(np.concatenate(([clock], gaps)))[1:].tolist()
@@ -257,7 +252,7 @@ def _batch_schedule(n_threads: int, mean_time: float, rng: np.random.Generator):
     rows = [0] * steps
     clock = 0.0
     while True:
-        durations = _sampling_durations(rng, mean_time, steps * n_threads)
+        durations = sampling_durations(rng, mean_time, steps * n_threads)
         slowest = durations.reshape(steps, n_threads).max(axis=1)
         times = np.cumsum(np.concatenate(([clock], slowest)))[1:].tolist()
         clock = times[-1]
@@ -500,9 +495,7 @@ def run_centralized(
     all the block's samples. The attraction is not used.
     """
     _require_scheme(config, SCHEME_CENTRALIZED)
-    x = np.zeros(spec.dim) if init is None else np.array(init, dtype=float)
-    if x.shape != (spec.dim,):
-        raise ValueError(f"init has shape {x.shape}, expected ({spec.dim},)")
+    x = _positions(init, (spec.dim,))
     return _run_loop(config, spec, x[None, :], None, on_record, _batch_schedule)
 
 

@@ -12,11 +12,11 @@ Three families are supported:
   additive Gaussian gradient noise; smooth, bounded curvature, many
   stationary points, global minimum 0 at the origin.
 
-Oracles return one unbiased gradient sample per call together with an
-exponentially distributed sampling duration, which is the unit of
-virtual time used by the simulation engine. The engine itself draws
-the oracle randomness a block of calls at a time (``draw_noise_block``)
-and evaluates the samples inline.
+The oracle is stated once, for a block of calls: ``noisy_gradients``
+gives one unbiased sample per row, from randomness ``draw_noise_block``
+draws, and the engine evaluates such blocks inline. The per-call
+``noisy_gradient`` is one row of it; ``sample_gradient`` adds the
+exponential sampling duration, the engine's unit of virtual time.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .randomness import polar_normal, polar_normals
+from .randomness import polar_normals, sampling_durations
 
 RIDGE = "ridge"
 QUADRATIC = "quadratic"
@@ -175,21 +175,8 @@ def grad_exact_rows(spec: ObjectiveSpec, X: np.ndarray) -> np.ndarray:
 
 
 def noisy_gradient(spec: ObjectiveSpec, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One unbiased stochastic gradient at ``x``."""
-    x = _check_point(spec, x)
-    if spec.kind == RIDGE:
-        # One regression example: features u ~ U[-1,1]^m, response
-        # v = u . x_tilde + eps with eps ~ N(0,1).
-        u = 2.0 * rng.random(spec.dim) - 1.0
-        eps = polar_normal(rng)
-        residual = u @ x - (u @ spec.x_tilde + eps)
-        return 2.0 * residual * u + 2.0 * spec.rho * x
-    if spec.kind in (QUADRATIC, NONCONVEX_SINE):
-        g = grad_exact(spec, x)
-        if spec.noise_std > 0.0:
-            g = g + spec.noise_std * polar_normals(rng, spec.dim)
-        return g
-    raise ValueError(f"unknown objective kind {spec.kind!r}")
+    """One unbiased stochastic gradient at ``x``: row 0 of ``noisy_gradients``."""
+    return noisy_gradients(spec, _check_point(spec, x)[None, :], rng)[0]
 
 
 def noisy_gradients(spec: ObjectiveSpec, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -242,10 +229,7 @@ def sample_gradient(
     if mean_time <= 0.0:
         raise ValueError(f"mean sampling time must be positive, got {mean_time}")
     g = noisy_gradient(spec, x, rng)
-    t = rng.exponential(mean_time)
-    while t <= 0.0:
-        t = rng.exponential(mean_time)
-    return GradientSample(g=g, sampling_time=float(t))
+    return GradientSample(g=g, sampling_time=float(sampling_durations(rng, mean_time, 1)[0]))
 
 
 def optimum(spec: ObjectiveSpec) -> np.ndarray | None:

@@ -1,4 +1,4 @@
-"""Seed derivation and portable random sampling helpers.
+"""Seed derivation, standard normals and exponential sampling durations.
 
 Every stochastic routine in this package draws from a numpy Generator
 seeded through ``derive_seed``, so a whole experiment is reproducible
@@ -6,8 +6,6 @@ from one master seed plus a documented integer path (replication index,
 stream tag).
 """
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -44,18 +42,8 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def polar_normal(rng: np.random.Generator) -> float:
-    """One standard normal via the Marsaglia polar method.
-
-    The partner variate of the accepted pair is discarded so the helper
-    stays stateless; callers that need many draws should prefer
-    ``polar_normals``.
-    """
-    while True:
-        v1 = 2.0 * rng.random() - 1.0
-        v2 = 2.0 * rng.random() - 1.0
-        s = v1 * v1 + v2 * v2
-        if 0.0 < s < 1.0:
-            return v1 * math.sqrt(-2.0 * math.log(s) / s)
+    """One standard normal: a one-variate call of ``polar_normals``."""
+    return float(polar_normals(rng, 1)[0])
 
 
 def polar_normals(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -80,3 +68,14 @@ def polar_normals(rng: np.random.Generator, n: int) -> np.ndarray:
         out[filled : filled + take] = accepted[:take]
         filled += take
     return out
+
+
+def sampling_durations(rng: np.random.Generator, mean_time: float, n: int) -> np.ndarray:
+    """``n`` exponential sampling durations; a draw that is not positive
+    is redrawn, so no sample completes instantly."""
+    durations = rng.exponential(mean_time, n)
+    redraw = np.flatnonzero(durations <= 0.0)
+    while redraw.size:
+        durations[redraw] = rng.exponential(mean_time, redraw.size)
+        redraw = redraw[durations[redraw] <= 0.0]
+    return durations

@@ -243,6 +243,17 @@ def test_swarm_init_shape_and_scheme_guards():
         run_centralized(_swarm_config(), spec)
     with pytest.raises(ValueError):
         run_swarm_global_tick(_swarm_config(), graph, spec)
+    # a non-finite start is bad input, not a divergence
+    bad = np.zeros((5, 3))
+    bad[2, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        run_swarm(_swarm_config(), graph, spec, init=bad)
+    with pytest.raises(ValueError, match="non-finite"):
+        run_swarm_global_tick(_swarm_config(scheme=SCHEME_GLOBAL_TICK), graph, spec, init=bad)
+    with pytest.raises(ValueError, match="non-finite"):
+        run_centralized(
+            _swarm_config(scheme=SCHEME_CENTRALIZED), spec, init=np.array([0.0, np.inf, 0.0])
+        )
 
 
 def test_global_tick_deterministic():
@@ -605,3 +616,11 @@ def test_crossing_on_a_record_is_recorded_once(scheme, stop):
     assert ks == list(range(trace.summary.n_updates + 1))
     assert trace.summary.n_updates == (hit if stop else 3000)
     assert trace.records[hit].U <= 0.05 < trace.records[hit - 1].U
+
+
+def test_tick_gaps_redraw_a_zero(zero_first_exponential):
+    rng = zero_first_exponential(4)
+    times, threads = next(engine._tick_schedule(3, 0.02, rng))
+    assert rng.exponential_calls == 2
+    assert times[0] > 0.0 and all(b > a for a, b in zip(times, times[1:]))
+    assert len(times) == len(threads) == engine.BLOCK_ROWS

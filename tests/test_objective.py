@@ -1,10 +1,12 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from swarmsgd import objective as obj
-from swarmsgd.randomness import make_rng
+from swarmsgd.randomness import make_rng, sampling_durations
 
 
 def _fd_gradient(spec, x, h=1e-6):
@@ -263,3 +265,25 @@ def test_ridge_spec_random_uses_stream():
     b = obj.ridge_spec_random(0.1, 5, make_rng(3))
     assert np.array_equal(a.x_tilde, b.x_tilde)
     assert np.all(a.x_tilde >= 0.0) and np.all(a.x_tilde <= 1.0)
+
+
+def test_noisy_gradient_is_row_0_of_the_block_oracle():
+    # the per-call oracle draws and computes exactly what a one-row block does
+    for seed, spec in zip((61, 62, 63), _specs()):
+        x = make_rng(seed + 100).normal(size=spec.dim)
+        rng = make_rng(seed)
+        twin = copy.deepcopy(rng)
+        g = obj.noisy_gradient(spec, x, rng)
+        assert np.array_equal(g, obj.noisy_gradients(spec, x[None, :], twin)[0])
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_sample_gradient_duration_is_one_sampling_duration():
+    spec = obj.ridge_spec(0.1, np.array([0.4, 0.6, 0.2]))
+    x = np.array([0.1, 0.0, 0.9])
+    rng = make_rng(71)
+    twin = copy.deepcopy(rng)
+    s = obj.sample_gradient(spec, x, 0.03, rng)
+    obj.noisy_gradient(spec, x, twin)
+    assert s.sampling_time == sampling_durations(twin, 0.03, 1)[0]
+    assert rng.bit_generator.state == twin.bit_generator.state

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,6 +11,7 @@ from swarmsgd.randomness import (
     make_rng,
     polar_normal,
     polar_normals,
+    sampling_durations,
     splitmix64,
 )
 
@@ -88,3 +91,18 @@ def test_polar_normals_edge_counts():
 
 def test_polar_normals_deterministic():
     assert np.array_equal(polar_normals(make_rng(5), 100), polar_normals(make_rng(5), 100))
+
+
+def test_polar_normal_is_a_one_variate_polar_normals():
+    for seed in range(20):
+        rng = make_rng(seed)
+        twin = copy.deepcopy(rng)
+        assert polar_normal(rng) == polar_normals(twin, 1)[0]
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_sampling_durations_redraw_a_zero(zero_first_exponential):
+    rng = zero_first_exponential(3)
+    durations = sampling_durations(rng, 0.5, 4)
+    assert rng.exponential_calls == 2
+    assert durations.shape == (4,) and np.all(durations > 0.0)

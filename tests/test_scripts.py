@@ -40,3 +40,27 @@ def test_error_traces_writes_both_schemes(tmp_path):
     for scheme in ("swarm_event_driven", "centralized"):
         assert (tmp_path / scheme / "run_0000.csv").exists()
         assert (tmp_path / scheme / "summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "name,argv,field",
+    [
+        ("run_speedup_study", ["--replications", "0"], "replications"),
+        ("run_speedup_study", ["--jobs", "0"], "--jobs"),
+        ("run_error_traces", ["--horizon", "-1"], "max_virtual_time"),
+    ],
+)
+def test_bad_argument_is_exit_2_naming_it(tmp_path, capsys, name, argv, field):
+    script = _load(name)
+    assert script.main(["--out", str(tmp_path), *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error: ") and field in err
+    assert not any(tmp_path.iterdir())  # nothing ran
+
+
+def test_error_traces_take_the_default_edge_probability(tmp_path):
+    # 10 / 8 is no probability; the graph default caps it at 1
+    script = _load("run_error_traces")
+    argv = ["--out", str(tmp_path), "--threads", "8", "--replications", "1", "--horizon", "0.5"]
+    assert script.main(argv) == 0
+    assert (tmp_path / "centralized" / "run_0000.csv").exists()
