@@ -366,8 +366,10 @@ def build_graph(config: ExperimentConfig, replication: int) -> topology.Graph:
 
 def build_run_config(config: ExperimentConfig, seed: int, **overrides) -> engine.RunConfig:
     """The run block and the threshold as the engine's run config, with
-    ``overrides`` on top; overriding either horizon clears the other."""
+    ``overrides`` on top; overriding either horizon clears the other. The
+    block's scheme picks the engine function, so it is left out."""
     fields = {**config.run, "seed": seed, "threshold": config.threshold}
+    del fields["scheme"]
     if "max_updates" in overrides or "max_virtual_time" in overrides:
         fields["max_updates"] = fields["max_virtual_time"] = None
     fields.update(overrides)
@@ -514,18 +516,10 @@ def _compare_one(task: tuple[ExperimentConfig, int]) -> dict:
             violations += 1
 
     swarm_config = build_run_config(
-        config,
-        seed_s,
-        scheme=engine.SCHEME_SWARM,
-        max_virtual_time=horizon_s,
-        stop_at_threshold=True,
+        config, seed_s, max_virtual_time=horizon_s, stop_at_threshold=True
     )
     central_config = build_run_config(
-        config,
-        seed_c,
-        scheme=engine.SCHEME_CENTRALIZED,
-        max_virtual_time=horizon_c,
-        stop_at_threshold=True,
+        config, seed_c, max_virtual_time=horizon_c, stop_at_threshold=True
     )
     swarm = engine.run_swarm(swarm_config, graph, spec, on_record=watch_lemma4)
     central = engine.run_centralized(central_config, spec)
@@ -616,7 +610,6 @@ def cmd_validate(config: ExperimentConfig) -> dict:
     run_config = build_run_config(
         config,
         derive_seed(config.master_seed, 0, STREAM_SWARM),
-        scheme=engine.SCHEME_SWARM,
         max_updates=vcfg["max_updates"],
         record_every=vcfg["record_every"],
         threshold=None,
@@ -730,9 +723,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config or parameter file")
         p.add_argument("--out", default=None, help="output directory override")
-        # The bound calculators draw nothing and run no replications.
-        if name not in ("bounds", "sweep"):
+        # The bound calculators draw nothing; validate runs one trajectory.
+        if name in ("simulate", "compare"):
             p.add_argument("--jobs", type=int, default=1, help="parallel replications")
+        if name not in ("bounds", "sweep"):
             p.add_argument("--seed", type=int, default=None, help="master seed override")
     return parser
 
@@ -754,26 +748,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             kind, _, check = _SCHEMA["config"]["master_seed"]
             config = replace(config, master_seed=_convert(args.seed, kind, "--seed", check))
-        _convert(args.jobs, int, "--jobs", _AT_LEAST_1)
         if args.out is not None:
             config = replace(config, output_dir=args.out)
 
-        if args.command == "simulate":
-            report = cmd_simulate(config, jobs=args.jobs)
-            print(
-                f"{report['replications']} runs, {report['n_hit']} crossed, "
-                f"outputs in {config.output_dir}"
-            )
-            return 0
-        if args.command == "compare":
-            report = cmd_compare(config, jobs=args.jobs)
-            ratio = "n/a" if report["ratio"] is None else f"{report['ratio']:.3f}"
-            print(
-                f"T_s_mean={report['T_s_mean']} T_c_mean={report['T_c_mean']} "
-                f"ratio={ratio} predicted={report['predicted_ratio']:.3f} "
-                f"excluded={len(report['excluded'])}"
-            )
-            return 0
         if args.command == "validate":
             report = cmd_validate(config)
             print(
@@ -783,13 +760,28 @@ def main(argv: list[str] | None = None) -> int:
                 f"/{report['lemma2_checks']} pass"
             )
             return 1 if report["lemma4_violations"] or report["lemma2_violations"] else 0
+        _convert(args.jobs, int, "--jobs", _AT_LEAST_1)
+        if args.command == "simulate":
+            report = cmd_simulate(config, jobs=args.jobs)
+            print(
+                f"{report['replications']} runs, {report['n_hit']} crossed, "
+                f"outputs in {config.output_dir}"
+            )
+            return 0
+        report = cmd_compare(config, jobs=args.jobs)
+        ratio = "n/a" if report["ratio"] is None else f"{report['ratio']:.3f}"
+        print(
+            f"T_s_mean={report['T_s_mean']} T_c_mean={report['T_c_mean']} "
+            f"ratio={ratio} predicted={report['predicted_ratio']:.3f} "
+            f"excluded={len(report['excluded'])}"
+        )
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -18,13 +18,15 @@ schemes, toward its graph neighbors with a configurable attraction
 strength. Virtual time, not update count, is the cost measure the
 schemes are compared on.
 
-Every run draws from one generator seeded with ``config.seed``. All
-three schemes share one update loop and draw their randomness in whole
-blocks, so a run cut off earlier is an exact prefix of a longer run with
-the same seed. The event-driven scheme first draws the N initial
-sampling durations, then per block of ``BLOCK_ROWS`` updates the
-durations of the samples the block's updates start, then the block's
-oracle noise (``objective.draw_noise_block``). The global-tick scheme
+The function called picks the scheme: ``run_swarm``,
+``run_swarm_global_tick`` or ``run_centralized``. Every run draws from
+one generator seeded with ``config.seed``. All three schemes share one
+update loop and draw their randomness in whole blocks, so a run cut off
+earlier is an exact prefix of a longer run with the same seed. The
+event-driven scheme first draws the N initial sampling durations, then
+per block of ``BLOCK_ROWS`` updates the durations of the samples the
+block's updates start, then the block's oracle noise
+(``objective.draw_noise_block``). The global-tick scheme
 draws per block the inter-update gaps, the updating threads, then the
 oracle noise. The centralized scheme draws per block of
 ``max(1, BATCH_SAMPLES // N)`` steps the N sampling durations of every
@@ -65,8 +67,9 @@ class EngineInvariantError(RuntimeError):
 
 
 class DivergenceError(RuntimeError):
-    """A record of scheme ``scheme`` at update ``k``, virtual time ``t``,
-    has a non-finite dispersion or gradient norm."""
+    """A run of scheme ``scheme`` went non-finite by update ``k``, virtual
+    time ``t``: a record's dispersion or gradient norm, or the swarm sum
+    at the end of a block."""
 
     def __init__(self, scheme: str, k: int, t: float) -> None:
         super().__init__(scheme, k, t)  # the args are what pickling keeps
@@ -78,7 +81,8 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parameters of one simulation run.
+    """Parameters of one simulation run of any scheme; the function the
+    config is passed to picks the scheme.
 
     Exactly which horizon fields are set decides when the run ends: it
     stops at ``max_updates`` global updates or when the next event
@@ -95,7 +99,6 @@ class RunConfig:
     attraction: float
     mean_sample_time: float
     seed: int
-    scheme: str = SCHEME_SWARM
     max_updates: int | None = None
     max_virtual_time: float | None = None
     record_every: int = 100
@@ -104,8 +107,6 @@ class RunConfig:
     capture_mean_at: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.n_threads < 1:
             raise ValueError(f"need at least one thread, got {self.n_threads}")
         for name in ("step_size", "attraction", "mean_sample_time", "max_virtual_time",
@@ -199,11 +200,6 @@ def _positions(init: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray:
     return X
 
 
-def _require_scheme(config: RunConfig, scheme: str) -> None:
-    if config.scheme != scheme:
-        raise ValueError(f"config.scheme is {config.scheme!r}, expected {scheme!r}")
-
-
 def _event_schedule(n_threads: int, mean_time: float, rng: np.random.Generator):
     """Who fires when in the event-driven scheme, a block at a time.
 
@@ -259,11 +255,11 @@ def _batch_schedule(n_threads: int, mean_time: float, rng: np.random.Generator):
         yield times, rows
 
 
-# A diverging run is reported by the DivergenceError of its first
-# non-finite record, not by numpy's warnings on the way there.
+# A diverging run is reported by its DivergenceError, not by numpy's
+# warnings on the way there.
 @np.errstate(over="ignore", invalid="ignore")
-def _run_loop(config, spec, X, graph, on_record, schedule) -> Trace:
-    """The update loop of all three schemes.
+def _run_loop(scheme, config, spec, X, graph, on_record, schedule) -> Trace:
+    """The update loop of all three schemes; ``scheme`` names the run.
 
     ``schedule`` yields blocks of (fire times, rows of ``X`` that move).
     A swarm thread ``i`` moves by ``-gamma (g + a sum_j a_ij (x_i -
@@ -330,7 +326,7 @@ def _run_loop(config, spec, X, graph, on_record, schedule) -> Trace:
             return
         snap = metrics.snapshot(X, spec, x_star, f_star)
         if not (math.isfinite(snap.Vbar) and math.isfinite(snap.grad_norm_sq)):
-            raise DivergenceError(config.scheme, k, t)
+            raise DivergenceError(scheme, k, t)
         records.append(TraceRecord(k, t, snap.U, snap.Vbar, snap.f_gap, snap.grad_norm_sq))
         if on_record is not None:
             on_record(k, t, X)
@@ -421,6 +417,9 @@ def _run_loop(config, spec, X, graph, on_record, schedule) -> Trace:
             if k >= max_updates:
                 break
         else:
+            # A run that diverges between records stops at its block's end.
+            if not np.isfinite(sum_vec).all():
+                raise DivergenceError(scheme, k, clock)
             continue
         break
 
@@ -434,7 +433,7 @@ def _run_loop(config, spec, X, graph, on_record, schedule) -> Trace:
         final_f_gap=final.f_gap,
         final_grad_norm_sq=final.grad_norm_sq,
         seed=config.seed,
-        scheme=config.scheme,
+        scheme=scheme,
         n_updates=k,
         n_samples=k * batch,
         virtual_time=clock,
@@ -453,9 +452,8 @@ def run_swarm(
     on_record=None,
 ) -> Trace:
     """Event-driven swarm run over an interaction graph."""
-    _require_scheme(config, SCHEME_SWARM)
     X = _swarm_positions(config, graph, spec.dim, init)
-    return _run_loop(config, spec, X, graph, on_record, _event_schedule)
+    return _run_loop(SCHEME_SWARM, config, spec, X, graph, on_record, _event_schedule)
 
 
 def run_swarm_global_tick(
@@ -472,9 +470,8 @@ def run_swarm_global_tick(
     scheme in distribution. Per block of ``BLOCK_ROWS`` updates the
     stream is consumed in the order: gaps, thread indices, oracle noise.
     """
-    _require_scheme(config, SCHEME_GLOBAL_TICK)
     X = _swarm_positions(config, graph, spec.dim, init)
-    return _run_loop(config, spec, X, graph, on_record, _tick_schedule)
+    return _run_loop(SCHEME_GLOBAL_TICK, config, spec, X, graph, on_record, _tick_schedule)
 
 
 def run_centralized(
@@ -494,9 +491,8 @@ def run_centralized(
     the N sampling durations of every step, then the oracle noise of
     all the block's samples. The attraction is not used.
     """
-    _require_scheme(config, SCHEME_CENTRALIZED)
     x = _positions(init, (spec.dim,))
-    return _run_loop(config, spec, x[None, :], None, on_record, _batch_schedule)
+    return _run_loop(SCHEME_CENTRALIZED, config, spec, x[None, :], None, on_record, _batch_schedule)
 
 
 def write_trace_csv(trace: Trace, path: str) -> None:

@@ -320,18 +320,15 @@ def convex_bound(
     sigma = math.sqrt(sigma_sq)
     if D is None:
         D = gamma * sigma * math.sqrt(K) / math.sqrt(lambda2 * N) if sigma > 0.0 else math.nan
-    if sigma > 0.0 and D > 0.0:
-        gamma_rule_value = D * math.sqrt(lambda2 * N) / (sigma * math.sqrt(K))
-    else:
-        gamma_rule_value = math.nan
     cap_dispersion = lambda2 / (8.0 * a * d_bar * d_bar) if a > 0.0 else math.inf
     cap_step = (
         (2.0 * L + a * lambda2) * N / (4.0 * (N * L + L + a * lambda2) * L)
     )
     caps = (cap_dispersion, cap_step)
-    gamma_rule_ok = not math.isnan(gamma_rule_value) and gamma_rule_value <= min(caps)
-
-    if D is not None and not math.isnan(D) and D > 0.0 and sigma > 0.0:
+    # The step rule needs noise and a positive D; NaN fails D > 0.
+    if sigma > 0.0 and D > 0.0:
+        gamma_rule_value = D * math.sqrt(lambda2 * N) / (sigma * math.sqrt(K))
+        gamma_rule_ok = gamma_rule_value <= min(caps)
         phi_K_star = (
             sigma
             * math.sqrt(N)
@@ -347,7 +344,8 @@ def convex_bound(
             )
         )
     else:
-        phi_K_star = math.nan
+        gamma_rule_value = phi_K_star = math.nan
+        gamma_rule_ok = False
 
     return ConvexBound(
         tilde_omega=tilde_omega,

@@ -284,7 +284,6 @@ def test_criterion_7_scheduler_equivalence():
             seed=randomness.derive_seed(master, 1, STREAM_RUN),
             max_updates=updates,
             record_every=updates,
-            scheme=scheme,
         )
         summary = runner(config, graph, spec).summary
         mean_gap = summary.virtual_time / summary.n_updates

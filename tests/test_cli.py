@@ -645,8 +645,9 @@ def test_option_override_out_of_range_is_exit_2(tmp_path, capsys, option, value)
 
 
 def test_every_run_field_is_a_run_config_field():
+    # all but run.scheme, which picks the engine function instead
     run_config_fields = {f.name for f in dataclasses.fields(engine.RunConfig)}
-    assert set(cli._SCHEMA["config"]["run"]) <= run_config_fields
+    assert set(cli._SCHEMA["config"]["run"]) - run_config_fields == {"scheme"}
 
 
 
@@ -854,6 +855,16 @@ def test_bound_commands_reject_seed_and_jobs(tmp_path, capsys, command, option):
     code, err = _exit_code_and_err(capsys, [command, "--config", str(path), *option])
     assert code == 2
     assert option[0] in err
+
+
+def test_validate_rejects_jobs(tmp_path, capsys):
+    # validate runs one trajectory, so it has no replications to spread
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(_config_dict(output_dir=str(tmp_path / "o"))))
+    code, err = _exit_code_and_err(capsys, ["validate", "--config", str(path), "--jobs", "2"])
+    assert code == 2
+    assert "--jobs" in err
+    assert not (tmp_path / "o").exists()
 
 
 _JSON_VALUES = st.recursive(

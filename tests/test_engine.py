@@ -36,7 +36,6 @@ def _swarm_config(**overrides):
         attraction=1.0,
         mean_sample_time=0.02,
         seed=7,
-        scheme=SCHEME_SWARM,
         max_updates=400,
         record_every=100,
     )
@@ -59,8 +58,6 @@ def test_config_validation():
         _swarm_config(mean_sample_time=-1.0)
     with pytest.raises(ValueError):
         _swarm_config(attraction=-0.5)
-    with pytest.raises(ValueError):
-        _swarm_config(scheme="mystery")
     with pytest.raises(ValueError):
         _swarm_config(record_every=0)
     with pytest.raises(ValueError):
@@ -205,7 +202,7 @@ def test_optimal_value_is_computed_once_per_run(monkeypatch, scheme):
 
     monkeypatch.setattr(obj, "optimal_value", counting)
     spec = obj.quadratic_spec(np.diag([1.0, 2.0, 3.0]), np.array([0.5, -1.0, 0.2]))
-    config = _swarm_config(scheme=scheme, max_updates=50, record_every=1)
+    config = _swarm_config(max_updates=50, record_every=1)
     final = {}
 
     def keep(k, t, positions):
@@ -230,36 +227,28 @@ def test_capture_mean_at():
     assert np.allclose(trace.captured_means[0], np.zeros(3))
 
 
-def test_swarm_init_shape_and_scheme_guards():
+def test_swarm_init_shape_and_graph_size_guards():
     spec = _spec()
     graph = topology.complete_graph(5)
     with pytest.raises(ValueError):
         run_swarm(_swarm_config(), graph, spec, init=np.zeros((4, 3)))
     with pytest.raises(ValueError):
-        run_swarm(_swarm_config(scheme=SCHEME_CENTRALIZED), graph, spec)
-    with pytest.raises(ValueError):
         run_swarm(_swarm_config(n_threads=6), graph, spec)  # graph size mismatch
-    with pytest.raises(ValueError):
-        run_centralized(_swarm_config(), spec)
-    with pytest.raises(ValueError):
-        run_swarm_global_tick(_swarm_config(), graph, spec)
     # a non-finite start is bad input, not a divergence
     bad = np.zeros((5, 3))
     bad[2, 1] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         run_swarm(_swarm_config(), graph, spec, init=bad)
     with pytest.raises(ValueError, match="non-finite"):
-        run_swarm_global_tick(_swarm_config(scheme=SCHEME_GLOBAL_TICK), graph, spec, init=bad)
+        run_swarm_global_tick(_swarm_config(), graph, spec, init=bad)
     with pytest.raises(ValueError, match="non-finite"):
-        run_centralized(
-            _swarm_config(scheme=SCHEME_CENTRALIZED), spec, init=np.array([0.0, np.inf, 0.0])
-        )
+        run_centralized(_swarm_config(), spec, init=np.array([0.0, np.inf, 0.0]))
 
 
 def test_global_tick_deterministic():
     spec = _spec()
     graph = topology.complete_graph(5)
-    config = _swarm_config(scheme=SCHEME_GLOBAL_TICK, max_updates=500)
+    config = _swarm_config(max_updates=500)
     t1 = run_swarm_global_tick(config, graph, spec)
     t2 = run_swarm_global_tick(config, graph, spec)
     assert t1.records == t2.records
@@ -269,7 +258,7 @@ def test_global_tick_deterministic():
 
 def test_centralized_accounting_and_state():
     spec = _spec()
-    config = _swarm_config(scheme=SCHEME_CENTRALIZED, attraction=0.0, max_updates=40)
+    config = _swarm_config(attraction=0.0, max_updates=40)
     trace = run_centralized(config, spec)
     s = trace.summary
     assert s.n_updates == 40
@@ -282,12 +271,7 @@ def test_centralized_accounting_and_state():
 
 def test_centralized_time_horizon_counts_only_applied_batches():
     spec = _spec()
-    config = _swarm_config(
-        scheme=SCHEME_CENTRALIZED,
-        attraction=0.0,
-        max_updates=None,
-        max_virtual_time=1.0,
-    )
+    config = _swarm_config(attraction=0.0, max_updates=None, max_virtual_time=1.0)
     trace = run_centralized(config, spec)
     s = trace.summary
     assert s.virtual_time <= 1.0
@@ -304,7 +288,6 @@ def test_centralized_step_duration_is_max_of_exponentials():
         attraction=0.0,
         mean_sample_time=0.02,
         seed=3,
-        scheme=SCHEME_CENTRALIZED,
         max_updates=4000,
         record_every=1000,
     )
@@ -320,7 +303,7 @@ def test_schedulers_have_matching_final_error_distributions():
     finals_event, finals_tick = [], []
     for seed in range(40):
         ce = _swarm_config(seed=1000 + seed, max_updates=400)
-        ct = _swarm_config(seed=2000 + seed, scheme=SCHEME_GLOBAL_TICK, max_updates=400)
+        ct = _swarm_config(seed=2000 + seed, max_updates=400)
         finals_event.append(run_swarm(ce, graph, spec).summary.final_U)
         finals_tick.append(run_swarm_global_tick(ct, graph, spec).summary.final_U)
     stat, p = stats.ks_2samp(finals_event, finals_tick)
@@ -383,7 +366,7 @@ def _kept_states(config, graph, spec, runner, init=None):
 def test_swarm_reruns_are_identical_for_every_kind(scheme, runner, _, kind):
     spec = _kind_specs()[kind]
     graph = topology.path_graph(5)
-    config = _swarm_config(scheme=scheme, max_updates=B + 40, record_every=7)
+    config = _swarm_config(max_updates=B + 40, record_every=7)
     t1, s1 = _kept_states(config, graph, spec, runner)
     t2, s2 = _kept_states(config, graph, spec, runner)
     assert t1.records == t2.records
@@ -396,8 +379,8 @@ def test_swarm_reruns_are_identical_for_every_kind(scheme, runner, _, kind):
 def test_shorter_budget_is_a_prefix_across_block_boundaries(scheme, runner, _, budget):
     spec = _spec()
     graph = topology.erdos_renyi_connected(5, 0.6, make_rng(9))
-    short = _swarm_config(scheme=scheme, max_updates=budget, record_every=1)
-    long = _swarm_config(scheme=scheme, max_updates=budget + 37, record_every=1)
+    short = _swarm_config(max_updates=budget, record_every=1)
+    long = _swarm_config(max_updates=budget + 37, record_every=1)
     t_short, s_short = _kept_states(short, graph, spec, runner)
     t_long, s_long = _kept_states(long, graph, spec, runner)
     assert len(t_short.records) == budget + 1
@@ -410,8 +393,8 @@ def test_shorter_budget_is_a_prefix_across_block_boundaries(scheme, runner, _, b
 def test_shorter_time_horizon_is_a_prefix(scheme, runner, _):
     spec = _spec()
     graph = topology.complete_graph(5)
-    short = _swarm_config(scheme=scheme, max_updates=None, max_virtual_time=1.3, record_every=1)
-    long = _swarm_config(scheme=scheme, max_updates=None, max_virtual_time=2.1, record_every=1)
+    short = _swarm_config(max_updates=None, max_virtual_time=1.3, record_every=1)
+    long = _swarm_config(max_updates=None, max_virtual_time=2.1, record_every=1)
     t_short = runner(short, graph, spec)
     t_long = runner(long, graph, spec)
     n = t_short.summary.n_updates
@@ -428,9 +411,7 @@ def test_zero_noise_sine_is_per_thread_gradient_descent(scheme, runner, _):
     spec = obj.nonconvex_sine_spec(1, noise_std=0.0)
     graph = topology.complete_graph(4)
     init = np.array([[1.0], [2.0], [-1.0], [0.5]])
-    config = _swarm_config(
-        n_threads=4, scheme=scheme, step_size=gamma, attraction=0.0, max_updates=300
-    )
+    config = _swarm_config(n_threads=4, step_size=gamma, attraction=0.0, max_updates=300)
     trace, seen = _kept_states(config, graph, spec, runner, init=init)
     final = seen[trace.summary.n_updates]
     for i, count in enumerate(trace.summary.per_thread_update_counts):
@@ -470,9 +451,7 @@ def test_fused_update_matches_reference_loop(scheme, runner, schedule, kind, gra
     n = 6
     graph = topology.complete_graph(n) if graph_kind == "complete" else topology.star_graph(n)
     init = make_rng(11).normal(size=(n, spec.dim))
-    config = _swarm_config(
-        n_threads=n, scheme=scheme, attraction=0.7, max_updates=2 * B + 9, record_every=1
-    )
+    config = _swarm_config(n_threads=n, attraction=0.7, max_updates=2 * B + 9, record_every=1)
     _, seen = _kept_states(config, graph, spec, runner, init=init)
     reference = _reference_states(config, graph, spec, schedule, init)
     assert len(seen) == len(reference)
@@ -486,7 +465,7 @@ S_CENTRAL = engine.BATCH_SAMPLES // 6
 
 
 def _central_config(**overrides):
-    return _swarm_config(n_threads=6, scheme=SCHEME_CENTRALIZED, **overrides)
+    return _swarm_config(n_threads=6, **overrides)
 
 
 def _kept_central_states(config, spec, init=None):
@@ -550,10 +529,7 @@ def test_centralized_shorter_budget_is_a_prefix(budget):
 def test_centralized_shorter_time_horizon_is_a_prefix():
     spec = _spec()
     # 40 threads: blocks of 25 steps, each about H_40 * 0.02 = 0.086 long
-    short = _swarm_config(
-        n_threads=40, scheme=SCHEME_CENTRALIZED, max_updates=None, max_virtual_time=3.0,
-        record_every=1,
-    )
+    short = _swarm_config(n_threads=40, max_updates=None, max_virtual_time=3.0, record_every=1)
     long = replace(short, max_virtual_time=4.5)
     t_short = run_centralized(short, spec)
     t_long = run_centralized(long, spec)
@@ -564,8 +540,8 @@ def test_centralized_shorter_time_horizon_is_a_prefix():
     assert t_short.summary.n_samples == 40 * n
 
 
-def _diverging(scheme, **overrides):
-    base = dict(n_threads=4, scheme=scheme, step_size=50.0, max_updates=2000, record_every=1)
+def _diverging(**overrides):
+    base = dict(n_threads=4, step_size=50.0, max_updates=2000, record_every=1)
     return _swarm_config(**{**base, **overrides})
 
 
@@ -576,17 +552,25 @@ RUNNERS = {
 }
 
 
+def test_one_config_drives_every_scheme():
+    # the function called picks the scheme, and the summary names it
+    config = _swarm_config(n_threads=4, max_updates=50)
+    for scheme, run in RUNNERS.items():
+        summary = run(config, _spec()).summary
+        assert summary.scheme == scheme and summary.n_updates == 50
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_diverging_run_raises_at_first_non_finite_record(scheme):
     spec = _spec()
     with pytest.raises(engine.DivergenceError) as info:
-        RUNNERS[scheme](_diverging(scheme), spec)
+        RUNNERS[scheme](_diverging(), spec)
     err = info.value
     assert err.scheme == scheme and 0 < err.k < 2000 and math.isfinite(err.t)
     assert f"update {err.k}" in str(err) and scheme in str(err)
     # every earlier record is finite: the run stopped just before is whole
-    before = RUNNERS[scheme](_diverging(scheme, max_updates=err.k - 1), spec)
+    before = RUNNERS[scheme](_diverging(max_updates=err.k - 1), spec)
     assert math.isfinite(before.summary.final_grad_norm_sq)
     # the error survives the trip to and from a worker process
     back = pickle.loads(pickle.dumps(err))
@@ -594,18 +578,20 @@ def test_diverging_run_raises_at_first_non_finite_record(scheme):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_divergence_between_records_is_caught_at_the_final_record():
-    spec = _spec()
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_divergence_between_records_is_caught_at_the_block_end(scheme):
+    # with 4 threads a block is BLOCK_ROWS updates or BATCH_SAMPLES // 4 steps
+    assert engine.BATCH_SAMPLES // 4 == B
     with pytest.raises(engine.DivergenceError) as info:
-        run_swarm(_diverging(SCHEME_SWARM, record_every=10_000), topology.complete_graph(4), spec)
-    assert info.value.k == 2000
+        RUNNERS[scheme](_diverging(record_every=10_000), _spec())
+    assert info.value.scheme == scheme and info.value.k == B and math.isfinite(info.value.t)
 
 
 @pytest.mark.parametrize("stop", [False, True])
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_crossing_on_a_record_is_recorded_once(scheme, stop):
     config = _swarm_config(
-        n_threads=4, scheme=scheme, max_updates=3000, record_every=1, threshold=0.05,
+        n_threads=4, max_updates=3000, record_every=1, threshold=0.05,
         stop_at_threshold=stop,
     )
     trace = RUNNERS[scheme](config, _spec())
