@@ -84,10 +84,9 @@ class RunConfig:
     """Parameters of one simulation run of any scheme; the function the
     config is passed to picks the scheme.
 
-    Exactly which horizon fields are set decides when the run ends: it
-    stops at ``max_updates`` global updates or when the next event
-    would pass ``max_virtual_time``, whichever comes first. At least
-    one horizon is required. ``threshold`` arms first-crossing
+    Exactly one horizon must be set: the run stops at ``max_updates``
+    global updates, or when the next event would pass
+    ``max_virtual_time``. ``threshold`` arms first-crossing
     detection on the squared error of the swarm mean (gradient norm
     squared when no optimum is known); ``capture_mean_at`` stores the
     swarm mean right before the listed update indices, so capturing
@@ -288,12 +287,10 @@ def _run_loop(scheme, config, spec, X, graph, on_record, schedule) -> Trace:
         linear = 0.0
         neg_gamma_Q = -gamma * spec.Q
         neg_gamma_b = -gamma * spec.b
-    elif kind == obj.NONCONVEX_SINE:
-        # g = x + 3 sin(2x) + noise
+    else:
+        # nonconvex_sine: g = x + 3 sin(2x) + noise
         linear = 1.0
         sine_coef = -3.0 * gamma
-    else:
-        raise ValueError(f"unknown objective kind {kind!r}")
 
     # The centralized iterate is one row with no neighbours and no pull.
     rows = X.shape[0]

@@ -29,9 +29,9 @@ from .randomness import polar_normals, sampling_durations
 RIDGE = "ridge"
 QUADRATIC = "quadratic"
 NONCONVEX_SINE = "nonconvex_sine"
+KINDS = (RIDGE, QUADRATIC, NONCONVEX_SINE)
 
 STRONGLY_CONVEX = "strongly_convex"
-CONVEX = "convex"
 NONCONVEX = "nonconvex"
 
 # |d^2/dx^2 (x^2/2 + 3 sin^2 x)| = |1 + 6 cos 2x| <= 7
@@ -43,7 +43,8 @@ _BATCH_ROWS = 65_536
 
 @dataclass(frozen=True, eq=False)
 class ObjectiveSpec:
-    """Immutable description of one objective instance."""
+    """Immutable description of one objective instance; its ``kind``, one
+    of ``KINDS``, is checked when it is built."""
 
     kind: str
     dim: int
@@ -52,6 +53,10 @@ class ObjectiveSpec:
     Q: np.ndarray | None = None
     b: np.ndarray | None = None
     noise_std: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown objective kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -73,12 +78,12 @@ class Regularity:
 
 def ridge_spec(rho: float, x_tilde: np.ndarray) -> ObjectiveSpec:
     """Ridge objective for a given target vector."""
-    if rho <= 0.0:
-        raise ValueError(f"ridge penalty must be positive, got {rho}")
+    if not 0.0 < rho < np.inf:
+        raise ValueError(f"ridge penalty must be finite and positive, got {rho}")
     target = np.asarray(x_tilde, dtype=float)
     if target.ndim != 1 or target.size < 1:
         raise ValueError("x_tilde must be a nonempty vector")
-    if target.min() < 0.0 or target.max() > 1.0:
+    if not (0.0 <= target.min() and target.max() <= 1.0):
         raise ValueError("x_tilde entries must lie in [0, 1]")
     target = target.copy()
     target.setflags(write=False)
@@ -100,12 +105,14 @@ def quadratic_spec(Q: np.ndarray, b: np.ndarray, noise_std: float = 1.0) -> Obje
         raise ValueError(f"Q must be square, got shape {Q.shape}")
     if b.shape != (Q.shape[0],):
         raise ValueError(f"b has shape {b.shape}, expected ({Q.shape[0]},)")
+    if not (np.isfinite(Q).all() and np.isfinite(b).all()):
+        raise ValueError("Q and b must be finite")
     if not np.allclose(Q, Q.T, atol=1e-12):
         raise ValueError("Q must be symmetric")
     if np.linalg.eigvalsh(Q)[0] <= 0.0:
         raise ValueError("Q must be positive definite")
-    if noise_std < 0.0:
-        raise ValueError(f"noise std must be nonnegative, got {noise_std}")
+    if not 0.0 <= noise_std < np.inf:
+        raise ValueError(f"noise std must be finite and nonnegative, got {noise_std}")
     Q = Q.copy()
     b = b.copy()
     Q.setflags(write=False)
@@ -117,8 +124,8 @@ def nonconvex_sine_spec(dim: int, noise_std: float = 1.0) -> ObjectiveSpec:
     """Separable sine-well objective sum_i x_i^2/2 + 3 sin^2(x_i)."""
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")
-    if noise_std < 0.0:
-        raise ValueError(f"noise std must be nonnegative, got {noise_std}")
+    if not 0.0 <= noise_std < np.inf:
+        raise ValueError(f"noise std must be finite and nonnegative, got {noise_std}")
     return ObjectiveSpec(kind=NONCONVEX_SINE, dim=dim, noise_std=float(noise_std))
 
 
@@ -144,22 +151,17 @@ def value(spec: ObjectiveSpec, x: np.ndarray) -> float:
         return float(diff @ diff / 3.0 + spec.rho * (x @ x) + 1.0)
     if spec.kind == QUADRATIC:
         return float(0.5 * x @ spec.Q @ x + spec.b @ x)
-    if spec.kind == NONCONVEX_SINE:
-        s = np.sin(x)
-        return float(0.5 * (x @ x) + 3.0 * (s @ s))
-    raise ValueError(f"unknown objective kind {spec.kind!r}")
+    s = np.sin(x)
+    return float(0.5 * (x @ x) + 3.0 * (s @ s))
 
 
 def grad_exact(spec: ObjectiveSpec, x: np.ndarray) -> np.ndarray:
-    """Exact population gradient at ``x``."""
+    """Exact population gradient at ``x``: row 0 of ``grad_exact_rows``,
+    except for quadratic, whose ``Q @ x`` rounds differently from ``x @ Q``."""
     x = _check_point(spec, x)
-    if spec.kind == RIDGE:
-        return (2.0 / 3.0 + 2.0 * spec.rho) * x - (2.0 / 3.0) * spec.x_tilde
     if spec.kind == QUADRATIC:
         return spec.Q @ x + spec.b
-    if spec.kind == NONCONVEX_SINE:
-        return x + 3.0 * np.sin(2.0 * x)
-    raise ValueError(f"unknown objective kind {spec.kind!r}")
+    return grad_exact_rows(spec, x[None, :])[0]
 
 
 def grad_exact_rows(spec: ObjectiveSpec, X: np.ndarray) -> np.ndarray:
@@ -169,9 +171,7 @@ def grad_exact_rows(spec: ObjectiveSpec, X: np.ndarray) -> np.ndarray:
         return (2.0 / 3.0 + 2.0 * spec.rho) * X - (2.0 / 3.0) * spec.x_tilde
     if spec.kind == QUADRATIC:
         return X @ spec.Q + spec.b
-    if spec.kind == NONCONVEX_SINE:
-        return X + 3.0 * np.sin(2.0 * X)
-    raise ValueError(f"unknown objective kind {spec.kind!r}")
+    return X + 3.0 * np.sin(2.0 * X)
 
 
 def noisy_gradient(spec: ObjectiveSpec, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -207,11 +207,9 @@ def draw_noise_block(
         U *= 2.0
         U -= 1.0
         return U, U @ spec.x_tilde + polar_normals(rng, rows)
-    if spec.kind in (QUADRATIC, NONCONVEX_SINE):
-        if spec.noise_std == 0.0:
-            return None, np.zeros((rows, spec.dim))
-        return None, spec.noise_std * polar_normals(rng, rows * spec.dim).reshape(rows, spec.dim)
-    raise ValueError(f"unknown objective kind {spec.kind!r}")
+    if spec.noise_std == 0.0:
+        return None, np.zeros((rows, spec.dim))
+    return None, spec.noise_std * polar_normals(rng, rows * spec.dim).reshape(rows, spec.dim)
 
 
 def sample_gradient(
@@ -226,8 +224,8 @@ def sample_gradient(
     gradient so the two consume disjoint parts of the stream in a fixed
     order.
     """
-    if mean_time <= 0.0:
-        raise ValueError(f"mean sampling time must be positive, got {mean_time}")
+    if not 0.0 < mean_time < np.inf:
+        raise ValueError(f"mean sampling time must be finite and positive, got {mean_time}")
     g = noisy_gradient(spec, x, rng)
     return GradientSample(g=g, sampling_time=float(sampling_durations(rng, mean_time, 1)[0]))
 
@@ -238,19 +236,15 @@ def optimum(spec: ObjectiveSpec) -> np.ndarray | None:
         return spec.x_tilde / (1.0 + 3.0 * spec.rho)
     if spec.kind == QUADRATIC:
         return np.linalg.solve(spec.Q, -spec.b)
-    if spec.kind == NONCONVEX_SINE:
-        return None
-    raise ValueError(f"unknown objective kind {spec.kind!r}")
+    return None
 
 
 def optimal_value(spec: ObjectiveSpec) -> float | None:
     """Minimum objective value, or None when unknown."""
     if spec.kind in (RIDGE, QUADRATIC):
         return value(spec, optimum(spec))
-    if spec.kind == NONCONVEX_SINE:
-        # Both terms are nonnegative and vanish together at the origin.
-        return 0.0
-    raise ValueError(f"unknown objective kind {spec.kind!r}")
+    # Both sine terms are nonnegative and vanish together at the origin.
+    return 0.0
 
 
 def regularity(spec: ObjectiveSpec) -> Regularity:
@@ -265,9 +259,7 @@ def regularity(spec: ObjectiveSpec) -> Regularity:
             L=float(eigenvalues[-1]),
             convexity_class=STRONGLY_CONVEX,
         )
-    if spec.kind == NONCONVEX_SINE:
-        return Regularity(kappa=0.0, L=SINE_CURVATURE_BOUND, convexity_class=NONCONVEX)
-    raise ValueError(f"unknown objective kind {spec.kind!r}")
+    return Regularity(kappa=0.0, L=SINE_CURVATURE_BOUND, convexity_class=NONCONVEX)
 
 
 def estimate_noise_variance(

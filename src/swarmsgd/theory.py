@@ -23,23 +23,23 @@ class InadmissibleParametersError(ValueError):
 
 
 def _check_common(L: float, gamma: float, sigma_sq: float, N: int) -> None:
-    if L <= 0.0:
-        raise ValueError(f"L must be positive, got {L}")
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    if sigma_sq < 0.0:
-        raise ValueError(f"sigma_sq must be nonnegative, got {sigma_sq}")
-    if N < 1:
-        raise ValueError(f"N must be positive, got {N}")
+    if not 0.0 < L < math.inf:
+        raise ValueError(f"L must be finite and positive, got {L}")
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"gamma must be finite and positive, got {gamma}")
+    if not 0.0 <= sigma_sq < math.inf:
+        raise ValueError(f"sigma_sq must be finite and nonnegative, got {sigma_sq}")
+    if not 1 <= N < math.inf:
+        raise ValueError(f"N must be finite and positive, got {N}")
 
 
 def _check_graph_constants(a: float, lambda2: float, d_bar: float) -> None:
-    if a < 0.0:
-        raise ValueError(f"a must be nonnegative, got {a}")
-    if lambda2 <= 0.0:
-        raise ValueError(f"lambda2 must be positive, got {lambda2}")
-    if d_bar < 1.0:
-        raise ValueError(f"d_bar must be at least 1, got {d_bar}")
+    if not 0.0 <= a < math.inf:
+        raise ValueError(f"a must be finite and nonnegative, got {a}")
+    if not 0.0 < lambda2 < math.inf:
+        raise ValueError(f"lambda2 must be finite and positive, got {lambda2}")
+    if not 1.0 <= d_bar < math.inf:
+        raise ValueError(f"d_bar must be finite and at least 1, got {d_bar}")
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,8 @@ _EULER_GAMMA = 0.5772156649015329
 
 
 def harmonic_speedup(N: int) -> HarmonicSpeedup:
-    if N < 1:
-        raise ValueError(f"N must be positive, got {N}")
+    if not 1 <= N < math.inf:
+        raise ValueError(f"N must be finite and positive, got {N}")
     if N <= HARMONIC_SUM_MAX_N:
         h = math.fsum(1.0 / i for i in range(1, N + 1))
     else:
@@ -97,8 +97,8 @@ def _hat_omega_roots(
     """Roots of the weight equation inside the open interval (0, 1),
     smallest first, after checking the inputs; raises
     InadmissibleParametersError when there is none."""
-    if kappa <= 0.0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    if not 0.0 < kappa < math.inf:
+        raise ValueError(f"kappa must be finite and positive, got {kappa}")
     _check_common(L, gamma, sigma_sq, N)
     _check_graph_constants(a, lambda2, d_bar)
     A, B, C0 = _hat_omega_coefficients(kappa, L, gamma, a, lambda2, d_bar, N)
@@ -188,8 +188,8 @@ def strong_convex_bound(
     U0: float,
     V0: float,
 ) -> StrongConvexBound:
-    if U0 < 0.0 or V0 < 0.0:
-        raise ValueError(f"U0 and V0 must be nonnegative, got {U0} and {V0}")
+    if not (0.0 <= U0 < math.inf and 0.0 <= V0 < math.inf):
+        raise ValueError(f"U0 and V0 must be finite and nonnegative, got {U0} and {V0}")
     roots = _hat_omega_roots(kappa, L, sigma_sq, gamma, a, lambda2, d_bar, N)
     hat_omega = roots[0]
     root_ambiguous = len(roots) > 1
@@ -247,10 +247,10 @@ class CentralizedBound:
 def centralized_bound(
     kappa: float, L: float, sigma_sq: float, gamma: float, N: int, G0: float
 ) -> CentralizedBound:
-    if kappa <= 0.0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
-    if G0 < 0.0:
-        raise ValueError(f"G0 must be nonnegative, got {G0}")
+    if not 0.0 < kappa < math.inf:
+        raise ValueError(f"kappa must be finite and positive, got {kappa}")
+    if not 0.0 <= G0 < math.inf:
+        raise ValueError(f"G0 must be finite and nonnegative, got {G0}")
     _check_common(L, gamma, sigma_sq, N)
     if gamma >= 2.0 / L:
         raise InadmissibleParametersError(
@@ -298,10 +298,10 @@ def convex_bound(
 ) -> ConvexBound:
     """Bound for convex objectives; ``D`` defaults to the value that
     makes the step rule reproduce the given gamma exactly."""
-    if K < 1:
-        raise ValueError(f"K must be positive, got {K}")
-    if U0 < 0.0 or V0 < 0.0:
-        raise ValueError(f"U0 and V0 must be nonnegative, got {U0} and {V0}")
+    if not 1 <= K < math.inf:
+        raise ValueError(f"K must be finite and positive, got {K}")
+    if not (0.0 <= U0 < math.inf and 0.0 <= V0 < math.inf):
+        raise ValueError(f"U0 and V0 must be finite and nonnegative, got {U0} and {V0}")
     _check_common(L, gamma, sigma_sq, N)
     _check_graph_constants(a, lambda2, d_bar)
 
@@ -388,10 +388,10 @@ def nonconvex_bound(
     f0_gap: float,
     V0: float,
 ) -> NonconvexBound:
-    if K < 1:
-        raise ValueError(f"K must be positive, got {K}")
-    if f0_gap < 0.0 or V0 < 0.0:
-        raise ValueError(f"f0_gap and V0 must be nonnegative, got {f0_gap} and {V0}")
+    if not 1 <= K < math.inf:
+        raise ValueError(f"K must be finite and positive, got {K}")
+    if not (0.0 <= f0_gap < math.inf and 0.0 <= V0 < math.inf):
+        raise ValueError(f"f0_gap and V0 must be finite and nonnegative, got {f0_gap} and {V0}")
     _check_common(L, gamma, sigma_sq, N)
     _check_graph_constants(a, lambda2, d_bar)
 

@@ -175,6 +175,9 @@ def test_predicted_crossing_updates():
     # kappa = L with gamma = 1/L contracts to zero; gamma >= 2/L diverges
     for gamma in (1.0, 2.0, 2.5, 0.0, -0.1, math.nan):
         assert predicted_crossing_updates(quad, gamma, 0.1) is None
+    # a start already inside the threshold takes one step
+    assert predicted_crossing_updates(quad, 0.01, 1.0) == 1
+    assert predicted_crossing_updates(quad, 0.01, 2.0) == 1
 
 
 def test_cmd_simulate_outputs_and_determinism(tmp_path):
@@ -622,6 +625,11 @@ def _exit_code_and_err(capsys, argv):
         ({"graph": {"kind": "complete", "fixed_across_replications": True}},
          "graph.fixed_across_replications"),
         ({"graph": {"kind": "erdos_renyi", "p": 0.001}}, "graph.p"),
+        # refused by the objective constructor and the engine's run config
+        ({"objective": {"kind": "quadratic", "Q": [[1, 0], [0, -1]], "b": [0, 0]}},
+         "objective: Q must be positive definite"),
+        ({"run": {"n_threads": 5, "max_updates": 10, "max_virtual_time": 1.0}},
+         "exactly one horizon is required"),
     ],
 )
 def test_bad_experiment_field_is_exit_2_naming_it(tmp_path, capsys, overrides, field):
@@ -1000,3 +1008,22 @@ def test_any_one_bound_input_replaced_writes_or_raises_config_error(
     except ConfigError:
         return
     assert (out / written).exists()
+
+
+def test_objective_kind_map_covers_exactly_the_objective_kinds():
+    kinds, _ = cli._SCHEMA["config"]["objective"]["kind"]
+    assert tuple(kinds) == obj.KINDS
+
+
+def test_main_compare_prints_its_summary_line(tmp_path, capsys):
+    out = tmp_path / "cmp"
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(_config_dict(output_dir=str(out))))
+    assert main(["compare", "--config", str(path)]) == 0
+    report = json.loads((out / "comparison.json").read_text())
+    assert report["ratio"] is not None
+    assert capsys.readouterr().out == (
+        f"T_s_mean={report['T_s_mean']} T_c_mean={report['T_c_mean']} "
+        f"ratio={report['ratio']:.3f} predicted={report['predicted_ratio']:.3f} "
+        f"excluded={len(report['excluded'])}\n"
+    )

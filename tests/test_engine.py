@@ -610,3 +610,30 @@ def test_tick_gaps_redraw_a_zero(zero_first_exponential):
     assert rng.exponential_calls == 2
     assert times[0] > 0.0 and all(b > a for a, b in zip(times, times[1:]))
     assert len(times) == len(threads) == engine.BLOCK_ROWS
+
+
+@pytest.mark.parametrize("stop", [False, True])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_sine_crossing_watches_the_gradient_norm_of_the_mean(scheme, stop):
+    # With no closed-form optimum the threshold is on |grad f(mean)|^2.
+    spec = obj.nonconvex_sine_spec(2, noise_std=0.1)
+    assert obj.optimum(spec) is None
+    threshold = 0.01
+    config = _swarm_config(
+        n_threads=4, step_size=0.02, max_updates=3000, record_every=1, threshold=threshold,
+        stop_at_threshold=stop,
+    )
+    graph = topology.complete_graph(4)
+    if scheme == SCHEME_CENTRALIZED:
+        trace = run_centralized(config, spec, init=np.full(2, 0.5))
+    else:
+        runner = run_swarm if scheme == SCHEME_SWARM else run_swarm_global_tick
+        trace = runner(config, graph, spec, init=np.full((4, 2), 0.5))
+    s = trace.summary
+    assert s.hit_update is not None and s.T_hit == trace.records[s.hit_update].t
+    assert s.n_updates == (s.hit_update if stop else 3000)
+    grads = [r.grad_norm_sq for r in trace.records]
+    # the records take the mean as X.mean, the watch as sum / N
+    assert grads[s.hit_update] <= threshold * (1.0 + 1e-9)
+    assert min(grads[: s.hit_update]) > threshold * (1.0 - 1e-9)
+    assert all(math.isnan(r.U) for r in trace.records)

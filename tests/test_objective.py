@@ -287,3 +287,37 @@ def test_sample_gradient_duration_is_one_sampling_duration():
     obj.noisy_gradient(spec, x, twin)
     assert s.sampling_time == sampling_durations(twin, 0.03, 1)[0]
     assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_spec_kind_is_one_of_the_kinds():
+    assert obj.KINDS == (obj.RIDGE, obj.QUADRATIC, obj.NONCONVEX_SINE)
+    assert {spec.kind for spec in _specs()} == set(obj.KINDS)
+    with pytest.raises(ValueError, match="unknown objective kind 'bogus'"):
+        obj.ObjectiveSpec(kind="bogus", dim=2)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: obj.ridge_spec(np.nan, np.array([0.5])),
+        lambda: obj.ridge_spec(np.inf, np.array([0.5])),
+        lambda: obj.ridge_spec(0.1, np.array([np.nan, 0.5])),
+        lambda: obj.ridge_spec(0.1, np.array([0.5, np.nan])),
+        lambda: obj.quadratic_spec(np.eye(2), np.array([np.nan, 1.0])),
+        lambda: obj.quadratic_spec(np.eye(2), np.array([0.0, -np.inf])),
+        lambda: obj.quadratic_spec(np.diag([1.0, np.inf]), np.zeros(2)),
+        lambda: obj.quadratic_spec(np.eye(2), np.array([0.0, 1.0]), np.inf),
+        lambda: obj.quadratic_spec(np.eye(2), np.array([0.0, 1.0]), np.nan),
+        lambda: obj.nonconvex_sine_spec(2, np.inf),
+        lambda: obj.nonconvex_sine_spec(2, np.nan),
+        lambda: obj.sample_gradient(_specs()[0], np.zeros(6), np.nan, make_rng(0)),
+    ],
+    ids=[
+        "ridge-rho-nan", "ridge-rho-inf", "ridge-x_tilde-nan-first", "ridge-x_tilde-nan-last",
+        "quadratic-b-nan", "quadratic-b-inf", "quadratic-Q-inf", "quadratic-noise-inf",
+        "quadratic-noise-nan", "sine-noise-inf", "sine-noise-nan", "sample-mean-time-nan",
+    ],
+)
+def test_constructors_reject_nan_and_infinite_inputs(build):
+    with pytest.raises(ValueError):
+        build()

@@ -4,6 +4,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from swarmsgd import theory
 from swarmsgd.theory import (
@@ -394,6 +396,31 @@ _VALID_INPUTS = dict(
         (nonconvex_bound, "f0_gap", -1.0),
         (solve_hat_omega, "gamma", 0.0),
         (harmonic_speedup, "N", 0),
+        (strong_convex_bound, "kappa", math.nan),
+        (strong_convex_bound, "kappa", math.inf),
+        (strong_convex_bound, "L", math.inf),
+        (strong_convex_bound, "sigma_sq", math.nan),
+        (strong_convex_bound, "sigma_sq", math.inf),
+        (strong_convex_bound, "gamma", math.nan),
+        (strong_convex_bound, "a", math.nan),
+        (strong_convex_bound, "a", math.inf),
+        (strong_convex_bound, "lambda2", math.inf),
+        (strong_convex_bound, "d_bar", math.nan),
+        (strong_convex_bound, "N", math.nan),
+        (strong_convex_bound, "U0", math.nan),
+        (strong_convex_bound, "V0", math.inf),
+        (centralized_bound, "gamma", math.nan),
+        (centralized_bound, "sigma_sq", math.nan),
+        (centralized_bound, "G0", math.inf),
+        (convex_bound, "L", math.nan),
+        (convex_bound, "K", math.inf),
+        (convex_bound, "U0", math.inf),
+        (nonconvex_bound, "lambda2", math.nan),
+        (nonconvex_bound, "K", math.nan),
+        (nonconvex_bound, "f0_gap", math.nan),
+        (nonconvex_bound, "V0", math.nan),
+        (solve_hat_omega, "gamma", math.inf),
+        (harmonic_speedup, "N", math.nan),
     ],
 )
 def test_out_of_range_input_names_the_argument(calculator, name, bad):
@@ -409,3 +436,133 @@ def test_bound_evaluators_are_pure():
     args = (RIDGE_C, RIDGE_C, 1.0, 0.01, 1.0, 20.0, 19.0, 20, 1.0, 0.0)
     assert strong_convex_bound(*args) == strong_convex_bound(*args)
     assert harmonic_speedup(17) == harmonic_speedup(17)
+
+
+def test_convex_step_rule_is_off_without_noise():
+    for D in (None, 1.0):
+        cv = convex_bound(1.0, 0.0, 0.01, 1.0, 10.0, 9.0, 10, 1000, 1.0, 0.0, D)
+        assert cv.admissible and cv.bound_at_K > 0.0
+        assert math.isnan(cv.gamma_rule_value) and math.isnan(cv.phi_K_star)
+        assert not cv.gamma_rule_ok
+    assert math.isnan(convex_bound(1.0, 0.0, 0.01, 1.0, 10.0, 9.0, 10, 1000, 1.0, 0.0).D)
+
+
+# The abstract's claim that the error bound is monotone decreasing in
+# network size and connectivity, as properties over random constants.
+
+
+def _log_uniform(lo, hi):
+    return st.floats(min_value=lo, max_value=hi).map(lambda e: 10.0**e)
+
+
+@st.composite
+def _bound_inputs(draw):
+    """Bound inputs with a step below the strongly convex caps at
+    hat_omega < 1; in half the draws the attraction passes the
+    nonconvex condition a > 5 L / (4 lambda2)."""
+    kappa = draw(_log_uniform(-2.0, 0.5))
+    L = kappa * draw(_log_uniform(0.0, 1.5))
+    lambda2 = draw(_log_uniform(-1.0, 2.0))
+    if draw(st.booleans()):
+        a = 5.0 * L / (4.0 * lambda2) * draw(_log_uniform(0.01, 1.0))
+    else:
+        a = draw(_log_uniform(-1.0, 1.0))
+    d_bar = draw(st.floats(min_value=1.0, max_value=30.0))
+    N = draw(st.integers(min_value=2, max_value=200))
+    cap = min(N / (2.0 * kappa), N * lambda2 / (4.0 * a * (N + 1) * d_bar**2), N / ((1 + N) * L))
+    return dict(
+        kappa=kappa, L=L, sigma_sq=draw(_log_uniform(-2.0, 2.0)),
+        gamma=cap * draw(_log_uniform(-3.0, -0.01)), a=a, lambda2=lambda2, d_bar=d_bar, N=N,
+    )
+
+
+def _phi_star(inputs):
+    """phi_star where the strongly convex bound holds with one root, else None."""
+    try:
+        sc = strong_convex_bound(**inputs, U0=1.0, V0=0.0)
+    except InadmissibleParametersError:
+        return None
+    return sc.phi_star if sc.admissible and not sc.root_ambiguous else None
+
+
+def _bound_at_K(calculator, inputs):
+    args = {k: v for k, v in inputs.items() if k != "kappa"}
+    start = "f0_gap" if calculator is nonconvex_bound else "U0"
+    result = calculator(**args, K=1000, **{start: 1.0}, V0=0.5)
+    return result.bound_at_K if result.admissible else None
+
+
+@settings(max_examples=300)
+@given(inputs=_bound_inputs(), growth=_log_uniform(-3.0, 1.0))
+def test_phi_star_does_not_rise_with_lambda2(inputs, growth):
+    before = _phi_star(inputs)
+    after = _phi_star({**inputs, "lambda2": inputs["lambda2"] * (1.0 + growth)})
+    assume(before is not None and after is not None)
+    assert after <= before * (1.0 + 1e-12)
+
+
+@settings(max_examples=300)
+@given(inputs=_bound_inputs(), more=st.integers(min_value=1, max_value=100))
+def test_phi_star_does_not_rise_with_N(inputs, more):
+    # lambda2 and d_bar held fixed
+    before = _phi_star(inputs)
+    after = _phi_star({**inputs, "N": inputs["N"] + more})
+    assume(before is not None and after is not None)
+    assert after <= before * (1.0 + 1e-12)
+
+
+@settings(max_examples=300)
+@given(
+    inputs=_bound_inputs(),
+    growth=_log_uniform(-3.0, 1.0),
+    calculator=st.sampled_from([convex_bound, nonconvex_bound]),
+)
+def test_bound_at_K_does_not_rise_with_lambda2(inputs, growth, calculator):
+    before = _bound_at_K(calculator, inputs)
+    after = _bound_at_K(calculator, {**inputs, "lambda2": inputs["lambda2"] * (1.0 + growth)})
+    assume(before is not None and after is not None)
+    assert after <= before * (1.0 + 1e-12)
+
+
+@settings(max_examples=300)
+@given(inputs=_bound_inputs(), spread=_log_uniform(-2.0, 1.5))
+def test_hat_omega_tends_to_its_zero_step_limit(inputs, spread):
+    kappa = inputs["kappa"]
+    L = kappa * (1.0 + spread)
+    a, lambda2, d_bar, N = inputs["a"], inputs["lambda2"], inputs["d_bar"], inputs["N"]
+    limit = (L - kappa) / (a * lambda2 + L - kappa)
+    # gamma enters the weight equation through kappa L gamma and 4 a^2 d_bar^2 gamma
+    scale = 1.0 / (kappa * L + 4.0 * a * a * d_bar * d_bar)
+    errors = [
+        abs(solve_hat_omega(kappa, L, gamma * scale, a, lambda2, d_bar, N) - limit)
+        for gamma in (1e-4, 1e-7, 1e-10)
+    ]
+    # the root moves linearly in gamma near 0, up to round-off
+    assert errors[1] <= 1e-2 * errors[0] + 1e-12
+    assert errors[2] <= 1e-2 * errors[1] + 1e-12
+
+
+@settings(max_examples=300)
+@given(
+    inputs=_bound_inputs(),
+    U0=_log_uniform(-3.0, 3.0),
+    V0=_log_uniform(-3.0, 3.0),
+    ks=st.lists(st.integers(min_value=0, max_value=10**7), min_size=2, max_size=10),
+)
+def test_trajectory_approaches_phi_star_monotonically(inputs, U0, V0, ks):
+    try:
+        sc = strong_convex_bound(**inputs, U0=U0, V0=V0)
+    except InadmissibleParametersError:
+        assume(False)
+    assume(0.0 < sc.C < 1.0)
+    phi, start = sc.phi_star, sc.initial_weighted_error
+    values = [sc.trajectory(k) for k in sorted(set(ks))]
+    slack = 1e-12 * max(start, phi)
+    # every step moves toward phi_star without passing it: down from above, up from below
+    for earlier, later in zip(values, values[1:]):
+        if start >= phi:
+            assert phi - slack <= later <= earlier + slack
+        else:
+            assert earlier - slack <= later <= phi + slack
+    # (1 - C)^(40 / C) < e^-40
+    assert sc.trajectory(math.ceil(40.0 / sc.C)) == pytest.approx(phi, rel=1e-9, abs=slack)
