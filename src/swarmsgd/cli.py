@@ -82,7 +82,7 @@ _BOUND_INPUTS = {
     "V0": (float, 0.0, _NONNEGATIVE),
     "G0": (float, None, _NONNEGATIVE),
     "f0_gap": (float, 1.0, _NONNEGATIVE),
-    "D": (float, None),
+    "D": (float, None, _POSITIVE),
 }
 _GRID_AXES = ("gamma", "a", "N", "lambda2")
 _SCHEMA = {
@@ -478,14 +478,10 @@ def cmd_simulate(config: ExperimentConfig, jobs: int = 1) -> dict:
     tasks = [(config, r) for r in range(config.replications)]
     traces = _run_tasks(_simulate_one, tasks, jobs)
     runs = []
-    hits = []
     for r, trace in enumerate(traces):
         engine.write_trace_csv(trace, os.path.join(config.output_dir, f"run_{r:04d}.csv"))
-        summary = summary_json_dict(trace.summary)
-        summary["replication"] = r
-        runs.append(summary)
-        if summary["T_hit"] is not None:
-            hits.append(summary["T_hit"])
+        runs.append({**summary_json_dict(trace.summary), "replication": r})
+    hits = [run["T_hit"] for run in runs if run["T_hit"] is not None]
     report = {
         "scheme": config.run["scheme"],
         "replications": config.replications,
@@ -623,44 +619,27 @@ def cmd_validate(config: ExperimentConfig) -> dict:
 
     engine.run_swarm(run_config, graph, spec, on_record=keep_state)
 
-    checks = []
-    lemma4_failures = 0
-    for k, positions in recorded:
-        result = metrics.lemma4_check(positions, graph, spec, config.run["attraction"])
-        if not result.holds:
-            lemma4_failures += 1
-        checks.append({"check": "lemma4", "k": k, **asdict(result)})
-
+    a = config.run["attraction"]
+    checks = [
+        {"check": "lemma4", "k": k, **asdict(metrics.lemma4_check(positions, graph, spec, a))}
+        for k, positions in recorded
+    ]
     n_states = min(vcfg["lemma2_states"], len(recorded))
-    lemma2_failures = 0
-    if n_states > 0:
-        picks = np.linspace(0, len(recorded) - 1, n_states).astype(int)
-        rng = make_rng(derive_seed(config.master_seed, 0, STREAM_VALIDATE))
-        for idx in picks:
-            k, positions = recorded[idx]
-            result = metrics.lemma2_monte_carlo_check(
-                positions,
-                graph,
-                spec,
-                run_config,
-                vcfg["lemma2_replications"],
-                rng,
-                sigma_samples=vcfg["sigma_samples"],
-            )
-            if not result.holds:
-                lemma2_failures += 1
-            checks.append({"check": "lemma2", "k": k, **asdict(result)})
+    rng = make_rng(derive_seed(config.master_seed, 0, STREAM_VALIDATE))
+    for idx in np.linspace(0, len(recorded) - 1, n_states).astype(int):
+        k, positions = recorded[idx]
+        result = metrics.lemma2_monte_carlo_check(
+            positions, graph, spec, config.run["step_size"], a,
+            vcfg["lemma2_replications"], rng, sigma_samples=vcfg["sigma_samples"],
+        )
+        checks.append({"check": "lemma2", "k": k, **asdict(result)})
 
-    n_lemma4 = len(recorded)
-    report = {
-        "checks": checks,
-        "lemma4_checks": n_lemma4,
-        "lemma4_violations": lemma4_failures,
-        "lemma4_pass_rate": (n_lemma4 - lemma4_failures) / n_lemma4 if n_lemma4 else None,
-        "lemma2_checks": n_states,
-        "lemma2_violations": lemma2_failures,
-        "lemma2_pass_rate": (n_states - lemma2_failures) / n_states if n_states else None,
-    }
+    report = {"checks": checks}
+    for lemma in ("lemma4", "lemma2"):
+        holds = [c["holds"] for c in checks if c["check"] == lemma]
+        report[f"{lemma}_checks"] = len(holds)
+        report[f"{lemma}_violations"] = holds.count(False)
+        report[f"{lemma}_pass_rate"] = holds.count(True) / len(holds) if holds else None
     os.makedirs(config.output_dir, exist_ok=True)
     _write_json(report, os.path.join(config.output_dir, "validation.json"))
     return report

@@ -26,7 +26,7 @@ _ESTIMATE_FLOOR = 1000
 
 @dataclass(frozen=True)
 class MetricSnapshot:
-    """Metrics of one recorded state; unavailable entries are NaN."""
+    """Metrics of one recorded state; U is NaN when the optimum is unknown."""
 
     U: float
     Vbar: float
@@ -34,30 +34,31 @@ class MetricSnapshot:
     grad_norm_sq: float
 
 
-def snapshot(
-    positions: np.ndarray,
-    spec: obj.ObjectiveSpec,
-    x_star: np.ndarray | None = None,
-    f_star: float | None = None,
-) -> MetricSnapshot:
-    """Compute all trace metrics for an (N, m) position matrix.
-
-    ``f_star`` is the optimal value when the caller already has it;
-    when None it is computed from ``spec``.
-    """
+def _frozen_state(positions: np.ndarray, n_rows: int | None, dim: int):
+    """``positions`` as a float array with its mean, its rows' deviations
+    from the mean and their mean squared norm Vbar. ValueError unless the
+    shape is (n_rows, dim), any row count when ``n_rows`` is None."""
     X = np.asarray(positions, dtype=float)
-    if X.ndim != 2 or X.shape[1] != spec.dim:
-        raise ValueError(f"positions have shape {X.shape}, expected (*, {spec.dim})")
+    if X.ndim != 2 or X.shape[1] != dim or n_rows not in (None, X.shape[0]):
+        expected = "*" if n_rows is None else n_rows
+        raise ValueError(f"positions have shape {X.shape}, expected ({expected}, {dim})")
     mean = X.mean(axis=0)
+    deviations = X - mean
+    return X, mean, deviations, float((deviations**2).sum() / X.shape[0])
+
+
+def snapshot(
+    positions: np.ndarray, spec: obj.ObjectiveSpec, x_star: np.ndarray | None, f_star: float
+) -> MetricSnapshot:
+    """Compute all trace metrics for an (N, m) position matrix, given the
+    optimum (None when unknown) and the optimal value."""
+    _, mean, _, Vbar = _frozen_state(positions, None, spec.dim)
     if x_star is None:
         U = math.nan
     else:
         diff = mean - x_star
         U = float(diff @ diff)
-    Vbar = float(((X - mean) ** 2).sum() / X.shape[0])
-    if f_star is None:
-        f_star = obj.optimal_value(spec)
-    f_gap = math.nan if f_star is None else obj.value(spec, mean) - f_star
+    f_gap = obj.value(spec, mean) - f_star
     g = obj.grad_exact(spec, mean)
     return MetricSnapshot(U=U, Vbar=Vbar, f_gap=f_gap, grad_norm_sq=float(g @ g))
 
@@ -86,16 +87,10 @@ def lemma4_check(
     <= 2 sum_i |grad f(x_i)|^2 + 8 a^2 N dbar^2 Vbar
     with a small relative slack for floating point round-off.
     """
-    X = np.asarray(positions, dtype=float)
-    if X.shape != (graph.n_vertices, spec.dim):
-        raise ValueError(
-            f"positions have shape {X.shape}, expected ({graph.n_vertices}, {spec.dim})"
-        )
+    X, _, _, Vbar = _frozen_state(positions, graph.n_vertices, spec.dim)
     grads = obj.grad_exact_rows(spec, X)
     drift = grads + a * _attraction_rows(graph, X)
     lhs = float((drift**2).sum())
-    mean = X.mean(axis=0)
-    Vbar = float(((X - mean) ** 2).sum() / graph.n_vertices)
     dbar = topology.max_degree(graph)
     rhs = float(
         2.0 * (grads**2).sum() + 8.0 * a * a * graph.n_vertices * dbar * dbar * Vbar
@@ -135,7 +130,8 @@ def lemma2_monte_carlo_check(
     positions: np.ndarray,
     graph: topology.Graph,
     spec: obj.ObjectiveSpec,
-    config,
+    gamma: float,
+    a: float,
     n_replications: int,
     rng: np.random.Generator,
     sigma_samples: int = 100_000,
@@ -145,21 +141,13 @@ def lemma2_monte_carlo_check(
     Replays a single asynchronous update from the frozen state many
     times (uniform updating thread, fresh gradient sample) and compares
     the empirical mean of the next dispersion against the closed-form
-    drift bound evaluated with an estimated gradient noise variance.
-    ``config`` only needs ``step_size`` and ``attraction`` attributes.
+    drift bound evaluated with an estimated gradient noise variance, for
+    step size ``gamma`` and attraction ``a``.
     """
     if n_replications < MIN_REPLICATIONS:
         raise ValueError(f"need at least {MIN_REPLICATIONS} replications, got {n_replications}")
-    X = np.asarray(positions, dtype=float)
     N = graph.n_vertices
-    if X.shape != (N, spec.dim):
-        raise ValueError(f"positions have shape {X.shape}, expected ({N}, {spec.dim})")
-    gamma = float(config.step_size)
-    a = float(config.attraction)
-
-    mean = X.mean(axis=0)
-    deviations = X - mean
-    Vbar = float((deviations**2).sum() / N)
+    X, _, deviations, Vbar = _frozen_state(positions, N, spec.dim)
     grads = obj.grad_exact_rows(spec, X)
     attraction = _attraction_rows(graph, X)
     lam2 = topology.algebraic_connectivity(graph)

@@ -239,8 +239,8 @@ def optimum(spec: ObjectiveSpec) -> np.ndarray | None:
     return None
 
 
-def optimal_value(spec: ObjectiveSpec) -> float | None:
-    """Minimum objective value, or None when unknown."""
+def optimal_value(spec: ObjectiveSpec) -> float:
+    """Minimum objective value."""
     if spec.kind in (RIDGE, QUADRATIC):
         return value(spec, optimum(spec))
     # Both sine terms are nonnegative and vanish together at the origin.

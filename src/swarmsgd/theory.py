@@ -302,6 +302,8 @@ def convex_bound(
         raise ValueError(f"K must be finite and positive, got {K}")
     if not (0.0 <= U0 < math.inf and 0.0 <= V0 < math.inf):
         raise ValueError(f"U0 and V0 must be finite and nonnegative, got {U0} and {V0}")
+    if D is not None and not 0.0 < D < math.inf:
+        raise ValueError(f"D must be finite and positive, got {D}")
     _check_common(L, gamma, sigma_sq, N)
     _check_graph_constants(a, lambda2, d_bar)
 

@@ -172,20 +172,27 @@ def graph_to_json_dict(graph: Graph) -> dict:
     return {"n": graph.n_vertices, "edges": edges}
 
 
+def _json_int(value, what: str) -> int:
+    """``value`` when it is an integer (a bool is not); else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"graph json {what} must be an integer, got {value!r}")
+    return value
+
+
 def graph_from_json_dict(data: dict) -> Graph:
     """Parse and validate the edge-list form; requires a connected graph."""
     if "n" not in data:
         raise ValueError("graph json is missing field 'n'")
     if "edges" not in data:
         raise ValueError("graph json is missing field 'edges'")
-    n = int(data["n"])
+    n = _json_int(data["n"], "n")
     if n < 1:
         raise ValueError(f"graph json has invalid vertex count {n}")
     adj = np.zeros((n, n), dtype=np.int64)
     for edge in data["edges"]:
         if len(edge) != 2:
             raise ValueError(f"malformed edge {edge!r}")
-        i, j = int(edge[0]), int(edge[1])
+        i, j = (_json_int(v, "vertex id") for v in edge)
         if not (0 <= i < j < n):
             raise ValueError(f"edge {edge!r} violates 0 <= i < j < n={n}")
         if adj[i, j]:

@@ -243,12 +243,10 @@ def test_criterion_6_dispersion_drift_monte_carlo():
         else:
             graph = topology.erdos_renyi_connected(n_threads, 0.6, rng)
         positions = rng.normal(size=(n_threads, dim)) * float(10 ** rng.uniform(-1, 0.7))
-        config = SimpleNamespace(
-            step_size=float(10 ** rng.uniform(-4, -1.3)),
-            attraction=float(rng.uniform(0.0, 3.0)),
-        )
+        gamma = float(10 ** rng.uniform(-4, -1.3))
+        a = float(rng.uniform(0.0, 3.0))
         result = metrics.lemma2_monte_carlo_check(
-            positions, graph, spec, config, 10_000, rng, sigma_samples=40_000
+            positions, graph, spec, gamma, a, 10_000, rng, sigma_samples=40_000
         )
         checked += 1
         holds += result.holds

@@ -522,6 +522,23 @@ def test_main_validate_exit_1_on_lemma2_failure(tmp_path, monkeypatch):
     assert report["lemma2_violations"] == 1 and report["lemma4_violations"] == 0
 
 
+def test_compare_counts_failed_lemma4_checks(tmp_path, monkeypatch):
+    real_check = cli.metrics.lemma4_check
+    failed = []
+
+    def failing_check(*args, **kwargs):
+        result = real_check(*args, **kwargs)
+        failed.append(result)
+        return type(result)(**{**result.__dict__, "holds": False})
+
+    monkeypatch.setattr(cli.metrics, "lemma4_check", failing_check)
+    cfg = experiment_config_from_dict(_config_dict(output_dir=str(tmp_path / "cmp")))
+    report = cmd_compare(cfg)
+    assert failed
+    assert report["lemma4_violations"] == len(failed)
+    assert all(r["lemma4_violations"] > 0 for r in report["per_run"])
+
+
 def test_cmd_compare_jobs_parallel_identical(tmp_path):
     serial = cmd_compare(
         experiment_config_from_dict(_config_dict(output_dir=str(tmp_path / "serial"))), jobs=1
@@ -554,7 +571,6 @@ def test_compare_horizon_requires_prediction_or_time(tmp_path):
         cli._compare_horizons(cfg, build_objective(cfg))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("scheme", engine.SCHEMES)
 def test_diverging_simulate_is_exit_1_naming_the_run(tmp_path, capsys, scheme):
     out = tmp_path / "o"
@@ -630,6 +646,9 @@ def _exit_code_and_err(capsys, argv):
          "objective: Q must be positive definite"),
         ({"run": {"n_threads": 5, "max_updates": 10, "max_virtual_time": 1.0}},
          "exactly one horizon is required"),
+        ({"run": {"n_threads": 5}}, "run.max_updates or run.max_virtual_time"),
+        # an integer too large for a float
+        ({"run": {"n_threads": 5, "max_updates": 10, "step_size": 10**400}}, "run.step_size"),
     ],
 )
 def test_bad_experiment_field_is_exit_2_naming_it(tmp_path, capsys, overrides, field):
@@ -695,6 +714,8 @@ def test_non_finite_output_is_refused_before_writing(tmp_path):
         (_bounds_params(K=2**53 + 1), "K"),
         # finite inputs whose bound overflows a float name the family
         (_bounds_params(gamma=1e227), "convex bound"),
+        (_bounds_params(D=-1), "D"),
+        (_bounds_params(D=0.0), "D"),
     ],
 )
 def test_bad_bound_parameter_is_exit_2_naming_it(tmp_path, capsys, params, field):
@@ -744,7 +765,17 @@ def test_bad_sweep_parameter_is_exit_2_naming_it(tmp_path, capsys, params, field
 
 
 @pytest.mark.parametrize(
-    "content", ['{"n": 5, "edges": 5}', "{", "[1, 2]", '{"n": 5, "edges": [[0, 1]]}', "7"]
+    "content",
+    [
+        '{"n": 5, "edges": 5}',
+        "{",
+        "[1, 2]",
+        '{"n": 5, "edges": [[0, 1]]}',
+        "7",
+        '{"n": 5, "edges": [[0, 1.9], [1, 2], [2, 3], [3, 4]]}',
+        '{"n": "5", "edges": [[0, 1], [1, 2], [2, 3], [3, 4]]}',
+        '{"n": 5, "edges": [[0, 1], [true, 2], [2, 3], [3, 4]]}',
+    ],
 )
 def test_malformed_graph_file_is_exit_2_naming_it(tmp_path, capsys, content):
     graph = tmp_path / "g.json"

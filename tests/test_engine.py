@@ -16,6 +16,7 @@ from swarmsgd.engine import (
     SCHEME_SWARM,
     SCHEMES,
     TRACE_CSV_HEADER,
+    EngineInvariantError,
     RunConfig,
     run_centralized,
     run_swarm,
@@ -66,6 +67,26 @@ def test_config_validation():
         _swarm_config(stop_at_threshold=True)  # needs a threshold
     with pytest.raises(ValueError):
         _swarm_config(capture_mean_at=(-1,))
+    with pytest.raises(ValueError, match="at least one thread"):
+        _swarm_config(n_threads=0)
+    with pytest.raises(ValueError, match="max_updates"):
+        _swarm_config(max_updates=0)
+    with pytest.raises(ValueError, match="max_virtual_time"):
+        _swarm_config(max_updates=None, max_virtual_time=-1.0)
+
+
+def test_swarm_run_needs_two_threads():
+    with pytest.raises(ValueError, match="at least two threads"):
+        run_swarm(_swarm_config(n_threads=1), topology.complete_graph(2), _spec())
+
+
+def test_event_before_the_clock_is_an_invariant_error(monkeypatch):
+    def backwards(n_threads, mean_time, rng):
+        yield [0.5, 0.2], [0, 1]
+
+    monkeypatch.setattr(engine, "_event_schedule", backwards)
+    with pytest.raises(EngineInvariantError, match="before the current clock"):
+        run_swarm(_swarm_config(), topology.complete_graph(5), _spec())
 
 
 @pytest.mark.parametrize(
@@ -215,7 +236,7 @@ def test_optimal_value_is_computed_once_per_run(monkeypatch, scheme):
     assert len(trace.records) == 51
     assert len(calls) == 1
     # the cached value gives the same bits as recomputing it
-    assert trace.records[-1].f_gap == metrics.snapshot(final["X"], spec, obj.optimum(spec)).f_gap
+    assert trace.records[-1].f_gap == metrics.snapshot(final["X"], spec, obj.optimum(spec), real(spec)).f_gap
 
 
 def test_capture_mean_at():
@@ -560,7 +581,6 @@ def test_one_config_drives_every_scheme():
         assert summary.scheme == scheme and summary.n_updates == 50
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_diverging_run_raises_at_first_non_finite_record(scheme):
     spec = _spec()
@@ -577,7 +597,6 @@ def test_diverging_run_raises_at_first_non_finite_record(scheme):
     assert (back.scheme, back.k, back.t, str(back)) == (err.scheme, err.k, err.t, str(err))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_divergence_between_records_is_caught_at_the_block_end(scheme):
     # with 4 threads a block is BLOCK_ROWS updates or BATCH_SAMPLES // 4 steps

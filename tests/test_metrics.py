@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ def test_snapshot_at_optimum():
     spec = _ridge()
     x_star = obj.optimum(spec)
     X = np.tile(x_star, (4, 1))
-    snap = metrics.snapshot(X, spec, x_star)
+    snap = metrics.snapshot(X, spec, x_star, obj.optimal_value(spec))
     assert snap.U == pytest.approx(0.0, abs=1e-14)
     assert snap.Vbar == pytest.approx(0.0, abs=1e-14)
     assert snap.f_gap == pytest.approx(0.0, abs=1e-12)
@@ -32,7 +31,7 @@ def test_snapshot_symmetric_pair():
     e1 = np.zeros(3)
     e1[0] = delta
     X = np.stack([x_star + e1, x_star - e1])
-    snap = metrics.snapshot(X, spec, x_star)
+    snap = metrics.snapshot(X, spec, x_star, obj.optimal_value(spec))
     assert snap.U == pytest.approx(0.0, abs=1e-14)
     assert snap.Vbar == pytest.approx(delta**2, rel=1e-12)
 
@@ -42,7 +41,7 @@ def test_snapshot_vbar_brute_force():
     spec = _ridge()
     for _ in range(30):
         X = rng.normal(size=(5, 3))
-        snap = metrics.snapshot(X, spec, obj.optimum(spec))
+        snap = metrics.snapshot(X, spec, obj.optimum(spec), obj.optimal_value(spec))
         mean = X.mean(axis=0)
         brute = sum(float((row - mean) @ (row - mean)) for row in X) / 5.0
         assert snap.Vbar == pytest.approx(brute, rel=1e-12)
@@ -51,7 +50,7 @@ def test_snapshot_vbar_brute_force():
 def test_snapshot_without_optimum_uses_nan_U():
     spec = obj.nonconvex_sine_spec(3)
     X = make_rng(3).normal(size=(4, 3))
-    snap = metrics.snapshot(X, spec, None)
+    snap = metrics.snapshot(X, spec, None, 0.0)
     assert math.isnan(snap.U)
     # f* = 0 is exact for this objective, so f_gap stays meaningful
     assert snap.f_gap >= 0.0
@@ -61,7 +60,17 @@ def test_snapshot_without_optimum_uses_nan_U():
 def test_snapshot_dimension_mismatch():
     spec = _ridge()
     with pytest.raises(ValueError):
-        metrics.snapshot(np.zeros((4, 2)), spec, obj.optimum(spec))
+        metrics.snapshot(np.zeros((4, 2)), spec, obj.optimum(spec), obj.optimal_value(spec))
+
+
+def test_validators_reject_positions_of_the_wrong_shape():
+    spec = _ridge()
+    graph = topology.complete_graph(3)
+    for X in (np.zeros((4, 3)), np.zeros((3, 2)), np.zeros(3)):
+        with pytest.raises(ValueError, match=r"expected \(3, 3\)"):
+            metrics.lemma4_check(X, graph, spec, 1.0)
+        with pytest.raises(ValueError, match=r"expected \(3, 3\)"):
+            metrics.lemma2_monte_carlo_check(X, graph, spec, 0.01, 1.0, 1000, make_rng(0))
 
 
 def _brute_lemma4(X, graph, spec, a):
@@ -166,8 +175,7 @@ def test_lemma2_zero_step_size_is_exact():
     X = make_rng(41).normal(size=(4, 3))
     mean = X.mean(axis=0)
     vbar = sum(float((r - mean) @ (r - mean)) for r in X) / 4.0
-    config = SimpleNamespace(step_size=0.0, attraction=1.0)
-    res = metrics.lemma2_monte_carlo_check(X, graph, spec, config, 1500, make_rng(5), sigma_samples=4000)
+    res = metrics.lemma2_monte_carlo_check(X, graph, spec, 0.0, 1.0, 1500, make_rng(5), sigma_samples=4000)
     assert res.lhs == vbar
     assert res.std_err == 0.0
     assert res.holds
@@ -185,8 +193,7 @@ def test_lemma2_hand_computed_two_thread_case():
     spec = obj.quadratic_spec(np.array([[1.0]]), np.array([0.0]), noise_std=0.0)
     graph = topology.complete_graph(2)
     X = np.array([[1.0], [3.0]])
-    config = SimpleNamespace(step_size=gamma, attraction=0.0)
-    res = metrics.lemma2_monte_carlo_check(X, graph, spec, config, 4000, make_rng(77), sigma_samples=2000)
+    res = metrics.lemma2_monte_carlo_check(X, graph, spec, gamma, 0.0, 4000, make_rng(77), sigma_samples=2000)
     expected_mean = 1.0 - gamma + 1.25 * gamma**2
     expected_rhs = 1.0 - gamma + 2.5 * gamma**2
     # thread choice is the only randomness: SE of a two-point mixture
@@ -204,8 +211,7 @@ def test_lemma2_rhs_matches_independent_formula():
     graph = topology.path_graph(5)
     X = rng.normal(size=(5, 3))
     gamma, a = 0.02, 0.8
-    config = SimpleNamespace(step_size=gamma, attraction=a)
-    res = metrics.lemma2_monte_carlo_check(X, graph, spec, config, 1200, make_rng(6), sigma_samples=30_000)
+    res = metrics.lemma2_monte_carlo_check(X, graph, spec, gamma, a, 1200, make_rng(6), sigma_samples=30_000)
 
     N = 5
     mean = X.mean(axis=0)
@@ -228,9 +234,8 @@ def test_lemma2_requires_enough_replications():
     spec = _ridge()
     graph = topology.complete_graph(3)
     X = np.zeros((3, 3))
-    config = SimpleNamespace(step_size=0.01, attraction=1.0)
     with pytest.raises(ValueError):
-        metrics.lemma2_monte_carlo_check(X, graph, spec, config, 999, make_rng(0))
+        metrics.lemma2_monte_carlo_check(X, graph, spec, 0.01, 1.0, 999, make_rng(0))
 
 
 def test_lemma2_holds_on_ridge_random_state():
@@ -238,6 +243,5 @@ def test_lemma2_holds_on_ridge_random_state():
     spec = obj.ridge_spec(0.1, rng.random(4))
     graph = topology.erdos_renyi_connected(6, 0.8, rng)
     X = rng.normal(size=(6, 4))
-    config = SimpleNamespace(step_size=0.01, attraction=1.0)
-    res = metrics.lemma2_monte_carlo_check(X, graph, spec, config, 10_000, rng)
+    res = metrics.lemma2_monte_carlo_check(X, graph, spec, 0.01, 1.0, 10_000, rng)
     assert res.holds

@@ -45,6 +45,12 @@ def test_factory_validation():
         obj.nonconvex_sine_spec(0)
     with pytest.raises(ValueError):
         obj.nonconvex_sine_spec(3, noise_std=-1.0)
+    with pytest.raises(ValueError, match="nonempty"):
+        obj.ridge_spec(0.1, np.array([]))
+    with pytest.raises(ValueError, match="dimension"):
+        obj.ridge_spec_random(0.1, 0, make_rng(0))
+    with pytest.raises(ValueError, match="square"):
+        obj.quadratic_spec(np.ones((2, 3)), np.zeros(2))
 
 
 def test_ridge_optimum_and_regularity():

@@ -421,6 +421,12 @@ _VALID_INPUTS = dict(
         (nonconvex_bound, "V0", math.nan),
         (solve_hat_omega, "gamma", math.inf),
         (harmonic_speedup, "N", math.nan),
+        (centralized_bound, "kappa", 0.0),
+        (centralized_bound, "kappa", -1.0),
+        (convex_bound, "D", -1.0),
+        (convex_bound, "D", 0.0),
+        (convex_bound, "D", math.inf),
+        (convex_bound, "D", math.nan),
     ],
 )
 def test_out_of_range_input_names_the_argument(calculator, name, bad):
@@ -485,10 +491,10 @@ def _phi_star(inputs):
     return sc.phi_star if sc.admissible and not sc.root_ambiguous else None
 
 
-def _bound_at_K(calculator, inputs):
+def _bound_at_K(calculator, inputs, K):
     args = {k: v for k, v in inputs.items() if k != "kappa"}
     start = "f0_gap" if calculator is nonconvex_bound else "U0"
-    result = calculator(**args, K=1000, **{start: 1.0}, V0=0.5)
+    result = calculator(**args, K=K, **{start: 1.0}, V0=0.5)
     return result.bound_at_K if result.admissible else None
 
 
@@ -518,8 +524,26 @@ def test_phi_star_does_not_rise_with_N(inputs, more):
     calculator=st.sampled_from([convex_bound, nonconvex_bound]),
 )
 def test_bound_at_K_does_not_rise_with_lambda2(inputs, growth, calculator):
-    before = _bound_at_K(calculator, inputs)
-    after = _bound_at_K(calculator, {**inputs, "lambda2": inputs["lambda2"] * (1.0 + growth)})
+    before = _bound_at_K(calculator, inputs, 1000)
+    after = _bound_at_K(
+        calculator, {**inputs, "lambda2": inputs["lambda2"] * (1.0 + growth)}, 1000
+    )
+    assume(before is not None and after is not None)
+    assert after <= before * (1.0 + 1e-12)
+
+
+@settings(max_examples=300)
+@given(
+    inputs=_bound_inputs(),
+    rounds=st.integers(min_value=1, max_value=10_000),
+    calculator=st.sampled_from([convex_bound, nonconvex_bound]),
+)
+def test_bound_at_K_per_round_does_not_rise_with_N(inputs, rounds, calculator):
+    # K counts updates over all threads, so the bound is compared after
+    # the same number of rounds, K = N x rounds; lambda2 and d_bar held fixed
+    N = inputs["N"]
+    before = _bound_at_K(calculator, inputs, N * rounds)
+    after = _bound_at_K(calculator, {**inputs, "N": N + 1}, (N + 1) * rounds)
     assume(before is not None and after is not None)
     assert after <= before * (1.0 + 1e-12)
 

@@ -73,6 +73,17 @@ def test_graph_from_adjacency_validation():
         graph_from_adjacency(bad_sym)
     with pytest.raises(ValueError):
         graph_from_adjacency(np.full((2, 2), 2.0) - 2.0 * np.eye(2))
+    with pytest.raises(ValueError, match="at least one vertex"):
+        graph_from_adjacency(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [complete_graph, path_graph, star_graph, lambda n: erdos_renyi_connected(n, 0.5, make_rng(0))],
+)
+def test_generators_need_two_vertices(make):
+    with pytest.raises(ValueError, match="n >= 2"):
+        make(1)
 
 
 def test_disconnected_rejected_unless_allowed():
@@ -172,6 +183,21 @@ def test_graph_from_json_dict_validation():
         graph_from_json_dict({"n": 3, "edges": [[0, 1], [1, 0]]})
     with pytest.raises(GraphConnectivityError):
         graph_from_json_dict({"n": 4, "edges": [[0, 1], [2, 3]]})
+    assert is_connected(graph_from_json_dict({"n": 1, "edges": []}))
+    for data, words in (
+        ({"n": 3}, "missing field 'edges'"),
+        ({"n": 0, "edges": []}, "vertex count"),
+        ({"n": 3, "edges": [[0, 1, 2]]}, "malformed edge"),
+        ({"n": 3, "edges": [[0, 1], [0, 1], [1, 2]]}, "duplicate edge"),
+        # a vertex count or id that is not an integer is not rounded
+        ({"n": 3, "edges": [[0, 1.9], [1, 2]]}, "vertex id"),
+        ({"n": 3, "edges": [[0, True], [1, 2]]}, "vertex id"),
+        ({"n": "3", "edges": [[0, 1], [1, 2]]}, "n must be an integer"),
+        ({"n": 3.0, "edges": [[0, 1], [1, 2]]}, "n must be an integer"),
+        ({"n": True, "edges": []}, "n must be an integer"),
+    ):
+        with pytest.raises(ValueError, match=words):
+            graph_from_json_dict(data)
 
 
 def test_graph_is_immutable_record():
