@@ -31,12 +31,22 @@ draws per block the inter-update gaps, the updating threads, then the
 oracle noise. The centralized scheme draws per block of
 ``max(1, BATCH_SAMPLES // N)`` steps the N sampling durations of every
 step, then the oracle noise of all the block's samples.
+
+The monitors are evaluated once per block, after the block's updates
+are computed: the first threshold crossing and the captured means read
+the block's sum trajectory, and while the threshold is watched the
+records wait for the crossing test, holding copies of the positions.
+The update loop itself only moves rows. ``on_record`` is called in k
+order, with the positions after that update.
 """
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
+import operator
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,6 +101,13 @@ class RunConfig:
     squared when no optimum is known); ``capture_mean_at`` stores the
     swarm mean right before the listed update indices, so capturing
     ``range(K)`` gives the running average of the first K means.
+    ``n_threads``, ``max_updates``, ``record_every`` and the capture
+    indices are integers.
+
+    The records, the crossing and the captures are evaluated once per
+    block of updates. ``on_record`` sees k strictly increasing and the
+    positions after update k; it is called once the block's updates are
+    computed.
     """
 
     n_threads: int
@@ -106,6 +123,12 @@ class RunConfig:
     capture_mean_at: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        counts = [("n_threads", self.n_threads), ("max_updates", self.max_updates),
+                  ("record_every", self.record_every)]
+        counts += [("capture_mean_at entry", k) for k in self.capture_mean_at]
+        for name, value in counts:
+            if value is not None and not _is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_threads < 1:
             raise ValueError(f"need at least one thread, got {self.n_threads}")
         for name in ("step_size", "attraction", "mean_sample_time", "max_virtual_time",
@@ -139,6 +162,17 @@ class RunConfig:
             raise ValueError("stop_at_threshold requires a threshold")
         if any(k < 0 for k in self.capture_mean_at):
             raise ValueError("capture_mean_at indices must be nonnegative")
+
+
+def _is_integer(value) -> bool:
+    """An int or numpy integer, not a bool."""
+    if isinstance(value, bool):
+        return False
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -267,6 +301,17 @@ def _run_loop(scheme, config, spec, X, graph, on_record, schedule) -> Trace:
     mean of N samples. Every term linear in the moving row is folded
     into one coefficient per row, so an update costs the oracle's own
     vector work, one neighbour sum and a few in-place vector operations.
+
+    The monitors run once per block. The block is cut up front at the
+    horizon and the budget; the updates run one record interval at a
+    time, storing their deltas. One cumsum over [sum at block start;
+    deltas] repeats the sequential adds of ``sum_vec += delta``, so the
+    crossing test and the captures read the exact sums. A crossing is
+    screened row-wise and confirmed in order with the exact per-update
+    test; its state is rebuilt by re-adding the deltas to a copy of the
+    block's start. The records, the crossing record and ``on_record``
+    follow in k order, and a run that stops at the crossing records
+    nothing after it.
     """
     N = config.n_threads
     gamma = config.step_size
@@ -312,26 +357,28 @@ def _run_loop(scheme, config, spec, X, graph, on_record, schedule) -> Trace:
     T_hit = hit_update = None
     watch = config.threshold is not None
     threshold = config.threshold
-    captures = frozenset(config.capture_mean_at)
+    captures = deque(sorted(set(config.capture_mean_at)))
     captured: dict[int, np.ndarray] = {}
     started = time.perf_counter()
 
-    def record(k: int, t: float) -> None:
+    def record(k: int, t: float, positions: np.ndarray) -> None:
         """Record the state after update ``k``, once; a non-finite record
         ends the run with a DivergenceError."""
         if records and records[-1].k == k:
             return
-        snap = metrics.snapshot(X, spec, x_star, f_star)
+        snap = metrics.snapshot(positions, spec, x_star, f_star)
         if not (math.isfinite(snap.Vbar) and math.isfinite(snap.grad_norm_sq)):
             raise DivergenceError(scheme, k, t)
         records.append(TraceRecord(k, t, snap.U, snap.Vbar, snap.f_gap, snap.grad_norm_sq))
         if on_record is not None:
-            on_record(k, t, X)
+            on_record(k, t, positions)
 
-    record(0, 0.0)
+    record(0, 0.0, X)
 
-    counts = [0] * rows
+    counts = np.zeros(rows, dtype=np.int64)
     sum_vec = X.sum(axis=0)
+    # The update itself reads sum_vec only for the pull on the complete graph.
+    pull_reads_sum = complete and gamma_a != 0.0
     inv_n = 1.0 / rows
     clock = 0.0
     k = 0
@@ -358,69 +405,130 @@ def _run_loop(scheme, config, spec, X, graph, on_record, schedule) -> Trace:
             shifts = -gamma * noise
             if kind == obj.QUADRATIC:
                 shifts += neg_gamma_b
-        # The inner loop breaks only to end the run.
-        for j in range(n):
-            t = times[j]
-            if t < clock:
-                raise EngineInvariantError("event fires before the current clock")
-            if t > max_virtual_time:
-                # A step still in flight is not applied, nor its samples counted.
-                break
-            if k in captures:
-                captured[k] = sum_vec * inv_n
-            clock = t
-            i = threads[j]
-            xi = X[i]
-            if kind == obj.RIDGE:
-                # One sample: r u; N samples: (2 gamma / N) (c - U x)' U.
-                u = features[j]
-                r = scaled_targets[j] - two_gamma * u.dot(xi)
-                delta = u * r if single else r.dot(u)
-            elif kind == obj.QUADRATIC:
-                delta = neg_gamma_Q.dot(xi)
-                delta += shifts[j]
-            else:
-                delta = sin(xi * 2.0)
-                delta *= sine_coef
-                delta += shifts[j]
-            coef = x_coef[i]
-            if coef:
-                delta += xi * coef
-            if gamma_a:
-                if complete:
-                    delta += sum_vec * gamma_a
-                else:
-                    delta += neighbor_weights[i].dot(take(neighbors[i], axis=0))
-            xi += delta
-            sum_vec += delta
-            counts[i] += 1
-            k += 1
+        if times[0] < clock or times != sorted(times):
+            raise EngineInvariantError("event fires before the current clock")
+        # A step still in flight at the horizon is not applied, nor its
+        # samples counted.
+        n_run = min(bisect.bisect_right(times, max_virtual_time), max_updates - k)
+        ends = n_run < n or k + n_run >= max_updates
 
-            if watch:
-                # The squared error of the swarm mean, or its squared
-                # gradient norm when no optimum is known.
-                m = sum_vec * inv_n
+        # The block keeps its deltas when the watch or a capture in it
+        # reads the sum trajectory, and sum_vec becomes its last row.
+        # Otherwise, and whenever the complete-graph pull reads sum_vec,
+        # each update adds to sum_vec itself.
+        k0 = k
+        track = watch or bool(captures and captures[0] < k0 + n_run)
+        add_sum = pull_reads_sum or not track
+        if track:
+            deltas = [sum_vec.copy()]
+            keep = deltas.append
+        if watch:
+            start_X = X.copy()
+            pending: list[tuple[int, float, np.ndarray]] = []
+
+        # The updates, one record interval at a time.
+        seg_start = 0
+        while seg_start < n_run:
+            seg_end = min(n_run, seg_start + record_every - k % record_every)
+            for j in range(seg_start, seg_end):
+                i = threads[j]
+                xi = X[i]
+                if kind == obj.RIDGE:
+                    # One sample: r u; N samples: (2 gamma / N) (c - U x)' U.
+                    u = features[j]
+                    r = scaled_targets[j] - two_gamma * u.dot(xi)
+                    delta = u * r if single else r.dot(u)
+                elif kind == obj.QUADRATIC:
+                    delta = neg_gamma_Q.dot(xi)
+                    delta += shifts[j]
+                else:
+                    delta = sin(xi * 2.0)
+                    delta *= sine_coef
+                    delta += shifts[j]
+                coef = x_coef[i]
+                if coef:
+                    delta += xi * coef
+                if gamma_a:
+                    if complete:
+                        delta += sum_vec * gamma_a
+                    else:
+                        delta += neighbor_weights[i].dot(take(neighbors[i], axis=0))
+                xi += delta
+                if add_sum:
+                    sum_vec += delta
+                if track:
+                    keep(delta)
+            seg_start = seg_end
+            k = k0 + seg_end
+            if k % record_every == 0:
+                # Records wait for the watch, which may cross before them.
+                if watch:
+                    pending.append((k, times[seg_end - 1], X.copy()))
+                else:
+                    record(k, times[seg_end - 1], X)
+
+        n_done = n_run
+        if track:
+            # Row j is the sum after k0 + j updates: cumsum adds one
+            # delta at a time, as sum_vec += delta does.
+            trajectory = np.cumsum(np.array(deltas), axis=0)
+            if not add_sum:
+                sum_vec = trajectory[n_run]
+        if watch:
+            # Screen every row at once, then confirm the candidates in
+            # order with the exact test: the squared error of the swarm
+            # mean, or its squared gradient norm when no optimum is known.
+            # The screen's margin covers its different rounding.
+            means = trajectory[1:] * inv_n
+            if x_star is None:
+                means = obj.grad_exact_rows(spec, means)
+            else:
+                means -= x_star
+            hit = None
+            screened = np.einsum("ij,ij->i", means, means) <= threshold * (1.0 + 1e-9)
+            for j in np.flatnonzero(screened).tolist():
+                m = trajectory[j + 1] * inv_n
                 if x_star is None:
                     m = obj.grad_exact(spec, m)
                 else:
                     m -= x_star
                 if m.dot(m) <= threshold:
-                    T_hit, hit_update, watch = t, k, False
-                    record(k, t)
-                    if config.stop_at_threshold:
-                        break
-            if k % record_every == 0:
-                record(k, t)
-            if k >= max_updates:
-                break
-        else:
-            # A run that diverges between records stops at its block's end.
-            if not np.isfinite(sum_vec).all():
-                raise DivergenceError(scheme, k, clock)
-            continue
-        break
+                    hit = j + 1
+                    break
+            if hit is not None:
+                # The state at the crossing: the block's deltas re-added
+                # to its start, in order.
+                for j in range(hit):
+                    start_X[threads[j]] += deltas[j + 1]
+                T_hit, hit_update, watch = times[hit - 1], k0 + hit, False
+                # The crossing is recorded in k order. A run that stops
+                # there records nothing after it: its final record is
+                # the crossing's.
+                later = [p for p in pending if p[0] > hit_update]
+                pending = [p for p in pending if p[0] < hit_update]
+                pending.append((hit_update, T_hit, start_X))
+                if config.stop_at_threshold:
+                    n_done, ends = hit, True
+                else:
+                    pending += later
+            for args in pending:
+                record(*args)
+        # Update k draws its capture before it moves.
+        while captures and captures[0] < k0 + n_done:
+            c = captures.popleft()
+            captured[c] = trajectory[c - k0] * inv_n
+        if graph is not None:
+            counts += np.bincount(threads[:n_done], minlength=rows)
+        k = k0 + n_done
+        if n_done:
+            clock = times[n_done - 1]
+        if ends:
+            break
+        # A run that diverges between records stops at its block's end.
+        if not np.isfinite(sum_vec).all():
+            raise DivergenceError(scheme, k, clock)
 
-    record(k, clock)
+    record(k, clock, X)
     final = records[-1]
     summary = RunSummary(
         T_hit=T_hit,
@@ -436,7 +544,7 @@ def _run_loop(scheme, config, spec, X, graph, on_record, schedule) -> Trace:
         virtual_time=clock,
         wall_time=time.perf_counter() - started,
         hit_update=hit_update,
-        per_thread_update_counts=None if graph is None else tuple(counts),
+        per_thread_update_counts=None if graph is None else tuple(counts.tolist()),
     )
     return Trace(records=records, summary=summary, captured_means=captured)
 

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -362,7 +363,7 @@ def test_cmd_sweep(tmp_path):
         )
     )
     out = cmd_sweep(str(path), str(tmp_path / "out"))
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0] == "family,gamma,a,N,lambda2,d_bar,admissible,omega,rate,bound"
     assert len(lines) == 1 + 2 * 4  # two gammas, four bound families
     families = {line.split(",")[0] for line in lines[1:]}
@@ -843,7 +844,7 @@ _PINNED_SWEEPS = (
 
 
 def _sha256(path) -> str:
-    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def test_bound_outputs_are_pinned(tmp_path):

@@ -73,6 +73,18 @@ def test_config_validation():
         _swarm_config(max_updates=0)
     with pytest.raises(ValueError, match="max_virtual_time"):
         _swarm_config(max_updates=None, max_virtual_time=-1.0)
+    # counts are integers: 2.5 updates would run 3, a record every 2.5
+    # would land on 5 and 10, and a capture at 2.5 would never be taken
+    for field, value in [
+        ("n_threads", 5.0), ("n_threads", True), ("max_updates", 2.5), ("max_updates", False),
+        ("record_every", 2.5), ("record_every", True), ("capture_mean_at", (2.5,)),
+        ("capture_mean_at", (1, True)),
+    ]:
+        with pytest.raises(ValueError, match=f"{field}.* must be an integer"):
+            _swarm_config(**{field: value})
+    _swarm_config(
+        max_updates=np.int64(10), record_every=np.int32(3), capture_mean_at=(np.int64(2),)
+    )
 
 
 def test_swarm_run_needs_two_threads():
@@ -656,3 +668,86 @@ def test_sine_crossing_watches_the_gradient_norm_of_the_mean(scheme, stop):
     assert grads[s.hit_update] <= threshold * (1.0 + 1e-9)
     assert min(grads[: s.hit_update]) > threshold * (1.0 - 1e-9)
     assert all(math.isnan(r.U) for r in trace.records)
+
+
+# The monitors run once per block. Four threads put the block edge at B
+# for every scheme, and each kind gets a threshold that every run below
+# crosses strictly inside a block (the swarms in their second).
+MONITORED = [
+    (run_swarm, "path"),
+    (run_swarm, "complete"),
+    (run_swarm_global_tick, "path"),
+    (run_swarm_global_tick, "complete"),
+    (run_centralized, None),
+]
+SWARM_THRESHOLDS = (1.2, 2.5, 0.3)
+CENTRAL_THRESHOLDS = (0.03, 0.03, 0.003)
+
+
+def _monitored_run(runner, graph_kind, kind, **overrides):
+    """A 3B-update run from 1.5 that captures the means at B - 1, B and
+    B + 1; returns the trace and every (k, t, positions) of on_record."""
+    assert engine.BATCH_SAMPLES // 4 == B
+    spec = _kind_specs()[kind]
+    thresholds = CENTRAL_THRESHOLDS if graph_kind is None else SWARM_THRESHOLDS
+    config = _swarm_config(**{
+        "n_threads": 4, "max_updates": 3 * B, "threshold": thresholds[kind],
+        "capture_mean_at": (B - 1, B, B + 1), **overrides,
+    })
+    seen = []
+
+    def keep(k, t, positions):
+        seen.append((k, t, positions.copy()))
+
+    init = np.full((4, spec.dim), 1.5)
+    if graph_kind is None:
+        trace = runner(config, spec, init=init[0], on_record=keep)
+    else:
+        graph = getattr(topology, f"{graph_kind}_graph")(4)
+        trace = runner(config, graph, spec, init=init, on_record=keep)
+    return trace, seen
+
+
+@pytest.mark.parametrize("stop", [False, True])
+@pytest.mark.parametrize("runner,graph_kind", MONITORED)
+@pytest.mark.parametrize("kind", range(3))
+def test_block_monitors_do_not_depend_on_record_every(runner, graph_kind, kind, stop):
+    outcomes = []
+    for record_every in (1, 7, B, 10**6):
+        trace, _ = _monitored_run(
+            runner, graph_kind, kind, record_every=record_every, stop_at_threshold=stop
+        )
+        s = trace.summary
+        captured = {k: v.tobytes() for k, v in trace.captured_means.items()}
+        outcomes.append((s.hit_update, s.T_hit, s.per_thread_update_counts, captured))
+    assert outcomes[0][0] is not None
+    if not stop:
+        assert sorted(outcomes[0][3]) == [B - 1, B, B + 1]
+    assert all(outcome == outcomes[0] for outcome in outcomes[1:])
+
+
+@pytest.mark.parametrize("runner,graph_kind", MONITORED)
+@pytest.mark.parametrize("kind", range(3))
+def test_stopping_at_a_crossing_inside_a_block_is_a_prefix(runner, graph_kind, kind):
+    full, full_seen = _monitored_run(runner, graph_kind, kind, record_every=7)
+    stopped, stopped_seen = _monitored_run(
+        runner, graph_kind, kind, record_every=7, stop_at_threshold=True
+    )
+    hit = stopped.summary.hit_update
+    assert hit == full.summary.hit_update and hit % B and hit % 7
+    assert stopped.summary.n_updates == hit
+    assert stopped.records == [r for r in full.records if r.k <= hit]
+    for seen in (full_seen, stopped_seen):
+        ks = [k for k, _, _ in seen]
+        assert all(a < b for a, b in zip(ks, ks[1:]))
+    prefix = [state for state in full_seen if state[0] <= hit]
+    assert len(prefix) == len(stopped_seen) and stopped_seen[-1][0] == hit
+    for (k1, t1, x1), (k2, t2, x2) in zip(prefix, stopped_seen):
+        assert (k1, t1) == (k2, t2) and np.array_equal(x1, x2)
+    # A run cut at the crossing by its budget moves the same rows to the
+    # same state the stopped run ends in.
+    cut, cut_seen = _monitored_run(runner, graph_kind, kind, max_updates=hit, threshold=None)
+    assert stopped.summary.per_thread_update_counts == cut.summary.per_thread_update_counts
+    assert stopped.summary.virtual_time == cut.summary.virtual_time == stopped.summary.T_hit
+    assert stopped.records[-1] == cut.records[-1]
+    assert cut_seen[-1][0] == hit and np.array_equal(stopped_seen[-1][2], cut_seen[-1][2])
