@@ -13,7 +13,8 @@ import json
 import os
 import sys
 
-from swarmsgd.cli import _AT_LEAST_1, ConfigError, _convert, cmd_compare
+from swarmsgd._ranges import COUNT
+from swarmsgd.cli import ConfigError, _convert, cmd_compare
 from swarmsgd.cli import experiment_config_from_dict
 
 INSTANCES = ((20, 20), (20, 100), (100, 50))
@@ -47,7 +48,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         # the --jobs check of the swarmsgd command line
-        _convert(args.jobs, int, "--jobs", _AT_LEAST_1)
+        _convert(args.jobs, int, "--jobs", COUNT)
         return run_study(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

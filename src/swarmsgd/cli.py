@@ -36,6 +36,7 @@ from . import metrics
 from . import objective as obj
 from . import theory
 from . import topology
+from ._ranges import COUNT, NONNEGATIVE, Range, check
 from .randomness import derive_seed, make_rng
 
 STREAM_GRAPH = 1
@@ -54,35 +55,20 @@ HORIZON_SAFETY_FACTOR = 10.0
 # is int, float, bool or str, (list, t) for a list of t, or a tuple of
 # strings for one of them. A block's "kind" type may instead map each
 # kind to the other fields that kind reads; any other field is refused.
-# A range is (test, words): a value failing the test "must be <words>";
-# a list range tests each item. A field given as null takes its
+# A range is a ``Range``, the library's own for a field the library also
+# takes; a list range tests each item. A field given as null takes its
 # default; a _REQUIRED field has none.
 _REQUIRED = object()
 _VECTOR = (list, float)
-_POSITIVE = (lambda v: v > 0, "positive")
-_NONNEGATIVE = (lambda v: v >= 0, "nonnegative")
-_AT_LEAST_1 = (lambda v: v >= 1, "at least 1")
-# Counts the bound formulas take as floats, so they must convert exactly.
-_COUNT = (lambda v: 1 <= v <= 2**53, "in [1, 2**53]")
 
-# The inputs of ``bounds``; a null G0 takes U0. ``sweep`` reads the same
-# fields from its ``base``, except the grid axes and D, and with d_bar
-# optional: a null d_bar is N - 1 at each grid point.
+# The inputs of ``bounds``, typed by their ranges; a null G0 takes U0.
+# ``sweep`` reads the same fields from its ``base``, except the grid
+# axes and D, and with d_bar optional: a null d_bar is N - 1 at each
+# grid point.
+_BOUND_DEFAULTS = {"K": 10_000, "U0": 1.0, "V0": 0.0, "G0": None, "f0_gap": 1.0, "D": None}
 _BOUND_INPUTS = {
-    "kappa": (float, _REQUIRED, _POSITIVE),
-    "L": (float, _REQUIRED, _POSITIVE),
-    "sigma_sq": (float, _REQUIRED, _NONNEGATIVE),
-    "gamma": (float, _REQUIRED, _POSITIVE),
-    "a": (float, _REQUIRED, _NONNEGATIVE),
-    "lambda2": (float, _REQUIRED, _POSITIVE),
-    "d_bar": (float, _REQUIRED, _AT_LEAST_1),
-    "N": (int, _REQUIRED, _COUNT),
-    "K": (int, 10_000, _COUNT),
-    "U0": (float, 1.0, _NONNEGATIVE),
-    "V0": (float, 0.0, _NONNEGATIVE),
-    "G0": (float, None, _NONNEGATIVE),
-    "f0_gap": (float, 1.0, _NONNEGATIVE),
-    "D": (float, None, _POSITIVE),
+    name: (int if range_.integer else float, _BOUND_DEFAULTS.get(name, _REQUIRED), range_)
+    for name, range_ in theory.RANGES.items()
 }
 _GRID_AXES = ("gamma", "a", "N", "lambda2")
 _SCHEMA = {
@@ -93,22 +79,22 @@ _SCHEMA = {
                 obj.QUADRATIC: ("dim", "Q", "b", "noise_std"),
                 obj.NONCONVEX_SINE: ("dim", "noise_std"),
             }, obj.RIDGE),
-            "dim": (int, None, _POSITIVE),
-            "rho": (float, 0.1, _POSITIVE),
-            "noise_std": (float, 1.0, _NONNEGATIVE),
-            "x_tilde": (_VECTOR, None, (lambda v: 0 <= v <= 1, "in [0, 1]")),
+            "dim": (int, None, obj.RANGES["dim"]),
+            "rho": (float, 0.1, obj.RANGES["rho"]),
+            "noise_std": (float, 1.0, obj.RANGES["noise_std"]),
+            "x_tilde": (_VECTOR, None, obj.RANGES["x_tilde"]),
             "Q": ((list, _VECTOR), _REQUIRED),
             "b": (_VECTOR, _REQUIRED),
         },
         "run": {
-            "n_threads": (int, _REQUIRED, _POSITIVE),
-            "step_size": (float, 0.01, _POSITIVE),
-            "attraction": (float, 1.0, _NONNEGATIVE),
-            "mean_sample_time": (float, 0.02, _POSITIVE),
+            "n_threads": (int, _REQUIRED, engine.RANGES["n_threads"]),
+            "step_size": (float, 0.01, engine.RANGES["step_size"]),
+            "attraction": (float, 1.0, engine.RANGES["attraction"]),
+            "mean_sample_time": (float, 0.02, engine.RANGES["mean_sample_time"]),
             "scheme": (engine.SCHEMES, engine.SCHEME_SWARM),
-            "record_every": (int, 100, _POSITIVE),
-            "max_updates": (int, None, _POSITIVE),
-            "max_virtual_time": (float, None, _POSITIVE),
+            "record_every": (int, 100, engine.RANGES["record_every"]),
+            "max_updates": (int, None, engine.RANGES["max_updates"]),
+            "max_virtual_time": (float, None, engine.RANGES["max_virtual_time"]),
             "stop_at_threshold": (bool, False),
         },
         "graph": {
@@ -116,35 +102,34 @@ _SCHEMA = {
                 "complete": (), "path": (), "star": (),
                 "erdos_renyi": ("p", "fixed_across_replications"), "file": ("file",),
             }, "erdos_renyi"),
-            "p": (float, None, (lambda v: 0 < v <= 1, "in (0, 1]")),
+            "p": (float, None, topology.RANGES["p"]),
             "file": (str, _REQUIRED),
             "fixed_across_replications": (bool, False),
         },
         "validate": {
-            "max_updates": (int, 500, _POSITIVE),
-            "record_every": (int, 10, _POSITIVE),
-            "lemma2_states": (int, 5, _NONNEGATIVE),
-            "lemma2_replications": (int, 10_000, (
-                lambda v: v >= metrics.MIN_REPLICATIONS, f"at least {metrics.MIN_REPLICATIONS}")),
-            "sigma_samples": (int, 100_000, _POSITIVE),
+            "max_updates": (int, 500, engine.RANGES["max_updates"]),
+            "record_every": (int, 10, engine.RANGES["record_every"]),
+            "lemma2_states": (int, 5, NONNEGATIVE),
+            "lemma2_replications": (int, 10_000, metrics.RANGES["n_replications"]),
+            "sigma_samples": (int, 100_000, COUNT),
         },
-        "replications": (int, 100, _POSITIVE),
+        "replications": (int, 100, COUNT),
         # null turns crossing detection off; see experiment_config_from_dict
-        "threshold": (float, 0.1, _POSITIVE),
-        "master_seed": (int, 0, (lambda v: 0 <= v < 2**64, "in [0, 2**64)")),
+        "threshold": (float, 0.1, engine.RANGES["threshold"]),
+        "master_seed": (int, 0, Range(0, 2**64 - 1, "in [0, 2**64)", integer=True)),
         "output_dir": (str, "out"),
     },
     "bounds": _BOUND_INPUTS,
     "sweep": {
         "base": {
             **{k: v for k, v in _BOUND_INPUTS.items() if k not in (*_GRID_AXES, "D")},
-            "d_bar": (float, None, _AT_LEAST_1),
+            "d_bar": (float, None, theory.RANGES["d_bar"]),
         },
         "grid": {
-            "gamma": (_VECTOR, [0.01], _POSITIVE),
-            "a": (_VECTOR, [1.0], _NONNEGATIVE),
-            "N": ((list, int), [20], _COUNT),
-            "lambda2": (_VECTOR, None, _POSITIVE),
+            "gamma": (_VECTOR, [0.01], theory.RANGES["gamma"]),
+            "a": (_VECTOR, [1.0], theory.RANGES["a"]),
+            "N": ((list, int), [20], theory.RANGES["N"]),
+            "lambda2": (_VECTOR, None, theory.RANGES["lambda2"]),
         },
     },
 }
@@ -215,12 +200,12 @@ def _number(value, field: str, integer: bool = False):
         raise ConfigError(f"{field} must be finite, got {value!r}") from None
 
 
-def _convert(value, kind, field: str, check=None):
+def _convert(value, kind, field: str, range_=None):
     """``value`` checked against a schema type and range; see ``_SCHEMA``."""
     if isinstance(kind, tuple) and kind[0] is list:
         if not isinstance(value, list):
             raise ConfigError(f"{field} must be a list, got {value!r}")
-        return [_convert(item, kind[1], f"{field}[{i}]", check) for i, item in enumerate(value)]
+        return [_convert(item, kind[1], f"{field}[{i}]", range_) for i, item in enumerate(value)]
     if isinstance(kind, (tuple, dict)):
         if not isinstance(value, str) or value not in kind:
             raise ConfigError(f"{field} must be one of {', '.join(kind)}, got {value!r}")
@@ -229,8 +214,8 @@ def _convert(value, kind, field: str, check=None):
         value = _number(value, field, integer=kind is int)
     elif not isinstance(value, kind):
         raise ConfigError(f"{field} must be a {kind.__name__}, got {value!r}")
-    if check is not None and not check[0](value):
-        raise ConfigError(f"{field} must be {check[1]}, got {value!r}")
+    if range_ is not None:
+        check([(field, *range_)], [value], ConfigError)
     return value
 
 
@@ -239,10 +224,10 @@ def _value(data: dict, key: str, entry, prefix: str):
     field = prefix + key
     if isinstance(entry, dict):
         return _fields(data.get(key), entry, field, f"{field}.")
-    kind, default, *check = entry
+    kind, default, *range_ = entry
     value = data.get(key)
     if value is not None:
-        return _convert(value, kind, field, *check)
+        return _convert(value, kind, field, *range_)
     if default is _REQUIRED:
         raise ConfigError(f"missing required config field: {field}")
     return default
@@ -725,8 +710,8 @@ def main(argv: list[str] | None = None) -> int:
 
         config = load_experiment_config(args.config)
         if args.seed is not None:
-            kind, _, check = _SCHEMA["config"]["master_seed"]
-            config = replace(config, master_seed=_convert(args.seed, kind, "--seed", check))
+            kind, _, range_ = _SCHEMA["config"]["master_seed"]
+            config = replace(config, master_seed=_convert(args.seed, kind, "--seed", range_))
         if args.out is not None:
             config = replace(config, output_dir=args.out)
 
@@ -739,7 +724,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"/{report['lemma2_checks']} pass"
             )
             return 1 if report["lemma4_violations"] or report["lemma2_violations"] else 0
-        _convert(args.jobs, int, "--jobs", _AT_LEAST_1)
+        _convert(args.jobs, int, "--jobs", COUNT)
         if args.command == "simulate":
             report = cmd_simulate(config, jobs=args.jobs)
             print(

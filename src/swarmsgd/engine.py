@@ -44,7 +44,6 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
-import operator
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -54,6 +53,7 @@ import numpy as np
 from . import metrics
 from . import objective as obj
 from . import topology
+from ._ranges import COUNT, NONNEGATIVE, POSITIVE, Range, args, check
 from .randomness import make_rng, sampling_durations
 
 SCHEME_SWARM = "swarm_event_driven"
@@ -89,6 +89,18 @@ class DivergenceError(RuntimeError):
         return f"{self.scheme} run diverged at update {self.k} (t={self.t!r})"
 
 
+# The range of each numeric RunConfig field but the capture indices.
+RANGES = {
+    **dict.fromkeys(("n_threads", "max_updates", "record_every"), COUNT),
+    **dict.fromkeys(("step_size", "mean_sample_time", "max_virtual_time", "threshold"), POSITIVE),
+    "attraction": NONNEGATIVE,
+    "seed": Range(-math.inf, math.inf, "an integer", integer=True),
+}
+_OPTIONAL = ("max_updates", "max_virtual_time", "threshold")  # may also be None
+# the range of each capture index
+_CAPTURE = {"capture_mean_at": Range(0, math.inf, "an integer at least 0", integer=True)}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Parameters of one simulation run of any scheme; the function the
@@ -101,8 +113,8 @@ class RunConfig:
     squared when no optimum is known); ``capture_mean_at`` stores the
     swarm mean right before the listed update indices, so capturing
     ``range(K)`` gives the running average of the first K means.
-    ``n_threads``, ``max_updates``, ``record_every`` and the capture
-    indices are integers.
+    ``RANGES`` gives the range of each numeric field; the counts, the
+    capture indices and ``seed`` are integers.
 
     The records, the crossing and the captures are evaluated once per
     block of updates. ``on_record`` sees k strictly increasing and the
@@ -123,56 +135,15 @@ class RunConfig:
     capture_mean_at: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        counts = [("n_threads", self.n_threads), ("max_updates", self.max_updates),
-                  ("record_every", self.record_every)]
-        counts += [("capture_mean_at entry", k) for k in self.capture_mean_at]
-        for name, value in counts:
-            if value is not None and not _is_integer(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.n_threads < 1:
-            raise ValueError(f"need at least one thread, got {self.n_threads}")
-        for name in ("step_size", "attraction", "mean_sample_time", "max_virtual_time",
-                     "threshold"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.step_size <= 0.0:
-            raise ValueError(f"step size must be positive, got {self.step_size}")
-        if self.attraction < 0.0:
-            raise ValueError(f"attraction must be nonnegative, got {self.attraction}")
-        if self.mean_sample_time <= 0.0:
-            raise ValueError(
-                f"mean sampling time must be positive, got {self.mean_sample_time}"
-            )
+        names = [n for n in RANGES if n not in _OPTIONAL or getattr(self, n) is not None]
+        check(args(RANGES, *names), [getattr(self, n) for n in names])
+        check(args(_CAPTURE, "capture_mean_at") * len(self.capture_mean_at), self.capture_mean_at)
         if (self.max_updates is None) == (self.max_virtual_time is None):
             raise ValueError(
                 "exactly one horizon is required: set max_updates or max_virtual_time"
             )
-        if self.max_updates is not None and self.max_updates < 1:
-            raise ValueError(f"max_updates must be positive, got {self.max_updates}")
-        if self.max_virtual_time is not None and self.max_virtual_time <= 0.0:
-            raise ValueError(
-                f"max_virtual_time must be positive, got {self.max_virtual_time}"
-            )
-        if self.record_every < 1:
-            raise ValueError(f"record_every must be positive, got {self.record_every}")
-        if self.threshold is not None and self.threshold <= 0.0:
-            raise ValueError(f"threshold must be positive, got {self.threshold}")
         if self.stop_at_threshold and self.threshold is None:
             raise ValueError("stop_at_threshold requires a threshold")
-        if any(k < 0 for k in self.capture_mean_at):
-            raise ValueError("capture_mean_at indices must be nonnegative")
-
-
-def _is_integer(value) -> bool:
-    """An int or numpy integer, not a bool."""
-    if isinstance(value, bool):
-        return False
-    try:
-        operator.index(value)
-    except TypeError:
-        return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,10 @@ import numpy as np
 
 from . import objective as obj
 from . import topology
+from ._ranges import Range, args, check
 
-# The fewest replications ``lemma2_monte_carlo_check`` accepts.
-MIN_REPLICATIONS = 1000
+# The replication counts ``lemma2_monte_carlo_check`` accepts.
+RANGES = {"n_replications": Range(1000, math.inf, "an integer at least 1000", integer=True)}
 _REL_SLACK = 1e-9
 _ESTIMATE_FLOOR = 1000
 
@@ -144,8 +145,7 @@ def lemma2_monte_carlo_check(
     drift bound evaluated with an estimated gradient noise variance, for
     step size ``gamma`` and attraction ``a``.
     """
-    if n_replications < MIN_REPLICATIONS:
-        raise ValueError(f"need at least {MIN_REPLICATIONS} replications, got {n_replications}")
+    check(args(RANGES, "n_replications"), (n_replications,))
     N = graph.n_vertices
     X, _, deviations, Vbar = _frozen_state(positions, N, spec.dim)
     grads = obj.grad_exact_rows(spec, X)

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._ranges import COUNT, NONNEGATIVE, POSITIVE, Range, args, check
 from .randomness import polar_normals, sampling_durations
 
 RIDGE = "ridge"
@@ -39,6 +40,15 @@ SINE_CURVATURE_BOUND = 7.0
 
 _ESTIMATE_MIN_SAMPLES = 100
 _BATCH_ROWS = 65_536
+
+# The range of each numeric argument; x_tilde's holds for each entry.
+RANGES = {
+    "dim": COUNT,
+    "rho": POSITIVE,
+    "x_tilde": Range(0.0, 1.0, "in [0, 1]"),
+    "noise_std": NONNEGATIVE,
+    "mean_time": POSITIVE,
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,13 +88,11 @@ class Regularity:
 
 def ridge_spec(rho: float, x_tilde: np.ndarray) -> ObjectiveSpec:
     """Ridge objective for a given target vector."""
-    if not 0.0 < rho < np.inf:
-        raise ValueError(f"ridge penalty must be finite and positive, got {rho}")
+    check(args(RANGES, "rho"), (rho,))
     target = np.asarray(x_tilde, dtype=float)
     if target.ndim != 1 or target.size < 1:
         raise ValueError("x_tilde must be a nonempty vector")
-    if not (0.0 <= target.min() and target.max() <= 1.0):
-        raise ValueError("x_tilde entries must lie in [0, 1]")
+    check(args(RANGES, "x_tilde") * target.size, target.tolist())
     target = target.copy()
     target.setflags(write=False)
     return ObjectiveSpec(kind=RIDGE, dim=target.size, rho=float(rho), x_tilde=target)
@@ -92,8 +100,7 @@ def ridge_spec(rho: float, x_tilde: np.ndarray) -> ObjectiveSpec:
 
 def ridge_spec_random(rho: float, dim: int, rng: np.random.Generator) -> ObjectiveSpec:
     """Ridge objective with the target drawn uniformly from [0, 1]^dim."""
-    if dim < 1:
-        raise ValueError(f"dimension must be positive, got {dim}")
+    check(args(RANGES, "dim"), (dim,))
     return ridge_spec(rho, rng.random(dim))
 
 
@@ -111,8 +118,7 @@ def quadratic_spec(Q: np.ndarray, b: np.ndarray, noise_std: float = 1.0) -> Obje
         raise ValueError("Q must be symmetric")
     if np.linalg.eigvalsh(Q)[0] <= 0.0:
         raise ValueError("Q must be positive definite")
-    if not 0.0 <= noise_std < np.inf:
-        raise ValueError(f"noise std must be finite and nonnegative, got {noise_std}")
+    check(args(RANGES, "noise_std"), (noise_std,))
     Q = Q.copy()
     b = b.copy()
     Q.setflags(write=False)
@@ -122,10 +128,7 @@ def quadratic_spec(Q: np.ndarray, b: np.ndarray, noise_std: float = 1.0) -> Obje
 
 def nonconvex_sine_spec(dim: int, noise_std: float = 1.0) -> ObjectiveSpec:
     """Separable sine-well objective sum_i x_i^2/2 + 3 sin^2(x_i)."""
-    if dim < 1:
-        raise ValueError(f"dimension must be positive, got {dim}")
-    if not 0.0 <= noise_std < np.inf:
-        raise ValueError(f"noise std must be finite and nonnegative, got {noise_std}")
+    check(args(RANGES, "dim", "noise_std"), (dim, noise_std))
     return ObjectiveSpec(kind=NONCONVEX_SINE, dim=dim, noise_std=float(noise_std))
 
 
@@ -224,8 +227,7 @@ def sample_gradient(
     gradient so the two consume disjoint parts of the stream in a fixed
     order.
     """
-    if not 0.0 < mean_time < np.inf:
-        raise ValueError(f"mean sampling time must be finite and positive, got {mean_time}")
+    check(args(RANGES, "mean_time"), (mean_time,))
     g = noisy_gradient(spec, x, rng)
     return GradientSample(g=g, sampling_time=float(sampling_durations(rng, mean_time, 1)[0]))
 

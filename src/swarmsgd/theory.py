@@ -14,32 +14,25 @@ which it is proven.
 """
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
+
+from ._ranges import AT_LEAST_1, NONNEGATIVE, POSITIVE, Range, args, check
 
 
 class InadmissibleParametersError(ValueError):
     """Raised when a bound's own validity conditions cannot hold."""
 
 
-def _check_common(L: float, gamma: float, sigma_sq: float, N: int) -> None:
-    if not 0.0 < L < math.inf:
-        raise ValueError(f"L must be finite and positive, got {L}")
-    if not 0.0 < gamma < math.inf:
-        raise ValueError(f"gamma must be finite and positive, got {gamma}")
-    if not 0.0 <= sigma_sq < math.inf:
-        raise ValueError(f"sigma_sq must be finite and nonnegative, got {sigma_sq}")
-    if not 1 <= N < math.inf:
-        raise ValueError(f"N must be finite and positive, got {N}")
-
-
-def _check_graph_constants(a: float, lambda2: float, d_bar: float) -> None:
-    if not 0.0 <= a < math.inf:
-        raise ValueError(f"a must be finite and nonnegative, got {a}")
-    if not 0.0 < lambda2 < math.inf:
-        raise ValueError(f"lambda2 must be finite and positive, got {lambda2}")
-    if not 1.0 <= d_bar < math.inf:
-        raise ValueError(f"d_bar must be finite and at least 1, got {d_bar}")
+# The range of every input a calculator takes, by argument name. The
+# counts N and K are taken as floats, so they must convert exactly.
+RANGES = {
+    **dict.fromkeys(("kappa", "L", "gamma", "lambda2", "D"), POSITIVE),
+    **dict.fromkeys(("sigma_sq", "a", "U0", "V0", "G0", "f0_gap"), NONNEGATIVE),
+    "d_bar": AT_LEAST_1,
+    **dict.fromkeys(("N", "K"), Range(1, 2**53, "an integer in [1, 2**53]", integer=True)),
+}
 
 
 @dataclass(frozen=True)
@@ -59,8 +52,7 @@ _EULER_GAMMA = 0.5772156649015329
 
 
 def harmonic_speedup(N: int) -> HarmonicSpeedup:
-    if not 1 <= N < math.inf:
-        raise ValueError(f"N must be finite and positive, got {N}")
+    check(_ARGS["harmonic_speedup"], (N,))
     if N <= HARMONIC_SUM_MAX_N:
         h = math.fsum(1.0 / i for i in range(1, N + 1))
     else:
@@ -95,12 +87,8 @@ def _hat_omega_roots(
     N: int,
 ) -> list[float]:
     """Roots of the weight equation inside the open interval (0, 1),
-    smallest first, after checking the inputs; raises
-    InadmissibleParametersError when there is none."""
-    if not 0.0 < kappa < math.inf:
-        raise ValueError(f"kappa must be finite and positive, got {kappa}")
-    _check_common(L, gamma, sigma_sq, N)
-    _check_graph_constants(a, lambda2, d_bar)
+    smallest first; raises InadmissibleParametersError when there is
+    none."""
     A, B, C0 = _hat_omega_coefficients(kappa, L, gamma, a, lambda2, d_bar, N)
     disc = B * B - 4.0 * A * C0
     candidates = []
@@ -146,6 +134,7 @@ def solve_hat_omega(
     (``strong_convex_bound`` additionally flags that case). As the step
     size tends to zero the root tends to (L - kappa) / (a lambda2 + L - kappa).
     """
+    check(_ARGS["solve_hat_omega"], (kappa, L, gamma, a, lambda2, d_bar, N))
     return _hat_omega_roots(kappa, L, 0.0, gamma, a, lambda2, d_bar, N)[0]
 
 
@@ -188,8 +177,9 @@ def strong_convex_bound(
     U0: float,
     V0: float,
 ) -> StrongConvexBound:
-    if not (0.0 <= U0 < math.inf and 0.0 <= V0 < math.inf):
-        raise ValueError(f"U0 and V0 must be finite and nonnegative, got {U0} and {V0}")
+    check(
+        _ARGS["strong_convex_bound"], (kappa, L, sigma_sq, gamma, a, lambda2, d_bar, N, U0, V0)
+    )
     roots = _hat_omega_roots(kappa, L, sigma_sq, gamma, a, lambda2, d_bar, N)
     hat_omega = roots[0]
     root_ambiguous = len(roots) > 1
@@ -247,11 +237,7 @@ class CentralizedBound:
 def centralized_bound(
     kappa: float, L: float, sigma_sq: float, gamma: float, N: int, G0: float
 ) -> CentralizedBound:
-    if not 0.0 < kappa < math.inf:
-        raise ValueError(f"kappa must be finite and positive, got {kappa}")
-    if not 0.0 <= G0 < math.inf:
-        raise ValueError(f"G0 must be finite and nonnegative, got {G0}")
-    _check_common(L, gamma, sigma_sq, N)
+    check(_ARGS["centralized_bound"], (kappa, L, sigma_sq, gamma, N, G0))
     if gamma >= 2.0 / L:
         raise InadmissibleParametersError(
             f"step size {gamma} must be below 2/L = {2.0 / L}"
@@ -298,14 +284,10 @@ def convex_bound(
 ) -> ConvexBound:
     """Bound for convex objectives; ``D`` defaults to the value that
     makes the step rule reproduce the given gamma exactly."""
-    if not 1 <= K < math.inf:
-        raise ValueError(f"K must be finite and positive, got {K}")
-    if not (0.0 <= U0 < math.inf and 0.0 <= V0 < math.inf):
-        raise ValueError(f"U0 and V0 must be finite and nonnegative, got {U0} and {V0}")
-    if D is not None and not 0.0 < D < math.inf:
-        raise ValueError(f"D must be finite and positive, got {D}")
-    _check_common(L, gamma, sigma_sq, N)
-    _check_graph_constants(a, lambda2, d_bar)
+    # D, the last argument, is checked only when given
+    check(_ARGS["convex_bound"], (L, sigma_sq, gamma, a, lambda2, d_bar, N, K, U0, V0))
+    if D is not None:
+        check(_ARGS["convex_bound"][-1:], (D,))
 
     denom = N * L + a * N * lambda2 - 4.0 * a * a * N * d_bar * d_bar * gamma
     tilde_omega = (N * L + 4.0 * a * a * d_bar * d_bar * gamma) / denom if denom != 0.0 else math.inf
@@ -390,12 +372,7 @@ def nonconvex_bound(
     f0_gap: float,
     V0: float,
 ) -> NonconvexBound:
-    if not 1 <= K < math.inf:
-        raise ValueError(f"K must be finite and positive, got {K}")
-    if not (0.0 <= f0_gap < math.inf and 0.0 <= V0 < math.inf):
-        raise ValueError(f"f0_gap and V0 must be finite and nonnegative, got {f0_gap} and {V0}")
-    _check_common(L, gamma, sigma_sq, N)
-    _check_graph_constants(a, lambda2, d_bar)
+    check(_ARGS["nonconvex_bound"], (L, sigma_sq, gamma, a, lambda2, d_bar, N, K, f0_gap, V0))
 
     attraction_ok = a > 5.0 * L / (4.0 * lambda2)
     curvature_mix = 2.0 * L * L + 4.0 * a * a * d_bar * d_bar
@@ -419,3 +396,11 @@ def nonconvex_bound(
         attraction_ok=attraction_ok,
         admissible=admissible,
     )
+
+
+# The arguments of each calculator and their ranges, in signature order.
+_ARGS = {
+    f.__name__: args(RANGES, *inspect.signature(f).parameters)
+    for f in (harmonic_speedup, solve_hat_omega, strong_convex_bound, centralized_bound,
+              convex_bound, nonconvex_bound)
+}

@@ -13,7 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._ranges import PROBABILITY, args, check
+
 CONNECTIVITY_TOL = 1e-10
+RANGES = {"p": PROBABILITY}
 
 
 class GraphConnectivityError(RuntimeError):
@@ -107,8 +110,7 @@ def erdos_renyi_connected(
     """
     if n < 2:
         raise ValueError(f"Erdos-Renyi graph needs n >= 2, got {n}")
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"edge probability must be in (0, 1], got {p}")
+    check(args(RANGES, "p"), (p,))
     rows, cols = np.triu_indices(n, k=1)
     for attempt in range(1, max_attempts + 1):
         mask = rng.random(rows.size) < p

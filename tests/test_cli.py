@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swarmsgd import cli, engine, theory, topology
+from swarmsgd import cli, engine, metrics, theory, topology
 from swarmsgd import objective as obj
 from swarmsgd.cli import (
     ConfigError,
@@ -676,6 +676,29 @@ def test_every_run_field_is_a_run_config_field():
     # all but run.scheme, which picks the engine function instead
     run_config_fields = {f.name for f in dataclasses.fields(engine.RunConfig)}
     assert set(cli._SCHEMA["config"]["run"]) - run_config_fields == {"scheme"}
+
+
+def test_every_library_field_takes_the_library_range():
+    # a field the library also takes points at the library's own range,
+    # so the two cannot drift apart
+    config = cli._SCHEMA["config"]
+    blocks = [
+        (config["objective"], obj.RANGES),
+        (config["run"], engine.RANGES),
+        (config["validate"], engine.RANGES),
+        ({"lemma2_replications": config["validate"]["lemma2_replications"]},
+         {"lemma2_replications": metrics.RANGES["n_replications"]}),
+        ({"threshold": config["threshold"]}, engine.RANGES),
+        (config["graph"], topology.RANGES),
+        (cli._SCHEMA["bounds"], theory.RANGES),
+        (cli._SCHEMA["sweep"]["base"], theory.RANGES),
+        (cli._SCHEMA["sweep"]["grid"], theory.RANGES),
+    ]
+    shared = [
+        (block[name], ranges[name]) for block, ranges in blocks for name in block.keys() & ranges
+    ]
+    assert len(shared) == 43
+    assert all(entry[2] is range_ for entry, range_ in shared)
 
 
 

@@ -67,7 +67,7 @@ def test_config_validation():
         _swarm_config(stop_at_threshold=True)  # needs a threshold
     with pytest.raises(ValueError):
         _swarm_config(capture_mean_at=(-1,))
-    with pytest.raises(ValueError, match="at least one thread"):
+    with pytest.raises(ValueError, match="n_threads"):
         _swarm_config(n_threads=0)
     with pytest.raises(ValueError, match="max_updates"):
         _swarm_config(max_updates=0)
@@ -85,6 +85,11 @@ def test_config_validation():
     _swarm_config(
         max_updates=np.int64(10), record_every=np.int32(3), capture_mean_at=(np.int64(2),)
     )
+    # the seed is an integer too; make_rng masks a negative one
+    for seed in (1.5, None, "3", True):
+        with pytest.raises(ValueError, match="seed"):
+            _swarm_config(seed=seed)
+    _swarm_config(seed=-1)
 
 
 def test_swarm_run_needs_two_threads():

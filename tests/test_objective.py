@@ -47,8 +47,14 @@ def test_factory_validation():
         obj.nonconvex_sine_spec(3, noise_std=-1.0)
     with pytest.raises(ValueError, match="nonempty"):
         obj.ridge_spec(0.1, np.array([]))
-    with pytest.raises(ValueError, match="dimension"):
+    with pytest.raises(ValueError, match="dim"):
         obj.ridge_spec_random(0.1, 0, make_rng(0))
+    # a dimension is an integer: 2.5 would fail later, inside a run
+    for dim in (2.5, True):
+        with pytest.raises(ValueError, match="dim"):
+            obj.nonconvex_sine_spec(dim)
+        with pytest.raises(ValueError, match="dim"):
+            obj.ridge_spec_random(0.1, dim, make_rng(0))
     with pytest.raises(ValueError, match="square"):
         obj.quadratic_spec(np.ones((2, 3)), np.zeros(2))
 

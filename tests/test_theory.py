@@ -427,6 +427,11 @@ _VALID_INPUTS = dict(
         (convex_bound, "D", 0.0),
         (convex_bound, "D", math.inf),
         (convex_bound, "D", math.nan),
+        # counts are integers
+        (harmonic_speedup, "N", 5.5),
+        (harmonic_speedup, "N", True),
+        (convex_bound, "K", 10.5),
+        (strong_convex_bound, "N", 5.5),
     ],
 )
 def test_out_of_range_input_names_the_argument(calculator, name, bad):
@@ -436,6 +441,20 @@ def test_out_of_range_input_names_the_argument(calculator, name, bad):
     with pytest.raises(ValueError, match=rf"\b{name}\b.* must be ") as info:
         calculator(**args)
     assert not isinstance(info.value, InadmissibleParametersError)
+
+
+@pytest.mark.parametrize(
+    "calculator",
+    [harmonic_speedup, solve_hat_omega, strong_convex_bound, centralized_bound, convex_bound,
+     nonconvex_bound],
+)
+def test_every_argument_is_checked_under_its_own_name(calculator):
+    # NaN is outside every range, so each argument must be refused by name
+    params = inspect.signature(calculator).parameters
+    valid = {p: {**_VALID_INPUTS, "D": 1.0}[p] for p in params}
+    for name in params:
+        with pytest.raises(ValueError, match=rf"^{name} must be "):
+            calculator(**{**valid, name: math.nan})
 
 
 def test_bound_evaluators_are_pure():
