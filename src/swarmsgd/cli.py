@@ -319,8 +319,7 @@ def build_graph(config: ExperimentConfig, replication: int) -> topology.Graph:
     replication unless pinned by ``fixed_across_replications``."""
     block = config.graph
     n = config.run["n_threads"]
-    if n < 2:
-        raise ConfigError(f"run.n_threads must be at least 2 for a swarm run, got {n}")
+    check([("run.n_threads", *topology.RANGES["n"])], [n], ConfigError)
     if block["kind"] == "complete":
         return topology.complete_graph(n)
     if block["kind"] == "path":

@@ -182,8 +182,7 @@ class Trace:
 
 
 def _swarm_positions(config: RunConfig, graph, dim: int, init: np.ndarray | None) -> np.ndarray:
-    if config.n_threads < 2:
-        raise ValueError("swarm schemes need at least two threads")
+    check([("n_threads", *topology.RANGES["n"])], [config.n_threads])
     if graph.n_vertices != config.n_threads:
         raise ValueError(
             f"graph has {graph.n_vertices} vertices for {config.n_threads} threads"

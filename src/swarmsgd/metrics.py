@@ -144,6 +144,11 @@ def lemma2_monte_carlo_check(
     the empirical mean of the next dispersion against the closed-form
     drift bound evaluated with an estimated gradient noise variance, for
     step size ``gamma`` and attraction ``a``.
+
+    The replays are drawn and evaluated through
+    ``objective.noisy_gradient_chunks``: the stream order and every bit
+    equal one ``noisy_gradients`` draw at all of the replayed rows, and
+    memory is O(chunk * dim) plus a few 8-byte values per replication.
     """
     check(args(RANGES, "n_replications"), (n_replications,))
     N = graph.n_vertices
@@ -168,9 +173,11 @@ def lemma2_monte_carlo_check(
     )
 
     idx = rng.integers(N, size=n_replications)
-    samples = obj.noisy_gradients(spec, X[idx], rng)
-    deltas = gamma * (-samples - a * attraction[idx])
-    v_next = dispersion_after_single_update(Vbar, deviations[idx], deltas, N)
+    v_next = np.empty(n_replications)
+    for start, samples in obj.noisy_gradient_chunks(spec, X, rng, idx):
+        rows = slice(start, start + len(samples))
+        deltas = gamma * (-samples - a * attraction[idx[rows]])
+        v_next[rows] = dispersion_after_single_update(Vbar, deviations[idx[rows]], deltas, N)
     lhs = float(v_next.mean())
     std_err = float(v_next.std(ddof=1) / math.sqrt(n_replications))
     return Lemma2Result(

@@ -17,9 +17,12 @@ gives one unbiased sample per row, from randomness ``draw_noise_block``
 draws, and the engine evaluates such blocks inline. The per-call
 ``noisy_gradient`` is one row of it; ``sample_gradient`` adds the
 exponential sampling duration, the engine's unit of virtual time.
+``noisy_gradient_chunks`` gives the samples of one block a chunk of rows
+at a time, for the validators' large batches.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +41,9 @@ NONCONVEX = "nonconvex"
 # |d^2/dx^2 (x^2/2 + 3 sin^2 x)| = |1 + 6 cos 2x| <= 7
 SINE_CURVATURE_BOUND = 7.0
 
-_ESTIMATE_MIN_SAMPLES = 100
 _BATCH_ROWS = 65_536
+# Rows of oracle samples ``noisy_gradient_chunks`` holds at once.
+_CHUNK_ROWS = 1024
 
 # The range of each numeric argument; x_tilde's holds for each entry.
 RANGES = {
@@ -48,6 +52,7 @@ RANGES = {
     "x_tilde": Range(0.0, 1.0, "in [0, 1]"),
     "noise_std": NONNEGATIVE,
     "mean_time": POSITIVE,
+    "n_samples": Range(100, math.inf, "an integer at least 100", integer=True),
 }
 
 
@@ -185,11 +190,62 @@ def noisy_gradient(spec: ObjectiveSpec, x: np.ndarray, rng: np.random.Generator)
 def noisy_gradients(spec: ObjectiveSpec, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Independent stochastic gradients, one per row of ``X``."""
     X = _check_rows(spec, X)
-    U, c = draw_noise_block(spec, X.shape[0], rng)
+    return _oracle_rows(spec, X, *draw_noise_block(spec, X.shape[0], rng))
+
+
+def _oracle_rows(
+    spec: ObjectiveSpec, X: np.ndarray, U: np.ndarray | None, c: np.ndarray
+) -> np.ndarray:
+    """The oracle at the rows of ``X`` with randomness ``(U, c)`` from
+    ``draw_noise_block``."""
     if U is None:
         return grad_exact_rows(spec, X) + c
     residual = np.einsum("ij,ij->i", U, X) - c
     return 2.0 * residual[:, None] * U + 2.0 * spec.rho * X
+
+
+def noisy_gradient_chunks(
+    spec: ObjectiveSpec, X: np.ndarray, rng: np.random.Generator, idx: np.ndarray | None = None
+):
+    """``noisy_gradients(spec, X[idx], rng)`` (all of ``X`` when ``idx``
+    is None) a chunk of ``_CHUNK_ROWS`` rows at a time, yielding
+    ``(start, G)`` for the rows ``start:start + len(G)``.
+
+    The stream order and every bit equal the one-shot call, and so does
+    the generator's state afterwards. Memory is O(_CHUNK_ROWS * dim)
+    plus, for ridge, 8 bytes per row. A ridge block draws rows * dim
+    uniforms and then the rows response normals; here the normals come
+    first, from a clone advanced past the uniforms, the uniforms follow a
+    chunk at a time, and the generator then takes the clone's position.
+    That assumes a PCG64 generator (``randomness.make_rng``), on which
+    each uniform double uses one 64-bit output; another bit generator
+    raises ValueError. The generator takes that position after the last
+    chunk, so run the iterator to the end. The additive-noise kinds draw
+    their (rows, dim) noise in one go, as ``polar_normals``' draws
+    depend on its count.
+    """
+    X = _check_rows(spec, X)
+    rows = X.shape[0] if idx is None else idx.size
+    if spec.kind == RIDGE:
+        ahead = np.random.Generator(np.random.PCG64())
+        ahead.bit_generator.state = rng.bit_generator.state
+        ahead.bit_generator.advance(rows * spec.dim)
+        normals = polar_normals(ahead, rows)
+    else:
+        _, noise = draw_noise_block(spec, rows, rng)
+    for start in range(0, rows, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, rows)
+        at = X[start:stop] if idx is None else X[idx[start:stop]]
+        if spec.kind == RIDGE:
+            U = _features(rng, stop - start, spec.dim)
+            yield start, _oracle_rows(spec, at, U, U @ spec.x_tilde + normals[start:stop])
+        else:
+            yield start, _oracle_rows(spec, at, None, noise[start:stop])
+    if spec.kind == RIDGE:
+        # advance() drops a buffered 32-bit half, which the uniforms keep.
+        state = rng.bit_generator.state
+        state["state"] = ahead.bit_generator.state["state"]
+        rng.bit_generator.state = state
 
 
 def draw_noise_block(
@@ -206,13 +262,19 @@ def draw_noise_block(
     drawn when ``noise_std`` is 0. Each row is one unbiased sample.
     """
     if spec.kind == RIDGE:
-        U = rng.random((rows, spec.dim))
-        U *= 2.0
-        U -= 1.0
+        U = _features(rng, rows, spec.dim)
         return U, U @ spec.x_tilde + polar_normals(rng, rows)
     if spec.noise_std == 0.0:
         return None, np.zeros((rows, spec.dim))
     return None, spec.noise_std * polar_normals(rng, rows * spec.dim).reshape(rows, spec.dim)
+
+
+def _features(rng: np.random.Generator, rows: int, dim: int) -> np.ndarray:
+    """``rows`` ridge feature rows, uniform on [-1, 1]^dim."""
+    U = rng.random((rows, dim))
+    U *= 2.0
+    U -= 1.0
+    return U
 
 
 def sample_gradient(
@@ -270,16 +332,26 @@ def estimate_noise_variance(
     n_samples: int,
     rng: np.random.Generator,
 ) -> float:
-    """Monte Carlo estimate of E|g(x, xi) - grad f(x)|^2 at a point."""
-    if n_samples < _ESTIMATE_MIN_SAMPLES:
-        raise ValueError(f"need at least {_ESTIMATE_MIN_SAMPLES} samples, got {n_samples}")
+    """Monte Carlo estimate of E|g(x, xi) - grad f(x)|^2 at a point.
+
+    Each batch of up to ``_BATCH_ROWS`` samples is drawn through
+    ``noisy_gradient_chunks``, so the samples and the generator's state
+    afterwards equal one-shot ``noisy_gradients`` draws. The squared
+    errors of a batch go into one (rows, dim) buffer that is summed as a
+    whole, which keeps the summation order of one-shot draws. Memory is
+    that buffer plus O(_CHUNK_ROWS * dim).
+    """
+    check(args(RANGES, "n_samples"), (n_samples,))
     x = _check_point(spec, x)
     g_exact = grad_exact(spec, x)
     total = 0.0
     remaining = n_samples
     while remaining > 0:
         rows = min(remaining, _BATCH_ROWS)
-        G = noisy_gradients(spec, np.broadcast_to(x, (rows, spec.dim)), rng)
-        total += float(((G - g_exact) ** 2).sum())
+        for start, G in noisy_gradient_chunks(spec, np.broadcast_to(x, (rows, spec.dim)), rng):
+            if start == 0:  # made after the one-shot draw of additive noise
+                errors = np.empty((rows, spec.dim))
+            np.subtract(G, g_exact, out=errors[start : start + len(G)])
+        total += float(np.square(errors, out=errors).sum())
         remaining -= rows
     return total / n_samples

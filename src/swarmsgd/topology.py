@@ -8,15 +8,17 @@ smallest eigenvalue of the graph Laplacian.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._ranges import PROBABILITY, args, check
+from ._ranges import PROBABILITY, Range, args, check
 
 CONNECTIVITY_TOL = 1e-10
-RANGES = {"p": PROBABILITY}
+# A swarm, and so each generated graph, has at least two vertices.
+RANGES = {"n": Range(2, math.inf, "an integer at least 2", integer=True), "p": PROBABILITY}
 
 
 class GraphConnectivityError(RuntimeError):
@@ -70,16 +72,14 @@ def graph_from_adjacency(
 
 def complete_graph(n: int) -> Graph:
     """Complete graph on ``n`` vertices."""
-    if n < 2:
-        raise ValueError(f"complete graph needs n >= 2, got {n}")
+    check(args(RANGES, "n"), (n,))
     adj = np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64)
     return graph_from_adjacency(adj)
 
 
 def path_graph(n: int) -> Graph:
     """Path 0-1-...-(n-1)."""
-    if n < 2:
-        raise ValueError(f"path graph needs n >= 2, got {n}")
+    check(args(RANGES, "n"), (n,))
     adj = np.zeros((n, n), dtype=np.int64)
     idx = np.arange(n - 1)
     adj[idx, idx + 1] = 1
@@ -89,8 +89,7 @@ def path_graph(n: int) -> Graph:
 
 def star_graph(n: int) -> Graph:
     """Star with hub vertex 0 and ``n - 1`` leaves."""
-    if n < 2:
-        raise ValueError(f"star graph needs n >= 2, got {n}")
+    check(args(RANGES, "n"), (n,))
     adj = np.zeros((n, n), dtype=np.int64)
     adj[0, 1:] = 1
     adj[1:, 0] = 1
@@ -108,9 +107,7 @@ def erdos_renyi_connected(
     Raises GraphConnectivityError when ``max_attempts`` draws all come
     out disconnected, which signals that ``p`` is too small for ``n``.
     """
-    if n < 2:
-        raise ValueError(f"Erdos-Renyi graph needs n >= 2, got {n}")
-    check(args(RANGES, "p"), (p,))
+    check(args(RANGES, "n", "p"), (n, p))
     rows, cols = np.triu_indices(n, k=1)
     for attempt in range(1, max_attempts + 1):
         mask = rng.random(rows.size) < p

@@ -710,7 +710,7 @@ def test_single_thread_swarm_run_is_exit_2(tmp_path, capsys, command):
     path.write_text(json.dumps(_config_dict(run=run, output_dir=str(tmp_path / "o"))))
     code, err = _exit_code_and_err(capsys, [command, "--config", str(path)])
     assert code == 2
-    assert "run.n_threads" in err
+    assert "run.n_threads must be an integer at least 2, got 1" in err
 
 
 def test_non_finite_output_is_refused_before_writing(tmp_path):

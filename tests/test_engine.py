@@ -93,7 +93,7 @@ def test_config_validation():
 
 
 def test_swarm_run_needs_two_threads():
-    with pytest.raises(ValueError, match="at least two threads"):
+    with pytest.raises(ValueError, match="n_threads must be an integer at least 2, got 1"):
         run_swarm(_swarm_config(n_threads=1), topology.complete_graph(2), _spec())
 
 

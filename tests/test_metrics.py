@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from swarmsgd import metrics
 from swarmsgd import objective as obj
 from swarmsgd import topology
 from swarmsgd.randomness import make_rng
+from test_objective import CHUNK_EDGE_COUNTS, _specs, one_shot_noise_variance
 
 
 def _ridge():
@@ -245,3 +247,52 @@ def test_lemma2_holds_on_ridge_random_state():
     X = rng.normal(size=(6, 4))
     res = metrics.lemma2_monte_carlo_check(X, graph, spec, 0.01, 1.0, 10_000, rng)
     assert res.holds
+
+
+def _one_shot_lemma2(X, graph, spec, gamma, a, n_replications, rng, sigma_samples):
+    """(lhs, std_err, sigma_sq_hat) of ``lemma2_monte_carlo_check`` with
+    every replay drawn by one ``noisy_gradients`` call at ``X[idx]``."""
+    N = graph.n_vertices
+    deviations = X - X.mean(axis=0)
+    Vbar = float((deviations**2).sum() / N)
+    per_thread = max(1000, sigma_samples // N)
+    sigma_sq_hat = float(
+        np.mean([one_shot_noise_variance(spec, X[i], per_thread, rng) for i in range(N)])
+    )
+    idx = rng.integers(N, size=n_replications)
+    samples = obj.noisy_gradients(spec, X[idx], rng)
+    attraction = graph.degrees[:, None] * X - graph.adjacency.astype(float) @ X
+    deltas = gamma * (-samples - a * attraction[idx])
+    v_next = metrics.dispersion_after_single_update(Vbar, deviations[idx], deltas, N)
+    return float(v_next.mean()), float(v_next.std(ddof=1) / math.sqrt(n_replications)), sigma_sq_hat
+
+
+@pytest.mark.parametrize("n_replications", CHUNK_EDGE_COUNTS)
+@pytest.mark.parametrize("kind", range(3))
+def test_lemma2_equals_one_shot_draws(kind, n_replications):
+    spec = _specs()[kind]
+    graph = topology.path_graph(4)
+    X = make_rng(9).normal(size=(4, spec.dim))
+    chunked, one_shot = make_rng(71), make_rng(71)
+    res = metrics.lemma2_monte_carlo_check(
+        X, graph, spec, 0.02, 0.8, n_replications, chunked, sigma_samples=4000
+    )
+    expected = _one_shot_lemma2(X, graph, spec, 0.02, 0.8, n_replications, one_shot, 4000)
+    assert (res.lhs, res.std_err, res.sigma_sq_hat) == expected
+    assert chunked.bit_generator.state == one_shot.bit_generator.state
+
+
+def test_ridge_lemma2_memory_is_bounded():
+    rng = make_rng(3)
+    spec = obj.ridge_spec(0.1, rng.random(100))
+    X = rng.normal(size=(50, 100))
+    tracemalloc.start()
+    try:
+        metrics.lemma2_monte_carlo_check(
+            X, topology.complete_graph(50), spec, 0.01, 1.0, 65_536, rng, sigma_samples=50_000
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (65,536, 100) array is 52 MB; one-shot draws peaked at 202 MB
+    assert peak < 16 * 2**20

@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -248,8 +249,53 @@ def test_quadratic_noise_variance():
 def test_estimate_noise_variance_contract():
     spec = obj.nonconvex_sine_spec(2, noise_std=0.0)
     assert obj.estimate_noise_variance(spec, np.zeros(2), 1_000, make_rng(0)) == 0.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n_samples must be an integer at least 100, got 10"):
         obj.estimate_noise_variance(spec, np.zeros(2), 10, make_rng(0))
+
+
+# Counts around the 1,024-row chunk of ``objective._CHUNK_ROWS`` and past
+# the 65,536-row batch of ``estimate_noise_variance``.
+CHUNK_EDGE_COUNTS = (1000, 1023, 1024, 1025, 65_536 + 3)
+
+
+def one_shot_noise_variance(spec, x, n_samples, rng):
+    """``estimate_noise_variance`` with each batch drawn by one
+    ``noisy_gradients`` call and summed as one temporary."""
+    g = obj.grad_exact(spec, x)
+    total = 0.0
+    remaining = n_samples
+    while remaining > 0:
+        rows = min(remaining, 65_536)
+        G = obj.noisy_gradients(spec, np.broadcast_to(x, (rows, spec.dim)), rng)
+        total += float(((G - g) ** 2).sum())
+        remaining -= rows
+    return total / n_samples
+
+
+@pytest.mark.parametrize("n_samples", CHUNK_EDGE_COUNTS)
+@pytest.mark.parametrize("kind", range(3))
+def test_noise_variance_equals_one_shot_draws(kind, n_samples):
+    spec = _specs()[kind]
+    x = make_rng(5).normal(size=spec.dim)
+    chunked, one_shot = make_rng(61), make_rng(61)
+    for rng in (chunked, one_shot):
+        rng.integers(7, size=3)  # leaves a buffered 32-bit half
+    assert obj.estimate_noise_variance(spec, x, n_samples, chunked) == one_shot_noise_variance(
+        spec, x, n_samples, one_shot
+    )
+    assert chunked.bit_generator.state == one_shot.bit_generator.state
+
+
+def test_ridge_noise_variance_memory_is_bounded():
+    spec = obj.ridge_spec(0.1, make_rng(1).random(100))
+    tracemalloc.start()
+    try:
+        obj.estimate_noise_variance(spec, np.zeros(100), 65_536, make_rng(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (65,536, 100) buffer is 52 MB; one-shot draws peaked at 151 MB
+    assert peak < 64 * 2**20
 
 
 def test_value_and_grad_dimension_checks():

@@ -82,7 +82,7 @@ def test_graph_from_adjacency_validation():
     [complete_graph, path_graph, star_graph, lambda n: erdos_renyi_connected(n, 0.5, make_rng(0))],
 )
 def test_generators_need_two_vertices(make):
-    with pytest.raises(ValueError, match="n >= 2"):
+    with pytest.raises(ValueError, match="n must be an integer at least 2, got 1"):
         make(1)
 
 
