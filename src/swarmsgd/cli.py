@@ -111,7 +111,7 @@ _SCHEMA = {
             "record_every": (int, 10, engine.RANGES["record_every"]),
             "lemma2_states": (int, 5, NONNEGATIVE),
             "lemma2_replications": (int, 10_000, metrics.RANGES["n_replications"]),
-            "sigma_samples": (int, 100_000, COUNT),
+            "sigma_samples": (int, 100_000, metrics.RANGES["sigma_samples"]),
         },
         "replications": (int, 100, COUNT),
         # null turns crossing detection off; see experiment_config_from_dict

@@ -17,10 +17,13 @@ import numpy as np
 
 from . import objective as obj
 from . import topology
-from ._ranges import Range, args, check
+from ._ranges import COUNT, Range, args, check
 
-# The replication counts ``lemma2_monte_carlo_check`` accepts.
-RANGES = {"n_replications": Range(1000, math.inf, "an integer at least 1000", integer=True)}
+# The counts ``lemma2_monte_carlo_check`` accepts.
+RANGES = {
+    "n_replications": Range(1000, math.inf, "an integer at least 1000", integer=True),
+    "sigma_samples": COUNT,
+}
 _REL_SLACK = 1e-9
 _ESTIMATE_FLOOR = 1000
 
@@ -143,14 +146,12 @@ def lemma2_monte_carlo_check(
     times (uniform updating thread, fresh gradient sample) and compares
     the empirical mean of the next dispersion against the closed-form
     drift bound evaluated with an estimated gradient noise variance, for
-    step size ``gamma`` and attraction ``a``.
-
-    The replays are drawn and evaluated through
-    ``objective.noisy_gradient_chunks``: the stream order and every bit
-    equal one ``noisy_gradients`` draw at all of the replayed rows, and
+    step size ``gamma`` and attraction ``a``. The variance is estimated
+    from ``max(1000, sigma_samples // N)`` samples at each thread, and the
+    replays are drawn through ``objective.noisy_gradient_chunks``, so
     memory is O(chunk * dim) plus a few 8-byte values per replication.
     """
-    check(args(RANGES, "n_replications"), (n_replications,))
+    check(args(RANGES, "n_replications", "sigma_samples"), (n_replications, sigma_samples))
     N = graph.n_vertices
     X, _, deviations, Vbar = _frozen_state(positions, N, spec.dim)
     grads = obj.grad_exact_rows(spec, X)

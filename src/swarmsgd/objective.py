@@ -17,8 +17,8 @@ gives one unbiased sample per row, from randomness ``draw_noise_block``
 draws, and the engine evaluates such blocks inline. The per-call
 ``noisy_gradient`` is one row of it; ``sample_gradient`` adds the
 exponential sampling duration, the engine's unit of virtual time.
-``noisy_gradient_chunks`` gives the samples of one block a chunk of rows
-at a time, for the validators' large batches.
+``noisy_gradient_chunks`` draws the validators' large batches a chunk
+of rows at a time, one ``noisy_gradients`` call per chunk.
 """
 from __future__ import annotations
 
@@ -41,7 +41,6 @@ NONCONVEX = "nonconvex"
 # |d^2/dx^2 (x^2/2 + 3 sin^2 x)| = |1 + 6 cos 2x| <= 7
 SINE_CURVATURE_BOUND = 7.0
 
-_BATCH_ROWS = 65_536
 # Rows of oracle samples ``noisy_gradient_chunks`` holds at once.
 _CHUNK_ROWS = 1024
 
@@ -188,16 +187,12 @@ def noisy_gradient(spec: ObjectiveSpec, x: np.ndarray, rng: np.random.Generator)
 
 
 def noisy_gradients(spec: ObjectiveSpec, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Independent stochastic gradients, one per row of ``X``."""
+    """Independent stochastic gradients, one per row of ``X``, from one
+    ``draw_noise_block`` call: for ridge the rows * dim feature uniforms
+    and then the rows response normals, for the additive-noise kinds the
+    rows * dim noise normals."""
     X = _check_rows(spec, X)
-    return _oracle_rows(spec, X, *draw_noise_block(spec, X.shape[0], rng))
-
-
-def _oracle_rows(
-    spec: ObjectiveSpec, X: np.ndarray, U: np.ndarray | None, c: np.ndarray
-) -> np.ndarray:
-    """The oracle at the rows of ``X`` with randomness ``(U, c)`` from
-    ``draw_noise_block``."""
+    U, c = draw_noise_block(spec, X.shape[0], rng)
     if U is None:
         return grad_exact_rows(spec, X) + c
     residual = np.einsum("ij,ij->i", U, X) - c
@@ -207,45 +202,15 @@ def _oracle_rows(
 def noisy_gradient_chunks(
     spec: ObjectiveSpec, X: np.ndarray, rng: np.random.Generator, idx: np.ndarray | None = None
 ):
-    """``noisy_gradients(spec, X[idx], rng)`` (all of ``X`` when ``idx``
-    is None) a chunk of ``_CHUNK_ROWS`` rows at a time, yielding
-    ``(start, G)`` for the rows ``start:start + len(G)``.
-
-    The stream order and every bit equal the one-shot call, and so does
-    the generator's state afterwards. Memory is O(_CHUNK_ROWS * dim)
-    plus, for ridge, 8 bytes per row. A ridge block draws rows * dim
-    uniforms and then the rows response normals; here the normals come
-    first, from a clone advanced past the uniforms, the uniforms follow a
-    chunk at a time, and the generator then takes the clone's position.
-    That assumes a PCG64 generator (``randomness.make_rng``), on which
-    each uniform double uses one 64-bit output; another bit generator
-    raises ValueError. The generator takes that position after the last
-    chunk, so run the iterator to the end. The additive-noise kinds draw
-    their (rows, dim) noise in one go, as ``polar_normals``' draws
-    depend on its count.
-    """
+    """``noisy_gradients`` at the rows of ``X[idx]`` (all of ``X`` when
+    ``idx`` is None), one call per chunk of ``_CHUNK_ROWS`` rows, so
+    memory is O(_CHUNK_ROWS * dim) for every kind; yields ``(start, G)``
+    for the rows ``start:start + len(G)``."""
     X = _check_rows(spec, X)
     rows = X.shape[0] if idx is None else idx.size
-    if spec.kind == RIDGE:
-        ahead = np.random.Generator(np.random.PCG64())
-        ahead.bit_generator.state = rng.bit_generator.state
-        ahead.bit_generator.advance(rows * spec.dim)
-        normals = polar_normals(ahead, rows)
-    else:
-        _, noise = draw_noise_block(spec, rows, rng)
     for start in range(0, rows, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, rows)
-        at = X[start:stop] if idx is None else X[idx[start:stop]]
-        if spec.kind == RIDGE:
-            U = _features(rng, stop - start, spec.dim)
-            yield start, _oracle_rows(spec, at, U, U @ spec.x_tilde + normals[start:stop])
-        else:
-            yield start, _oracle_rows(spec, at, None, noise[start:stop])
-    if spec.kind == RIDGE:
-        # advance() drops a buffered 32-bit half, which the uniforms keep.
-        state = rng.bit_generator.state
-        state["state"] = ahead.bit_generator.state["state"]
-        rng.bit_generator.state = state
+        at = slice(start, min(start + _CHUNK_ROWS, rows))
+        yield start, noisy_gradients(spec, X[at] if idx is None else X[idx[at]], rng)
 
 
 def draw_noise_block(
@@ -332,26 +297,13 @@ def estimate_noise_variance(
     n_samples: int,
     rng: np.random.Generator,
 ) -> float:
-    """Monte Carlo estimate of E|g(x, xi) - grad f(x)|^2 at a point.
-
-    Each batch of up to ``_BATCH_ROWS`` samples is drawn through
-    ``noisy_gradient_chunks``, so the samples and the generator's state
-    afterwards equal one-shot ``noisy_gradients`` draws. The squared
-    errors of a batch go into one (rows, dim) buffer that is summed as a
-    whole, which keeps the summation order of one-shot draws. Memory is
-    that buffer plus O(_CHUNK_ROWS * dim).
-    """
+    """Monte Carlo estimate of E|g(x, xi) - grad f(x)|^2 at a point,
+    from ``noisy_gradient_chunks`` draws summed a chunk at a time."""
     check(args(RANGES, "n_samples"), (n_samples,))
     x = _check_point(spec, x)
     g_exact = grad_exact(spec, x)
+    points = np.broadcast_to(x, (n_samples, spec.dim))
     total = 0.0
-    remaining = n_samples
-    while remaining > 0:
-        rows = min(remaining, _BATCH_ROWS)
-        for start, G in noisy_gradient_chunks(spec, np.broadcast_to(x, (rows, spec.dim)), rng):
-            if start == 0:  # made after the one-shot draw of additive noise
-                errors = np.empty((rows, spec.dim))
-            np.subtract(G, g_exact, out=errors[start : start + len(G)])
-        total += float(np.square(errors, out=errors).sum())
-        remaining -= rows
+    for _, G in noisy_gradient_chunks(spec, points, rng):
+        total += float(np.square(G - g_exact).sum())
     return total / n_samples

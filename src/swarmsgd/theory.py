@@ -79,7 +79,6 @@ def _hat_omega_coefficients(
 def _hat_omega_roots(
     kappa: float,
     L: float,
-    sigma_sq: float,
     gamma: float,
     a: float,
     lambda2: float,
@@ -135,7 +134,7 @@ def solve_hat_omega(
     size tends to zero the root tends to (L - kappa) / (a lambda2 + L - kappa).
     """
     check(_ARGS["solve_hat_omega"], (kappa, L, gamma, a, lambda2, d_bar, N))
-    return _hat_omega_roots(kappa, L, 0.0, gamma, a, lambda2, d_bar, N)[0]
+    return _hat_omega_roots(kappa, L, gamma, a, lambda2, d_bar, N)[0]
 
 
 @dataclass(frozen=True)
@@ -180,7 +179,7 @@ def strong_convex_bound(
     check(
         _ARGS["strong_convex_bound"], (kappa, L, sigma_sq, gamma, a, lambda2, d_bar, N, U0, V0)
     )
-    roots = _hat_omega_roots(kappa, L, sigma_sq, gamma, a, lambda2, d_bar, N)
+    roots = _hat_omega_roots(kappa, L, gamma, a, lambda2, d_bar, N)
     hat_omega = roots[0]
     root_ambiguous = len(roots) > 1
 

@@ -686,8 +686,9 @@ def test_every_library_field_takes_the_library_range():
         (config["objective"], obj.RANGES),
         (config["run"], engine.RANGES),
         (config["validate"], engine.RANGES),
-        ({"lemma2_replications": config["validate"]["lemma2_replications"]},
-         {"lemma2_replications": metrics.RANGES["n_replications"]}),
+        ({name: config["validate"][name] for name in ("lemma2_replications", "sigma_samples")},
+         {"lemma2_replications": metrics.RANGES["n_replications"],
+          "sigma_samples": metrics.RANGES["sigma_samples"]}),
         ({"threshold": config["threshold"]}, engine.RANGES),
         (config["graph"], topology.RANGES),
         (cli._SCHEMA["bounds"], theory.RANGES),
@@ -697,7 +698,7 @@ def test_every_library_field_takes_the_library_range():
     shared = [
         (block[name], ranges[name]) for block, ranges in blocks for name in block.keys() & ranges
     ]
-    assert len(shared) == 43
+    assert len(shared) == 44
     assert all(entry[2] is range_ for entry, range_ in shared)
 
 

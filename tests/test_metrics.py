@@ -8,7 +8,14 @@ from swarmsgd import metrics
 from swarmsgd import objective as obj
 from swarmsgd import topology
 from swarmsgd.randomness import make_rng
-from test_objective import CHUNK_EDGE_COUNTS, _specs, one_shot_noise_variance
+from test_objective import (
+    CHUNK_EDGE_COUNTS,
+    MEMORY_KINDS,
+    _specs,
+    per_chunk_gradients,
+    per_chunk_noise_variance,
+    wide_spec,
+)
 
 
 def _ridge():
@@ -249,42 +256,55 @@ def test_lemma2_holds_on_ridge_random_state():
     assert res.holds
 
 
-def _one_shot_lemma2(X, graph, spec, gamma, a, n_replications, rng, sigma_samples):
+@pytest.mark.parametrize("sigma_samples", [0, -5, True, 1e6])
+def test_lemma2_refuses_a_bad_sigma_samples(sigma_samples):
+    with pytest.raises(ValueError, match="sigma_samples must be an integer at least 1"):
+        metrics.lemma2_monte_carlo_check(
+            np.zeros((3, 3)), topology.complete_graph(3), _ridge(), 0.01, 1.0, 1000, make_rng(0),
+            sigma_samples=sigma_samples,
+        )
+
+
+def _per_chunk_lemma2(X, graph, spec, gamma, a, n_replications, rng, sigma_samples):
     """(lhs, std_err, sigma_sq_hat) of ``lemma2_monte_carlo_check`` with
-    every replay drawn by one ``noisy_gradients`` call at ``X[idx]``."""
+    the replays drawn by one ``noisy_gradients`` call per 1,024 rows."""
     N = graph.n_vertices
     deviations = X - X.mean(axis=0)
     Vbar = float((deviations**2).sum() / N)
     per_thread = max(1000, sigma_samples // N)
     sigma_sq_hat = float(
-        np.mean([one_shot_noise_variance(spec, X[i], per_thread, rng) for i in range(N)])
+        np.mean([per_chunk_noise_variance(spec, X[i], per_thread, rng) for i in range(N)])
     )
     idx = rng.integers(N, size=n_replications)
-    samples = obj.noisy_gradients(spec, X[idx], rng)
+    samples = np.concatenate(per_chunk_gradients(spec, X[idx], rng))
     attraction = graph.degrees[:, None] * X - graph.adjacency.astype(float) @ X
     deltas = gamma * (-samples - a * attraction[idx])
     v_next = metrics.dispersion_after_single_update(Vbar, deviations[idx], deltas, N)
     return float(v_next.mean()), float(v_next.std(ddof=1) / math.sqrt(n_replications)), sigma_sq_hat
 
 
+# Up to 1,024 rows, the one chunk is a one-shot draw; past that, each chunk is one.
 @pytest.mark.parametrize("n_replications", CHUNK_EDGE_COUNTS)
 @pytest.mark.parametrize("kind", range(3))
 def test_lemma2_equals_one_shot_draws(kind, n_replications):
     spec = _specs()[kind]
     graph = topology.path_graph(4)
     X = make_rng(9).normal(size=(4, spec.dim))
-    chunked, one_shot = make_rng(71), make_rng(71)
+    chunked, reference = make_rng(71), make_rng(71)
+    for rng in (chunked, reference):
+        rng.integers(7, size=3)  # leaves a buffered 32-bit half
     res = metrics.lemma2_monte_carlo_check(
         X, graph, spec, 0.02, 0.8, n_replications, chunked, sigma_samples=4000
     )
-    expected = _one_shot_lemma2(X, graph, spec, 0.02, 0.8, n_replications, one_shot, 4000)
+    expected = _per_chunk_lemma2(X, graph, spec, 0.02, 0.8, n_replications, reference, 4000)
     assert (res.lhs, res.std_err, res.sigma_sq_hat) == expected
-    assert chunked.bit_generator.state == one_shot.bit_generator.state
+    assert chunked.bit_generator.state == reference.bit_generator.state
 
 
-def test_ridge_lemma2_memory_is_bounded():
+@pytest.mark.parametrize("kind", MEMORY_KINDS)
+def test_lemma2_memory_is_bounded(kind):
     rng = make_rng(3)
-    spec = obj.ridge_spec(0.1, rng.random(100))
+    spec = wide_spec(kind, rng)
     X = rng.normal(size=(50, 100))
     tracemalloc.start()
     try:
@@ -294,5 +314,6 @@ def test_ridge_lemma2_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one (65,536, 100) array is 52 MB; one-shot draws peaked at 202 MB
+    # one (65,536, 100) array is 52 MB; whole-batch draws peaked at 6 MB
+    # (ridge) and 325 MB (quadratic, sine)
     assert peak < 16 * 2**20

@@ -253,49 +253,67 @@ def test_estimate_noise_variance_contract():
         obj.estimate_noise_variance(spec, np.zeros(2), 10, make_rng(0))
 
 
-# Counts around the 1,024-row chunk of ``objective._CHUNK_ROWS`` and past
-# the 65,536-row batch of ``estimate_noise_variance``.
+# Counts around the 1,024-row chunk of ``objective._CHUNK_ROWS``, up to
+# 65 chunks with a short last one.
 CHUNK_EDGE_COUNTS = (1000, 1023, 1024, 1025, 65_536 + 3)
+CHUNK_ROWS = 1024
 
 
-def one_shot_noise_variance(spec, x, n_samples, rng):
-    """``estimate_noise_variance`` with each batch drawn by one
+def per_chunk_gradients(spec, X, rng):
+    """``noisy_gradients`` at the rows of ``X``, one call per 1,024 rows."""
+    return [
+        obj.noisy_gradients(spec, X[start : start + CHUNK_ROWS], rng)
+        for start in range(0, len(X), CHUNK_ROWS)
+    ]
+
+
+def per_chunk_noise_variance(spec, x, n_samples, rng):
+    """``estimate_noise_variance`` with each chunk drawn by one
     ``noisy_gradients`` call and summed as one temporary."""
     g = obj.grad_exact(spec, x)
-    total = 0.0
-    remaining = n_samples
-    while remaining > 0:
-        rows = min(remaining, 65_536)
-        G = obj.noisy_gradients(spec, np.broadcast_to(x, (rows, spec.dim)), rng)
-        total += float(((G - g) ** 2).sum())
-        remaining -= rows
-    return total / n_samples
+    chunks = per_chunk_gradients(spec, np.broadcast_to(x, (n_samples, spec.dim)), rng)
+    return sum(float(((G - g) ** 2).sum()) for G in chunks) / n_samples
 
 
+# Up to 1,024 rows, the one chunk is a one-shot draw; past that, each chunk is one.
 @pytest.mark.parametrize("n_samples", CHUNK_EDGE_COUNTS)
 @pytest.mark.parametrize("kind", range(3))
 def test_noise_variance_equals_one_shot_draws(kind, n_samples):
     spec = _specs()[kind]
     x = make_rng(5).normal(size=spec.dim)
-    chunked, one_shot = make_rng(61), make_rng(61)
-    for rng in (chunked, one_shot):
+    chunked, reference = make_rng(61), make_rng(61)
+    for rng in (chunked, reference):
         rng.integers(7, size=3)  # leaves a buffered 32-bit half
-    assert obj.estimate_noise_variance(spec, x, n_samples, chunked) == one_shot_noise_variance(
-        spec, x, n_samples, one_shot
+    assert obj.estimate_noise_variance(spec, x, n_samples, chunked) == per_chunk_noise_variance(
+        spec, x, n_samples, reference
     )
-    assert chunked.bit_generator.state == one_shot.bit_generator.state
+    assert chunked.bit_generator.state == reference.bit_generator.state
 
 
-def test_ridge_noise_variance_memory_is_bounded():
-    spec = obj.ridge_spec(0.1, make_rng(1).random(100))
+MEMORY_KINDS = ("ridge", "quadratic", "sine")
+
+
+def wide_spec(kind, rng):
+    """A dim-100 objective of each kind, for the memory tests."""
+    if kind == "ridge":
+        return obj.ridge_spec(0.1, rng.random(100))
+    if kind == "quadratic":
+        return obj.quadratic_spec(2.0 * np.eye(100), rng.normal(size=100), noise_std=0.7)
+    return obj.nonconvex_sine_spec(100)
+
+
+@pytest.mark.parametrize("kind", MEMORY_KINDS)
+def test_noise_variance_memory_is_bounded(kind):
+    spec = wide_spec(kind, make_rng(1))
     tracemalloc.start()
     try:
         obj.estimate_noise_variance(spec, np.zeros(100), 65_536, make_rng(2))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one (65,536, 100) buffer is 52 MB; one-shot draws peaked at 151 MB
-    assert peak < 64 * 2**20
+    # one (65,536, 100) array is 52 MB; whole-batch draws peaked at 54 MB
+    # (ridge) and 325 MB (quadratic, sine)
+    assert peak < 16 * 2**20
 
 
 def test_value_and_grad_dimension_checks():
