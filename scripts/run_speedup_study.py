@@ -13,9 +13,7 @@ import json
 import os
 import sys
 
-from swarmsgd._ranges import COUNT
-from swarmsgd.cli import ConfigError, _convert, cmd_compare
-from swarmsgd.cli import experiment_config_from_dict
+from swarmsgd.cli import ConfigError, cmd_compare, experiment_config_from_dict
 
 INSTANCES = ((20, 20), (20, 100), (100, 50))
 
@@ -47,8 +45,6 @@ def main(argv=None):
     parser.add_argument("--jobs", type=int, default=1, help="worker processes per instance")
     args = parser.parse_args(argv)
     try:
-        # the --jobs check of the swarmsgd command line
-        _convert(args.jobs, int, "--jobs", COUNT)
         return run_study(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -65,9 +61,11 @@ def run_study(args):
         for offset, (dim, n_threads) in enumerate(INSTANCES)
     ]
     rows = []
-    print(f"{'instance':>12} {'measured':>9} {'predicted':>10} {'error':>7} {'excluded':>9}")
     for (dim, n_threads), config in zip(INSTANCES, configs):
+        # cmd_compare checks --jobs, so the header waits for its first return
         report = cmd_compare(config, jobs=args.jobs)
+        if not rows:
+            print(f"{'instance':>12} {'measured':>9} {'predicted':>10} {'error':>7} {'excluded':>9}")
         ratio, predicted = report["ratio"], report["predicted_ratio"]
         if ratio is None:
             print(f"({dim},{n_threads}): no replication crossed the threshold", file=sys.stderr)

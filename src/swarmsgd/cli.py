@@ -328,15 +328,15 @@ def build_graph(config: ExperimentConfig, replication: int) -> topology.Graph:
         return topology.star_graph(n)
     if block["kind"] == "file":
         data = _load_json(block["file"], "graph.file")
+        # The declared size is checked before an n x n matrix is built.
+        if isinstance(data, dict) and type(data.get("n")) is int and data["n"] != n:
+            raise ConfigError(
+                f"graph.file {block['file']} has {data['n']} vertices, run.n_threads is {n}"
+            )
         try:
-            graph = topology.graph_from_json_dict(data)
+            return topology.graph_from_json_dict(data)
         except (TypeError, ValueError, topology.GraphConnectivityError) as exc:
             raise ConfigError(f"graph.file {block['file']}: {exc}") from exc
-        if graph.n_vertices != n:
-            raise ConfigError(
-                f"graph file has {graph.n_vertices} vertices, run.n_threads is {n}"
-            )
-        return graph
     p = block["p"]
     if p is None:
         p = min(1.0, 10.0 / n)
@@ -458,6 +458,7 @@ def _run_tasks(worker, tasks, jobs: int):
 
 
 def cmd_simulate(config: ExperimentConfig, jobs: int = 1) -> dict:
+    check([("--jobs", *COUNT)], [jobs], ConfigError)
     os.makedirs(config.output_dir, exist_ok=True)
     tasks = [(config, r) for r in range(config.replications)]
     traces = _run_tasks(_simulate_one, tasks, jobs)
@@ -518,6 +519,7 @@ def _compare_one(task: tuple[ExperimentConfig, int]) -> dict:
 def cmd_compare(config: ExperimentConfig, jobs: int = 1) -> dict:
     """Race the swarm against the baseline over every replication; the
     report is what ``comparison.json`` holds."""
+    check([("--jobs", *COUNT)], [jobs], ConfigError)
     if config.threshold is None:
         raise ConfigError("missing required config field: threshold")
     tasks = [(config, r) for r in range(config.replications)]
@@ -599,7 +601,7 @@ def cmd_validate(config: ExperimentConfig) -> dict:
     recorded: list[tuple[int, np.ndarray]] = []
 
     def keep_state(k, t, positions):
-        recorded.append((k, positions.copy()))
+        recorded.append((k, positions))
 
     engine.run_swarm(run_config, graph, spec, on_record=keep_state)
 
@@ -723,7 +725,6 @@ def main(argv: list[str] | None = None) -> int:
                 f"/{report['lemma2_checks']} pass"
             )
             return 1 if report["lemma4_violations"] or report["lemma2_violations"] else 0
-        _convert(args.jobs, int, "--jobs", COUNT)
         if args.command == "simulate":
             report = cmd_simulate(config, jobs=args.jobs)
             print(

@@ -34,10 +34,10 @@ step, then the oracle noise of all the block's samples.
 
 The monitors are evaluated once per block, after the block's updates
 are computed: the first threshold crossing and the captured means read
-the block's sum trajectory, and while the threshold is watched the
-records wait for the crossing test, holding copies of the positions.
-The update loop itself only moves rows. ``on_record`` is called in k
-order, with the positions after that update.
+the block's sum trajectory, and every record waits for the crossing
+test, holding a copy of the positions. The update loop itself only
+moves rows. ``on_record`` is called in k order, with a copy of the
+positions after that update that the engine never writes again.
 """
 from __future__ import annotations
 
@@ -117,9 +117,9 @@ class RunConfig:
     capture indices and ``seed`` are integers.
 
     The records, the crossing and the captures are evaluated once per
-    block of updates. ``on_record`` sees k strictly increasing and the
-    positions after update k; it is called once the block's updates are
-    computed.
+    block of updates. ``on_record`` sees k strictly increasing and a
+    copy of the positions after update k, which it may keep; it is
+    called once the block's updates are computed.
     """
 
     n_threads: int
@@ -274,14 +274,15 @@ def _run_loop(scheme, config, spec, X, graph, on_record, schedule) -> Trace:
 
     The monitors run once per block. The block is cut up front at the
     horizon and the budget; the updates run one record interval at a
-    time, storing their deltas. One cumsum over [sum at block start;
-    deltas] repeats the sequential adds of ``sum_vec += delta``, so the
-    crossing test and the captures read the exact sums. A crossing is
-    screened row-wise and confirmed in order with the exact per-update
-    test; its state is rebuilt by re-adding the deltas to a copy of the
-    block's start. The records, the crossing record and ``on_record``
-    follow in k order, and a run that stops at the crossing records
-    nothing after it.
+    time, storing their deltas and a copy of the positions at each
+    record point. One cumsum over [sum at block start; deltas] repeats
+    the sequential adds of ``sum_vec += delta``, so the crossing test
+    and the captures read the exact sums. A crossing is screened
+    row-wise and confirmed in order with the exact per-update test; its
+    state is rebuilt by re-adding the deltas to a copy of the block's
+    start. The records, the crossing record and ``on_record`` follow in
+    k order, each on its own copy, and a run that stops at the crossing
+    records nothing after it.
     """
     N = config.n_threads
     gamma = config.step_size
@@ -343,7 +344,7 @@ def _run_loop(scheme, config, spec, X, graph, on_record, schedule) -> Trace:
         if on_record is not None:
             on_record(k, t, positions)
 
-    record(0, 0.0, X)
+    record(0, 0.0, X.copy())
 
     counts = np.zeros(rows, dtype=np.int64)
     sum_vec = X.sum(axis=0)
@@ -382,19 +383,14 @@ def _run_loop(scheme, config, spec, X, graph, on_record, schedule) -> Trace:
         n_run = min(bisect.bisect_right(times, max_virtual_time), max_updates - k)
         ends = n_run < n or k + n_run >= max_updates
 
-        # The block keeps its deltas when the watch or a capture in it
-        # reads the sum trajectory, and sum_vec becomes its last row.
-        # Otherwise, and whenever the complete-graph pull reads sum_vec,
-        # each update adds to sum_vec itself.
+        # The block keeps its deltas, and sum_vec becomes the last row of
+        # its sum trajectory; only the complete-graph pull, which reads
+        # sum_vec, adds to it at each update.
         k0 = k
-        track = watch or bool(captures and captures[0] < k0 + n_run)
-        add_sum = pull_reads_sum or not track
-        if track:
-            deltas = [sum_vec.copy()]
-            keep = deltas.append
-        if watch:
-            start_X = X.copy()
-            pending: list[tuple[int, float, np.ndarray]] = []
+        deltas = [sum_vec.copy()]
+        keep = deltas.append
+        start_X = X.copy()
+        pending: list[tuple[int, float, np.ndarray]] = []
 
         # The updates, one record interval at a time.
         seg_start = 0
@@ -424,26 +420,20 @@ def _run_loop(scheme, config, spec, X, graph, on_record, schedule) -> Trace:
                     else:
                         delta += neighbor_weights[i].dot(take(neighbors[i], axis=0))
                 xi += delta
-                if add_sum:
+                if pull_reads_sum:
                     sum_vec += delta
-                if track:
-                    keep(delta)
+                keep(delta)
             seg_start = seg_end
             k = k0 + seg_end
             if k % record_every == 0:
                 # Records wait for the watch, which may cross before them.
-                if watch:
-                    pending.append((k, times[seg_end - 1], X.copy()))
-                else:
-                    record(k, times[seg_end - 1], X)
+                pending.append((k, times[seg_end - 1], X.copy()))
 
         n_done = n_run
-        if track:
-            # Row j is the sum after k0 + j updates: cumsum adds one
-            # delta at a time, as sum_vec += delta does.
-            trajectory = np.cumsum(np.array(deltas), axis=0)
-            if not add_sum:
-                sum_vec = trajectory[n_run]
+        # Row j is the sum after k0 + j updates: cumsum adds one delta at
+        # a time, as sum_vec += delta does.
+        trajectory = np.cumsum(np.array(deltas), axis=0)
+        sum_vec = trajectory[n_run]
         if watch:
             # Screen every row at once, then confirm the candidates in
             # order with the exact test: the squared error of the swarm
@@ -481,8 +471,8 @@ def _run_loop(scheme, config, spec, X, graph, on_record, schedule) -> Trace:
                     n_done, ends = hit, True
                 else:
                     pending += later
-            for args in pending:
-                record(*args)
+        for args in pending:
+            record(*args)
         # Update k draws its capture before it moves.
         while captures and captures[0] < k0 + n_done:
             c = captures.popleft()
@@ -498,7 +488,7 @@ def _run_loop(scheme, config, spec, X, graph, on_record, schedule) -> Trace:
         if not np.isfinite(sum_vec).all():
             raise DivergenceError(scheme, k, clock)
 
-    record(k, clock, X)
+    record(k, clock, X.copy())
     final = records[-1]
     summary = RunSummary(
         T_hit=T_hit,

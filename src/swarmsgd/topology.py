@@ -7,7 +7,6 @@ smallest eigenvalue of the graph Laplacian.
 """
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -164,13 +163,6 @@ def max_degree(graph: Graph) -> int:
     return int(graph.degrees.max())
 
 
-def graph_to_json_dict(graph: Graph) -> dict:
-    """Edge-list form: {"n": N, "edges": [[i, j], ...]} with i < j."""
-    rows, cols = np.nonzero(np.triu(graph.adjacency, k=1))
-    edges = [[int(i), int(j)] for i, j in zip(rows, cols)]
-    return {"n": graph.n_vertices, "edges": edges}
-
-
 def _json_int(value, what: str) -> int:
     """``value`` when it is an integer (a bool is not); else ValueError."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -199,9 +191,3 @@ def graph_from_json_dict(data: dict) -> Graph:
         adj[i, j] = 1
         adj[j, i] = 1
     return graph_from_adjacency(adj)
-
-
-def save_graph(graph: Graph, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph_to_json_dict(graph), fh, indent=2, sort_keys=True)
-        fh.write("\n")

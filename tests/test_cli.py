@@ -134,7 +134,7 @@ def test_build_graph_modes(tmp_path):
     assert np.array_equal(build_graph(pinned, 0).adjacency, build_graph(pinned, 3).adjacency)
 
     path = tmp_path / "g.json"
-    topology.save_graph(topology.path_graph(5), str(path))
+    path.write_text(json.dumps({"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4]]}))
     from_file = experiment_config_from_dict(
         _config_dict(graph={"kind": "file", "file": str(path)})
     )
@@ -146,7 +146,7 @@ def test_build_graph_modes(tmp_path):
             run={"n_threads": 6, "max_updates": 10},
         )
     )
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="graph.file .* has 5 vertices, run.n_threads is 6"):
         build_graph(wrong_n, 0)
 
 
@@ -553,6 +553,15 @@ def test_cmd_compare_jobs_parallel_identical(tmp_path):
     ).read_bytes()
 
 
+@pytest.mark.parametrize("jobs", [0, -3, True, 2.5])
+@pytest.mark.parametrize("command", [cmd_simulate, cmd_compare])
+def test_jobs_out_of_range_is_a_config_error_naming_it(tmp_path, command, jobs):
+    config = experiment_config_from_dict(_config_dict(output_dir=str(tmp_path / "o")))
+    with pytest.raises(ConfigError, match="--jobs"):
+        command(config, jobs=jobs)
+    assert not any(tmp_path.iterdir())  # checked before anything is written
+
+
 def test_compare_horizon_requires_prediction_or_time(tmp_path):
     # a nonconvex objective has no closed-form crossing prediction, so
     # compare demands an explicit horizon
@@ -800,6 +809,8 @@ def test_bad_sweep_parameter_is_exit_2_naming_it(tmp_path, capsys, params, field
         '{"n": 5, "edges": [[0, 1.9], [1, 2], [2, 3], [3, 4]]}',
         '{"n": "5", "edges": [[0, 1], [1, 2], [2, 3], [3, 4]]}',
         '{"n": 5, "edges": [[0, 1], [true, 2], [2, 3], [3, 4]]}',
+        # checked before its 10**6 x 10**6 int64 matrix (7.28 TiB) is built
+        '{"n": 1000000, "edges": [[0, 1]]}',
     ],
 )
 def test_malformed_graph_file_is_exit_2_naming_it(tmp_path, capsys, content):

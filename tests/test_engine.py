@@ -756,3 +756,33 @@ def test_stopping_at_a_crossing_inside_a_block_is_a_prefix(runner, graph_kind, k
     assert stopped.summary.virtual_time == cut.summary.virtual_time == stopped.summary.T_hit
     assert stopped.records[-1] == cut.records[-1]
     assert cut_seen[-1][0] == hit and np.array_equal(stopped_seen[-1][2], cut_seen[-1][2])
+
+
+@pytest.mark.parametrize(
+    "watch", [{"threshold": None}, {}, {"stop_at_threshold": True}], ids=["off", "armed", "stop"]
+)
+@pytest.mark.parametrize("runner,graph_kind", MONITORED)
+def test_on_record_may_keep_its_positions(runner, graph_kind, watch):
+    # Every record, with the threshold off, armed or stopping the run,
+    # hands on_record an array the engine never writes again.
+    kept, copies = [], []
+
+    def keep(k, t, positions):
+        kept.append(positions)
+        copies.append(positions.copy())
+
+    spec = _kind_specs()[0]
+    thresholds = CENTRAL_THRESHOLDS if graph_kind is None else SWARM_THRESHOLDS
+    config = _swarm_config(**{
+        "n_threads": 4, "max_updates": 3 * B, "record_every": 7, "threshold": thresholds[0],
+        **watch,
+    })
+    init = np.full((4, spec.dim), 1.5)
+    if graph_kind is None:
+        trace = runner(config, spec, init=init[0], on_record=keep)
+    else:
+        graph = getattr(topology, f"{graph_kind}_graph")(4)
+        trace = runner(config, graph, spec, init=init, on_record=keep)
+    assert (trace.summary.hit_update is None) == ("threshold" in watch)
+    assert len(kept) == len(trace.records) > 2
+    assert all(np.array_equal(a, b) for a, b in zip(kept, copies))
