@@ -416,7 +416,7 @@ def _compare_horizons(config: ExperimentConfig, spec: obj.ObjectiveSpec) -> tupl
         # updates span about K/N mean rounds.
         rounds = run["max_updates"] / run["n_threads"]
     else:
-        steps = predicted_crossing_updates(spec, run["step_size"], config.threshold or 0.1)
+        steps = predicted_crossing_updates(spec, run["step_size"], config.threshold)
         if steps is None:
             raise ConfigError(
                 "missing required config field: run.max_virtual_time "
@@ -459,9 +459,9 @@ def _run_tasks(worker, tasks, jobs: int):
 
 def cmd_simulate(config: ExperimentConfig, jobs: int = 1) -> dict:
     check([("--jobs", *COUNT)], [jobs], ConfigError)
-    os.makedirs(config.output_dir, exist_ok=True)
     tasks = [(config, r) for r in range(config.replications)]
     traces = _run_tasks(_simulate_one, tasks, jobs)
+    os.makedirs(config.output_dir, exist_ok=True)
     runs = []
     for r, trace in enumerate(traces):
         engine.write_trace_csv(trace, os.path.join(config.output_dir, f"run_{r:04d}.csv"))

@@ -32,12 +32,12 @@ oracle noise. The centralized scheme draws per block of
 ``max(1, BATCH_SAMPLES // N)`` steps the N sampling durations of every
 step, then the oracle noise of all the block's samples.
 
-The monitors are evaluated once per block, after the block's updates
-are computed: the first threshold crossing and the captured means read
-the block's sum trajectory, and every record waits for the crossing
-test, holding a copy of the positions. The update loop itself only
-moves rows. ``on_record`` is called in k order, with a copy of the
-positions after that update that the engine never writes again.
+The monitors are evaluated once per block, after its updates are
+computed: one test of every update's sum finds the first threshold
+crossing, the captured means read the same sum trajectory, and each
+record waits for the test, holding a copy of the positions. The update
+loop itself only moves rows. ``on_record`` is called in k order, with a
+copy of the positions after that update that the engine never writes again.
 """
 from __future__ import annotations
 
@@ -277,8 +277,8 @@ def _run_loop(scheme, config, spec, X, graph, on_record, schedule) -> Trace:
     time, storing their deltas and a copy of the positions at each
     record point. One cumsum over [sum at block start; deltas] repeats
     the sequential adds of ``sum_vec += delta``, so the crossing test
-    and the captures read the exact sums. A crossing is screened
-    row-wise and confirmed in order with the exact per-update test; its
+    and the captures read the exact sums. One test over all the block's
+    rows, with the per-update arithmetic, finds the first crossing; its
     state is rebuilt by re-adding the deltas to a copy of the block's
     start. The records, the crossing record and ``on_record`` follow in
     k order, each on its own copy, and a run that stops at the crossing
@@ -435,27 +435,17 @@ def _run_loop(scheme, config, spec, X, graph, on_record, schedule) -> Trace:
         trajectory = np.cumsum(np.array(deltas), axis=0)
         sum_vec = trajectory[n_run]
         if watch:
-            # Screen every row at once, then confirm the candidates in
-            # order with the exact test: the squared error of the swarm
-            # mean, or its squared gradient norm when no optimum is known.
-            # The screen's margin covers its different rounding.
-            means = trajectory[1:] * inv_n
+            # The squared error of the swarm mean after each update, or its
+            # squared gradient norm when no optimum is known; the stacked
+            # matmul hands each row to the dot kernel, rounding as e.dot(e).
+            err = trajectory[1:] * inv_n
             if x_star is None:
-                means = obj.grad_exact_rows(spec, means)
+                err = obj.grad_exact_rows(spec, err)
             else:
-                means -= x_star
-            hit = None
-            screened = np.einsum("ij,ij->i", means, means) <= threshold * (1.0 + 1e-9)
-            for j in np.flatnonzero(screened).tolist():
-                m = trajectory[j + 1] * inv_n
-                if x_star is None:
-                    m = obj.grad_exact(spec, m)
-                else:
-                    m -= x_star
-                if m.dot(m) <= threshold:
-                    hit = j + 1
-                    break
-            if hit is not None:
+                err -= x_star
+            crossed = np.flatnonzero(np.matmul(err[:, None, :], err[:, :, None]) <= threshold)
+            if crossed.size:
+                hit = int(crossed[0]) + 1
                 # The state at the crossing: the block's deltas re-added
                 # to its start, in order.
                 for j in range(hit):

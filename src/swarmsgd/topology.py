@@ -8,7 +8,6 @@ smallest eigenvalue of the graph Laplacian.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,8 +15,9 @@ import numpy as np
 from ._ranges import PROBABILITY, Range, args, check
 
 CONNECTIVITY_TOL = 1e-10
-# A swarm, and so each generated graph, has at least two vertices.
-RANGES = {"n": Range(2, math.inf, "an integer at least 2", integer=True), "p": PROBABILITY}
+# A swarm, and so each generated graph, has at least two vertices; at
+# the top, 4,096, the int64 adjacency alone takes 128 MiB.
+RANGES = {"n": Range(2, 4096, "an integer from 2 to 4096", integer=True), "p": PROBABILITY}
 
 
 class GraphConnectivityError(RuntimeError):
@@ -122,19 +122,13 @@ def erdos_renyi_connected(
 
 
 def is_connected(graph: Graph) -> bool:
-    """Breadth-first reachability of every vertex from vertex 0."""
-    n = graph.n_vertices
-    if n == 1:
-        return True
-    seen = np.zeros(n, dtype=bool)
+    """Breadth-first reachability of every vertex from vertex 0, by frontiers."""
+    seen = np.zeros(graph.n_vertices, dtype=bool)
     seen[0] = True
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for w in np.flatnonzero(graph.adjacency[v]):
-            if not seen[w]:
-                seen[w] = True
-                queue.append(int(w))
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = graph.adjacency[frontier].any(axis=0) & ~seen
+        seen |= frontier
     return bool(seen.all())
 
 

@@ -594,7 +594,7 @@ def test_diverging_simulate_is_exit_1_naming_the_run(tmp_path, capsys, scheme):
     assert main(["simulate", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert scheme in err and "replication 0" in err and "diverged at update" in err
-    assert not (out / "summary.json").exists()
+    assert not out.exists()
 
 
 def _exit_code_and_err(capsys, argv):
@@ -667,6 +667,7 @@ def test_bad_experiment_field_is_exit_2_naming_it(tmp_path, capsys, overrides, f
     code, err = _exit_code_and_err(capsys, ["simulate", "--config", str(path)])
     assert code == 2
     assert field in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(
@@ -720,7 +721,20 @@ def test_single_thread_swarm_run_is_exit_2(tmp_path, capsys, command):
     path.write_text(json.dumps(_config_dict(run=run, output_dir=str(tmp_path / "o"))))
     code, err = _exit_code_and_err(capsys, [command, "--config", str(path)])
     assert code == 2
-    assert "run.n_threads must be an integer at least 2, got 1" in err
+    assert "run.n_threads must be an integer from 2 to 4096, got 1" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare", "validate"])
+def test_swarm_too_large_for_memory_is_exit_2_writing_nothing(tmp_path, capsys, command):
+    # the range is checked before any n x n matrix is built
+    out = tmp_path / "o"
+    run = {"n_threads": 1_000_000, "max_updates": 10}
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(_config_dict(run=run, output_dir=str(out))))
+    code, err = _exit_code_and_err(capsys, [command, "--config", str(path)])
+    assert code == 2
+    assert "run.n_threads must be an integer from 2 to 4096, got 1000000" in err
+    assert not out.exists()
 
 
 def test_non_finite_output_is_refused_before_writing(tmp_path):

@@ -93,7 +93,7 @@ def test_config_validation():
 
 
 def test_swarm_run_needs_two_threads():
-    with pytest.raises(ValueError, match="n_threads must be an integer at least 2, got 1"):
+    with pytest.raises(ValueError, match="n_threads must be an integer from 2 to 4096, got 1"):
         run_swarm(_swarm_config(n_threads=1), topology.complete_graph(2), _spec())
 
 
@@ -756,6 +756,25 @@ def test_stopping_at_a_crossing_inside_a_block_is_a_prefix(runner, graph_kind, k
     assert stopped.summary.virtual_time == cut.summary.virtual_time == stopped.summary.T_hit
     assert stopped.records[-1] == cut.records[-1]
     assert cut_seen[-1][0] == hit and np.array_equal(stopped_seen[-1][2], cut_seen[-1][2])
+
+
+@pytest.mark.parametrize("runner,graph_kind", MONITORED)
+@pytest.mark.parametrize("kind", range(3))
+def test_crossing_is_the_first_update_passing_the_per_update_test(runner, graph_kind, kind):
+    # The watch tests a whole block at once, yet its crossing is the first
+    # update whose own e.dot(e) passes: the stacked matmul must round each
+    # row as dot does.
+    trace, _ = _monitored_run(
+        runner, graph_kind, kind, capture_mean_at=tuple(range(3 * B)), stop_at_threshold=False
+    )
+    spec = _kind_specs()[kind]
+    x_star = obj.optimum(spec)
+    means = [trace.captured_means[c] for c in range(1, 3 * B)]
+    errs = np.array([obj.grad_exact(spec, m) if x_star is None else m - x_star for m in means])
+    dots = [e.dot(e) for e in errs]
+    assert np.matmul(errs[:, None, :], errs[:, :, None]).ravel().tolist() == dots
+    expected = next(c for c, d in enumerate(dots, start=1) if d <= trace.summary.threshold)
+    assert trace.summary.hit_update == expected
 
 
 @pytest.mark.parametrize(

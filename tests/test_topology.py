@@ -75,13 +75,22 @@ def test_graph_from_adjacency_validation():
         graph_from_adjacency(np.zeros((0, 0)))
 
 
-@pytest.mark.parametrize(
-    "make",
-    [complete_graph, path_graph, star_graph, lambda n: erdos_renyi_connected(n, 0.5, make_rng(0))],
-)
+GENERATORS = [
+    complete_graph, path_graph, star_graph, lambda n: erdos_renyi_connected(n, 0.5, make_rng(0))
+]
+
+
+@pytest.mark.parametrize("make", GENERATORS)
 def test_generators_need_two_vertices(make):
-    with pytest.raises(ValueError, match="n must be an integer at least 2, got 1"):
+    with pytest.raises(ValueError, match="n must be an integer from 2 to 4096, got 1"):
         make(1)
+
+
+@pytest.mark.parametrize("make", GENERATORS)
+def test_generators_refuse_more_than_4096_vertices(make):
+    # refused before the n x n matrix is built
+    with pytest.raises(ValueError, match="n must be an integer from 2 to 4096, got 4097"):
+        make(4097)
 
 
 def test_disconnected_rejected_unless_allowed():
@@ -144,14 +153,22 @@ def test_erdos_renyi_always_connected_and_simple(n, p, seed):
 
 def test_is_connected_agrees_with_spectral_check():
     rng = make_rng(2024)
-    for _ in range(50):
-        n = int(rng.integers(2, 10))
-        adj = (rng.random((n, n)) < 0.3).astype(np.int64)
+    graphs = []
+    for _ in range(100):
+        n = int(rng.integers(2, 41))
+        adj = (rng.random((n, n)) < rng.uniform(0.02, 0.3)).astype(np.int64)
         adj = np.triu(adj, 1)
-        adj = adj + adj.T
+        graphs.append(adj + adj.T)
+    # paths, whole and with one edge cut, take a frontier round per vertex
+    for n in (2, 3, 17, 40):
+        adj = path_graph(n).adjacency.copy()
+        graphs.append(adj.copy())
+        cut = int(rng.integers(n - 1))
+        adj[cut, cut + 1] = adj[cut + 1, cut] = 0
+        graphs.append(adj)
+    for adj in graphs:
         g = graph_from_adjacency(adj, require_connected=False)
-        lap = laplacian(g)
-        lam2 = np.linalg.eigvalsh(lap)[1] if n > 1 else 0.0
+        lam2 = np.linalg.eigvalsh(laplacian(g))[1]
         assert is_connected(g) == (lam2 > CONNECTIVITY_TOL)
 
 
