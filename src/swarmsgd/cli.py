@@ -449,6 +449,15 @@ def _replication(worker, task: tuple[ExperimentConfig, int]):
         raise RuntimeError(f"replication {task[1]}: {exc}") from exc
 
 
+def _check_out_dir(path: str, field: str) -> None:
+    """ConfigError naming ``field`` unless ``path`` is or can become a directory."""
+    existing = os.path.abspath(path)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ConfigError(f"{field} {path}: {existing} is not a directory")
+
+
 def _run_tasks(worker, tasks, jobs: int):
     run = partial(_replication, worker)
     if jobs <= 1:
@@ -459,6 +468,7 @@ def _run_tasks(worker, tasks, jobs: int):
 
 def cmd_simulate(config: ExperimentConfig, jobs: int = 1) -> dict:
     check([("--jobs", *COUNT)], [jobs], ConfigError)
+    _check_out_dir(config.output_dir, "output_dir")
     tasks = [(config, r) for r in range(config.replications)]
     traces = _run_tasks(_simulate_one, tasks, jobs)
     os.makedirs(config.output_dir, exist_ok=True)
@@ -522,6 +532,7 @@ def cmd_compare(config: ExperimentConfig, jobs: int = 1) -> dict:
     check([("--jobs", *COUNT)], [jobs], ConfigError)
     if config.threshold is None:
         raise ConfigError("missing required config field: threshold")
+    _check_out_dir(config.output_dir, "output_dir")
     tasks = [(config, r) for r in range(config.replications)]
     rows = _run_tasks(_compare_one, tasks, jobs)
     included = [r for r in rows if r["T_s"] is not None and r["T_c"] is not None]
@@ -564,6 +575,8 @@ def summary_json_dict(summary: engine.RunSummary) -> dict:
 
 def cmd_bounds(params_path: str, out_dir: str | None = None) -> dict:
     """Evaluate every bound family at the inputs of one parameter file."""
+    if out_dir is not None:
+        _check_out_dir(out_dir, "--out")
     inputs = _fields(_load_json(params_path), _SCHEMA["bounds"], "bound parameters")
     if inputs["G0"] is None:
         inputs["G0"] = inputs["U0"]
@@ -585,6 +598,7 @@ def cmd_bounds(params_path: str, out_dir: str | None = None) -> dict:
 
 def cmd_validate(config: ExperimentConfig) -> dict:
     """Run a short swarm trajectory and check both inequalities on it."""
+    _check_out_dir(config.output_dir, "output_dir")
     spec = build_objective(config)
     graph = build_graph(config, 0)
     vcfg = config.validate
@@ -636,6 +650,7 @@ _SWEEP_HEADER = "family,gamma,a,N,lambda2,d_bar,admissible,omega,rate,bound"
 
 def cmd_sweep(params_path: str, out_dir: str) -> str:
     """Evaluate all bound families over a parameter grid, long CSV."""
+    _check_out_dir(out_dir, "--out")
     params = _fields(_load_json(params_path), _SCHEMA["sweep"], "sweep parameters")
     inputs, grid = params["base"], params["grid"]
     if inputs["G0"] is None:

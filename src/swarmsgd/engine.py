@@ -34,10 +34,10 @@ step, then the oracle noise of all the block's samples.
 
 The monitors are evaluated once per block, after its updates are
 computed: one test of every update's sum finds the first threshold
-crossing, the captured means read the same sum trajectory, and each
-record waits for the test, holding a copy of the positions. The update
-loop itself only moves rows. ``on_record`` is called in k order, with a
-copy of the positions after that update that the engine never writes again.
+crossing, the captured means read the same sum trajectory, and one
+``metrics.snapshot`` of the stacked record-point positions gives the
+records. The update loop itself only moves rows. ``on_record`` is called
+in k order, with a stack row the engine never writes again.
 """
 from __future__ import annotations
 
@@ -117,9 +117,10 @@ class RunConfig:
     capture indices and ``seed`` are integers.
 
     The records, the crossing and the captures are evaluated once per
-    block of updates. ``on_record`` sees k strictly increasing and a
-    copy of the positions after update k, which it may keep; it is
-    called once the block's updates are computed.
+    block of updates, the records in one ``metrics.snapshot`` call.
+    ``on_record`` sees k strictly increasing and the positions after
+    update k, never written again, which it may keep; it is called once
+    the block's updates are computed.
     """
 
     n_threads: int
@@ -274,14 +275,15 @@ def _run_loop(scheme, config, spec, X, graph, on_record, schedule) -> Trace:
 
     The monitors run once per block. The block is cut up front at the
     horizon and the budget; the updates run one record interval at a
-    time, storing their deltas and a copy of the positions at each
-    record point. One cumsum over [sum at block start; deltas] repeats
-    the sequential adds of ``sum_vec += delta``, so the crossing test
-    and the captures read the exact sums. One test over all the block's
-    rows, with the per-update arithmetic, finds the first crossing; its
-    state is rebuilt by re-adding the deltas to a copy of the block's
-    start. The records, the crossing record and ``on_record`` follow in
-    k order, each on its own copy, and a run that stops at the crossing
+    time, storing their deltas and the positions at each record point
+    in one fresh (points, rows, dim) stack. One cumsum over [sum at
+    block start; deltas] repeats the sequential adds of ``sum_vec +=
+    delta``, so the crossing test and the captures read the exact sums.
+    One test over all the block's rows, with the per-update arithmetic,
+    finds the first crossing; its state, rebuilt by re-adding the deltas
+    to a copy of the block's start, joins the stack in k order. One
+    ``metrics.snapshot`` of the stack gives the records, appended and
+    handed to ``on_record`` in k order; a run that stops at the crossing
     records nothing after it.
     """
     N = config.n_threads
@@ -332,19 +334,22 @@ def _run_loop(scheme, config, spec, X, graph, on_record, schedule) -> Trace:
     captured: dict[int, np.ndarray] = {}
     started = time.perf_counter()
 
-    def record(k: int, t: float, positions: np.ndarray) -> None:
-        """Record the state after update ``k``, once; a non-finite record
-        ends the run with a DivergenceError."""
-        if records and records[-1].k == k:
-            return
-        snap = metrics.snapshot(positions, spec, x_star, f_star)
-        if not (math.isfinite(snap.Vbar) and math.isfinite(snap.grad_norm_sq)):
-            raise DivergenceError(scheme, k, t)
-        records.append(TraceRecord(k, t, snap.U, snap.Vbar, snap.f_gap, snap.grad_norm_sq))
-        if on_record is not None:
-            on_record(k, t, positions)
+    def record(points: list[tuple[int, float]], states: np.ndarray) -> None:
+        """Record ``states[r]``, the state at ``points[r] = (k, t)``, in k
+        order, from one snapshot of the stack; a non-finite record ends
+        the run with a DivergenceError."""
+        snap = metrics.snapshot(states, spec, x_star, f_star)
+        # U stays the math.nan object, which compares equal to itself.
+        Us = [math.nan] * len(points) if x_star is None else snap.U.tolist()
+        cols = zip(points, Us, snap.Vbar.tolist(), snap.f_gap.tolist(), snap.grad_norm_sq.tolist())
+        for r, ((k, t), U, Vbar, f_gap, grad_norm_sq) in enumerate(cols):
+            if not (math.isfinite(Vbar) and math.isfinite(grad_norm_sq)):
+                raise DivergenceError(scheme, k, t)
+            records.append(TraceRecord(k, t, U, Vbar, f_gap, grad_norm_sq))
+            if on_record is not None:
+                on_record(k, t, states[r])
 
-    record(0, 0.0, X.copy())
+    record([(0, 0.0)], X[None].copy())
 
     counts = np.zeros(rows, dtype=np.int64)
     sum_vec = X.sum(axis=0)
@@ -390,7 +395,9 @@ def _run_loop(scheme, config, spec, X, graph, on_record, schedule) -> Trace:
         deltas = [sum_vec.copy()]
         keep = deltas.append
         start_X = X.copy()
-        pending: list[tuple[int, float, np.ndarray]] = []
+        # The positions at the block's record points, and their (k, t).
+        states = np.empty(((k0 + n_run) // record_every - k0 // record_every, *X.shape))
+        points: list[tuple[int, float]] = []
 
         # The updates, one record interval at a time.
         seg_start = 0
@@ -427,7 +434,8 @@ def _run_loop(scheme, config, spec, X, graph, on_record, schedule) -> Trace:
             k = k0 + seg_end
             if k % record_every == 0:
                 # Records wait for the watch, which may cross before them.
-                pending.append((k, times[seg_end - 1], X.copy()))
+                states[len(points)] = X
+                points.append((k, times[seg_end - 1]))
 
         n_done = n_run
         # Row j is the sum after k0 + j updates: cumsum adds one delta at
@@ -436,14 +444,14 @@ def _run_loop(scheme, config, spec, X, graph, on_record, schedule) -> Trace:
         sum_vec = trajectory[n_run]
         if watch:
             # The squared error of the swarm mean after each update, or its
-            # squared gradient norm when no optimum is known; the stacked
-            # matmul hands each row to the dot kernel, rounding as e.dot(e).
+            # squared gradient norm when no optimum is known; row_dots
+            # rounds each row as e.dot(e).
             err = trajectory[1:] * inv_n
             if x_star is None:
                 err = obj.grad_exact_rows(spec, err)
             else:
                 err -= x_star
-            crossed = np.flatnonzero(np.matmul(err[:, None, :], err[:, :, None]) <= threshold)
+            crossed = np.flatnonzero(obj.row_dots(err, err) <= threshold)
             if crossed.size:
                 hit = int(crossed[0]) + 1
                 # The state at the crossing: the block's deltas re-added
@@ -451,18 +459,17 @@ def _run_loop(scheme, config, spec, X, graph, on_record, schedule) -> Trace:
                 for j in range(hit):
                     start_X[threads[j]] += deltas[j + 1]
                 T_hit, hit_update, watch = times[hit - 1], k0 + hit, False
-                # The crossing is recorded in k order. A run that stops
-                # there records nothing after it: its final record is
-                # the crossing's.
-                later = [p for p in pending if p[0] > hit_update]
-                pending = [p for p in pending if p[0] < hit_update]
-                pending.append((hit_update, T_hit, start_X))
+                # The crossing state replaces any record point at its k,
+                # in k order. A run that stops there drops the later
+                # points too: its final record is the crossing's.
+                i = sum(p[0] < hit_update for p in points)
+                j = sum(p[0] <= hit_update for p in points)
                 if config.stop_at_threshold:
-                    n_done, ends = hit, True
-                else:
-                    pending += later
-        for args in pending:
-            record(*args)
+                    n_done, ends, j = hit, True, len(points)
+                states = np.concatenate((states[:i], start_X[None], states[j:]))
+                points[i:j] = [(hit_update, T_hit)]
+        if points:
+            record(points, states)
         # Update k draws its capture before it moves.
         while captures and captures[0] < k0 + n_done:
             c = captures.popleft()
@@ -478,7 +485,8 @@ def _run_loop(scheme, config, spec, X, graph, on_record, schedule) -> Trace:
         if not np.isfinite(sum_vec).all():
             raise DivergenceError(scheme, k, clock)
 
-    record(k, clock, X.copy())
+    if records[-1].k != k:
+        record([(k, clock)], X[None].copy())
     final = records[-1]
     summary = RunSummary(
         T_hit=T_hit,

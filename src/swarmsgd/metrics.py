@@ -30,41 +30,44 @@ _ESTIMATE_FLOOR = 1000
 
 @dataclass(frozen=True)
 class MetricSnapshot:
-    """Metrics of one recorded state; U is NaN when the optimum is unknown."""
+    """Metrics of R recorded states, one (R,) array each; U NaN without an optimum."""
 
-    U: float
-    Vbar: float
-    f_gap: float
-    grad_norm_sq: float
+    U: np.ndarray
+    Vbar: np.ndarray
+    f_gap: np.ndarray
+    grad_norm_sq: np.ndarray
 
 
-def _frozen_state(positions: np.ndarray, n_rows: int | None, dim: int):
-    """``positions`` as a float array with its mean, its rows' deviations
-    from the mean and their mean squared norm Vbar. ValueError unless the
-    shape is (n_rows, dim), any row count when ``n_rows`` is None."""
+def _frozen_state(positions: np.ndarray, n_rows: int, dim: int):
+    """``positions`` as a float array with its rows' deviations from
+    their mean and their mean squared norm Vbar. ValueError unless the
+    shape is (n_rows, dim)."""
     X = np.asarray(positions, dtype=float)
-    if X.ndim != 2 or X.shape[1] != dim or n_rows not in (None, X.shape[0]):
-        expected = "*" if n_rows is None else n_rows
-        raise ValueError(f"positions have shape {X.shape}, expected ({expected}, {dim})")
-    mean = X.mean(axis=0)
-    deviations = X - mean
-    return X, mean, deviations, float((deviations**2).sum() / X.shape[0])
+    if X.shape != (n_rows, dim):
+        raise ValueError(f"positions have shape {X.shape}, expected ({n_rows}, {dim})")
+    deviations = X - X.mean(axis=0)
+    return X, deviations, float((deviations**2).sum() / n_rows)
 
 
 def snapshot(
-    positions: np.ndarray, spec: obj.ObjectiveSpec, x_star: np.ndarray | None, f_star: float
+    states: np.ndarray, spec: obj.ObjectiveSpec, x_star: np.ndarray | None, f_star: float
 ) -> MetricSnapshot:
-    """Compute all trace metrics for an (N, m) position matrix, given the
-    optimum (None when unknown) and the optimal value."""
-    _, mean, _, Vbar = _frozen_state(positions, None, spec.dim)
-    if x_star is None:
-        U = math.nan
+    """Compute all trace metrics for each state of an (R, N, m) stack,
+    given the optimum (None when unknown) and the optimal value. Row r
+    rounds as state r alone would: each dot product is a ``row_dots`` row."""
+    P = np.asarray(states, dtype=float)
+    if P.ndim != 3 or P.shape[2] != spec.dim:
+        raise ValueError(f"states have shape {P.shape}, expected (R, N, {spec.dim})")
+    means = P.mean(axis=1)
+    Vbar = ((P - means[:, None, :]) ** 2).reshape(len(P), -1).sum(axis=1) / P.shape[1]
+    diffs = np.full_like(means, math.nan) if x_star is None else means - x_star
+    # grad_exact's Q x for quadratic, which rounds differently from x Q
+    if spec.kind == obj.QUADRATIC:
+        grads = np.matmul(spec.Q, means[:, :, None])[:, :, 0] + spec.b
     else:
-        diff = mean - x_star
-        U = float(diff @ diff)
-    f_gap = obj.value(spec, mean) - f_star
-    g = obj.grad_exact(spec, mean)
-    return MetricSnapshot(U=U, Vbar=Vbar, f_gap=f_gap, grad_norm_sq=float(g @ g))
+        grads = obj.grad_exact_rows(spec, means)
+    f_gap = obj.value_rows(spec, means) - f_star
+    return MetricSnapshot(obj.row_dots(diffs, diffs), Vbar, f_gap, obj.row_dots(grads, grads))
 
 
 @dataclass(frozen=True)
@@ -91,7 +94,7 @@ def lemma4_check(
     <= 2 sum_i |grad f(x_i)|^2 + 8 a^2 N dbar^2 Vbar
     with a small relative slack for floating point round-off.
     """
-    X, _, _, Vbar = _frozen_state(positions, graph.n_vertices, spec.dim)
+    X, _, Vbar = _frozen_state(positions, graph.n_vertices, spec.dim)
     grads = obj.grad_exact_rows(spec, X)
     drift = grads + a * _attraction_rows(graph, X)
     lhs = float((drift**2).sum())
@@ -153,7 +156,7 @@ def lemma2_monte_carlo_check(
     """
     check(args(RANGES, "n_replications", "sigma_samples"), (n_replications, sigma_samples))
     N = graph.n_vertices
-    X, _, deviations, Vbar = _frozen_state(positions, N, spec.dim)
+    X, deviations, Vbar = _frozen_state(positions, N, spec.dim)
     grads = obj.grad_exact_rows(spec, X)
     attraction = _attraction_rows(graph, X)
     lam2 = topology.algebraic_connectivity(graph)

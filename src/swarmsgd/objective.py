@@ -150,16 +150,27 @@ def _check_rows(spec: ObjectiveSpec, X: np.ndarray) -> np.ndarray:
     return X
 
 
+def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``A[i] . B[i]`` for each row, ``B`` a stack like ``A`` or one vector;
+    the stacked matmul hands each row to the dot kernel, as ``dot`` does."""
+    return np.matmul(A[:, None, :], B[..., None])[:, 0, 0]
+
+
 def value(spec: ObjectiveSpec, x: np.ndarray) -> float:
-    """Population objective value at ``x``."""
-    x = _check_point(spec, x)
+    """Population objective value at ``x``: row 0 of ``value_rows``."""
+    return float(value_rows(spec, _check_point(spec, x)[None, :])[0])
+
+
+def value_rows(spec: ObjectiveSpec, X: np.ndarray) -> np.ndarray:
+    """Population objective value at each row of ``X``."""
+    X = _check_rows(spec, X)
     if spec.kind == RIDGE:
-        diff = x - spec.x_tilde
-        return float(diff @ diff / 3.0 + spec.rho * (x @ x) + 1.0)
+        diff = X - spec.x_tilde
+        return row_dots(diff, diff) / 3.0 + spec.rho * row_dots(X, X) + 1.0
     if spec.kind == QUADRATIC:
-        return float(0.5 * x @ spec.Q @ x + spec.b @ x)
-    s = np.sin(x)
-    return float(0.5 * (x @ x) + 3.0 * (s @ s))
+        return row_dots(np.matmul((0.5 * X)[:, None, :], spec.Q)[:, 0], X) + row_dots(X, spec.b)
+    S = np.sin(X)
+    return 0.5 * row_dots(X, X) + 3.0 * row_dots(S, S)
 
 
 def grad_exact(spec: ObjectiveSpec, x: np.ndarray) -> np.ndarray:

@@ -737,6 +737,38 @@ def test_swarm_too_large_for_memory_is_exit_2_writing_nothing(tmp_path, capsys, 
     assert not out.exists()
 
 
+def _refuse_runs(*args, **kwargs):
+    raise AssertionError("a run started")
+
+
+@pytest.mark.parametrize("below", [False, True])
+@pytest.mark.parametrize("command", ["simulate", "compare", "validate", "bounds", "sweep"])
+def test_output_dir_naming_a_file_is_exit_2_before_any_run(
+    tmp_path, capsys, monkeypatch, command, below
+):
+    # a file at the output path, or at one of its parents, is refused
+    # before the first run, which would otherwise fail only at the write
+    monkeypatch.setattr(engine, "run_swarm", _refuse_runs)
+    monkeypatch.setattr(cli, "_evaluate", _refuse_runs)
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep")
+    out = blocker / "sub" if below else blocker
+    path = tmp_path / "in.json"
+    if command in ("bounds", "sweep"):
+        params = _bounds_params()
+        if command == "sweep":
+            params = {"base": {"kappa": 1.0, "L": 1.0, "sigma_sq": 1.0}, "grid": {}}
+        path.write_text(json.dumps(params))
+        argv, field = [command, "--config", str(path), "--out", str(out)], "--out"
+    else:
+        path.write_text(json.dumps(_config_dict(output_dir=str(out))))
+        argv, field = [command, "--config", str(path)], "output_dir"
+    code, err = _exit_code_and_err(capsys, argv)
+    assert code == 2
+    assert f"{field} {out}: {blocker} is not a directory" in err
+    assert blocker.read_text() == "keep"
+
+
 def test_non_finite_output_is_refused_before_writing(tmp_path):
     path = tmp_path / "x.json"
     with pytest.raises(ValueError):

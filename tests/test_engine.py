@@ -253,7 +253,7 @@ def test_optimal_value_is_computed_once_per_run(monkeypatch, scheme):
     assert len(trace.records) == 51
     assert len(calls) == 1
     # the cached value gives the same bits as recomputing it
-    assert trace.records[-1].f_gap == metrics.snapshot(final["X"], spec, obj.optimum(spec), real(spec)).f_gap
+    assert trace.records[-1].f_gap == metrics.snapshot(final["X"][None], spec, obj.optimum(spec), real(spec)).f_gap[0]
 
 
 def test_capture_mean_at():
@@ -612,6 +612,47 @@ def test_diverging_run_raises_at_first_non_finite_record(scheme):
     # the error survives the trip to and from a worker process
     back = pickle.loads(pickle.dumps(err))
     assert (back.scheme, back.k, back.t, str(back)) == (err.scheme, err.k, err.t, str(err))
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_divergence_in_a_record_dense_block_hands_over_only_the_records_before_it(scheme):
+    # record_every=1 makes every update of the block a record point, and the
+    # block's records are evaluated together after its updates
+    spec = _spec()
+    graph = topology.complete_graph(4)
+
+    def run(config):
+        seen = []
+
+        def keep(k, t, positions):
+            seen.append((k, t, positions))
+
+        try:
+            if scheme == SCHEME_CENTRALIZED:
+                run_centralized(config, spec, on_record=keep)
+            elif scheme == SCHEME_SWARM:
+                run_swarm(config, graph, spec, on_record=keep)
+            else:
+                run_swarm_global_tick(config, graph, spec, on_record=keep)
+        except engine.DivergenceError as exc:
+            return seen, exc
+        return seen, None
+
+    seen, err = run(_diverging())
+    assert err is not None and err.k % B not in (0, 1)
+    # on_record saw exactly the records before the diverging one, in k order
+    assert [k for k, _, _ in seen] == list(range(err.k))
+    assert all(t < err.t for _, t, _ in seen)
+    snap = metrics.snapshot(np.stack([p for _, _, p in seen]), spec, obj.optimum(spec), 0.0)
+    assert np.isfinite(snap.Vbar).all() and np.isfinite(snap.grad_norm_sq).all()
+    # the same states as a run that stops just before, which ends normally
+    before, none = run(_diverging(max_updates=err.k - 1))
+    assert none is None and len(before) == len(seen)
+    for (k, t, p), (k2, t2, p2) in zip(before, seen):
+        assert (k, t) == (k2, t2) and np.array_equal(p, p2)
+    # and a run that stops at err.k diverges at its final record
+    _, again = run(_diverging(max_updates=err.k))
+    assert (again.k, again.t) == (err.k, err.t)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)

@@ -26,11 +26,11 @@ def test_snapshot_at_optimum():
     spec = _ridge()
     x_star = obj.optimum(spec)
     X = np.tile(x_star, (4, 1))
-    snap = metrics.snapshot(X, spec, x_star, obj.optimal_value(spec))
-    assert snap.U == pytest.approx(0.0, abs=1e-14)
-    assert snap.Vbar == pytest.approx(0.0, abs=1e-14)
-    assert snap.f_gap == pytest.approx(0.0, abs=1e-12)
-    assert snap.grad_norm_sq == pytest.approx(0.0, abs=1e-12)
+    snap = metrics.snapshot(X[None], spec, x_star, obj.optimal_value(spec))
+    assert snap.U[0] == pytest.approx(0.0, abs=1e-14)
+    assert snap.Vbar[0] == pytest.approx(0.0, abs=1e-14)
+    assert snap.f_gap[0] == pytest.approx(0.0, abs=1e-12)
+    assert snap.grad_norm_sq[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_snapshot_symmetric_pair():
@@ -40,36 +40,79 @@ def test_snapshot_symmetric_pair():
     e1 = np.zeros(3)
     e1[0] = delta
     X = np.stack([x_star + e1, x_star - e1])
-    snap = metrics.snapshot(X, spec, x_star, obj.optimal_value(spec))
-    assert snap.U == pytest.approx(0.0, abs=1e-14)
-    assert snap.Vbar == pytest.approx(delta**2, rel=1e-12)
+    snap = metrics.snapshot(X[None], spec, x_star, obj.optimal_value(spec))
+    assert snap.U[0] == pytest.approx(0.0, abs=1e-14)
+    assert snap.Vbar[0] == pytest.approx(delta**2, rel=1e-12)
 
 
 def test_snapshot_vbar_brute_force():
     rng = make_rng(17)
     spec = _ridge()
-    for _ in range(30):
-        X = rng.normal(size=(5, 3))
-        snap = metrics.snapshot(X, spec, obj.optimum(spec), obj.optimal_value(spec))
+    P = rng.normal(size=(30, 5, 3))
+    snap = metrics.snapshot(P, spec, obj.optimum(spec), obj.optimal_value(spec))
+    assert snap.Vbar.shape == (30,)
+    for X, Vbar in zip(P, snap.Vbar):
         mean = X.mean(axis=0)
         brute = sum(float((row - mean) @ (row - mean)) for row in X) / 5.0
-        assert snap.Vbar == pytest.approx(brute, rel=1e-12)
+        assert Vbar == pytest.approx(brute, rel=1e-12)
 
 
 def test_snapshot_without_optimum_uses_nan_U():
     spec = obj.nonconvex_sine_spec(3)
-    X = make_rng(3).normal(size=(4, 3))
-    snap = metrics.snapshot(X, spec, None, 0.0)
-    assert math.isnan(snap.U)
+    P = make_rng(3).normal(size=(2, 4, 3))
+    snap = metrics.snapshot(P, spec, None, 0.0)
+    assert np.isnan(snap.U).all() and snap.U.shape == (2,)
     # f* = 0 is exact for this objective, so f_gap stays meaningful
-    assert snap.f_gap >= 0.0
-    assert snap.grad_norm_sq >= 0.0
+    assert (snap.f_gap >= 0.0).all()
+    assert (snap.grad_norm_sq >= 0.0).all()
 
 
 def test_snapshot_dimension_mismatch():
     spec = _ridge()
-    with pytest.raises(ValueError):
-        metrics.snapshot(np.zeros((4, 2)), spec, obj.optimum(spec), obj.optimal_value(spec))
+    # a single (N, m) state, a wrong m, and stacks of the wrong rank
+    for shape in [(4, 3), (1, 4, 2), (4, 2), (2, 4, 3, 1), (3,)]:
+        with pytest.raises(ValueError, match=r"expected \(R, N, 3\)"):
+            metrics.snapshot(np.zeros(shape), spec, obj.optimum(spec), obj.optimal_value(spec))
+
+
+def _dense_quadratic(dim):
+    A = make_rng(41).normal(size=(dim, dim))
+    return obj.quadratic_spec(A @ A.T / dim + np.eye(dim), make_rng(42).normal(size=dim))
+
+
+def _single_value(spec, x):
+    if spec.kind == obj.RIDGE:
+        diff = x - spec.x_tilde
+        return diff @ diff / 3.0 + spec.rho * (x @ x) + 1.0
+    if spec.kind == obj.QUADRATIC:
+        return 0.5 * x @ spec.Q @ x + spec.b @ x
+    s = np.sin(x)
+    return 0.5 * (x @ x) + 3.0 * (s @ s)
+
+
+@pytest.mark.parametrize("R", [1, 3, 128])
+@pytest.mark.parametrize("N", [1, 4, 100])
+@pytest.mark.parametrize(
+    "spec",
+    [_ridge(), _dense_quadratic(9), obj.nonconvex_sine_spec(5)],
+    ids=["ridge", "quadratic", "sine"],
+)
+def test_stacked_snapshot_rounds_each_row_as_the_single_state_formulas(spec, N, R):
+    # The single-state arithmetic a snapshot row replaces, written out.
+    P = make_rng(R * 1000 + N).normal(size=(R, N, spec.dim)) * 2.0 + 0.5
+    x_star, f_star = obj.optimum(spec), obj.optimal_value(spec)
+    assert f_star == (0.0 if x_star is None else _single_value(spec, x_star))
+    snap = metrics.snapshot(P, spec, x_star, f_star)
+    for r, X in enumerate(P):
+        mean = X.mean(axis=0)
+        Vbar = ((X - mean) ** 2).sum() / N
+        g = obj.grad_exact(spec, mean)
+        U = math.nan if x_star is None else (mean - x_star) @ (mean - x_star)
+        f = _single_value(spec, mean)
+        assert obj.value(spec, mean) == f
+        expected = (U, Vbar, f - f_star, g @ g)
+        got = (snap.U[r], snap.Vbar[r], snap.f_gap[r], snap.grad_norm_sq[r])
+        assert np.array_equal(got, expected, equal_nan=True), (r, got, expected)
 
 
 def test_validators_reject_positions_of_the_wrong_shape():
