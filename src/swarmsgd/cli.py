@@ -263,6 +263,9 @@ def experiment_config_from_dict(data: dict) -> ExperimentConfig:
         n = len(objective[key])
         if objective["dim"] not in (None, n):
             raise ConfigError(f"objective.dim must be {n}, the length of objective.{key}")
+        check([("objective.dim", *obj.RANGES["dim"])], [n], ConfigError)
+        if "Q" in objective and {len(objective["Q"]), *map(len, objective["Q"])} != {n}:
+            raise ConfigError(f"objective.Q must be {n} x {n}, as objective.b has length {n}")
         objective["dim"] = n
     elif objective["dim"] is None:
         raise ConfigError("missing required config field: objective.dim")

@@ -32,12 +32,12 @@ oracle noise. The centralized scheme draws per block of
 ``max(1, BATCH_SAMPLES // N)`` steps the N sampling durations of every
 step, then the oracle noise of all the block's samples.
 
-The monitors are evaluated once per block, after its updates are
-computed: one test of every update's sum finds the first threshold
-crossing, the captured means read the same sum trajectory, and one
+A run has two parts: the block mover ``_move``, whose update loop only
+moves rows, and one ``_Monitor``, which evaluates each block once its
+updates are done: one test of every update's sum finds the first
+threshold crossing, the captured means read the same sums, and one
 ``metrics.snapshot`` of the stacked record-point positions gives the
-records. The update loop itself only moves rows. ``on_record`` is called
-in k order, with a stack row the engine never writes again.
+records, handed to ``on_record`` in k order as rows never written again.
 """
 from __future__ import annotations
 
@@ -259,11 +259,119 @@ def _batch_schedule(n_threads: int, mean_time: float, rng: np.random.Generator):
         yield times, rows
 
 
-# A diverging run is reported by its DivergenceError, not by numpy's
-# warnings on the way there.
-@np.errstate(over="ignore", invalid="ignore")
-def _run_loop(scheme, config, spec, X, graph, on_record, schedule) -> Trace:
-    """The update loop of all three schemes; ``scheme`` names the run.
+class _Monitor:
+    """One run's records, first threshold crossing, captured means and
+    per-thread counts, fed what ``_move`` yields a block at a time.
+
+    One cumsum over [running sum; the block's deltas] repeats the
+    sequential adds of ``sum_vec += delta``, so the crossing test and the
+    captures read the exact sums. One test over all the block's rows,
+    with the per-update arithmetic, finds the first crossing; its state,
+    rebuilt by re-adding the deltas to the block's start, joins the record
+    points in k order. One ``metrics.snapshot`` of the stack gives the
+    records, appended and handed to ``on_record`` in k order; a run that
+    stops at the crossing records nothing after it.
+    """
+
+    def __init__(self, scheme, config, spec, X, graph, on_record) -> None:
+        self.scheme, self.config, self.spec, self.on_record = scheme, config, spec, on_record
+        self.x_star, self.f_star = obj.optimum(spec), obj.optimal_value(spec)
+        self.records: list[TraceRecord] = []
+        self.T_hit = self.hit_update = None
+        self.watch = config.threshold is not None
+        self.captures = deque(sorted(set(config.capture_mean_at)))
+        self.captured: dict[int, np.ndarray] = {}
+        self.counts = None if graph is None else np.zeros(X.shape[0], dtype=np.int64)
+        self.sum_vec, self.inv_n = X.sum(axis=0), 1.0 / X.shape[0]
+        self.k, self.clock, self.started = 0, 0.0, time.perf_counter()
+        self.record([(0, 0.0)], X[None].copy())
+
+    def record(self, points: list[tuple[int, float]], states: np.ndarray) -> None:
+        """Record ``states[r]``, the state at ``points[r] = (k, t)``, in k
+        order, from one snapshot of the stack; a non-finite record ends
+        the run with a DivergenceError."""
+        snap = metrics.snapshot(states, self.spec, self.x_star, self.f_star)
+        # U stays the math.nan object, which compares equal to itself.
+        Us = [math.nan] * len(points) if self.x_star is None else snap.U.tolist()
+        cols = zip(points, Us, snap.Vbar.tolist(), snap.f_gap.tolist(), snap.grad_norm_sq.tolist())
+        for r, ((k, t), U, Vbar, f_gap, grad_norm_sq) in enumerate(cols):
+            if not (math.isfinite(Vbar) and math.isfinite(grad_norm_sq)):
+                raise DivergenceError(self.scheme, k, t)
+            self.records.append(TraceRecord(k, t, U, Vbar, f_gap, grad_norm_sq))
+            if self.on_record is not None:
+                self.on_record(k, t, states[r])
+
+    def block(self, times, threads, n_run, deltas, start_X, points, states) -> bool:
+        """Monitor the first ``n_run`` of the block's updates, which
+        start at update ``self.k``; True when the run ends with them."""
+        k0, n_done, config = self.k, n_run, self.config
+        # The horizon cut the block short, or the budget is spent.
+        ends = n_run < len(times) or k0 + n_run == config.max_updates
+        # Row j is the sum after k0 + j updates: cumsum adds one delta at
+        # a time, as sum_vec += delta does.
+        trajectory = np.cumsum(np.array([self.sum_vec, *deltas]), axis=0)
+        self.sum_vec = trajectory[n_run]
+        if self.watch:
+            # The squared error of the swarm mean after each update, or its
+            # squared gradient norm when no optimum is known; row_dots
+            # rounds each row as e.dot(e).
+            err = trajectory[1:] * self.inv_n
+            if self.x_star is None:
+                err = obj.grad_exact_rows(self.spec, err)
+            else:
+                err -= self.x_star
+            crossed = np.flatnonzero(obj.row_dots(err, err) <= config.threshold)
+            if crossed.size:
+                hit = int(crossed[0]) + 1
+                # The state at the crossing: the block's deltas re-added
+                # to its start, in order.
+                for j in range(hit):
+                    start_X[threads[j]] += deltas[j]
+                self.T_hit, self.hit_update, self.watch = times[hit - 1], k0 + hit, False
+                # The crossing state replaces any record point at its k,
+                # in k order. A run that stops there drops the later
+                # points too: its final record is the crossing's.
+                i = sum(p[0] < self.hit_update for p in points)
+                j = sum(p[0] <= self.hit_update for p in points)
+                if config.stop_at_threshold:
+                    n_done, ends, j = hit, True, len(points)
+                states = np.concatenate((states[:i], start_X[None], states[j:]))
+                points[i:j] = [(self.hit_update, self.T_hit)]
+        if points:
+            self.record(points, states)
+        # Update k draws its capture before it moves.
+        while self.captures and self.captures[0] < k0 + n_done:
+            c = self.captures.popleft()
+            self.captured[c] = trajectory[c - k0] * self.inv_n
+        if self.counts is not None:
+            self.counts += np.bincount(threads[:n_done], minlength=self.counts.size)
+        self.k = k0 + n_done
+        if n_done:
+            self.clock = times[n_done - 1]
+        # A run that diverges between records stops at its block's end.
+        if not (ends or np.isfinite(self.sum_vec).all()):
+            raise DivergenceError(self.scheme, self.k, self.clock)
+        return ends
+
+    def trace(self, X: np.ndarray, batch: int) -> Trace:
+        """The run's trace, once its last block is monitored; ``X`` holds
+        the final positions and ``batch`` the oracle samples per update."""
+        if self.records[-1].k != self.k:
+            self.record([(self.k, self.clock)], X[None].copy())
+        final = self.records[-1]
+        summary = RunSummary(
+            T_hit=self.T_hit, threshold=self.config.threshold, final_U=final.U,
+            final_Vbar=final.Vbar, final_f_gap=final.f_gap, final_grad_norm_sq=final.grad_norm_sq,
+            seed=self.config.seed, scheme=self.scheme, n_updates=self.k, n_samples=self.k * batch,
+            virtual_time=self.clock, wall_time=time.perf_counter() - self.started,
+            hit_update=self.hit_update,
+            per_thread_update_counts=None if self.counts is None else tuple(self.counts.tolist()),
+        )
+        return Trace(records=self.records, summary=summary, captured_means=self.captured)
+
+
+def _move(config, spec, X, graph, schedule):
+    """The updates of all three schemes, a block at a time.
 
     ``schedule`` yields blocks of (fire times, rows of ``X`` that move).
     A swarm thread ``i`` moves by ``-gamma (g + a sum_j a_ij (x_i -
@@ -273,21 +381,13 @@ def _run_loop(scheme, config, spec, X, graph, on_record, schedule) -> Trace:
     into one coefficient per row, so an update costs the oracle's own
     vector work, one neighbour sum and a few in-place vector operations.
 
-    The monitors run once per block. The block is cut up front at the
-    horizon and the budget; the updates run one record interval at a
-    time, storing their deltas and the positions at each record point
-    in one fresh (points, rows, dim) stack. One cumsum over [sum at
-    block start; deltas] repeats the sequential adds of ``sum_vec +=
-    delta``, so the crossing test and the captures read the exact sums.
-    One test over all the block's rows, with the per-update arithmetic,
-    finds the first crossing; its state, rebuilt by re-adding the deltas
-    to a copy of the block's start, joins the stack in k order. One
-    ``metrics.snapshot`` of the stack gives the records, appended and
-    handed to ``on_record`` in k order; a run that stops at the crossing
-    records nothing after it.
+    A block is cut up front at the horizon and the budget, and its
+    ``n_run`` updates run one record interval at a time. Per block it
+    yields ``_Monitor.block``'s arguments: the fire times, the moving
+    rows, ``n_run``, its deltas, a copy of its start and its record points
+    with their positions in one fresh (points, rows, dim) stack.
     """
-    N = config.n_threads
-    gamma = config.step_size
+    N, gamma = config.n_threads, config.step_size
     rng = make_rng(config.seed)
     blocks = schedule(N, config.mean_sample_time, rng)
     # Oracle samples per update, whose mean the update applies.
@@ -323,46 +423,15 @@ def _run_loop(scheme, config, spec, X, graph, on_record, schedule) -> Trace:
         neighbors = [np.flatnonzero(graph.adjacency[i]) for i in range(N)]
         neighbor_weights = [np.full(idx.size, gamma_a) for idx in neighbors]
 
-    # The monitors: records, the first threshold crossing, captured means.
-    x_star = obj.optimum(spec)
-    f_star = obj.optimal_value(spec)
-    records: list[TraceRecord] = []
-    T_hit = hit_update = None
-    watch = config.threshold is not None
-    threshold = config.threshold
-    captures = deque(sorted(set(config.capture_mean_at)))
-    captured: dict[int, np.ndarray] = {}
-    started = time.perf_counter()
-
-    def record(points: list[tuple[int, float]], states: np.ndarray) -> None:
-        """Record ``states[r]``, the state at ``points[r] = (k, t)``, in k
-        order, from one snapshot of the stack; a non-finite record ends
-        the run with a DivergenceError."""
-        snap = metrics.snapshot(states, spec, x_star, f_star)
-        # U stays the math.nan object, which compares equal to itself.
-        Us = [math.nan] * len(points) if x_star is None else snap.U.tolist()
-        cols = zip(points, Us, snap.Vbar.tolist(), snap.f_gap.tolist(), snap.grad_norm_sq.tolist())
-        for r, ((k, t), U, Vbar, f_gap, grad_norm_sq) in enumerate(cols):
-            if not (math.isfinite(Vbar) and math.isfinite(grad_norm_sq)):
-                raise DivergenceError(scheme, k, t)
-            records.append(TraceRecord(k, t, U, Vbar, f_gap, grad_norm_sq))
-            if on_record is not None:
-                on_record(k, t, states[r])
-
-    record([(0, 0.0)], X[None].copy())
-
-    counts = np.zeros(rows, dtype=np.int64)
+    # Only the complete-graph pull reads the swarm sum, so only it keeps
+    # sum_vec, with the same adds the monitor's cumsum makes.
     sum_vec = X.sum(axis=0)
-    # The update itself reads sum_vec only for the pull on the complete graph.
     pull_reads_sum = complete and gamma_a != 0.0
-    inv_n = 1.0 / rows
-    clock = 0.0
-    k = 0
+    clock, k = 0.0, 0
     max_updates = math.inf if config.max_updates is None else config.max_updates
     max_virtual_time = math.inf if config.max_virtual_time is None else config.max_virtual_time
     record_every = config.record_every
-    take = X.take
-    sin = np.sin
+    take, sin = X.take, np.sin
 
     for times, threads in blocks:
         n = len(times)
@@ -386,16 +455,10 @@ def _run_loop(scheme, config, spec, X, graph, on_record, schedule) -> Trace:
         # A step still in flight at the horizon is not applied, nor its
         # samples counted.
         n_run = min(bisect.bisect_right(times, max_virtual_time), max_updates - k)
-        ends = n_run < n or k + n_run >= max_updates
-
-        # The block keeps its deltas, and sum_vec becomes the last row of
-        # its sum trajectory; only the complete-graph pull, which reads
-        # sum_vec, adds to it at each update.
         k0 = k
-        deltas = [sum_vec.copy()]
+        deltas = []
         keep = deltas.append
         start_X = X.copy()
-        # The positions at the block's record points, and their (k, t).
         states = np.empty(((k0 + n_run) // record_every - k0 // record_every, *X.shape))
         points: list[tuple[int, float]] = []
 
@@ -436,75 +499,22 @@ def _run_loop(scheme, config, spec, X, graph, on_record, schedule) -> Trace:
                 # Records wait for the watch, which may cross before them.
                 states[len(points)] = X
                 points.append((k, times[seg_end - 1]))
+        yield times, threads, n_run, deltas, start_X, points, states
+        clock = times[-1]
 
-        n_done = n_run
-        # Row j is the sum after k0 + j updates: cumsum adds one delta at
-        # a time, as sum_vec += delta does.
-        trajectory = np.cumsum(np.array(deltas), axis=0)
-        sum_vec = trajectory[n_run]
-        if watch:
-            # The squared error of the swarm mean after each update, or its
-            # squared gradient norm when no optimum is known; row_dots
-            # rounds each row as e.dot(e).
-            err = trajectory[1:] * inv_n
-            if x_star is None:
-                err = obj.grad_exact_rows(spec, err)
-            else:
-                err -= x_star
-            crossed = np.flatnonzero(obj.row_dots(err, err) <= threshold)
-            if crossed.size:
-                hit = int(crossed[0]) + 1
-                # The state at the crossing: the block's deltas re-added
-                # to its start, in order.
-                for j in range(hit):
-                    start_X[threads[j]] += deltas[j + 1]
-                T_hit, hit_update, watch = times[hit - 1], k0 + hit, False
-                # The crossing state replaces any record point at its k,
-                # in k order. A run that stops there drops the later
-                # points too: its final record is the crossing's.
-                i = sum(p[0] < hit_update for p in points)
-                j = sum(p[0] <= hit_update for p in points)
-                if config.stop_at_threshold:
-                    n_done, ends, j = hit, True, len(points)
-                states = np.concatenate((states[:i], start_X[None], states[j:]))
-                points[i:j] = [(hit_update, T_hit)]
-        if points:
-            record(points, states)
-        # Update k draws its capture before it moves.
-        while captures and captures[0] < k0 + n_done:
-            c = captures.popleft()
-            captured[c] = trajectory[c - k0] * inv_n
-        if graph is not None:
-            counts += np.bincount(threads[:n_done], minlength=rows)
-        k = k0 + n_done
-        if n_done:
-            clock = times[n_done - 1]
-        if ends:
-            break
-        # A run that diverges between records stops at its block's end.
-        if not np.isfinite(sum_vec).all():
-            raise DivergenceError(scheme, k, clock)
 
-    if records[-1].k != k:
-        record([(k, clock)], X[None].copy())
-    final = records[-1]
-    summary = RunSummary(
-        T_hit=T_hit,
-        threshold=threshold,
-        final_U=final.U,
-        final_Vbar=final.Vbar,
-        final_f_gap=final.f_gap,
-        final_grad_norm_sq=final.grad_norm_sq,
-        seed=config.seed,
-        scheme=scheme,
-        n_updates=k,
-        n_samples=k * batch,
-        virtual_time=clock,
-        wall_time=time.perf_counter() - started,
-        hit_update=hit_update,
-        per_thread_update_counts=None if graph is None else tuple(counts.tolist()),
-    )
-    return Trace(records=records, summary=summary, captured_means=captured)
+# A diverging run is reported by its DivergenceError, not by numpy's
+# warnings on the way there.
+@np.errstate(over="ignore", invalid="ignore")
+def _run_loop(scheme, config, spec, X, graph, on_record, schedule) -> Trace:
+    """One run of ``scheme``: ``_move`` moves the rows a block at a time,
+    and one ``_Monitor`` evaluates each block once its updates are done."""
+    monitor = _Monitor(scheme, config, spec, X, graph, on_record)
+    blocks = _move(config, spec, X, graph, schedule)
+    # No name keeps a monitored block, so its arrays go before the next.
+    while not monitor.block(*next(blocks)):
+        pass
+    return monitor.trace(X, 1 if graph is not None else config.n_threads)
 
 
 def run_swarm(

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._ranges import COUNT, NONNEGATIVE, POSITIVE, Range, args, check
+from ._ranges import NONNEGATIVE, POSITIVE, Range, args, check
 from .randomness import polar_normals, sampling_durations
 
 RIDGE = "ridge"
@@ -44,9 +44,10 @@ SINE_CURVATURE_BOUND = 7.0
 # Rows of oracle samples ``noisy_gradient_chunks`` holds at once.
 _CHUNK_ROWS = 1024
 
-# The range of each numeric argument; x_tilde's holds for each entry.
+# The range of each numeric argument; x_tilde's holds for each entry. At
+# the top dimension, 4,096, a dense quadratic's Q alone takes 128 MiB.
 RANGES = {
-    "dim": COUNT,
+    "dim": Range(1, 4096, "an integer from 1 to 4096", integer=True),
     "rho": POSITIVE,
     "x_tilde": Range(0.0, 1.0, "in [0, 1]"),
     "noise_std": NONNEGATIVE,
@@ -92,10 +93,10 @@ class Regularity:
 
 def ridge_spec(rho: float, x_tilde: np.ndarray) -> ObjectiveSpec:
     """Ridge objective for a given target vector."""
-    check(args(RANGES, "rho"), (rho,))
     target = np.asarray(x_tilde, dtype=float)
     if target.ndim != 1 or target.size < 1:
         raise ValueError("x_tilde must be a nonempty vector")
+    check(args(RANGES, "rho", "dim"), (rho, target.size))
     check(args(RANGES, "x_tilde") * target.size, target.tolist())
     target = target.copy()
     target.setflags(write=False)
@@ -110,8 +111,9 @@ def ridge_spec_random(rho: float, dim: int, rng: np.random.Generator) -> Objecti
 
 def quadratic_spec(Q: np.ndarray, b: np.ndarray, noise_std: float = 1.0) -> ObjectiveSpec:
     """Quadratic objective 0.5 x'Qx + b'x with Gaussian gradient noise."""
-    Q = np.asarray(Q, dtype=float)
     b = np.asarray(b, dtype=float)
+    check(args(RANGES, "dim", "noise_std"), (b.size, noise_std))
+    Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise ValueError(f"Q must be square, got shape {Q.shape}")
     if b.shape != (Q.shape[0],):
@@ -122,7 +124,6 @@ def quadratic_spec(Q: np.ndarray, b: np.ndarray, noise_std: float = 1.0) -> Obje
         raise ValueError("Q must be symmetric")
     if np.linalg.eigvalsh(Q)[0] <= 0.0:
         raise ValueError("Q must be positive definite")
-    check(args(RANGES, "noise_std"), (noise_std,))
     Q = Q.copy()
     b = b.copy()
     Q.setflags(write=False)

@@ -1140,3 +1140,45 @@ def test_main_compare_prints_its_summary_line(tmp_path, capsys):
         f"ratio={report['ratio']:.3f} predicted={report['predicted_ratio']:.3f} "
         f"excluded={len(report['excluded'])}\n"
     )
+
+
+@pytest.mark.parametrize(
+    "objective",
+    [
+        {"kind": "ridge", "dim": 4097},
+        {"kind": "ridge", "x_tilde": [0.5] * 4097},
+        {"kind": "quadratic", "Q": [[1.0]], "b": [0.0] * 4097},
+        {"kind": "nonconvex_sine", "dim": 4097},
+        {"kind": "ridge", "dim": 10**12},
+        {"kind": "nonconvex_sine", "dim": 10**12},
+    ],
+)
+def test_objective_too_large_for_memory_is_exit_2_writing_nothing(tmp_path, capsys, objective):
+    # the range is checked before any dim-sized array is built, however
+    # the dimension is given
+    out = tmp_path / "o"
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(_config_dict(objective=objective, output_dir=str(out))))
+    code, err = _exit_code_and_err(capsys, ["simulate", "--config", str(path)])
+    assert code == 2
+    dim = objective.get("dim", 4097)
+    assert f"objective.dim must be an integer from 1 to 4096, got {dim}" in err
+    assert not out.exists()
+
+
+def test_largest_objective_dimension_is_accepted():
+    for objective in ({"kind": "ridge", "dim": 4096}, {"kind": "nonconvex_sine", "dim": 4096}):
+        cfg = experiment_config_from_dict(_config_dict(objective=objective))
+        assert build_objective(cfg).dim == 4096
+
+
+@pytest.mark.parametrize(
+    "Q", [[[2.0, 0.0], [0.0]], [[2.0], [0.0]], [[2.0, 0.0]], [[2.0, 0.0], [0.0, 2.0, 0.0]], []]
+)
+def test_ragged_or_misshapen_Q_is_exit_2_naming_it(tmp_path, capsys, Q):
+    objective = {"kind": "quadratic", "Q": Q, "b": [0.0, 0.0]}
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(_config_dict(objective=objective, output_dir=str(tmp_path / "o"))))
+    code, err = _exit_code_and_err(capsys, ["simulate", "--config", str(path)])
+    assert code == 2
+    assert "objective.Q must be 2 x 2, as objective.b has length 2" in err

@@ -846,3 +846,91 @@ def test_on_record_may_keep_its_positions(runner, graph_kind, watch):
     assert (trace.summary.hit_update is None) == ("threshold" in watch)
     assert len(kept) == len(trace.records) > 2
     assert all(np.array_equal(a, b) for a, b in zip(kept, copies))
+
+
+def _synthetic_run(kind, n_rows=5, n_updates=600):
+    """A run of random deltas and threads at non-decreasing times, some
+    tied, drifting from the start towards the optimum and past it;
+    positions[k] is the state after k sequential ``X[i] += delta``."""
+    spec = _kind_specs()[kind]
+    rng = np.random.default_rng(kind)
+    start, target = (1.0, np.zeros(3)) if kind == 2 else (0.0, obj.optimum(spec))
+    drift = n_rows * 1.5 * (target - start) / n_updates
+    deltas = drift + rng.normal(scale=0.01, size=(n_updates, 3))
+    threads = rng.integers(n_rows, size=n_updates).tolist()
+    gaps = rng.exponential(size=n_updates)
+    gaps[::50] = 0.0
+    times = np.cumsum(gaps).tolist()
+    positions = np.empty((n_updates + 1, n_rows, 3))
+    X = np.full((n_rows, 3), start)
+    positions[0] = X
+    for j, (i, delta) in enumerate(zip(threads, deltas)):
+        X[i] += delta
+        positions[j + 1] = X
+    return spec, deltas, threads, times, positions
+
+
+def _monitor_in_blocks(kind, cut, record_every, watch, horizon):
+    """Feed one _Monitor the synthetic run cut into blocks of ``cut``
+    updates, as _move would; returns everything the monitor hands out."""
+    spec, deltas, threads, times, positions = _synthetic_run(kind)
+    K, n_rows = len(times), positions.shape[1]
+    config = RunConfig(
+        n_threads=n_rows, step_size=0.01, attraction=1.0, mean_sample_time=0.02, seed=0,
+        record_every=record_every, capture_mean_at=(0, 1, 6, 7, 255, 256, 257, 599, K),
+        threshold=None if watch == "off" else (0.3 if kind == 2 else 0.03),
+        stop_at_threshold=watch == "stop", **horizon(times),
+    )
+    seen = []
+    monitor = engine._Monitor(
+        SCHEME_SWARM, config, spec, positions[0].copy(), topology.complete_graph(n_rows),
+        lambda k, t, X: seen.append((k, t, X.tobytes())),
+    )
+    for s in range(0, K, cut):
+        e = min(K, s + cut)
+        ks = [k for k in range(s + 1, e + 1) if k % record_every == 0]
+        # The time horizon cuts the last block short of one more event.
+        extra = [times[-1] + 1.0] if e == K and config.max_updates is None else []
+        block = (
+            times[s:e] + extra, threads[s:e] + [0] * len(extra), e - s, list(deltas[s:e]),
+            positions[s].copy(), [(k, times[k - 1]) for k in ks], positions[ks],
+        )
+        if monitor.block(*block):
+            break
+    else:
+        raise AssertionError("the monitor did not end the run")
+    assert e == K or watch == "stop"
+    trace = monitor.trace(positions[e], 1)
+    summary = replace(trace.summary, wall_time=None)
+    captured = {c: v.tobytes() for c, v in trace.captured_means.items()}
+    return trace.records, seen, summary, captured, positions
+
+
+@pytest.mark.parametrize(
+    "horizon",
+    [lambda times: {"max_updates": len(times)},
+     lambda times: {"max_virtual_time": times[-1] + 0.5}],
+    ids=["budget", "time"],
+)
+@pytest.mark.parametrize("watch", ["off", "armed", "stop"])
+@pytest.mark.parametrize("record_every", [1, 10])
+@pytest.mark.parametrize("kind", [0, 2])
+def test_monitor_does_not_depend_on_where_blocks_are_cut(kind, record_every, watch, horizon):
+    # The monitor's outputs are a function of the run alone: blocks of 1,
+    # 7 and 256 updates give the same records, on_record calls, crossing,
+    # captures and counts, so any mover may feed it.
+    outcomes = [
+        _monitor_in_blocks(kind, cut, record_every, watch, horizon) for cut in (1, 7, 256)
+    ]
+    records, seen, summary, captured, positions = outcomes[0]
+    for other in outcomes[1:]:
+        assert other[:4] == (records, seen, summary, captured)
+    assert (summary.hit_update is None) == (watch == "off")
+    # Every state handed out, the crossing's included, is the sequential one.
+    assert all(x == positions[k].tobytes() for k, _, x in seen)
+    ks = [k for k, _, _ in seen]
+    assert ks == [r.k for r in records] and all(a < b for a, b in zip(ks, ks[1:]))
+    n = summary.n_updates
+    assert n == (summary.hit_update if watch == "stop" else len(positions) - 1)
+    assert sorted(captured) == [c for c in (0, 1, 6, 7, 255, 256, 257, 599) if c < n]
+    assert sum(summary.per_thread_update_counts) == n

@@ -60,6 +60,20 @@ def test_factory_validation():
         obj.quadratic_spec(np.ones((2, 3)), np.zeros(2))
 
 
+def test_every_constructor_caps_the_dimension():
+    # however the dimension is given: a dimension, a target or b
+    for build in (
+        lambda dim: obj.ridge_spec_random(0.1, dim, make_rng(0)),
+        lambda dim: obj.ridge_spec(0.1, np.full(dim, 0.5)),
+        lambda dim: obj.quadratic_spec(np.eye(1), np.zeros(dim)),
+        obj.nonconvex_sine_spec,
+    ):
+        with pytest.raises(ValueError, match="dim must be an integer from 1 to 4096, got 4097"):
+            build(4097)
+    assert obj.ridge_spec(0.1, np.full(4096, 0.5)).dim == 4096
+    assert obj.nonconvex_sine_spec(4096).dim == 4096
+
+
 def test_ridge_optimum_and_regularity():
     x_tilde = np.array([0.2, 0.9, 0.5])
     spec = obj.ridge_spec(0.25, x_tilde)
