@@ -38,6 +38,12 @@ updates are done: one test of every update's sum finds the first
 threshold crossing, the captured means read the same sums, and one
 ``metrics.snapshot`` of the stacked record-point positions gives the
 records, handed to ``on_record`` in k order as rows never written again.
+
+The positions live in the first rows of one buffer ``Z``; the row after
+them holds the swarm sum and the rest a block's ridge feature rows. A
+swarm update is then one gather and one gemv, ``w_i . Z[idx_i]``, whose
+index and weight vectors name the thread's own row, its neighbours' rows
+or the sum row, and for ridge the feature row of the update.
 """
 from __future__ import annotations
 
@@ -192,16 +198,20 @@ def _swarm_positions(config: RunConfig, graph, dim: int, init: np.ndarray | None
 
 
 def _positions(init: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray:
-    """Start positions: zeros, or a float copy of ``init`` checked for
-    shape and finiteness."""
-    if init is None:
-        return np.zeros(shape)
-    X = np.array(init, dtype=float)
-    if X.shape != shape:
-        raise ValueError(f"init has shape {X.shape}, expected {shape}")
-    if not np.isfinite(X).all():
-        raise ValueError("init has a non-finite entry")
-    return X
+    """The run's buffer ``Z`` (see ``_move``): the start positions in its
+    first rows, zeros or a float copy of ``init`` checked against
+    ``shape``, (N, dim) or the centralized (dim,), and for finiteness;
+    then the sum row and ``BLOCK_ROWS`` feature slots."""
+    rows = math.prod(shape[:-1])
+    Z = np.zeros((rows + 1 + BLOCK_ROWS, shape[-1]))
+    if init is not None:
+        X = np.array(init, dtype=float)
+        if X.shape != shape:
+            raise ValueError(f"init has shape {X.shape}, expected {shape}")
+        if not np.isfinite(X).all():
+            raise ValueError("init has a non-finite entry")
+        Z[:rows] = X
+    return Z
 
 
 def _event_schedule(n_threads: int, mean_time: float, rng: np.random.Generator):
@@ -370,16 +380,25 @@ class _Monitor:
         return Trace(records=self.records, summary=summary, captured_means=self.captured)
 
 
-def _move(config, spec, X, graph, schedule):
+def _move(config, spec, Z, graph, schedule):
     """The updates of all three schemes, a block at a time.
 
+    ``Z`` is the run's buffer: its first ``rows`` rows are the positions
+    ``X`` (N swarm threads, or the one centralized iterate), row ``rows``
+    the swarm sum and the rows after it a block's ridge feature rows.
     ``schedule`` yields blocks of (fire times, rows of ``X`` that move).
     A swarm thread ``i`` moves by ``-gamma (g + a sum_j a_ij (x_i -
     x_j))`` with ``g`` one oracle sample at ``x_i``; with ``graph`` None
-    the single row of ``X`` is the centralized iterate and ``g`` the
-    mean of N samples. Every term linear in the moving row is folded
-    into one coefficient per row, so an update costs the oracle's own
-    vector work, one neighbour sum and a few in-place vector operations.
+    the single row is the centralized iterate and ``g`` the mean of N
+    samples. Past the oracle's noise, an update is a fixed weighted sum
+    of rows of ``Z``: row ``i``, whose coefficient folds every term linear
+    in ``x_i``, and with weight ``gamma a`` the neighbours' rows, or the
+    sum row on the complete graph. Each row keeps its index and weight
+    vectors, built once, and an update costs one gather and one gemv,
+    ``w_i . Z[idx_i]``, beside the oracle's own work. A swarm ridge update
+    writes its feature row's slot and its ``r`` into the vectors' first
+    entries, so the gemv is its whole delta; the other oracles, and the
+    centralized ridge step, add the gemv to their own term.
 
     A block is cut up front at the horizon and the budget, and its
     ``n_run`` updates run one record interval at a time. Per block it
@@ -411,27 +430,39 @@ def _move(config, spec, X, graph, schedule):
         sine_coef = -3.0 * gamma
 
     # The centralized iterate is one row with no neighbours and no pull.
-    rows = X.shape[0]
+    rows = 1 if graph is None else N
+    X, sum_row = Z[:rows], Z[rows]
     a = 0.0 if graph is None else config.attraction
     gamma_a = gamma * a
     complete = graph is None or int(graph.degrees.min()) == N - 1
     if complete:
-        # On the complete graph sum_j (x_i - x_j) = N x_i - sum_vec.
+        # On the complete graph sum_j (x_i - x_j) = N x_i - the sum row.
         x_coef = [-gamma * (linear + a * rows)] * rows
+        pulled = [[rows]] * rows
     else:
         x_coef = [-gamma * (linear + a * d) for d in graph.degrees.tolist()]
-        neighbors = [np.flatnonzero(graph.adjacency[i]) for i in range(N)]
-        neighbor_weights = [np.full(idx.size, gamma_a) for idx in neighbors]
+        pulled = [np.flatnonzero(graph.adjacency[i]).tolist() for i in range(N)]
+    if not gamma_a:
+        pulled = [[]] * rows
+    # A swarm ridge update's first entries are its feature row's slot
+    # and r, written per update; the slots follow the sum row. A swarm
+    # block has at most BLOCK_ROWS updates, a centralized one may not.
+    slot = rows + 1
+    lead = 1 if kind == obj.RIDGE and graph is not None else 0
+    index = [np.array([slot] * lead + [i, *pulled[i]]) for i in range(rows)]
+    weights = [
+        np.array([0.0] * lead + [x_coef[i]] + [gamma_a] * len(pulled[i])) for i in range(rows)
+    ]
 
     # Only the complete-graph pull reads the swarm sum, so only it keeps
-    # sum_vec, with the same adds the monitor's cumsum makes.
-    sum_vec = X.sum(axis=0)
+    # the sum row, with the same adds the monitor's cumsum makes.
+    sum_row[:] = X.sum(axis=0)
     pull_reads_sum = complete and gamma_a != 0.0
     clock, k = 0.0, 0
     max_updates = math.inf if config.max_updates is None else config.max_updates
     max_virtual_time = math.inf if config.max_virtual_time is None else config.max_virtual_time
     record_every = config.record_every
-    take, sin = X.take, np.sin
+    take, sin = Z.take, np.sin
 
     for times, threads in blocks:
         n = len(times)
@@ -439,6 +470,8 @@ def _move(config, spec, X, graph, schedule):
         features, noise = obj.draw_noise_block(spec, n * batch, rng)
         if kind == obj.RIDGE:
             scaled_targets = two_gamma * noise
+            if lead:
+                Z[slot : slot + n] = features
             if single:
                 scaled_targets = scaled_targets.tolist()
             else:
@@ -469,29 +502,29 @@ def _move(config, spec, X, graph, schedule):
             for j in range(seg_start, seg_end):
                 i = threads[j]
                 xi = X[i]
+                w, idx = weights[i], index[i]
                 if kind == obj.RIDGE:
                     # One sample: r u; N samples: (2 gamma / N) (c - U x)' U.
                     u = features[j]
                     r = scaled_targets[j] - two_gamma * u.dot(xi)
-                    delta = u * r if single else r.dot(u)
-                elif kind == obj.QUADRATIC:
-                    delta = neg_gamma_Q.dot(xi)
-                    delta += shifts[j]
-                else:
-                    delta = sin(xi * 2.0)
-                    delta *= sine_coef
-                    delta += shifts[j]
-                coef = x_coef[i]
-                if coef:
-                    delta += xi * coef
-                if gamma_a:
-                    if complete:
-                        delta += sum_vec * gamma_a
+                    if lead:
+                        # delta = r u + coef x_i + the pull, in one gemv.
+                        w[0], idx[0] = r, slot + j
+                        delta = w.dot(take(idx, axis=0))
                     else:
-                        delta += neighbor_weights[i].dot(take(neighbors[i], axis=0))
+                        delta = u * r if single else r.dot(u)
+                        delta += w.dot(take(idx, axis=0))
+                else:
+                    if kind == obj.QUADRATIC:
+                        delta = neg_gamma_Q.dot(xi)
+                    else:
+                        delta = sin(xi * 2.0)
+                        delta *= sine_coef
+                    delta += shifts[j]
+                    delta += w.dot(take(idx, axis=0))
                 xi += delta
                 if pull_reads_sum:
-                    sum_vec += delta
+                    sum_row += delta
                 keep(delta)
             seg_start = seg_end
             k = k0 + seg_end
@@ -506,15 +539,18 @@ def _move(config, spec, X, graph, schedule):
 # A diverging run is reported by its DivergenceError, not by numpy's
 # warnings on the way there.
 @np.errstate(over="ignore", invalid="ignore")
-def _run_loop(scheme, config, spec, X, graph, on_record, schedule) -> Trace:
-    """One run of ``scheme``: ``_move`` moves the rows a block at a time,
-    and one ``_Monitor`` evaluates each block once its updates are done."""
+def _run_loop(scheme, config, spec, Z, graph, on_record, schedule) -> Trace:
+    """One run of ``scheme`` on the buffer ``Z``: ``_move`` moves its rows a
+    block at a time, and one ``_Monitor`` evaluates each block once its
+    updates are done. The positions are ``Z``'s first rows."""
+    rows, batch = (config.n_threads, 1) if graph is not None else (1, config.n_threads)
+    X = Z[:rows]
     monitor = _Monitor(scheme, config, spec, X, graph, on_record)
-    blocks = _move(config, spec, X, graph, schedule)
+    blocks = _move(config, spec, Z, graph, schedule)
     # No name keeps a monitored block, so its arrays go before the next.
     while not monitor.block(*next(blocks)):
         pass
-    return monitor.trace(X, 1 if graph is not None else config.n_threads)
+    return monitor.trace(X, batch)
 
 
 def run_swarm(
@@ -525,8 +561,8 @@ def run_swarm(
     on_record=None,
 ) -> Trace:
     """Event-driven swarm run over an interaction graph."""
-    X = _swarm_positions(config, graph, spec.dim, init)
-    return _run_loop(SCHEME_SWARM, config, spec, X, graph, on_record, _event_schedule)
+    Z = _swarm_positions(config, graph, spec.dim, init)
+    return _run_loop(SCHEME_SWARM, config, spec, Z, graph, on_record, _event_schedule)
 
 
 def run_swarm_global_tick(
@@ -543,8 +579,8 @@ def run_swarm_global_tick(
     scheme in distribution. Per block of ``BLOCK_ROWS`` updates the
     stream is consumed in the order: gaps, thread indices, oracle noise.
     """
-    X = _swarm_positions(config, graph, spec.dim, init)
-    return _run_loop(SCHEME_GLOBAL_TICK, config, spec, X, graph, on_record, _tick_schedule)
+    Z = _swarm_positions(config, graph, spec.dim, init)
+    return _run_loop(SCHEME_GLOBAL_TICK, config, spec, Z, graph, on_record, _tick_schedule)
 
 
 def run_centralized(
@@ -564,8 +600,8 @@ def run_centralized(
     the N sampling durations of every step, then the oracle noise of
     all the block's samples. The attraction is not used.
     """
-    x = _positions(init, (spec.dim,))
-    return _run_loop(SCHEME_CENTRALIZED, config, spec, x[None, :], None, on_record, _batch_schedule)
+    Z = _positions(init, (spec.dim,))
+    return _run_loop(SCHEME_CENTRALIZED, config, spec, Z, None, on_record, _batch_schedule)
 
 
 def write_trace_csv(trace: Trace, path: str) -> None:

@@ -113,7 +113,12 @@ def quadratic_spec(Q: np.ndarray, b: np.ndarray, noise_std: float = 1.0) -> Obje
     """Quadratic objective 0.5 x'Qx + b'x with Gaussian gradient noise."""
     b = np.asarray(b, dtype=float)
     check(args(RANGES, "dim", "noise_std"), (b.size, noise_std))
-    Q = np.asarray(Q, dtype=float)
+    try:
+        Q = np.asarray(Q, dtype=float)
+    except (TypeError, ValueError):  # ragged rows or entries that are not numbers
+        raise ValueError(
+            f"Q must be a {b.size} x {b.size} matrix of numbers, as b has length {b.size}"
+        ) from None
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise ValueError(f"Q must be square, got shape {Q.shape}")
     if b.shape != (Q.shape[0],):

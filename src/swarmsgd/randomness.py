@@ -57,13 +57,18 @@ def polar_normals(rng: np.random.Generator, n: int) -> np.ndarray:
         # variates, so 0.7x the deficit in candidate pairs usually
         # finishes in one round.
         pairs = max(8, int((n - filled) * 0.7) + 4)
-        v = 2.0 * rng.random((pairs, 2)) - 1.0
-        s = np.einsum("ij,ij->i", v, v)
-        keep = (s > 0.0) & (s < 1.0)
-        vk = v[keep]
+        # Candidate pair m is (v[2m], v[2m + 1]).
+        v = rng.random(2 * pairs)
+        v *= 2.0
+        v -= 1.0
+        x, y = v[0::2], v[1::2]
+        s = x * x + y * y
+        keep = np.flatnonzero((s > 0.0) & (s < 1.0))
         sk = s[keep]
         factor = np.sqrt(-2.0 * np.log(sk) / sk)
-        accepted = (vk * factor[:, None]).ravel()
+        accepted = np.empty(2 * keep.size)
+        accepted[0::2] = x[keep] * factor
+        accepted[1::2] = y[keep] * factor
         take = min(accepted.size, n - filled)
         out[filled : filled + take] = accepted[:take]
         filled += take

@@ -934,3 +934,138 @@ def test_monitor_does_not_depend_on_where_blocks_are_cut(kind, record_every, wat
     assert n == (summary.hit_update if watch == "stop" else len(positions) - 1)
     assert sorted(captured) == [c for c in (0, 1, 6, 7, 255, 256, 257, 599) if c < n]
     assert sum(summary.per_thread_update_counts) == n
+
+
+def _elementwise_states(config, graph, spec, schedule, init):
+    """Swarm updates on the engine's streams with the elementwise
+    arithmetic the engine's one gemv per update replaced: the oracle term,
+    then ``x_i * coef``, then the pull, each added on its own."""
+    rng = make_rng(config.seed)
+    N, gamma, a = config.n_threads, config.step_size, config.attraction
+    X = np.array(init, dtype=float)
+    S = X.sum(axis=0)
+    complete = int(graph.degrees.min()) == N - 1
+    linear = {obj.RIDGE: 2.0 * (spec.rho or 0.0), obj.QUADRATIC: 0.0}.get(spec.kind, 1.0)
+    coef = [-gamma * (linear + a * (N if complete else d)) for d in graph.degrees.tolist()]
+    blocks = schedule(N, config.mean_sample_time, rng)
+    states = [X.copy()]
+    while len(states) <= config.max_updates:
+        _, threads = next(blocks)
+        U, c = obj.draw_noise_block(spec, B, rng)
+        for j, i in enumerate(threads[: config.max_updates + 1 - len(states)]):
+            x = X[i]
+            if spec.kind == obj.RIDGE:
+                delta = U[j] * (2.0 * gamma * c[j] - 2.0 * gamma * U[j].dot(x))
+            elif spec.kind == obj.QUADRATIC:
+                delta = (-gamma * spec.Q).dot(x) + (-gamma * c[j] - gamma * spec.b)
+            else:
+                delta = -3.0 * gamma * np.sin(2.0 * x) - gamma * c[j]
+            delta += x * coef[i]
+            if complete:
+                delta += S * (gamma * a)
+            else:
+                delta += (gamma * a) * X[np.flatnonzero(graph.adjacency[i])].sum(axis=0)
+            x += delta
+            S += delta
+            states.append(X.copy())
+    return states
+
+
+@pytest.mark.parametrize("attraction", [0.0, 0.7])
+@pytest.mark.parametrize("graph_kind", ["complete", "erdos_renyi", "path"])
+@pytest.mark.parametrize("kind", range(3))
+@pytest.mark.parametrize("scheme,runner,schedule", SCHEDULES)
+def test_folded_update_matches_the_elementwise_arithmetic(
+    scheme, runner, schedule, kind, graph_kind, attraction
+):
+    # One gemv per update rounds each delta once where the elementwise
+    # loop rounds each term; the two stay within a few ulps.
+    spec = _kind_specs()[kind]
+    n = 6
+    graph = {
+        "complete": topology.complete_graph(n),
+        "erdos_renyi": topology.erdos_renyi_connected(n, 0.5, make_rng(3)),
+        "path": topology.path_graph(n),
+    }[graph_kind]
+    init = make_rng(11).normal(size=(n, spec.dim))
+    config = _swarm_config(n_threads=n, attraction=attraction, max_updates=B + 90, record_every=1)
+    _, seen = _kept_states(config, graph, spec, runner, init=init)
+    reference = _elementwise_states(config, graph, spec, schedule, init)
+    assert len(seen) == len(reference)
+    for k, expected in enumerate(reference):
+        np.testing.assert_allclose(seen[k], expected, rtol=1e-12, atol=1e-14)
+
+
+def _bitwise_central_states(config, spec, init):
+    """Centralized steps on the engine's streams in the engine's own
+    arithmetic: ``delta = r.dot(u); delta += x * coef`` for ridge (``u * r``
+    for one thread), the oracle term and then ``x * coef`` for the others."""
+    rng = make_rng(config.seed)
+    N, gamma = config.n_threads, config.step_size
+    x = np.array(init, dtype=float)
+    blocks = engine._batch_schedule(N, config.mean_sample_time, rng)
+    linear = {obj.RIDGE: 2.0 * (spec.rho or 0.0), obj.QUADRATIC: 0.0}.get(spec.kind, 1.0)
+    coef = -gamma * linear
+    two_gamma = 2.0 * gamma / N
+    states = [x.copy()]
+    while len(states) <= config.max_updates:
+        times, _ = next(blocks)
+        n = len(times)
+        U, c = obj.draw_noise_block(spec, n * N, rng)
+        if spec.kind != obj.RIDGE:
+            shifts = -gamma * c.reshape(n, N, spec.dim).mean(axis=1)
+            if spec.kind == obj.QUADRATIC:
+                shifts += -gamma * spec.b
+        for s in range(min(n, config.max_updates + 1 - len(states))):
+            if spec.kind == obj.RIDGE:
+                # One thread keeps one sample a step: r is a scalar.
+                samples = s if N == 1 else slice(s * N, (s + 1) * N)
+                u = U[samples]
+                r = two_gamma * c[samples] - two_gamma * u.dot(x)
+                delta = u * r if N == 1 else r.dot(u)
+            elif spec.kind == obj.QUADRATIC:
+                delta = (-gamma * spec.Q).dot(x)
+                delta += shifts[s]
+            else:
+                delta = np.sin(x * 2.0)
+                delta *= -3.0 * gamma
+                delta += shifts[s]
+            delta += x * coef
+            x += delta
+            states.append(x.copy())
+    return states
+
+
+@pytest.mark.parametrize("n_threads", [1, 6, 100])
+@pytest.mark.parametrize("kind", range(3))
+def test_centralized_is_bitwise_the_elementwise_step(kind, n_threads):
+    # 100 threads draw 10 steps a block, 6 threads 170 and 1 thread 1024,
+    # more steps than the buffer has feature slots.
+    spec = _kind_specs()[kind]
+    init = make_rng(13).normal(size=spec.dim)
+    config = _swarm_config(n_threads=n_threads, max_updates=700, record_every=1)
+    trace, seen = _kept_central_states(config, spec, init=init)
+    reference = _bitwise_central_states(config, spec, init)
+    assert [seen[k].tobytes() for k in range(len(seen))] == [x.tobytes() for x in reference]
+    snap = metrics.snapshot(
+        np.stack(reference)[:, None, :], spec, obj.optimum(spec), obj.optimal_value(spec)
+    )
+    got = [(r.Vbar, r.f_gap, r.grad_norm_sq) for r in trace.records]
+    assert got == list(zip(snap.Vbar.tolist(), snap.f_gap.tolist(), snap.grad_norm_sq.tolist()))
+    if obj.optimum(spec) is not None:
+        assert [r.U for r in trace.records] == snap.U.tolist()
+
+
+def test_one_row_products_agree_bit_for_bit():
+    # A (1, k) @ (k, dim) product rounds alike as a dot, a matmul and a
+    # row of a stacked matmul, so a replica-batched mover may stack the
+    # scalar loop's gemvs.
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        k, dim, R = int(rng.integers(1, 13)), int(rng.choice([1, 3, 20, 100])), 5
+        W = rng.normal(size=(R, k))
+        Ms = rng.normal(size=(R, k, dim))
+        stacked = np.matmul(W[:, None, :], Ms)[:, 0]
+        for r in range(R):
+            assert W[r].dot(Ms[r]).tobytes() == np.matmul(W[r], Ms[r]).tobytes()
+            assert W[r].dot(Ms[r]).tobytes() == stacked[r].tobytes()

@@ -58,6 +58,10 @@ def test_factory_validation():
             obj.ridge_spec_random(0.1, dim, make_rng(0))
     with pytest.raises(ValueError, match="square"):
         obj.quadratic_spec(np.ones((2, 3)), np.zeros(2))
+    # a ragged Q is named with the shape b asks for, not left to numpy
+    for Q in ([[2.0, 0.0], [0.0]], [[2.0, "x"], [0.0, 1.0]]):
+        with pytest.raises(ValueError, match=r"^Q must be a 2 x 2 matrix of numbers"):
+            obj.quadratic_spec(Q, np.zeros(2))
 
 
 def test_every_constructor_caps_the_dimension():

@@ -106,3 +106,30 @@ def test_sampling_durations_redraw_a_zero(zero_first_exponential):
     durations = sampling_durations(rng, 0.5, 4)
     assert rng.exponential_calls == 2
     assert durations.shape == (4,) and np.all(durations > 0.0)
+
+
+def _einsum_polar_normals(rng, n):
+    """The polar method as first written, over a (pairs, 2) array with an
+    einsum norm and a boolean row mask: the reference for its bits."""
+    out = np.empty(n)
+    filled = 0
+    while filled < n:
+        pairs = max(8, int((n - filled) * 0.7) + 4)
+        v = 2.0 * rng.random((pairs, 2)) - 1.0
+        s = np.einsum("ij,ij->i", v, v)
+        keep = (s > 0.0) & (s < 1.0)
+        sk = s[keep]
+        factor = np.sqrt(-2.0 * np.log(sk) / sk)
+        accepted = (v[keep] * factor[:, None]).ravel()
+        take = min(accepted.size, n - filled)
+        out[filled : filled + take] = accepted[:take]
+        filled += take
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 7, 100, 256, 1000, 1024, 4096])
+def test_polar_normals_match_the_einsum_version(n):
+    for seed in range(200):
+        rng, twin = make_rng(seed), make_rng(seed)
+        assert polar_normals(rng, n).tobytes() == _einsum_polar_normals(twin, n).tobytes()
+        assert rng.bit_generator.state == twin.bit_generator.state
