@@ -41,11 +41,16 @@ def args(ranges: dict, *names: str) -> tuple:
 def check(named: tuple, values, error: type[ValueError] = ValueError) -> None:
     """Raise ``error("<name> must be <words>, got <value>")`` for the
     first of ``values`` outside its range; ``named``, from ``args``,
-    names each value and gives its range, in order. It runs on every
-    bound evaluation, so the ranges come unpacked and each test is inline."""
+    names each value and gives its range, in order; a value that is no
+    number at all fails too. It runs on every bound evaluation, so the
+    ranges come unpacked and each test is inline."""
     for (name, low, high, words, integer), value in zip(named, values):
-        if (
-            integer and (isinstance(value, bool) or not isinstance(value, (int, np.integer)))
-            or not low <= value <= high
-        ):
+        try:
+            outside = (
+                integer and (isinstance(value, bool) or not isinstance(value, (int, np.integer)))
+                or not low <= value <= high
+            )
+        except TypeError:  # a string, None or a complex number is in no range
+            outside = True
+        if outside:
             raise error(f"{name} must be {words}, got {value!r}")

@@ -493,6 +493,34 @@ def cmd_simulate(config: ExperimentConfig, jobs: int = 1) -> dict:
     return report
 
 
+class _Lemma4Stack:
+    """An ``on_record`` callback that keeps the states it is handed and
+    checks lemma 4 on them in one ``metrics.lemma4_check`` call once they
+    fill ``engine.STACK_BYTES``, and at ``check``; ``results`` holds
+    (k, lhs, rhs, holds) per state, in k order."""
+
+    def __init__(self, graph, spec, a: float) -> None:
+        self.graph, self.spec, self.a = graph, spec, a
+        self.ks: list[int] = []
+        self.states: list[np.ndarray] = []
+        self.results: list[tuple[int, float, float, bool]] = []
+
+    def __call__(self, k, t, positions) -> None:
+        self.ks.append(k)
+        self.states.append(positions)
+        if len(self.states) * positions.nbytes >= engine.STACK_BYTES:
+            self.check()
+
+    def check(self) -> None:
+        """Check the states kept since the last check."""
+        if self.states:
+            result = metrics.lemma4_check(np.stack(self.states), self.graph, self.spec, self.a)
+            self.results += zip(
+                self.ks, result.lhs.tolist(), result.rhs.tolist(), result.holds.tolist()
+            )
+            self.ks, self.states = [], []
+
+
 def _compare_one(task: tuple[ExperimentConfig, int]) -> dict:
     config, replication = task
     spec = build_objective(config)
@@ -501,21 +529,15 @@ def _compare_one(task: tuple[ExperimentConfig, int]) -> dict:
     seed_s = derive_seed(config.master_seed, replication, STREAM_SWARM)
     seed_c = derive_seed(config.master_seed, replication, STREAM_CENTRALIZED)
 
-    violations = 0
-
-    def watch_lemma4(k, t, positions):
-        nonlocal violations
-        result = metrics.lemma4_check(positions, graph, spec, config.run["attraction"])
-        if not result.holds:
-            violations += 1
-
+    lemma4 = _Lemma4Stack(graph, spec, config.run["attraction"])
     swarm_config = build_run_config(
         config, seed_s, max_virtual_time=horizon_s, stop_at_threshold=True
     )
     central_config = build_run_config(
         config, seed_c, max_virtual_time=horizon_c, stop_at_threshold=True
     )
-    swarm = engine.run_swarm(swarm_config, graph, spec, on_record=watch_lemma4)
+    swarm = engine.run_swarm(swarm_config, graph, spec, on_record=lemma4)
+    lemma4.check()
     central = engine.run_centralized(central_config, spec)
     return {
         "replication": replication,
@@ -525,7 +547,7 @@ def _compare_one(task: tuple[ExperimentConfig, int]) -> dict:
         "T_c": central.summary.T_hit,
         "swarm_updates": swarm.summary.n_updates,
         "central_steps": central.summary.n_updates,
-        "lemma4_violations": violations,
+        "lemma4_violations": [holds for _, _, _, holds in lemma4.results].count(False),
     }
 
 
@@ -616,16 +638,18 @@ def cmd_validate(config: ExperimentConfig) -> dict:
     )
 
     recorded: list[tuple[int, np.ndarray]] = []
+    a = config.run["attraction"]
+    lemma4 = _Lemma4Stack(graph, spec, a)
 
     def keep_state(k, t, positions):
         recorded.append((k, positions))
+        lemma4(k, t, positions)
 
     engine.run_swarm(run_config, graph, spec, on_record=keep_state)
-
-    a = config.run["attraction"]
+    lemma4.check()
     checks = [
-        {"check": "lemma4", "k": k, **asdict(metrics.lemma4_check(positions, graph, spec, a))}
-        for k, positions in recorded
+        {"check": "lemma4", "k": k, "lhs": lhs, "rhs": rhs, "holds": holds}
+        for k, lhs, rhs, holds in lemma4.results
     ]
     n_states = min(vcfg["lemma2_states"], len(recorded))
     rng = make_rng(derive_seed(config.master_seed, 0, STREAM_VALIDATE))

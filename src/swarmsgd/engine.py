@@ -32,18 +32,22 @@ oracle noise. The centralized scheme draws per block of
 ``max(1, BATCH_SAMPLES // N)`` steps the N sampling durations of every
 step, then the oracle noise of all the block's samples.
 
-A run has two parts: the block mover ``_move``, whose update loop only
-moves rows, and one ``_Monitor``, which evaluates each block once its
-updates are done: one test of every update's sum finds the first
-threshold crossing, the captured means read the same sums, and one
-``metrics.snapshot`` of the stacked record-point positions gives the
-records, handed to ``on_record`` in k order as rows never written again.
+A run has two parts: the block mover ``_move``, whose update loops only
+move rows and write each delta into a block buffer, and one
+``_Monitor``, which evaluates each block once its updates are done: one
+test of every update's sum finds the first threshold crossing and the
+captured means read the same sums. The record points wait until at
+least ``BLOCK_ROWS`` updates are pending, or a crossing, a divergence
+or the run's end; then one ``metrics.snapshot`` of their stacked
+positions gives the records, handed to ``on_record`` in k order as rows
+never written again.
 
 The positions live in the first rows of one buffer ``Z``; the row after
 them holds the swarm sum and the rest a block's ridge feature rows. A
 swarm update is then one gather and one gemv, ``w_i . Z[idx_i]``, whose
 index and weight vectors name the thread's own row, its neighbours' rows
-or the sum row, and for ridge the feature row of the update.
+or the sum row, and for ridge the feature row of the update; a row that
+folds only itself multiplies instead.
 """
 from __future__ import annotations
 
@@ -73,6 +77,10 @@ TRACE_CSV_HEADER = "k,t,U,Vbar,f_gap,grad_norm_sq"
 # the generator calls out of the per-update cost, small enough that the
 # drawn block stays in cache.
 BLOCK_ROWS = 256
+# Bytes of record states a caller stacks for one validator call
+# (``metrics.lemma4_check``): two to twenty states of the speedup
+# study's sizes, whose temporaries stay in cache.
+STACK_BYTES = 64 * 1024
 # Oracle samples a centralized block draws at once: BATCH_SAMPLES // N
 # steps of N samples each, 0.8 MB of ridge features at dim 100.
 BATCH_SAMPLES = 1024
@@ -122,11 +130,13 @@ class RunConfig:
     ``RANGES`` gives the range of each numeric field; the counts, the
     capture indices and ``seed`` are integers.
 
-    The records, the crossing and the captures are evaluated once per
-    block of updates, the records in one ``metrics.snapshot`` call.
-    ``on_record`` sees k strictly increasing and the positions after
-    update k, never written again, which it may keep; it is called once
-    the block's updates are computed.
+    The crossing and the captures are evaluated once per block of
+    updates. The records wait until at least ``BLOCK_ROWS`` updates are
+    pending, or a crossing, a divergence or the run's end, and are then
+    evaluated in one ``metrics.snapshot`` call. ``on_record`` sees k
+    strictly increasing and the positions after update k, never written
+    again, which it may keep; it is called in k order once the pending
+    records are evaluated.
     """
 
     n_threads: int
@@ -228,14 +238,15 @@ def _event_schedule(n_threads: int, mean_time: float, rng: np.random.Generator):
     first = sampling_durations(rng, mean_time, n_threads).tolist()
     heap = [(t, i) for i, t in enumerate(first)]
     heapq.heapify(heap)
+    replace = heapq.heapreplace
     while True:
-        times: list[float] = []
-        threads: list[int] = []
+        fired: list[tuple[float, int]] = []
+        fire = fired.append
         for duration in sampling_durations(rng, mean_time, BLOCK_ROWS).tolist():
             t, i = heap[0]
-            heapq.heapreplace(heap, (t + duration, i))
-            times.append(t)
-            threads.append(i)
+            # heapreplace hands back the (t, i) it pops.
+            fire(replace(heap, (t + duration, i)))
+        times, threads = map(list, zip(*fired))
         yield times, threads
 
 
@@ -273,14 +284,17 @@ class _Monitor:
     """One run's records, first threshold crossing, captured means and
     per-thread counts, fed what ``_move`` yields a block at a time.
 
-    One cumsum over [running sum; the block's deltas] repeats the
-    sequential adds of ``sum_vec += delta``, so the crossing test and the
-    captures read the exact sums. One test over all the block's rows,
-    with the per-update arithmetic, finds the first crossing; its state,
-    rebuilt by re-adding the deltas to the block's start, joins the record
-    points in k order. One ``metrics.snapshot`` of the stack gives the
-    records, appended and handed to ``on_record`` in k order; a run that
-    stops at the crossing records nothing after it.
+    Row 0 of the block buffer takes the running sum, so one cumsum over
+    the buffer repeats the mover's sequential adds to its sum row, and
+    the crossing test and the captures read the exact sums. One test over
+    all the block's rows, with the per-update arithmetic, finds the first
+    crossing; its state, rebuilt by re-adding the deltas to the block's
+    start, joins the record points in k order. Record points stay pending
+    until at least ``BLOCK_ROWS`` updates are, or until a crossing, a
+    failed divergence check or the run's end; then one
+    ``metrics.snapshot`` of their stack gives the records, appended and
+    handed to ``on_record`` in k order. A run that stops at the crossing
+    records nothing after it.
     """
 
     def __init__(self, scheme, config, spec, X, graph, on_record) -> None:
@@ -294,12 +308,19 @@ class _Monitor:
         self.counts = None if graph is None else np.zeros(X.shape[0], dtype=np.int64)
         self.sum_vec, self.inv_n = X.sum(axis=0), 1.0 / X.shape[0]
         self.k, self.clock, self.started = 0, 0.0, time.perf_counter()
-        self.record([(0, 0.0)], X[None].copy())
+        # The pending record points, their state stacks and the updates
+        # since the last records; the start is the first point.
+        self.points, self.stacks, self.pending = [(0, 0.0)], [X[None].copy()], 0
 
-    def record(self, points: list[tuple[int, float]], states: np.ndarray) -> None:
-        """Record ``states[r]``, the state at ``points[r] = (k, t)``, in k
-        order, from one snapshot of the stack; a non-finite record ends
-        the run with a DivergenceError."""
+    def record(self) -> None:
+        """Record the pending points in k order from one snapshot of their
+        stacked states; a non-finite record ends the run with a
+        DivergenceError."""
+        points, stacks = self.points, self.stacks
+        self.points, self.stacks, self.pending = [], [], 0
+        if not points:
+            return
+        states = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
         snap = metrics.snapshot(states, self.spec, self.x_star, self.f_star)
         # U stays the math.nan object, which compares equal to itself.
         Us = [math.nan] * len(points) if self.x_star is None else snap.U.tolist()
@@ -311,15 +332,18 @@ class _Monitor:
             if self.on_record is not None:
                 self.on_record(k, t, states[r])
 
-    def block(self, times, threads, n_run, deltas, start_X, points, states) -> bool:
+    def block(self, times, threads, n_run, D, start_X, points, states) -> bool:
         """Monitor the first ``n_run`` of the block's updates, which
-        start at update ``self.k``; True when the run ends with them."""
+        start at update ``self.k`` and whose deltas are rows 1 to
+        ``n_run`` of ``D``; True when the run ends with them."""
         k0, n_done, config = self.k, n_run, self.config
         # The horizon cut the block short, or the budget is spent.
         ends = n_run < len(times) or k0 + n_run == config.max_updates
+        crossed = False
         # Row j is the sum after k0 + j updates: cumsum adds one delta at
-        # a time, as sum_vec += delta does.
-        trajectory = np.cumsum(np.array([self.sum_vec, *deltas]), axis=0)
+        # a time, as the mover's sum row does.
+        D[0] = self.sum_vec
+        trajectory = np.cumsum(D[: n_run + 1], axis=0)
         self.sum_vec = trajectory[n_run]
         if self.watch:
             # The squared error of the swarm mean after each update, or its
@@ -330,13 +354,13 @@ class _Monitor:
                 err = obj.grad_exact_rows(self.spec, err)
             else:
                 err -= self.x_star
-            crossed = np.flatnonzero(obj.row_dots(err, err) <= config.threshold)
-            if crossed.size:
-                hit = int(crossed[0]) + 1
+            hits = np.flatnonzero(obj.row_dots(err, err) <= config.threshold)
+            if hits.size:
+                crossed, hit = True, int(hits[0]) + 1
                 # The state at the crossing: the block's deltas re-added
                 # to its start, in order.
                 for j in range(hit):
-                    start_X[threads[j]] += deltas[j]
+                    start_X[threads[j]] += D[j + 1]
                 self.T_hit, self.hit_update, self.watch = times[hit - 1], k0 + hit, False
                 # The crossing state replaces any record point at its k,
                 # in k order. A run that stops there drops the later
@@ -348,7 +372,8 @@ class _Monitor:
                 states = np.concatenate((states[:i], start_X[None], states[j:]))
                 points[i:j] = [(self.hit_update, self.T_hit)]
         if points:
-            self.record(points, states)
+            self.points += points
+            self.stacks.append(states)
         # Update k draws its capture before it moves.
         while self.captures and self.captures[0] < k0 + n_done:
             c = self.captures.popleft()
@@ -356,10 +381,15 @@ class _Monitor:
         if self.counts is not None:
             self.counts += np.bincount(threads[:n_done], minlength=self.counts.size)
         self.k = k0 + n_done
+        self.pending += n_done
         if n_done:
             self.clock = times[n_done - 1]
-        # A run that diverges between records stops at its block's end.
-        if not (ends or np.isfinite(self.sum_vec).all()):
+        # A run that diverges between records stops at its block's end,
+        # once the records before it are made.
+        diverged = not (ends or np.isfinite(self.sum_vec).all())
+        if ends or crossed or diverged or self.pending >= BLOCK_ROWS:
+            self.record()
+        if diverged:
             raise DivergenceError(self.scheme, self.k, self.clock)
         return ends
 
@@ -367,7 +397,8 @@ class _Monitor:
         """The run's trace, once its last block is monitored; ``X`` holds
         the final positions and ``batch`` the oracle samples per update."""
         if self.records[-1].k != self.k:
-            self.record([(self.k, self.clock)], X[None].copy())
+            self.points, self.stacks = [(self.k, self.clock)], [X[None].copy()]
+            self.record()
         final = self.records[-1]
         summary = RunSummary(
             T_hit=self.T_hit, threshold=self.config.threshold, final_U=final.U,
@@ -394,16 +425,29 @@ def _move(config, spec, Z, graph, schedule):
     of rows of ``Z``: row ``i``, whose coefficient folds every term linear
     in ``x_i``, and with weight ``gamma a`` the neighbours' rows, or the
     sum row on the complete graph. Each row keeps its index and weight
-    vectors, built once, and an update costs one gather and one gemv,
-    ``w_i . Z[idx_i]``, beside the oracle's own work. A swarm ridge update
-    writes its feature row's slot and its ``r`` into the vectors' first
-    entries, so the gemv is its whole delta; the other oracles, and the
-    centralized ridge step, add the gemv to their own term.
+    vectors, built once, and the fold costs one gather and one gemv,
+    ``w_i . Z[idx_i]``. A swarm ridge update writes its feature row's
+    slot and its ``r`` into the vectors' first entries, so the gemv is
+    its whole delta; quadratic and sine add the gemv to their oracle
+    term. A row whose fold is its own row alone, the centralized iterate
+    or a swarm row with ``gamma a`` 0 and no feature slot, adds
+    ``coef x_i`` instead. Its zeros may differ in sign from the gemv's,
+    but only where adding them leaves the row as it is, so the positions
+    and sums keep their bits.
+
+    One update body is picked per run shape before the loop: the swarm
+    ridge fold, quadratic or sine with the gemv, quadratic or sine with
+    ``coef x_i``, and the centralized ridge step. Each zips the block's
+    moving rows, from one view per row made once per run, with its oracle
+    inputs and the rows of one block buffer ``D``, and writes delta j in
+    place into ``D[j + 1]``; ``D[0]`` is the monitor's. The one branch
+    left adds the delta to the sum row where the complete-graph pull
+    reads it.
 
     A block is cut up front at the horizon and the budget, and its
     ``n_run`` updates run one record interval at a time. Per block it
     yields ``_Monitor.block``'s arguments: the fire times, the moving
-    rows, ``n_run``, its deltas, a copy of its start and its record points
+    rows, ``n_run``, ``D``, a copy of its start and its record points
     with their positions in one fresh (points, rows, dim) stack.
     """
     N, gamma = config.n_threads, config.step_size
@@ -420,14 +464,18 @@ def _move(config, spec, Z, graph, schedule):
         linear = 2.0 * spec.rho
         two_gamma = 2.0 * gamma / batch
     elif kind == obj.QUADRATIC:
-        # g = Q x + b + noise
+        # g = Q x + b + noise; the oracle term writes -gamma Q x into out.
         linear = 0.0
-        neg_gamma_Q = -gamma * spec.Q
+        oracle = (-gamma * spec.Q).dot
         neg_gamma_b = -gamma * spec.b
     else:
         # nonconvex_sine: g = x + 3 sin(2x) + noise
         linear = 1.0
         sine_coef = -3.0 * gamma
+
+        def oracle(x, out):
+            np.sin(x * 2.0, out=out)
+            out *= sine_coef
 
     # The centralized iterate is one row with no neighbours and no pull.
     rows = 1 if graph is None else N
@@ -448,7 +496,7 @@ def _move(config, spec, Z, graph, schedule):
     # and r, written per update; the slots follow the sum row. A swarm
     # block has at most BLOCK_ROWS updates, a centralized one may not.
     slot = rows + 1
-    lead = 1 if kind == obj.RIDGE and graph is not None else 0
+    lead = kind == obj.RIDGE and graph is not None
     index = [np.array([slot] * lead + [i, *pulled[i]]) for i in range(rows)]
     weights = [
         np.array([0.0] * lead + [x_coef[i]] + [gamma_a] * len(pulled[i])) for i in range(rows)
@@ -458,25 +506,90 @@ def _move(config, spec, Z, graph, schedule):
     # the sum row, with the same adds the monitor's cumsum makes.
     sum_row[:] = X.sum(axis=0)
     pull_reads_sum = complete and gamma_a != 0.0
+    # One view per row, made once: with its fold vectors, or with its own
+    # coefficient where the fold is that row alone (gamma a is 0).
+    units = [(X[i], weights[i], index[i]) for i in range(rows)]
+    own = [(X[i], x_coef[i]) for i in range(rows)]
+    take = Z.take
+
+    if lead:
+        slot_rows = list(Z[slot:])
+
+        def advance(lo, hi):
+            total = sum_row
+            for s, (xi, w, idx), u, c, d in zip(
+                range(slot + lo, slot + hi), map(units.__getitem__, threads[lo:hi]),
+                slot_rows[lo:hi], targets[lo:hi], d_rows[lo + 1 : hi + 1],
+            ):
+                # delta = r u + coef x_i + the pull, in one gemv.
+                w[0] = c - two_gamma * u.dot(xi)
+                idx[0] = s
+                w.dot(take(idx, 0), out=d)
+                xi += d
+                if pull_reads_sum:
+                    total += d
+
+    elif kind == obj.RIDGE:
+        # The centralized ridge step: r u for one sample, r . U for N.
+        product = np.multiply if single else np.dot
+
+        def advance(lo, hi):
+            for (x, coef), u, c, d in zip(
+                map(own.__getitem__, threads[lo:hi]), features[lo:hi], targets[lo:hi],
+                d_rows[lo + 1 : hi + 1],
+            ):
+                product(c - two_gamma * u.dot(x), u, out=d)
+                d += x * coef
+                x += d
+
+    elif gamma_a:
+
+        def advance(lo, hi):
+            total = sum_row
+            for (xi, w, idx), shift, d in zip(
+                map(units.__getitem__, threads[lo:hi]), shifts[lo:hi], d_rows[lo + 1 : hi + 1]
+            ):
+                oracle(xi, out=d)
+                d += shift
+                d += w.dot(take(idx, 0))
+                xi += d
+                if pull_reads_sum:
+                    total += d
+
+    else:
+
+        def advance(lo, hi):
+            for (xi, coef), shift, d in zip(
+                map(own.__getitem__, threads[lo:hi]), shifts[lo:hi], d_rows[lo + 1 : hi + 1]
+            ):
+                oracle(xi, out=d)
+                d += shift
+                d += xi * coef
+                xi += d
+
     clock, k = 0.0, 0
     max_updates = math.inf if config.max_updates is None else config.max_updates
     max_virtual_time = math.inf if config.max_virtual_time is None else config.max_virtual_time
     record_every = config.record_every
-    take, sin = Z.take, np.sin
+    D = None
 
     for times, threads in blocks:
         n = len(times)
+        if D is None:
+            # Every block of a schedule has the same length.
+            D = np.empty((n + 1, spec.dim))
+            d_rows = list(D)
         # Update j draws the samples j*batch .. j*batch + batch - 1.
         features, noise = obj.draw_noise_block(spec, n * batch, rng)
         if kind == obj.RIDGE:
-            scaled_targets = two_gamma * noise
+            targets = two_gamma * noise
             if lead:
                 Z[slot : slot + n] = features
             if single:
-                scaled_targets = scaled_targets.tolist()
+                targets = targets.tolist()
             else:
                 features = features.reshape(n, batch, spec.dim)
-                scaled_targets = scaled_targets.reshape(n, batch)
+                targets = targets.reshape(n, batch)
         else:
             if not single:
                 noise = noise.reshape(n, batch, spec.dim).mean(axis=1)
@@ -489,8 +602,6 @@ def _move(config, spec, Z, graph, schedule):
         # samples counted.
         n_run = min(bisect.bisect_right(times, max_virtual_time), max_updates - k)
         k0 = k
-        deltas = []
-        keep = deltas.append
         start_X = X.copy()
         states = np.empty(((k0 + n_run) // record_every - k0 // record_every, *X.shape))
         points: list[tuple[int, float]] = []
@@ -499,40 +610,14 @@ def _move(config, spec, Z, graph, schedule):
         seg_start = 0
         while seg_start < n_run:
             seg_end = min(n_run, seg_start + record_every - k % record_every)
-            for j in range(seg_start, seg_end):
-                i = threads[j]
-                xi = X[i]
-                w, idx = weights[i], index[i]
-                if kind == obj.RIDGE:
-                    # One sample: r u; N samples: (2 gamma / N) (c - U x)' U.
-                    u = features[j]
-                    r = scaled_targets[j] - two_gamma * u.dot(xi)
-                    if lead:
-                        # delta = r u + coef x_i + the pull, in one gemv.
-                        w[0], idx[0] = r, slot + j
-                        delta = w.dot(take(idx, axis=0))
-                    else:
-                        delta = u * r if single else r.dot(u)
-                        delta += w.dot(take(idx, axis=0))
-                else:
-                    if kind == obj.QUADRATIC:
-                        delta = neg_gamma_Q.dot(xi)
-                    else:
-                        delta = sin(xi * 2.0)
-                        delta *= sine_coef
-                    delta += shifts[j]
-                    delta += w.dot(take(idx, axis=0))
-                xi += delta
-                if pull_reads_sum:
-                    sum_row += delta
-                keep(delta)
+            advance(seg_start, seg_end)
             seg_start = seg_end
             k = k0 + seg_end
             if k % record_every == 0:
                 # Records wait for the watch, which may cross before them.
                 states[len(points)] = X
                 points.append((k, times[seg_end - 1]))
-        yield times, threads, n_run, deltas, start_X, points, states
+        yield times, threads, n_run, D, start_X, points, states
         clock = times[-1]
 
 

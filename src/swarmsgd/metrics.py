@@ -72,36 +72,46 @@ def snapshot(
 
 @dataclass(frozen=True)
 class Lemma4Result:
-    lhs: float
-    rhs: float
-    holds: bool
+    """Lemma 4 at R states, one (R,) array each."""
+
+    lhs: np.ndarray
+    rhs: np.ndarray
+    holds: np.ndarray
 
 
 def _attraction_rows(graph: topology.Graph, X: np.ndarray) -> np.ndarray:
-    """Row i holds sum_j a_ij (x_i - x_j)."""
+    """Row i holds sum_j a_ij (x_i - x_j); ``X`` may be a stack of states,
+    each multiplied by the adjacency matrix in one gemm of its own."""
     return graph.degrees[:, None] * X - graph.adjacency.astype(float) @ X
 
 
 def lemma4_check(
-    positions: np.ndarray,
+    states: np.ndarray,
     graph: topology.Graph,
     spec: obj.ObjectiveSpec,
     a: float,
 ) -> Lemma4Result:
-    """Deterministic bound on the summed gradient-plus-attraction norms.
+    """Deterministic bound on the summed gradient-plus-attraction norms,
+    at each state of an (R, N, dim) stack.
 
     Checks sum_i |grad f(x_i) + a sum_j a_ij (x_i - x_j)|^2
     <= 2 sum_i |grad f(x_i)|^2 + 8 a^2 N dbar^2 Vbar
-    with a small relative slack for floating point round-off.
+    with a small relative slack for floating point round-off. Row r
+    rounds as state r checked alone would: its sums are ``sum`` rows and
+    its products one gemm per state.
     """
-    X, _, Vbar = _frozen_state(positions, graph.n_vertices, spec.dim)
-    grads = obj.grad_exact_rows(spec, X)
-    drift = grads + a * _attraction_rows(graph, X)
-    lhs = float((drift**2).sum())
+    N = graph.n_vertices
+    P = np.asarray(states, dtype=float)
+    if P.ndim != 3 or P.shape[1:] != (N, spec.dim):
+        raise ValueError(f"states have shape {P.shape}, expected (R, {N}, {spec.dim})")
+    flat = (len(P), N * spec.dim)
+    deviations = P - P.mean(axis=1)[:, None, :]
+    Vbar = (deviations**2).reshape(flat).sum(axis=1) / N
+    grads = obj.grad_exact_rows(spec, P)
+    drift = grads + a * _attraction_rows(graph, P)
+    lhs = (drift**2).reshape(flat).sum(axis=1)
     dbar = topology.max_degree(graph)
-    rhs = float(
-        2.0 * (grads**2).sum() + 8.0 * a * a * graph.n_vertices * dbar * dbar * Vbar
-    )
+    rhs = 2.0 * (grads**2).reshape(flat).sum(axis=1) + 8.0 * a * a * N * dbar * dbar * Vbar
     return Lemma4Result(lhs=lhs, rhs=rhs, holds=lhs <= rhs * (1.0 + _REL_SLACK))
 
 

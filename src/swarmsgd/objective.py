@@ -91,9 +91,18 @@ class Regularity:
     convexity_class: str
 
 
+def _numbers(name: str, values, words: str) -> np.ndarray:
+    """``values`` as a float array; ``ValueError("<name> must be <words>")``
+    when they are ragged or hold something that is not a number."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be {words}") from None
+
+
 def ridge_spec(rho: float, x_tilde: np.ndarray) -> ObjectiveSpec:
     """Ridge objective for a given target vector."""
-    target = np.asarray(x_tilde, dtype=float)
+    target = _numbers("x_tilde", x_tilde, "a nonempty vector of numbers")
     if target.ndim != 1 or target.size < 1:
         raise ValueError("x_tilde must be a nonempty vector")
     check(args(RANGES, "rho", "dim"), (rho, target.size))
@@ -111,14 +120,9 @@ def ridge_spec_random(rho: float, dim: int, rng: np.random.Generator) -> Objecti
 
 def quadratic_spec(Q: np.ndarray, b: np.ndarray, noise_std: float = 1.0) -> ObjectiveSpec:
     """Quadratic objective 0.5 x'Qx + b'x with Gaussian gradient noise."""
-    b = np.asarray(b, dtype=float)
+    b = _numbers("b", b, "a vector of numbers")
     check(args(RANGES, "dim", "noise_std"), (b.size, noise_std))
-    try:
-        Q = np.asarray(Q, dtype=float)
-    except (TypeError, ValueError):  # ragged rows or entries that are not numbers
-        raise ValueError(
-            f"Q must be a {b.size} x {b.size} matrix of numbers, as b has length {b.size}"
-        ) from None
+    Q = _numbers("Q", Q, f"a {b.size} x {b.size} matrix of numbers, as b has length {b.size}")
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise ValueError(f"Q must be square, got shape {Q.shape}")
     if b.shape != (Q.shape[0],):
@@ -149,9 +153,9 @@ def _check_point(spec: ObjectiveSpec, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _check_rows(spec: ObjectiveSpec, X: np.ndarray) -> np.ndarray:
+def _check_rows(spec: ObjectiveSpec, X: np.ndarray, ndims=(2,)) -> np.ndarray:
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != spec.dim:
+    if X.ndim not in ndims or X.shape[-1] != spec.dim:
         raise ValueError(f"rows have shape {X.shape}, expected (*, {spec.dim})")
     return X
 
@@ -189,8 +193,10 @@ def grad_exact(spec: ObjectiveSpec, x: np.ndarray) -> np.ndarray:
 
 
 def grad_exact_rows(spec: ObjectiveSpec, X: np.ndarray) -> np.ndarray:
-    """Exact gradients at each row of ``X``, shape preserved."""
-    X = _check_rows(spec, X)
+    """Exact gradients at each row of ``X``, shape preserved. ``X`` may be
+    a stack of (n, dim) arrays, each of which rounds as alone: a stack's
+    quadratic ``X @ Q`` is one gemm per array."""
+    X = _check_rows(spec, X, ndims=(2, 3))
     if spec.kind == RIDGE:
         return (2.0 / 3.0 + 2.0 * spec.rho) * X - (2.0 / 3.0) * spec.x_tilde
     if spec.kind == QUADRATIC:

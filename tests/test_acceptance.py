@@ -113,13 +113,6 @@ def bound_study():
     u_by_k = {}
     lemma4_violations = 0
     for rep in range(30):
-        violations = 0
-
-        def watch(k, t, positions):
-            nonlocal violations
-            if not metrics.lemma4_check(positions, graph, spec, ATTRACTION).holds:
-                violations += 1
-
         config = engine.RunConfig(
             n_threads=n_threads,
             step_size=GAMMA,
@@ -129,8 +122,11 @@ def bound_study():
             max_updates=horizon,
             record_every=500,
         )
-        trace = engine.run_swarm(config, graph, spec, on_record=watch)
-        lemma4_violations += violations
+        kept = []
+        trace = engine.run_swarm(config, graph, spec, on_record=lambda k, t, X: kept.append(X))
+        # one stacked check of the run's recorded states
+        holds = metrics.lemma4_check(np.stack(kept), graph, spec, ATTRACTION).holds
+        lemma4_violations += int(holds.size - holds.sum())
         for record in trace.records:
             u_by_k.setdefault(record.k, []).append(record.U)
 

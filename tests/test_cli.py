@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from swarmsgd import cli, engine, metrics, theory, topology
 from swarmsgd import objective as obj
+from swarmsgd._ranges import args, check
 from swarmsgd.cli import (
     ConfigError,
     ExperimentConfig,
@@ -530,13 +531,14 @@ def test_compare_counts_failed_lemma4_checks(tmp_path, monkeypatch):
     def failing_check(*args, **kwargs):
         result = real_check(*args, **kwargs)
         failed.append(result)
-        return type(result)(**{**result.__dict__, "holds": False})
+        return type(result)(**{**result.__dict__, "holds": np.zeros_like(result.holds)})
 
     monkeypatch.setattr(cli.metrics, "lemma4_check", failing_check)
     cfg = experiment_config_from_dict(_config_dict(output_dir=str(tmp_path / "cmp")))
     report = cmd_compare(cfg)
     assert failed
-    assert report["lemma4_violations"] == len(failed)
+    # every record state is checked once, a stack of them per call
+    assert report["lemma4_violations"] == sum(r.holds.size for r in failed)
     assert all(r["lemma4_violations"] > 0 for r in report["per_run"])
 
 
@@ -710,6 +712,29 @@ def test_every_library_field_takes_the_library_range():
     ]
     assert len(shared) == 44
     assert all(entry[2] is range_ for entry, range_ in shared)
+
+
+@pytest.mark.parametrize("bad", ["x", None, 1j], ids=["str", "None", "complex"])
+@pytest.mark.parametrize("module", [engine, metrics, obj, theory, topology])
+def test_every_range_names_a_value_that_is_no_number(module, bad):
+    # a value that cannot be compared with the range's ends is outside it,
+    # named like any other, not a TypeError from the comparison
+    for name, range_ in module.RANGES.items():
+        message = f"{name} must be {range_.words}, got {bad!r}"
+        with pytest.raises(ValueError) as info:
+            check(args(module.RANGES, name), [bad])
+        assert str(info.value) == message
+
+
+def test_library_entry_points_name_a_value_that_is_no_number():
+    run = dict(n_threads=3, step_size=0.01, attraction=1.0, mean_sample_time=0.02, seed=1,
+               max_updates=10)
+    with pytest.raises(ValueError, match=r"^step_size must be finite and positive, got 'x'$"):
+        engine.RunConfig(**{**run, "step_size": "x"})
+    with pytest.raises(ValueError, match=r"^attraction must be finite and nonnegative, got None$"):
+        engine.RunConfig(**{**run, "attraction": None})
+    with pytest.raises(ValueError, match=r"^gamma must be finite and positive, got '0.01'$"):
+        theory.centralized_bound(kappa=1.0, L=1.0, sigma_sq=1.0, gamma="0.01", N=4, G0=1.0)
 
 
 

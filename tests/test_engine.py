@@ -848,15 +848,23 @@ def test_on_record_may_keep_its_positions(runner, graph_kind, watch):
     assert all(np.array_equal(a, b) for a, b in zip(kept, copies))
 
 
-def _synthetic_run(kind, n_rows=5, n_updates=600):
+def _synthetic_run(kind, blowup=None, n_rows=5, n_updates=600):
     """A run of random deltas and threads at non-decreasing times, some
     tied, drifting from the start towards the optimum and past it;
-    positions[k] is the state after k sequential ``X[i] += delta``."""
+    positions[k] is the state after k sequential ``X[i] += delta``.
+    ``blowup`` "sum" makes update 300, a record point, move its thread to
+    inf, so the sum overflows there; "spread" makes update 333, between
+    record points, move its thread by 1e200, so the squares in the next
+    record overflow while the sum stays finite."""
     spec = _kind_specs()[kind]
     rng = np.random.default_rng(kind)
     start, target = (1.0, np.zeros(3)) if kind == 2 else (0.0, obj.optimum(spec))
     drift = n_rows * 1.5 * (target - start) / n_updates
     deltas = drift + rng.normal(scale=0.01, size=(n_updates, 3))
+    if blowup == "sum":
+        deltas[299] = math.inf
+    elif blowup == "spread":
+        deltas[332, 0] = 1e200
     threads = rng.integers(n_rows, size=n_updates).tolist()
     gaps = rng.exponential(size=n_updates)
     gaps[::50] = 0.0
@@ -864,16 +872,20 @@ def _synthetic_run(kind, n_rows=5, n_updates=600):
     positions = np.empty((n_updates + 1, n_rows, 3))
     X = np.full((n_rows, 3), start)
     positions[0] = X
-    for j, (i, delta) in enumerate(zip(threads, deltas)):
-        X[i] += delta
-        positions[j + 1] = X
+    with np.errstate(invalid="ignore"):
+        for j, (i, delta) in enumerate(zip(threads, deltas)):
+            X[i] += delta
+            positions[j + 1] = X
     return spec, deltas, threads, times, positions
 
 
-def _monitor_in_blocks(kind, cut, record_every, watch, horizon):
+def _monitor_in_blocks(kind, cut, record_every, watch, horizon, blowup=None):
     """Feed one _Monitor the synthetic run cut into blocks of ``cut``
-    updates, as _move would; returns everything the monitor hands out."""
-    spec, deltas, threads, times, positions = _synthetic_run(kind)
+    updates, as _move would: each block's deltas in rows 1.. of a block
+    buffer whose row 0 the monitor takes. Returns everything the monitor
+    hands out, the DivergenceError's (k, t) for a run that diverges, and
+    the blocks at whose end ``on_record`` was called."""
+    spec, deltas, threads, times, positions = _synthetic_run(kind, blowup)
     K, n_rows = len(times), positions.shape[1]
     config = RunConfig(
         n_threads=n_rows, step_size=0.01, attraction=1.0, mean_sample_time=0.02, seed=0,
@@ -881,31 +893,43 @@ def _monitor_in_blocks(kind, cut, record_every, watch, horizon):
         threshold=None if watch == "off" else (0.3 if kind == 2 else 0.03),
         stop_at_threshold=watch == "stop", **horizon(times),
     )
-    seen = []
+    seen, calls_at, block_no = [], set(), [0]
+
+    def on_record(k, t, X):
+        seen.append((k, t, X.tobytes()))
+        calls_at.add(block_no[0])
+
     monitor = engine._Monitor(
         SCHEME_SWARM, config, spec, positions[0].copy(), topology.complete_graph(n_rows),
-        lambda k, t, X: seen.append((k, t, X.tobytes())),
+        on_record,
     )
-    for s in range(0, K, cut):
-        e = min(K, s + cut)
-        ks = [k for k in range(s + 1, e + 1) if k % record_every == 0]
-        # The time horizon cuts the last block short of one more event.
-        extra = [times[-1] + 1.0] if e == K and config.max_updates is None else []
-        block = (
-            times[s:e] + extra, threads[s:e] + [0] * len(extra), e - s, list(deltas[s:e]),
-            positions[s].copy(), [(k, times[k - 1]) for k in ks], positions[ks],
-        )
-        if monitor.block(*block):
-            break
-    else:
-        raise AssertionError("the monitor did not end the run")
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for block_no[0], s in enumerate(range(0, K, cut)):
+                e = min(K, s + cut)
+                ks = [k for k in range(s + 1, e + 1) if k % record_every == 0]
+                # The time horizon cuts the last block short of one more event.
+                extra = [times[-1] + 1.0] if e == K and config.max_updates is None else []
+                D = np.full((e - s + len(extra) + 1, 3), np.nan)
+                D[1 : e - s + 1] = deltas[s:e]
+                block = (
+                    times[s:e] + extra, threads[s:e] + [0] * len(extra), e - s, D,
+                    positions[s].copy(), [(k, times[k - 1]) for k in ks], positions[ks],
+                )
+                if monitor.block(*block):
+                    break
+            else:
+                raise AssertionError("the monitor did not end the run")
+    except engine.DivergenceError as exc:
+        return monitor.records, seen, ("diverged", exc.k, exc.t), None, positions, calls_at
     assert e == K or watch == "stop"
     trace = monitor.trace(positions[e], 1)
     summary = replace(trace.summary, wall_time=None)
     captured = {c: v.tobytes() for c, v in trace.captured_means.items()}
-    return trace.records, seen, summary, captured, positions
+    return trace.records, seen, summary, captured, positions, calls_at
 
 
+@pytest.mark.parametrize("blowup", [None, "sum", "spread"])
 @pytest.mark.parametrize(
     "horizon",
     [lambda times: {"max_updates": len(times)},
@@ -915,21 +939,39 @@ def _monitor_in_blocks(kind, cut, record_every, watch, horizon):
 @pytest.mark.parametrize("watch", ["off", "armed", "stop"])
 @pytest.mark.parametrize("record_every", [1, 10])
 @pytest.mark.parametrize("kind", [0, 2])
-def test_monitor_does_not_depend_on_where_blocks_are_cut(kind, record_every, watch, horizon):
+def test_monitor_does_not_depend_on_where_blocks_are_cut(
+    kind, record_every, watch, horizon, blowup
+):
     # The monitor's outputs are a function of the run alone: blocks of 1,
     # 7 and 256 updates give the same records, on_record calls, crossing,
-    # captures and counts, so any mover may feed it.
+    # captures and counts, or the same DivergenceError (k, t), so any mover
+    # may feed it.
     outcomes = [
-        _monitor_in_blocks(kind, cut, record_every, watch, horizon) for cut in (1, 7, 256)
+        _monitor_in_blocks(kind, cut, record_every, watch, horizon, blowup)
+        for cut in (1, 7, 256)
     ]
-    records, seen, summary, captured, positions = outcomes[0]
+    records, seen, summary, captured, positions, _ = outcomes[0]
     for other in outcomes[1:]:
         assert other[:4] == (records, seen, summary, captured)
-    assert (summary.hit_update is None) == (watch == "off")
+    # Record points stay pending across blocks: however short the blocks,
+    # on_record runs at the end of one block per BLOCK_ROWS updates, of the
+    # crossing's block and of the last.
+    for *_, calls_at in outcomes:
+        assert len(calls_at) <= math.ceil(len(positions) / B) + 2
     # Every state handed out, the crossing's included, is the sequential one.
     assert all(x == positions[k].tobytes() for k, _, x in seen)
     ks = [k for k, _, _ in seen]
     assert ks == [r.k for r in records] and all(a < b for a, b in zip(ks, ks[1:]))
+    if blowup is not None:
+        # at the overflowing record point, or at the first record past the
+        # spread, unless the run stopped at a crossing before
+        k = {"sum": 300, "spread": 333 if record_every == 1 else 340}[blowup]
+        if isinstance(summary, tuple):
+            assert summary[1:] == (k, _synthetic_run(kind)[3][k - 1])
+            assert ks[-1] < k
+            return
+        assert watch == "stop" and summary.hit_update < k
+    assert (summary.hit_update is None) == (watch == "off")
     n = summary.n_updates
     assert n == (summary.hit_update if watch == "stop" else len(positions) - 1)
     assert sorted(captured) == [c for c in (0, 1, 6, 7, 255, 256, 257, 599) if c < n]
@@ -1069,3 +1111,204 @@ def test_one_row_products_agree_bit_for_bit():
         for r in range(R):
             assert W[r].dot(Ms[r]).tobytes() == np.matmul(W[r], Ms[r]).tobytes()
             assert W[r].dot(Ms[r]).tobytes() == stacked[r].tobytes()
+
+
+def _noiseless_specs():
+    # With no noise and a diagonal Q, coordinates at +0.0 or -0.0 stay
+    # zeros, so every signed-zero case of the fold meets the update.
+    return (
+        obj.quadratic_spec(np.diag([2.0, 0.5, 1.0]), np.zeros(3), noise_std=0.0),
+        obj.nonconvex_sine_spec(3, noise_std=0.0),
+    )
+
+
+def _per_update_reference(config, spec, graph, schedule, init):
+    """A run in the per-update arithmetic of the loop whose deltas were
+    fresh arrays: every row's fold is ``w_i . Z[idx_i]``, the centralized
+    ridge step ``u * r`` or ``r.dot(u)`` plus that fold; and a monitor
+    that looks at each update in turn. Returns what the engine hands out,
+    and the watched error after every update."""
+    rng = make_rng(config.seed)
+    N, gamma, central = config.n_threads, config.step_size, graph is None
+    rows, batch = (1, N) if central else (N, 1)
+    a = 0.0 if central else config.attraction
+    blocks = schedule(N, config.mean_sample_time, rng)
+    Z = np.zeros((rows + 1 + B, spec.dim))
+    X = Z[:rows]
+    X[:] = init
+    linear = {obj.RIDGE: 2.0 * (spec.rho or 0.0), obj.QUADRATIC: 0.0}.get(spec.kind, 1.0)
+    complete = central or int(graph.degrees.min()) == N - 1
+    if complete:
+        degrees, pulled = [rows] * rows, [[rows]] * rows
+    else:
+        degrees = graph.degrees.tolist()
+        pulled = [np.flatnonzero(graph.adjacency[i]).tolist() for i in range(N)]
+    if not gamma * a:
+        pulled = [[]] * rows
+    lead = spec.kind == obj.RIDGE and not central
+    index = [np.array([rows + 1] * lead + [i, *pulled[i]]) for i in range(rows)]
+    weights = [
+        np.array([0.0] * lead + [-gamma * (linear + a * degrees[i])] + [gamma * a] * len(pulled[i]))
+        for i in range(rows)
+    ]
+    Z[rows] = X.sum(axis=0)
+    S, inv_n, x_star = X.sum(axis=0), 1.0 / rows, obj.optimum(spec)
+    two_gamma = 2.0 * gamma / batch
+    horizon = config.max_virtual_time or math.inf
+    budget = config.max_updates or math.inf
+    watch = config.threshold is not None
+    out = dict(captured={}, T_hit=None, hit=None, counts=[0] * rows, errs=[])
+    kept, k, t, done = [(0, 0.0, X.copy())], 0, 0.0, False
+    while not done:
+        times, threads = next(blocks)
+        n = len(times)
+        U, c = obj.draw_noise_block(spec, n * batch, rng)
+        if spec.kind == obj.RIDGE:
+            targets = two_gamma * c
+            if lead:
+                Z[rows + 1 : rows + 1 + n] = U
+        else:
+            shifts = -gamma * (c if batch == 1 else c.reshape(n, N, spec.dim).mean(axis=1))
+            if spec.kind == obj.QUADRATIC:
+                shifts += -gamma * spec.b
+        for j in range(n):
+            if times[j] > horizon or k == budget:
+                done = True
+                break
+            if k in config.capture_mean_at:
+                out["captured"][k] = (S * inv_n).tobytes()
+            i = threads[j]
+            xi, w, idx = X[i], weights[i], index[i]
+            if lead:
+                w[0], idx[0] = targets[j] - two_gamma * U[j].dot(xi), rows + 1 + j
+                delta = w.dot(Z.take(idx, axis=0))
+            elif spec.kind == obj.RIDGE:
+                samples = j if batch == 1 else slice(j * N, j * N + N)
+                u = U[samples]
+                r = targets[samples] - two_gamma * u.dot(xi)
+                delta = u * r if batch == 1 else r.dot(u)
+                delta += w.dot(Z.take(idx, axis=0))
+            else:
+                if spec.kind == obj.QUADRATIC:
+                    delta = (-gamma * spec.Q).dot(xi)
+                else:
+                    delta = np.sin(xi * 2.0)
+                    delta *= -3.0 * gamma
+                delta += shifts[j]
+                delta += w.dot(Z.take(idx, axis=0))
+            xi += delta
+            if complete and gamma * a:
+                Z[rows] += delta
+            S += delta
+            k, t = k + 1, times[j]
+            out["counts"][i] += 1
+            e = (S * inv_n)[None]
+            e = obj.grad_exact_rows(spec, e) if x_star is None else e - x_star
+            err = float(obj.row_dots(e, e)[0])
+            out["errs"].append(err)
+            crossed = watch and err <= config.threshold
+            if crossed:
+                out["T_hit"], out["hit"], watch = t, k, False
+            if crossed or k % config.record_every == 0:
+                kept.append((k, t, X.copy()))
+            if crossed and config.stop_at_threshold:
+                done = True
+                break
+    if kept[-1][0] != k:
+        kept.append((k, t, X.copy()))
+    states = np.stack([state for _, _, state in kept])
+    snap = metrics.snapshot(states, spec, x_star, obj.optimal_value(spec))
+    Us = [math.nan] * len(kept) if x_star is None else snap.U.tolist()
+    cols = zip(kept, Us, snap.Vbar.tolist(), snap.f_gap.tolist(), snap.grad_norm_sq.tolist())
+    out["records"] = [(kk, tt, U_, V, f, g) for (kk, tt, _), U_, V, f, g in cols]
+    out["seen"] = [(kk, tt, s.tobytes()) for kk, tt, s in kept]
+    out["k"], out["t"] = k, t
+    return out
+
+
+# Every swarm scheduler on every graph kind with and without the pull, and
+# the centralized step, which takes no graph.
+REFERENCE_CASES = [
+    (*schedule, graph_kind, a)
+    for schedule in SCHEDULES
+    for graph_kind in ("complete", "erdos_renyi", "path")
+    for a in (0.0, 0.7)
+] + [(SCHEME_CENTRALIZED, run_centralized, engine._batch_schedule, None, 0.0)]
+
+
+@pytest.mark.parametrize("kind", range(5))
+@pytest.mark.parametrize("scheme,runner,schedule,graph_kind,attraction", REFERENCE_CASES)
+def test_block_buffer_loops_match_the_per_update_arithmetic_bit_for_bit(
+    scheme, runner, schedule, graph_kind, attraction, kind
+):
+    # The lean loop bodies, their deltas written into the block buffer, and
+    # the monitor's pending records reproduce a per-update reference loop:
+    # positions, records, on_record (k, t, bytes), captures, counts and the
+    # crossing. Kinds 3 and 4 are noiseless, with signed zeros in the start.
+    spec = (*_kind_specs(), *_noiseless_specs())[kind]
+    n = 100 if graph_kind is None else 6
+    graph = {
+        None: None,
+        "complete": topology.complete_graph(n),
+        "erdos_renyi": topology.erdos_renyi_connected(n, 0.5, make_rng(3)),
+        "path": topology.path_graph(n),
+    }[graph_kind]
+    if graph is None:
+        init = np.array([0.0, -0.0, 1.5])
+    else:
+        init = make_rng(11).normal(size=(n, 3))
+        init[:, 0] = np.where(np.arange(n) % 2, -0.0, 0.0)
+    # a budget, or a time horizon near the end of the same run
+    horizons = [{"max_updates": 300 if graph is None else 400},
+                {"max_virtual_time": 25.0 if graph is None else 1.2}]
+    for record_every, horizon in ((1, horizons[0]), (7, horizons[1]), (100, horizons[0])):
+        base = dict(
+            n_threads=n, step_size=0.05 if kind == 2 else 0.02, attraction=attraction,
+            mean_sample_time=0.02, seed=17 + kind, record_every=record_every,
+            capture_mean_at=(0, 5, 257, 299, 400), **horizon,
+        )
+        errs = _per_update_reference(RunConfig(**base), spec, graph, schedule, init)["errs"]
+        threshold = max(errs[len(errs) * 2 // 3], 1e-300)
+        for watch in ("off", "armed", "stop"):
+            config = RunConfig(
+                **base, threshold=None if watch == "off" else threshold,
+                stop_at_threshold=watch == "stop",
+            )
+            ref = _per_update_reference(config, spec, graph, schedule, init)
+            seen = []
+
+            def keep(k, t, X):
+                seen.append((k, t, X.tobytes()))
+
+            if graph is None:
+                trace = runner(config, spec, init=init, on_record=keep)
+            else:
+                trace = runner(config, graph, spec, init=init, on_record=keep)
+            s = trace.summary
+            assert seen == ref["seen"]
+            assert repr([tuple(vars(r).values()) for r in trace.records]) == repr(ref["records"])
+            assert {c: v.tobytes() for c, v in trace.captured_means.items()} == ref["captured"]
+            assert (s.T_hit, s.hit_update) == (ref["T_hit"], ref["hit"])
+            assert (s.n_updates, s.virtual_time) == (ref["k"], ref["t"])
+            if graph is not None:
+                assert list(s.per_thread_update_counts) == ref["counts"]
+            assert (s.hit_update is None) == (watch == "off")
+
+
+def test_centralized_records_are_made_once_per_block_rows_steps(monkeypatch):
+    # At N = 100 a draw block is 10 steps; its records wait until at least
+    # BLOCK_ROWS steps are pending, so 5,000 steps make about 20 snapshots.
+    calls = []
+    real = metrics.snapshot
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[0]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine.metrics, "snapshot", counting)
+    config = _swarm_config(n_threads=100, max_updates=5000, record_every=2)
+    trace = run_centralized(config, _spec())
+    assert len(calls) <= math.ceil(5000 / B) + 2
+    assert sum(calls) == len(trace.records) == 2501
+    # and no more wait than BLOCK_ROWS steps and one draw block hold
+    assert max(calls) <= (B + 10) // 2 + 1

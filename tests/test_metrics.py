@@ -119,10 +119,13 @@ def test_validators_reject_positions_of_the_wrong_shape():
     spec = _ridge()
     graph = topology.complete_graph(3)
     for X in (np.zeros((4, 3)), np.zeros((3, 2)), np.zeros(3)):
-        with pytest.raises(ValueError, match=r"expected \(3, 3\)"):
-            metrics.lemma4_check(X, graph, spec, 1.0)
+        with pytest.raises(ValueError, match=r"expected \(R, 3, 3\)"):
+            metrics.lemma4_check(X[None], graph, spec, 1.0)
         with pytest.raises(ValueError, match=r"expected \(3, 3\)"):
             metrics.lemma2_monte_carlo_check(X, graph, spec, 0.01, 1.0, 1000, make_rng(0))
+    # lemma 4 takes a stack of states, not one state
+    with pytest.raises(ValueError, match=r"expected \(R, 3, 3\)"):
+        metrics.lemma4_check(np.zeros((3, 3)), graph, spec, 1.0)
 
 
 def _brute_lemma4(X, graph, spec, a):
@@ -147,21 +150,22 @@ def test_lemma4_equal_positions():
     spec = _ridge()
     g = topology.complete_graph(5)
     X = np.tile(np.array([0.5, 0.1, 0.9]), (5, 1))
-    res = metrics.lemma4_check(X, g, spec, a=2.0)
+    res = metrics.lemma4_check(X[None], g, spec, a=2.0)
+    assert res.lhs.shape == res.rhs.shape == res.holds.shape == (1,)
     grads_sq = 5.0 * float(obj.grad_exact(spec, X[0]) @ obj.grad_exact(spec, X[0]))
-    assert res.lhs == pytest.approx(grads_sq, rel=1e-12)
-    assert res.rhs == pytest.approx(2.0 * grads_sq, rel=1e-12)
-    assert res.holds
+    assert res.lhs[0] == pytest.approx(grads_sq, rel=1e-12)
+    assert res.rhs[0] == pytest.approx(2.0 * grads_sq, rel=1e-12)
+    assert res.holds[0]
 
 
 def test_lemma4_zero_attraction():
     spec = _ridge()
     g = topology.path_graph(4)
     X = make_rng(9).normal(size=(4, 3))
-    res = metrics.lemma4_check(X, g, spec, a=0.0)
+    res = metrics.lemma4_check(X[None], g, spec, a=0.0)
     grads = obj.grad_exact_rows(spec, X)
-    assert res.lhs == pytest.approx(float((grads**2).sum()), rel=1e-12)
-    assert res.holds
+    assert res.lhs[0] == pytest.approx(float((grads**2).sum()), rel=1e-12)
+    assert res.holds[0]
 
 
 def test_lemma4_matches_brute_force_and_always_holds():
@@ -185,12 +189,46 @@ def test_lemma4_matches_brute_force_and_always_holds():
         )
         a = float(rng.random() * 3.0)
         X = rng.normal(size=(N, m)) * (0.5 + 3.0 * rng.random())
-        res = metrics.lemma4_check(X, graph, spec, a)
-        assert res.holds, f"violation at trial {trial}"
+        res = metrics.lemma4_check(X[None], graph, spec, a)
+        assert res.holds[0], f"violation at trial {trial}"
         if trial % 500 == 0:
             lhs, rhs = _brute_lemma4(X, graph, spec, a)
-            assert res.lhs == pytest.approx(lhs, rel=1e-9)
-            assert res.rhs == pytest.approx(rhs, rel=1e-9)
+            assert res.lhs[0] == pytest.approx(lhs, rel=1e-9)
+            assert res.rhs[0] == pytest.approx(rhs, rel=1e-9)
+
+
+def _single_state_lemma4(X, graph, spec, a):
+    """Lemma 4 at one (N, dim) state, in the arithmetic of the single-state
+    check the stacked one replaced."""
+    N = graph.n_vertices
+    deviations = X - X.mean(axis=0)
+    Vbar = float((deviations**2).sum() / N)
+    grads = obj.grad_exact_rows(spec, X)
+    drift = grads + a * (graph.degrees[:, None] * X - graph.adjacency.astype(float) @ X)
+    lhs = float((drift**2).sum())
+    dbar = topology.max_degree(graph)
+    rhs = float(2.0 * (grads**2).sum() + 8.0 * a * a * N * dbar * dbar * Vbar)
+    return lhs, rhs, lhs <= rhs * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("R", [1, 3, 16])
+@pytest.mark.parametrize(
+    "spec",
+    [_ridge(), _dense_quadratic(3), obj.nonconvex_sine_spec(3)],
+    ids=["ridge", "quadratic", "sine"],
+)
+def test_stacked_lemma4_rounds_each_row_as_the_single_state_formulas(spec, R):
+    for N, graph in (
+        (7, topology.erdos_renyi_connected(7, 0.5, make_rng(R))),
+        (20, topology.complete_graph(20)),
+        (50, topology.path_graph(50)),
+    ):
+        P = make_rng(R * 100 + N).normal(size=(R, N, spec.dim)) * 3.0 + 0.25
+        # a = 1/3 does not round exactly, so every product is exercised
+        for a in (0.0, 1.0 / 3.0, 2.0):
+            res = metrics.lemma4_check(P, graph, spec, a)
+            got = list(zip(res.lhs.tolist(), res.rhs.tolist(), res.holds.tolist()))
+            assert got == [_single_state_lemma4(X, graph, spec, a) for X in P]
 
 
 def test_dispersion_after_single_update_brute_force():
@@ -271,7 +309,7 @@ def test_lemma2_rhs_matches_independent_formula():
     grads = obj.grad_exact_rows(spec, X)
     drift = sum(float(grads[i] @ (X[i] - mean)) for i in range(N))
     lam2 = topology.algebraic_connectivity(graph)
-    attr = metrics.lemma4_check(X, graph, spec, a).lhs
+    attr = metrics.lemma4_check(X[None], graph, spec, a).lhs[0]
     rhs = (
         vbar
         - 2.0 * gamma / N**2 * drift

@@ -62,6 +62,12 @@ def test_factory_validation():
     for Q in ([[2.0, 0.0], [0.0]], [[2.0, "x"], [0.0, 1.0]]):
         with pytest.raises(ValueError, match=r"^Q must be a 2 x 2 matrix of numbers"):
             obj.quadratic_spec(Q, np.zeros(2))
+    # so are a ragged b and x_tilde, or ones holding a string
+    for vector in ([1.0, [2.0]], [1.0, "x"]):
+        with pytest.raises(ValueError, match=r"^b must be a vector of numbers$"):
+            obj.quadratic_spec(np.eye(2), vector)
+        with pytest.raises(ValueError, match=r"^x_tilde must be a nonempty vector of numbers$"):
+            obj.ridge_spec(0.1, [0.5, *vector[1:]])
 
 
 def test_every_constructor_caps_the_dimension():

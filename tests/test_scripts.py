@@ -1,6 +1,8 @@
 """The study scripts under scripts/ run end to end on small settings."""
 import importlib.util
 import json
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -64,3 +66,21 @@ def test_error_traces_take_the_default_edge_probability(tmp_path):
     argv = ["--out", str(tmp_path), "--threads", "8", "--replications", "1", "--horizon", "0.5"]
     assert script.main(argv) == 0
     assert (tmp_path / "centralized" / "run_0000.csv").exists()
+
+
+def test_engine_cost_counts_are_deterministic(capsys):
+    script = _load("engine_cost")
+    runs = []
+    for _ in range(2):
+        assert script.main(["--dim", "5", "--threads", "6", "--seed", "3"]) == 0
+        runs.append(capsys.readouterr().out)
+    assert runs[0] == runs[1]
+    version, *lines = runs[0].splitlines()
+    assert version.startswith(f"python {sys.version.split()[0]} ")
+    counts = [re.fullmatch(
+        r"threshold (off|armed): ([0-9.]+) bytecodes, ([0-9.]+) C calls per update", line
+    ) for line in lines]
+    assert [m.group(1) for m in counts] == ["off", "armed"]
+    if sys.version_info[:2] == (3, 11):
+        # the per-update budget of the engine's own Python code
+        assert all(float(m.group(2)) <= 95 and float(m.group(3)) <= 5.5 for m in counts)
