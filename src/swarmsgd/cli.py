@@ -400,8 +400,9 @@ def predicted_crossing_updates(
         "centralized",
         {"kappa": reg.kappa, "L": reg.L, "sigma_sq": 0.0, "gamma": gamma, "N": 1, "G0": U0},
     )
-    # kappa = L with gamma = 1/L contracts to the optimum in one step.
-    if isinstance(bound, theory.InadmissibleParametersError) or bound.contraction <= 0.0:
+    # kappa = L with gamma = 1/L contracts to the optimum in one step; a
+    # contraction that rounds to 1 predicts no crossing at all.
+    if isinstance(bound, theory.InadmissibleParametersError) or not 0.0 < bound.contraction < 1.0:
         return None
     if U0 <= threshold:
         return 1
@@ -493,34 +494,6 @@ def cmd_simulate(config: ExperimentConfig, jobs: int = 1) -> dict:
     return report
 
 
-class _Lemma4Stack:
-    """An ``on_record`` callback that keeps the states it is handed and
-    checks lemma 4 on them in one ``metrics.lemma4_check`` call once they
-    fill ``engine.STACK_BYTES``, and at ``check``; ``results`` holds
-    (k, lhs, rhs, holds) per state, in k order."""
-
-    def __init__(self, graph, spec, a: float) -> None:
-        self.graph, self.spec, self.a = graph, spec, a
-        self.ks: list[int] = []
-        self.states: list[np.ndarray] = []
-        self.results: list[tuple[int, float, float, bool]] = []
-
-    def __call__(self, k, t, positions) -> None:
-        self.ks.append(k)
-        self.states.append(positions)
-        if len(self.states) * positions.nbytes >= engine.STACK_BYTES:
-            self.check()
-
-    def check(self) -> None:
-        """Check the states kept since the last check."""
-        if self.states:
-            result = metrics.lemma4_check(np.stack(self.states), self.graph, self.spec, self.a)
-            self.results += zip(
-                self.ks, result.lhs.tolist(), result.rhs.tolist(), result.holds.tolist()
-            )
-            self.ks, self.states = [], []
-
-
 def _compare_one(task: tuple[ExperimentConfig, int]) -> dict:
     config, replication = task
     spec = build_objective(config)
@@ -529,15 +502,16 @@ def _compare_one(task: tuple[ExperimentConfig, int]) -> dict:
     seed_s = derive_seed(config.master_seed, replication, STREAM_SWARM)
     seed_c = derive_seed(config.master_seed, replication, STREAM_CENTRALIZED)
 
-    lemma4 = _Lemma4Stack(graph, spec, config.run["attraction"])
+    a, holds = config.run["attraction"], []
     swarm_config = build_run_config(
         config, seed_s, max_virtual_time=horizon_s, stop_at_threshold=True
     )
     central_config = build_run_config(
         config, seed_c, max_virtual_time=horizon_c, stop_at_threshold=True
     )
-    swarm = engine.run_swarm(swarm_config, graph, spec, on_record=lemma4)
-    lemma4.check()
+    swarm = engine.run_swarm(swarm_config, graph, spec, on_record=lambda ks, ts, states: (
+        holds.extend(metrics.lemma4_check(states, graph, spec, a).holds.tolist())
+    ))
     central = engine.run_centralized(central_config, spec)
     return {
         "replication": replication,
@@ -547,7 +521,7 @@ def _compare_one(task: tuple[ExperimentConfig, int]) -> dict:
         "T_c": central.summary.T_hit,
         "swarm_updates": swarm.summary.n_updates,
         "central_steps": central.summary.n_updates,
-        "lemma4_violations": [holds for _, _, _, holds in lemma4.results].count(False),
+        "lemma4_violations": holds.count(False),
     }
 
 
@@ -638,19 +612,19 @@ def cmd_validate(config: ExperimentConfig) -> dict:
     )
 
     recorded: list[tuple[int, np.ndarray]] = []
+    checks: list[dict] = []
     a = config.run["attraction"]
-    lemma4 = _Lemma4Stack(graph, spec, a)
 
-    def keep_state(k, t, positions):
-        recorded.append((k, positions))
-        lemma4(k, t, positions)
+    def check_lemma4(ks, ts, states):
+        recorded.extend(zip(ks, states))
+        res = metrics.lemma4_check(states, graph, spec, a)
+        rows = zip(ks, res.lhs.tolist(), res.rhs.tolist(), res.holds.tolist())
+        checks.extend(
+            {"check": "lemma4", "k": k, "lhs": lhs, "rhs": rhs, "holds": holds}
+            for k, lhs, rhs, holds in rows
+        )
 
-    engine.run_swarm(run_config, graph, spec, on_record=keep_state)
-    lemma4.check()
-    checks = [
-        {"check": "lemma4", "k": k, "lhs": lhs, "rhs": rhs, "holds": holds}
-        for k, lhs, rhs, holds in lemma4.results
-    ]
+    engine.run_swarm(run_config, graph, spec, on_record=check_lemma4)
     n_states = min(vcfg["lemma2_states"], len(recorded))
     rng = make_rng(derive_seed(config.master_seed, 0, STREAM_VALIDATE))
     for idx in np.linspace(0, len(recorded) - 1, n_states).astype(int):
@@ -689,7 +663,8 @@ def cmd_sweep(params_path: str, out_dir: str) -> str:
     for N in grid["N"]:
         d_bar = float(N - 1) if fixed_d_bar is None else fixed_d_bar
         inputs["N"], inputs["d_bar"] = N, d_bar
-        for gamma, a, lambda2 in product(grid["gamma"], grid["a"], grid["lambda2"] or [float(N)]):
+        lambda2s = [float(N)] if grid["lambda2"] is None else grid["lambda2"]
+        for gamma, a, lambda2 in product(grid["gamma"], grid["a"], lambda2s):
             inputs["gamma"], inputs["a"], inputs["lambda2"] = gamma, a, lambda2
             point = f"{gamma!r},{a!r},{N},{lambda2!r},{d_bar!r}"
             for family, (_, columns) in _BOUND_FAMILIES.items():

@@ -39,8 +39,8 @@ test of every update's sum finds the first threshold crossing and the
 captured means read the same sums. The record points wait until at
 least ``BLOCK_ROWS`` updates are pending, or a crossing, a divergence
 or the run's end; then one ``metrics.snapshot`` of their stacked
-positions gives the records, handed to ``on_record`` in k order as rows
-never written again.
+positions gives the records, and ``on_record`` is handed that stack,
+never written again, in one call.
 
 The positions live in the first rows of one buffer ``Z``; the row after
 them holds the swarm sum and the rest a block's ridge feature rows. A
@@ -77,10 +77,6 @@ TRACE_CSV_HEADER = "k,t,U,Vbar,f_gap,grad_norm_sq"
 # the generator calls out of the per-update cost, small enough that the
 # drawn block stays in cache.
 BLOCK_ROWS = 256
-# Bytes of record states a caller stacks for one validator call
-# (``metrics.lemma4_check``): two to twenty states of the speedup
-# study's sizes, whose temporaries stay in cache.
-STACK_BYTES = 64 * 1024
 # Oracle samples a centralized block draws at once: BATCH_SAMPLES // N
 # steps of N samples each, 0.8 MB of ridge features at dim 100.
 BATCH_SAMPLES = 1024
@@ -133,10 +129,13 @@ class RunConfig:
     The crossing and the captures are evaluated once per block of
     updates. The records wait until at least ``BLOCK_ROWS`` updates are
     pending, or a crossing, a divergence or the run's end, and are then
-    evaluated in one ``metrics.snapshot`` call. ``on_record`` sees k
-    strictly increasing and the positions after update k, never written
-    again, which it may keep; it is called in k order once the pending
-    records are evaluated.
+    evaluated in one ``metrics.snapshot`` call. ``on_record(ks, ts,
+    states)`` is then handed what that call evaluated: the records' update
+    counts k and virtual times t, and the (R, N, dim) stack of the
+    positions after each update k, never written again, which it may
+    keep. Over the calls k strictly increases and ends at the final
+    record. A record that is not finite ends the run with a
+    ``DivergenceError`` once the stack rows before it are handed over.
     """
 
     n_threads: int
@@ -289,16 +288,18 @@ class _Monitor:
     the crossing test and the captures read the exact sums. One test over
     all the block's rows, with the per-update arithmetic, finds the first
     crossing; its state, rebuilt by re-adding the deltas to the block's
-    start, joins the record points in k order. Record points stay pending
-    until at least ``BLOCK_ROWS`` updates are, or until a crossing, a
-    failed divergence check or the run's end; then one
-    ``metrics.snapshot`` of their stack gives the records, appended and
-    handed to ``on_record`` in k order. A run that stops at the crossing
-    records nothing after it.
+    start, joins the record points in k order, and so does the final
+    state of a run that ends off them, read from ``X``, the mover's
+    positions. Record points stay pending until at least ``BLOCK_ROWS``
+    updates are, or until a crossing, a failed divergence check or the
+    run's end; then one ``metrics.snapshot`` of their stack gives the
+    records, and ``on_record`` is handed the stack. A run that stops at
+    the crossing records nothing after it.
     """
 
     def __init__(self, scheme, config, spec, X, graph, on_record) -> None:
         self.scheme, self.config, self.spec, self.on_record = scheme, config, spec, on_record
+        self.X = X
         self.x_star, self.f_star = obj.optimum(spec), obj.optimal_value(spec)
         self.records: list[TraceRecord] = []
         self.T_hit = self.hit_update = None
@@ -314,8 +315,9 @@ class _Monitor:
 
     def record(self) -> None:
         """Record the pending points in k order from one snapshot of their
-        stacked states; a non-finite record ends the run with a
-        DivergenceError."""
+        stacked states and hand the stack to ``on_record``; a non-finite
+        record ends the run with a DivergenceError once the rows before
+        it are handed over."""
         points, stacks = self.points, self.stacks
         self.points, self.stacks, self.pending = [], [], 0
         if not points:
@@ -325,12 +327,17 @@ class _Monitor:
         # U stays the math.nan object, which compares equal to itself.
         Us = [math.nan] * len(points) if self.x_star is None else snap.U.tolist()
         cols = zip(points, Us, snap.Vbar.tolist(), snap.f_gap.tolist(), snap.grad_norm_sq.tolist())
-        for r, ((k, t), U, Vbar, f_gap, grad_norm_sq) in enumerate(cols):
+        n = 0  # the finite records
+        for (k, t), U, Vbar, f_gap, grad_norm_sq in cols:
             if not (math.isfinite(Vbar) and math.isfinite(grad_norm_sq)):
-                raise DivergenceError(self.scheme, k, t)
+                break
             self.records.append(TraceRecord(k, t, U, Vbar, f_gap, grad_norm_sq))
-            if self.on_record is not None:
-                self.on_record(k, t, states[r])
+            n += 1
+        if self.on_record is not None and n:
+            ks, ts = zip(*points[:n])
+            self.on_record(ks, ts, states[:n])
+        if n < len(points):
+            raise DivergenceError(self.scheme, *points[n])
 
     def block(self, times, threads, n_run, D, start_X, points, states) -> bool:
         """Monitor the first ``n_run`` of the block's updates, which
@@ -384,6 +391,11 @@ class _Monitor:
         self.pending += n_done
         if n_done:
             self.clock = times[n_done - 1]
+        # Points sit at k 0, the multiples of record_every and the
+        # crossing; a run that ends off them records its final state too.
+        if ends and self.k % config.record_every and self.k != self.hit_update:
+            self.points.append((self.k, self.clock))
+            self.stacks.append(self.X[None].copy())
         # A run that diverges between records stops at its block's end,
         # once the records before it are made.
         diverged = not (ends or np.isfinite(self.sum_vec).all())
@@ -393,12 +405,9 @@ class _Monitor:
             raise DivergenceError(self.scheme, self.k, self.clock)
         return ends
 
-    def trace(self, X: np.ndarray, batch: int) -> Trace:
-        """The run's trace, once its last block is monitored; ``X`` holds
-        the final positions and ``batch`` the oracle samples per update."""
-        if self.records[-1].k != self.k:
-            self.points, self.stacks = [(self.k, self.clock)], [X[None].copy()]
-            self.record()
+    def trace(self, batch: int) -> Trace:
+        """The run's trace, once its last block is monitored; ``batch`` is
+        the oracle samples per update."""
         final = self.records[-1]
         summary = RunSummary(
             T_hit=self.T_hit, threshold=self.config.threshold, final_U=final.U,
@@ -629,13 +638,12 @@ def _run_loop(scheme, config, spec, Z, graph, on_record, schedule) -> Trace:
     block at a time, and one ``_Monitor`` evaluates each block once its
     updates are done. The positions are ``Z``'s first rows."""
     rows, batch = (config.n_threads, 1) if graph is not None else (1, config.n_threads)
-    X = Z[:rows]
-    monitor = _Monitor(scheme, config, spec, X, graph, on_record)
+    monitor = _Monitor(scheme, config, spec, Z[:rows], graph, on_record)
     blocks = _move(config, spec, Z, graph, schedule)
     # No name keeps a monitored block, so its arrays go before the next.
     while not monitor.block(*next(blocks)):
         pass
-    return monitor.trace(X, batch)
+    return monitor.trace(batch)
 
 
 def run_swarm(
@@ -680,7 +688,7 @@ def run_centralized(
     iterate and applies their average; the step duration is the maximum
     of the N sampling times, so a step of the baseline is exactly one
     synchronized round. ``init`` is the shared start point of shape
-    (dim,); records and ``on_record`` see it as a (1, dim) array. Per
+    (dim,); records and ``on_record`` see it as a (1, dim) state. Per
     block of ``max(1, BATCH_SAMPLES // N)`` steps the stream order is:
     the N sampling durations of every step, then the oracle noise of
     all the block's samples. The attraction is not used.

@@ -38,15 +38,21 @@ class MetricSnapshot:
     grad_norm_sq: np.ndarray
 
 
-def _frozen_state(positions: np.ndarray, n_rows: int, dim: int):
-    """``positions`` as a float array with its rows' deviations from
-    their mean and their mean squared norm Vbar. ValueError unless the
-    shape is (n_rows, dim)."""
-    X = np.asarray(positions, dtype=float)
-    if X.shape != (n_rows, dim):
-        raise ValueError(f"positions have shape {X.shape}, expected ({n_rows}, {dim})")
-    deviations = X - X.mean(axis=0)
-    return X, deviations, float((deviations**2).sum() / n_rows)
+def _dispersion(states: np.ndarray, n_rows: int | None, dim: int):
+    """``states`` as a float (R, N, dim) stack, N = ``n_rows`` unless that
+    is None, with each state's mean and Vbar, the mean squared norm of its
+    rows' deviations from that mean. ValueError naming the shape
+    otherwise. Row r rounds as state r alone would."""
+    P = np.asarray(states, dtype=float)
+    if P.ndim != 3 or P.shape[2] != dim or n_rows not in (None, P.shape[1]):
+        expected = f"(R, {'N' if n_rows is None else n_rows}, {dim})"
+        raise ValueError(f"states have shape {P.shape}, expected {expected}")
+    means = P.mean(axis=1)
+    # One stack-sized temporary, squared in place: a second one costs
+    # more than the arithmetic on the engine's record stacks.
+    squares = P - means[:, None, :]
+    np.square(squares, out=squares)
+    return P, means, squares.reshape(len(P), -1).sum(axis=1) / P.shape[1]
 
 
 def snapshot(
@@ -55,11 +61,7 @@ def snapshot(
     """Compute all trace metrics for each state of an (R, N, m) stack,
     given the optimum (None when unknown) and the optimal value. Row r
     rounds as state r alone would: each dot product is a ``row_dots`` row."""
-    P = np.asarray(states, dtype=float)
-    if P.ndim != 3 or P.shape[2] != spec.dim:
-        raise ValueError(f"states have shape {P.shape}, expected (R, N, {spec.dim})")
-    means = P.mean(axis=1)
-    Vbar = ((P - means[:, None, :]) ** 2).reshape(len(P), -1).sum(axis=1) / P.shape[1]
+    _, means, Vbar = _dispersion(states, None, spec.dim)
     diffs = np.full_like(means, math.nan) if x_star is None else means - x_star
     # grad_exact's Q x for quadratic, which rounds differently from x Q
     if spec.kind == obj.QUADRATIC:
@@ -98,15 +100,12 @@ def lemma4_check(
     <= 2 sum_i |grad f(x_i)|^2 + 8 a^2 N dbar^2 Vbar
     with a small relative slack for floating point round-off. Row r
     rounds as state r checked alone would: its sums are ``sum`` rows and
-    its products one gemm per state.
+    its products one gemm per state. So a stack the engine hands
+    ``on_record`` is checked as it comes, in one call.
     """
     N = graph.n_vertices
-    P = np.asarray(states, dtype=float)
-    if P.ndim != 3 or P.shape[1:] != (N, spec.dim):
-        raise ValueError(f"states have shape {P.shape}, expected (R, {N}, {spec.dim})")
+    P, _, Vbar = _dispersion(states, N, spec.dim)
     flat = (len(P), N * spec.dim)
-    deviations = P - P.mean(axis=1)[:, None, :]
-    Vbar = (deviations**2).reshape(flat).sum(axis=1) / N
     grads = obj.grad_exact_rows(spec, P)
     drift = grads + a * _attraction_rows(graph, P)
     lhs = (drift**2).reshape(flat).sum(axis=1)
@@ -166,7 +165,11 @@ def lemma2_monte_carlo_check(
     """
     check(args(RANGES, "n_replications", "sigma_samples"), (n_replications, sigma_samples))
     N = graph.n_vertices
-    X, deviations, Vbar = _frozen_state(positions, N, spec.dim)
+    X = np.asarray(positions, dtype=float)
+    if X.shape != (N, spec.dim):
+        raise ValueError(f"positions have shape {X.shape}, expected ({N}, {spec.dim})")
+    _, (mean,), (Vbar,) = _dispersion(X[None], N, spec.dim)
+    deviations, Vbar = X - mean, float(Vbar)
     grads = obj.grad_exact_rows(spec, X)
     attraction = _attraction_rows(graph, X)
     lam2 = topology.algebraic_connectivity(graph)

@@ -122,11 +122,14 @@ def bound_study():
             max_updates=horizon,
             record_every=500,
         )
-        kept = []
-        trace = engine.run_swarm(config, graph, spec, on_record=lambda k, t, X: kept.append(X))
-        # one stacked check of the run's recorded states
-        holds = metrics.lemma4_check(np.stack(kept), graph, spec, ATTRACTION).holds
-        lemma4_violations += int(holds.size - holds.sum())
+        holds = []
+
+        def check(ks, ts, states):
+            # one check per stack of recorded states the run hands over
+            holds.extend(metrics.lemma4_check(states, graph, spec, ATTRACTION).holds.tolist())
+
+        trace = engine.run_swarm(config, graph, spec, on_record=check)
+        lemma4_violations += holds.count(False)
         for record in trace.records:
             u_by_k.setdefault(record.k, []).append(record.U)
 

@@ -180,6 +180,33 @@ def test_predicted_crossing_updates():
     # a start already inside the threshold takes one step
     assert predicted_crossing_updates(quad, 0.01, 1.0) == 1
     assert predicted_crossing_updates(quad, 0.01, 2.0) == 1
+    # a contraction that rounds to 1 predicts no crossing
+    flat = obj.quadratic_spec(np.diag([1e-15, 1.0]), np.array([1.0, 1.0]), noise_std=0.0)
+    assert predicted_crossing_updates(flat, 0.01, 0.1) is None
+    assert predicted_crossing_updates(spec, 1e-300, 0.1) is None
+
+
+@pytest.mark.parametrize(
+    "objective,step_size",
+    [({"kind": "quadratic", "dim": 2, "Q": [[1e-15, 0.0], [0.0, 1.0]], "b": [1.0, 1.0]}, 0.01),
+     ({"kind": "ridge", "dim": 4, "rho": 0.1}, 1e-300)],
+    ids=["flat_quadratic", "tiny_step"],
+)
+def test_compare_without_a_horizon_and_no_contraction_is_exit_2(
+    tmp_path, capsys, objective, step_size
+):
+    # The baseline contraction rounds to 1.0: no crossing is predicted, so
+    # the run needs an explicit horizon (it divided by log(1) before).
+    cfg = _config_dict(
+        objective=objective, output_dir=str(tmp_path / "o"),
+        run={"n_threads": 5, "step_size": step_size, "mean_sample_time": 0.02},
+    )
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["compare", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "run.max_virtual_time" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cmd_simulate_outputs_and_determinism(tmp_path):
@@ -353,6 +380,38 @@ def test_cmd_validate(tmp_path):
     assert (tmp_path / "val" / "validation.json").exists()
 
 
+def test_validation_lemma4_rows_equal_per_state_checks(tmp_path, monkeypatch):
+    # validate checks lemma 4 a stack at a time; each row it writes is the
+    # check of that state alone.
+    kept = {}
+    real_run = cli.engine.run_swarm
+
+    def keeping_run(config, graph, spec, on_record):
+        def both(ks, ts, states):
+            kept.update(zip(ks, states.copy()))
+            on_record(ks, ts, states)
+
+        kept.update(graph=graph, spec=spec)
+        return real_run(config, graph, spec, on_record=both)
+
+    monkeypatch.setattr(cli.engine, "run_swarm", keeping_run)
+    cfg = experiment_config_from_dict(_config_dict(
+        output_dir=str(tmp_path / "val"), graph={"kind": "erdos_renyi", "p": 0.6},
+        validate={"max_updates": 700, "record_every": 3, "lemma2_states": 1,
+                  "lemma2_replications": 1200, "sigma_samples": 6000},
+    ))
+    cmd_validate(cfg)
+    rows = json.loads((tmp_path / "val" / "validation.json").read_text())["checks"]
+    rows = [row for row in rows if row["check"] == "lemma4"]
+    assert [row["k"] for row in rows] == [*range(0, 700, 3), 700]
+    graph, spec, a = kept["graph"], kept["spec"], cfg.run["attraction"]
+    for row in rows:
+        alone = metrics.lemma4_check(kept[row["k"]][None], graph, spec, a)
+        assert (row["lhs"], row["rhs"], row["holds"]) == (
+            alone.lhs[0], alone.rhs[0], bool(alone.holds[0])
+        )
+
+
 def test_cmd_sweep(tmp_path):
     path = tmp_path / "sweep.json"
     path.write_text(
@@ -371,6 +430,18 @@ def test_cmd_sweep(tmp_path):
     assert families == {"strong_convex", "centralized", "convex", "nonconvex"}
     for line in lines[1:]:
         assert line.split(",")[6] in ("0", "1")
+
+
+@pytest.mark.parametrize("axis", ["gamma", "a", "N", "lambda2"])
+def test_sweep_empty_grid_axis_is_an_empty_table(tmp_path, axis):
+    # Only a missing or null axis takes its default; an empty list is no points.
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({
+        "base": {"kappa": 0.8667, "L": 0.8667, "sigma_sq": 1.0},
+        "grid": {"gamma": [0.01], "a": [1.0], "N": [6], axis: []},
+    }))
+    out = cmd_sweep(str(path), str(tmp_path / "out"))
+    assert Path(out).read_text() == cli._SWEEP_HEADER + "\n"
 
 
 def test_main_exit_codes(tmp_path):

@@ -218,8 +218,8 @@ def test_zero_noise_zero_attraction_is_per_thread_gradient_descent():
     config = _swarm_config(n_threads=4, step_size=gamma, attraction=0.0, max_updates=200)
     seen = {}
 
-    def keep(k, t, positions):
-        seen[k] = positions.copy()
+    def keep(ks, ts, states):
+        seen.update(zip(ks, states))
 
     trace = run_swarm(config, graph, spec, init=init, on_record=keep)
     final = seen[trace.summary.n_updates]
@@ -243,8 +243,8 @@ def test_optimal_value_is_computed_once_per_run(monkeypatch, scheme):
     config = _swarm_config(max_updates=50, record_every=1)
     final = {}
 
-    def keep(k, t, positions):
-        final["X"] = positions.copy()
+    def keep(ks, ts, states):
+        final["X"] = states[-1]
 
     if scheme == SCHEME_SWARM:
         trace = run_swarm(config, topology.complete_graph(5), spec, on_record=keep)
@@ -392,8 +392,8 @@ def _kind_specs():
 def _kept_states(config, graph, spec, runner, init=None):
     seen = {}
 
-    def keep(k, t, positions):
-        seen[k] = positions.copy()
+    def keep(ks, ts, states):
+        seen.update(zip(ks, states))
 
     trace = runner(config, graph, spec, init=init, on_record=keep)
     return trace, seen
@@ -509,8 +509,8 @@ def _central_config(**overrides):
 def _kept_central_states(config, spec, init=None):
     seen = {}
 
-    def keep(k, t, positions):
-        seen[k] = positions[0].copy()
+    def keep(ks, ts, states):
+        seen.update(zip(ks, states[:, 0]))
 
     trace = run_centralized(config, spec, init=init, on_record=keep)
     return trace, seen
@@ -624,8 +624,8 @@ def test_divergence_in_a_record_dense_block_hands_over_only_the_records_before_i
     def run(config):
         seen = []
 
-        def keep(k, t, positions):
-            seen.append((k, t, positions))
+        def keep(ks, ts, states):
+            seen.extend(zip(ks, ts, states))
 
         try:
             if scheme == SCHEME_CENTRALIZED:
@@ -732,7 +732,8 @@ CENTRAL_THRESHOLDS = (0.03, 0.03, 0.003)
 
 def _monitored_run(runner, graph_kind, kind, **overrides):
     """A 3B-update run from 1.5 that captures the means at B - 1, B and
-    B + 1; returns the trace and every (k, t, positions) of on_record."""
+    B + 1; returns the trace and every (k, t, positions) on_record was
+    handed."""
     assert engine.BATCH_SAMPLES // 4 == B
     spec = _kind_specs()[kind]
     thresholds = CENTRAL_THRESHOLDS if graph_kind is None else SWARM_THRESHOLDS
@@ -742,8 +743,8 @@ def _monitored_run(runner, graph_kind, kind, **overrides):
     })
     seen = []
 
-    def keep(k, t, positions):
-        seen.append((k, t, positions.copy()))
+    def keep(ks, ts, states):
+        seen.extend(zip(ks, ts, states))
 
     init = np.full((4, spec.dim), 1.5)
     if graph_kind is None:
@@ -823,13 +824,13 @@ def test_crossing_is_the_first_update_passing_the_per_update_test(runner, graph_
 )
 @pytest.mark.parametrize("runner,graph_kind", MONITORED)
 def test_on_record_may_keep_its_positions(runner, graph_kind, watch):
-    # Every record, with the threshold off, armed or stopping the run,
-    # hands on_record an array the engine never writes again.
+    # Every record, with the threshold off, armed or stopping the run, is a
+    # row of a stack handed to on_record that the engine never writes again.
     kept, copies = [], []
 
-    def keep(k, t, positions):
-        kept.append(positions)
-        copies.append(positions.copy())
+    def keep(ks, ts, states):
+        kept.append(states)
+        copies.append(states.copy())
 
     spec = _kind_specs()[0]
     thresholds = CENTRAL_THRESHOLDS if graph_kind is None else SWARM_THRESHOLDS
@@ -844,7 +845,7 @@ def test_on_record_may_keep_its_positions(runner, graph_kind, watch):
         graph = getattr(topology, f"{graph_kind}_graph")(4)
         trace = runner(config, graph, spec, init=init, on_record=keep)
     assert (trace.summary.hit_update is None) == ("threshold" in watch)
-    assert len(kept) == len(trace.records) > 2
+    assert sum(map(len, kept)) == len(trace.records) > 2
     assert all(np.array_equal(a, b) for a, b in zip(kept, copies))
 
 
@@ -895,13 +896,14 @@ def _monitor_in_blocks(kind, cut, record_every, watch, horizon, blowup=None):
     )
     seen, calls_at, block_no = [], set(), [0]
 
-    def on_record(k, t, X):
-        seen.append((k, t, X.tobytes()))
+    def on_record(ks, ts, states):
+        seen.extend((k, t, x.tobytes()) for k, t, x in zip(ks, ts, states))
         calls_at.add(block_no[0])
 
+    # The mover's positions, which hold each block's end when it is monitored.
+    X = positions[0].copy()
     monitor = engine._Monitor(
-        SCHEME_SWARM, config, spec, positions[0].copy(), topology.complete_graph(n_rows),
-        on_record,
+        SCHEME_SWARM, config, spec, X, topology.complete_graph(n_rows), on_record
     )
     try:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -916,6 +918,7 @@ def _monitor_in_blocks(kind, cut, record_every, watch, horizon, blowup=None):
                     times[s:e] + extra, threads[s:e] + [0] * len(extra), e - s, D,
                     positions[s].copy(), [(k, times[k - 1]) for k in ks], positions[ks],
                 )
+                X[:] = positions[e]
                 if monitor.block(*block):
                     break
             else:
@@ -923,7 +926,7 @@ def _monitor_in_blocks(kind, cut, record_every, watch, horizon, blowup=None):
     except engine.DivergenceError as exc:
         return monitor.records, seen, ("diverged", exc.k, exc.t), None, positions, calls_at
     assert e == K or watch == "stop"
-    trace = monitor.trace(positions[e], 1)
+    trace = monitor.trace(1)
     summary = replace(trace.summary, wall_time=None)
     captured = {c: v.tobytes() for c, v in trace.captured_means.items()}
     return trace.records, seen, summary, captured, positions, calls_at
@@ -1226,6 +1229,24 @@ def _per_update_reference(config, spec, graph, schedule, init):
     return out
 
 
+def _reference_inputs(graph_kind):
+    """(threads, graph, start) of a reference case: 100 centralized
+    threads, or 6 swarm threads from random rows whose first entries are
+    signed zeros."""
+    n = 100 if graph_kind is None else 6
+    graph = {
+        None: None,
+        "complete": topology.complete_graph(n),
+        "erdos_renyi": topology.erdos_renyi_connected(n, 0.5, make_rng(3)),
+        "path": topology.path_graph(n),
+    }[graph_kind]
+    if graph is None:
+        return n, graph, np.array([0.0, -0.0, 1.5])
+    init = make_rng(11).normal(size=(n, 3))
+    init[:, 0] = np.where(np.arange(n) % 2, -0.0, 0.0)
+    return n, graph, init
+
+
 # Every swarm scheduler on every graph kind with and without the pull, and
 # the centralized step, which takes no graph.
 REFERENCE_CASES = [
@@ -1246,18 +1267,7 @@ def test_block_buffer_loops_match_the_per_update_arithmetic_bit_for_bit(
     # positions, records, on_record (k, t, bytes), captures, counts and the
     # crossing. Kinds 3 and 4 are noiseless, with signed zeros in the start.
     spec = (*_kind_specs(), *_noiseless_specs())[kind]
-    n = 100 if graph_kind is None else 6
-    graph = {
-        None: None,
-        "complete": topology.complete_graph(n),
-        "erdos_renyi": topology.erdos_renyi_connected(n, 0.5, make_rng(3)),
-        "path": topology.path_graph(n),
-    }[graph_kind]
-    if graph is None:
-        init = np.array([0.0, -0.0, 1.5])
-    else:
-        init = make_rng(11).normal(size=(n, 3))
-        init[:, 0] = np.where(np.arange(n) % 2, -0.0, 0.0)
+    n, graph, init = _reference_inputs(graph_kind)
     # a budget, or a time horizon near the end of the same run
     horizons = [{"max_updates": 300 if graph is None else 400},
                 {"max_virtual_time": 25.0 if graph is None else 1.2}]
@@ -1277,8 +1287,8 @@ def test_block_buffer_loops_match_the_per_update_arithmetic_bit_for_bit(
             ref = _per_update_reference(config, spec, graph, schedule, init)
             seen = []
 
-            def keep(k, t, X):
-                seen.append((k, t, X.tobytes()))
+            def keep(ks, ts, states):
+                seen.extend((k, t, X.tobytes()) for k, t, X in zip(ks, ts, states))
 
             if graph is None:
                 trace = runner(config, spec, init=init, on_record=keep)
@@ -1293,6 +1303,50 @@ def test_block_buffer_loops_match_the_per_update_arithmetic_bit_for_bit(
             if graph is not None:
                 assert list(s.per_thread_update_counts) == ref["counts"]
             assert (s.hit_update is None) == (watch == "off")
+
+
+@pytest.mark.parametrize("watch", ["off", "armed", "stop"])
+@pytest.mark.parametrize("scheme,runner,schedule,graph_kind,attraction", REFERENCE_CASES)
+def test_on_record_is_handed_each_evaluated_stack_once(
+    monkeypatch, scheme, runner, schedule, graph_kind, attraction, watch
+):
+    # One on_record call per snapshot, handed the stack it evaluated: the
+    # stacks, flattened, are the records' k and t and the sequential
+    # states, and nothing the run does later writes a stack handed over.
+    snapshots = []
+    real = metrics.snapshot
+
+    def counting(states, *args):
+        snapshots.append(len(states))
+        return real(states, *args)
+
+    spec = _kind_specs()[0]
+    n, graph, init = _reference_inputs(graph_kind)
+    base = dict(
+        n_threads=n, step_size=0.02, attraction=attraction, mean_sample_time=0.02, seed=17,
+        record_every=1, max_updates=300 if graph is None else 700,
+    )
+    errs = _per_update_reference(RunConfig(**base), spec, graph, schedule, init)["errs"]
+    config = RunConfig(
+        **base, threshold=None if watch == "off" else errs[len(errs) * 2 // 3],
+        stop_at_threshold=watch == "stop",
+    )
+    calls = []
+
+    def keep(ks, ts, states):
+        calls.append((ks, ts, states, states.copy()))
+
+    monkeypatch.setattr(engine.metrics, "snapshot", counting)
+    if graph is None:
+        trace = runner(config, spec, init=init, on_record=keep)
+    else:
+        trace = runner(config, graph, spec, init=init, on_record=keep)
+    assert [len(states) for _, _, states, _ in calls] == snapshots != []
+    assert all(len(ks) == len(ts) == len(states) for ks, ts, states, _ in calls)
+    flat = [(k, t, x.tobytes()) for ks, ts, states, _ in calls for k, t, x in zip(ks, ts, states)]
+    assert [(k, t) for k, t, _ in flat] == [(r.k, r.t) for r in trace.records]
+    assert flat == _per_update_reference(config, spec, graph, schedule, init)["seen"]
+    assert all(np.array_equal(states, copy) for _, _, states, copy in calls)
 
 
 def test_centralized_records_are_made_once_per_block_rows_steps(monkeypatch):

@@ -115,6 +115,28 @@ def test_stacked_snapshot_rounds_each_row_as_the_single_state_formulas(spec, N, 
         assert np.array_equal(got, expected, equal_nan=True), (r, got, expected)
 
 
+@pytest.mark.parametrize("R", [1, 3])
+@pytest.mark.parametrize("N,dim", [(1, 3), (4, 3), (20, 20), (100, 50)])
+def test_dispersion_rounds_as_the_three_formulas_it_replaced(R, N, dim):
+    # snapshot's, lemma4_check's and lemma 2's frozen-state Vbar, written out
+    P = make_rng(R * 1000 + N).normal(size=(R, N, dim)) * 2.0 + 0.5
+    got, means, Vbar = metrics._dispersion(P, N, dim)
+    assert got is P
+    snapshot_form = ((P - P.mean(axis=1)[:, None, :]) ** 2).reshape(R, -1).sum(axis=1) / N
+    stacked = P - P.mean(axis=1)[:, None, :]
+    lemma4_form = (stacked**2).reshape(R, N * dim).sum(axis=1) / N
+    assert Vbar.tobytes() == snapshot_form.tobytes() == lemma4_form.tobytes()
+    for r, X in enumerate(P):
+        # lemma 2 subtracts the helper's mean from its one state
+        assert means[r].tobytes() == X.mean(axis=0).tobytes()
+        frozen = X - X.mean(axis=0)
+        assert Vbar[r] == float((frozen**2).sum() / N)
+    # N is checked only when given
+    assert metrics._dispersion(P, None, dim)[2].tobytes() == Vbar.tobytes()
+    with pytest.raises(ValueError, match=rf"expected \(R, {N + 1}, {dim}\)"):
+        metrics._dispersion(P, N + 1, dim)
+
+
 def test_validators_reject_positions_of_the_wrong_shape():
     spec = _ridge()
     graph = topology.complete_graph(3)

@@ -84,3 +84,22 @@ def test_engine_cost_counts_are_deterministic(capsys):
     if sys.version_info[:2] == (3, 11):
         # the per-update budget of the engine's own Python code
         assert all(float(m.group(2)) <= 95 and float(m.group(3)) <= 5.5 for m in counts)
+
+
+def test_digests_cover_the_documented_run_matrix(capsys):
+    script = _load("digests")
+    assert script.main([]) == 0
+    engine_line, cli_line = capsys.readouterr().out.splitlines()
+    m = re.fullmatch(
+        r"engine ([0-9a-f]{64}) (\d+) runs \((\d+) crossed, (\d+) diverged\)", engine_line
+    )
+    # 2 schedulers x 3 kinds x 3 graphs x 2 attractions x 9 record settings,
+    # 3 kinds x 9 on the baseline, and one diverging run per scheme
+    assert m and int(m.group(2)) == 324 + 27 + 3
+    assert int(m.group(3)) > 100 and int(m.group(4)) == 3
+    # three simulate runs of two replications (a trace each and a summary),
+    # then comparison.json, validation.json, bounds.json and sweep.csv
+    m = re.fullmatch(r"cli ([0-9a-f]{64}) (\d+) files", cli_line)
+    assert m and int(m.group(2)) == 3 * 3 + 4
+    # the cli part writes the same bytes twice
+    assert script.cli_digest() == (m.group(1), 13)
