@@ -21,8 +21,9 @@ at an update budget. Per run it hashes the records, every state handed to
 ``wall_time``, the captured means and the ``DivergenceError``'s (k, t).
 
 The cli part runs ``simulate`` for each scheme, ``compare``,
-``validate``, ``bounds`` and ``sweep`` on small inputs in a temporary
-directory and hashes every file they write, by path.
+``validate`` twice (the second with a budget off its record grid),
+``bounds`` and ``sweep`` on small inputs in a temporary directory and
+hashes every file they write, by path.
 """
 from __future__ import annotations
 
@@ -165,6 +166,11 @@ def _cli_inputs(root: str) -> list[list[str]]:
         "lemma2_replications": 1200, "sigma_samples": 6000,
     }}
     argvs.append(["validate", "--config", write("validate.json", validate)])
+    # A budget off the record grid: the last record is the final state.
+    off_grid = {**validate, "output_dir": os.path.join(root, "out", "validate_off_grid"),
+                "validate": {**validate["validate"], "max_updates": 301, "record_every": 7,
+                             "lemma2_states": 5}}
+    argvs.append(["validate", "--config", write("validate_off_grid.json", off_grid)])
     bounds = {"kappa": 0.8667, "L": 0.8667, "sigma_sq": 1.0, "gamma": 0.01, "a": 1.0,
               "lambda2": 10.0, "d_bar": 9.0, "N": 10, "U0": 1.0, "V0": 0.0, "K": 1000}
     argvs.append(["bounds", "--config", write("bounds.json", bounds),

@@ -572,10 +572,10 @@ def summary_json_dict(summary: engine.RunSummary) -> dict:
     return {f: _json_value(v) for f, v in asdict(summary).items() if f != "wall_time"}
 
 
-def cmd_bounds(params_path: str, out_dir: str | None = None) -> dict:
-    """Evaluate every bound family at the inputs of one parameter file."""
-    if out_dir is not None:
-        _check_out_dir(out_dir, "--out")
+def cmd_bounds(params_path: str, out_dir: str) -> dict:
+    """Evaluate every bound family at the inputs of one parameter file;
+    the report is what ``bounds.json`` in ``out_dir`` holds."""
+    _check_out_dir(out_dir, "--out")
     inputs = _fields(_load_json(params_path), _SCHEMA["bounds"], "bound parameters")
     if inputs["G0"] is None:
         inputs["G0"] = inputs["U0"]
@@ -589,14 +589,15 @@ def cmd_bounds(params_path: str, out_dir: str | None = None) -> dict:
     report["harmonic"] = asdict(theory.harmonic_speedup(inputs["N"]))
     # D is reported by the convex family.
     report["parameters"] = {k: v for k, v in inputs.items() if k != "D"}
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        _write_json(report, os.path.join(out_dir, "bounds.json"))
+    os.makedirs(out_dir, exist_ok=True)
+    _write_json(report, os.path.join(out_dir, "bounds.json"))
     return report
 
 
 def cmd_validate(config: ExperimentConfig) -> dict:
-    """Run a short swarm trajectory and check both inequalities on it."""
+    """Run a short swarm trajectory and check both inequalities on it:
+    lemma 4 at every record, lemma 2 at ``lemma2_states`` records spread
+    evenly over them, whose states alone are kept."""
     _check_out_dir(config.output_dir, "output_dir")
     spec = build_objective(config)
     graph = build_graph(config, 0)
@@ -610,13 +611,17 @@ def cmd_validate(config: ExperimentConfig) -> dict:
         threshold=None,
         stop_at_threshold=False,
     )
-
-    recorded: list[tuple[int, np.ndarray]] = []
+    # The budget fixes the records: k 0, the multiples of record_every, the last update.
+    record_ks = [*range(0, vcfg["max_updates"], vcfg["record_every"]), vcfg["max_updates"]]
+    n_states = min(vcfg["lemma2_states"], len(record_ks))
+    lemma2_ks = [record_ks[i] for i in np.linspace(0, len(record_ks) - 1, n_states).astype(int)]
+    kept = dict.fromkeys(lemma2_ks)
     checks: list[dict] = []
     a = config.run["attraction"]
 
     def check_lemma4(ks, ts, states):
-        recorded.extend(zip(ks, states))
+        # a copy, as a view would keep the whole stack
+        kept.update((k, X.copy()) for k, X in zip(ks, states) if k in kept)
         res = metrics.lemma4_check(states, graph, spec, a)
         rows = zip(ks, res.lhs.tolist(), res.rhs.tolist(), res.holds.tolist())
         checks.extend(
@@ -625,12 +630,10 @@ def cmd_validate(config: ExperimentConfig) -> dict:
         )
 
     engine.run_swarm(run_config, graph, spec, on_record=check_lemma4)
-    n_states = min(vcfg["lemma2_states"], len(recorded))
     rng = make_rng(derive_seed(config.master_seed, 0, STREAM_VALIDATE))
-    for idx in np.linspace(0, len(recorded) - 1, n_states).astype(int):
-        k, positions = recorded[idx]
+    for k in lemma2_ks:
         result = metrics.lemma2_monte_carlo_check(
-            positions, graph, spec, config.run["step_size"], a,
+            kept[k], graph, spec, config.run["step_size"], a,
             vcfg["lemma2_replications"], rng, sigma_samples=vcfg["sigma_samples"],
         )
         checks.append({"check": "lemma2", "k": k, **asdict(result)})
@@ -661,6 +664,8 @@ def cmd_sweep(params_path: str, out_dir: str) -> str:
 
     lines = [_SWEEP_HEADER]
     for N in grid["N"]:
+        if fixed_d_bar is None and N < 2:
+            raise ConfigError(f"grid.N must be at least 2 where base.d_bar is null, got {N}")
         d_bar = float(N - 1) if fixed_d_bar is None else fixed_d_bar
         inputs["N"], inputs["d_bar"] = N, d_bar
         lambda2s = [float(N)] if grid["lambda2"] is None else grid["lambda2"]

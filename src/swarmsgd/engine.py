@@ -197,32 +197,6 @@ class Trace:
     captured_means: dict[int, np.ndarray] = field(default_factory=dict)
 
 
-def _swarm_positions(config: RunConfig, graph, dim: int, init: np.ndarray | None) -> np.ndarray:
-    check([("n_threads", *topology.RANGES["n"])], [config.n_threads])
-    if graph.n_vertices != config.n_threads:
-        raise ValueError(
-            f"graph has {graph.n_vertices} vertices for {config.n_threads} threads"
-        )
-    return _positions(init, (config.n_threads, dim))
-
-
-def _positions(init: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray:
-    """The run's buffer ``Z`` (see ``_move``): the start positions in its
-    first rows, zeros or a float copy of ``init`` checked against
-    ``shape``, (N, dim) or the centralized (dim,), and for finiteness;
-    then the sum row and ``BLOCK_ROWS`` feature slots."""
-    rows = math.prod(shape[:-1])
-    Z = np.zeros((rows + 1 + BLOCK_ROWS, shape[-1]))
-    if init is not None:
-        X = np.array(init, dtype=float)
-        if X.shape != shape:
-            raise ValueError(f"init has shape {X.shape}, expected {shape}")
-        if not np.isfinite(X).all():
-            raise ValueError("init has a non-finite entry")
-        Z[:rows] = X
-    return Z
-
-
 def _event_schedule(n_threads: int, mean_time: float, rng: np.random.Generator):
     """Who fires when in the event-driven scheme, a block at a time.
 
@@ -420,12 +394,13 @@ class _Monitor:
         return Trace(records=self.records, summary=summary, captured_means=self.captured)
 
 
-def _move(config, spec, Z, graph, schedule):
+def _move(config, spec, Z, rows, batch, graph, schedule):
     """The updates of all three schemes, a block at a time.
 
     ``Z`` is the run's buffer: its first ``rows`` rows are the positions
     ``X`` (N swarm threads, or the one centralized iterate), row ``rows``
-    the swarm sum and the rows after it a block's ridge feature rows.
+    the swarm sum and the rows after it a block's ridge feature rows; an
+    update applies the mean of ``batch`` oracle samples.
     ``schedule`` yields blocks of (fire times, rows of ``X`` that move).
     A swarm thread ``i`` moves by ``-gamma (g + a sum_j a_ij (x_i -
     x_j))`` with ``g`` one oracle sample at ``x_i``; with ``graph`` None
@@ -462,8 +437,6 @@ def _move(config, spec, Z, graph, schedule):
     N, gamma = config.n_threads, config.step_size
     rng = make_rng(config.seed)
     blocks = schedule(N, config.mean_sample_time, rng)
-    # Oracle samples per update, whose mean the update applies.
-    batch = 1 if graph is not None else N
     single = batch == 1
 
     kind = spec.kind
@@ -487,7 +460,6 @@ def _move(config, spec, Z, graph, schedule):
             out *= sine_coef
 
     # The centralized iterate is one row with no neighbours and no pull.
-    rows = 1 if graph is None else N
     X, sum_row = Z[:rows], Z[rows]
     a = 0.0 if graph is None else config.attraction
     gamma_a = gamma * a
@@ -633,13 +605,32 @@ def _move(config, spec, Z, graph, schedule):
 # A diverging run is reported by its DivergenceError, not by numpy's
 # warnings on the way there.
 @np.errstate(over="ignore", invalid="ignore")
-def _run_loop(scheme, config, spec, Z, graph, on_record, schedule) -> Trace:
-    """One run of ``scheme`` on the buffer ``Z``: ``_move`` moves its rows a
-    block at a time, and one ``_Monitor`` evaluates each block once its
-    updates are done. The positions are ``Z``'s first rows."""
-    rows, batch = (config.n_threads, 1) if graph is not None else (1, config.n_threads)
+def _run_loop(scheme, config, spec, init, graph, on_record, schedule) -> Trace:
+    """One run of ``scheme`` from ``init``, zeros when None, whose shape is
+    decided here once: with a graph, N rows of one oracle sample per
+    update; without, the centralized row that averages N samples. The
+    thread count, the graph's size and ``init`` are checked in that order.
+    ``_move`` moves the rows of the buffer ``Z`` a block at a time, and
+    one ``_Monitor`` evaluates each block once its updates are done."""
+    N = config.n_threads
+    if graph is None:
+        rows, batch, shape = 1, N, (spec.dim,)
+    else:
+        check([("n_threads", *topology.RANGES["n"])], [N])
+        if graph.n_vertices != N:
+            raise ValueError(f"graph has {graph.n_vertices} vertices for {N} threads")
+        rows, batch, shape = N, 1, (N, spec.dim)
+    # The positions, the sum row and BLOCK_ROWS feature slots.
+    Z = np.zeros((rows + 1 + BLOCK_ROWS, spec.dim))
+    if init is not None:
+        X = np.array(init, dtype=float)
+        if X.shape != shape:
+            raise ValueError(f"init has shape {X.shape}, expected {shape}")
+        if not np.isfinite(X).all():
+            raise ValueError("init has a non-finite entry")
+        Z[:rows] = X
     monitor = _Monitor(scheme, config, spec, Z[:rows], graph, on_record)
-    blocks = _move(config, spec, Z, graph, schedule)
+    blocks = _move(config, spec, Z, rows, batch, graph, schedule)
     # No name keeps a monitored block, so its arrays go before the next.
     while not monitor.block(*next(blocks)):
         pass
@@ -654,8 +645,7 @@ def run_swarm(
     on_record=None,
 ) -> Trace:
     """Event-driven swarm run over an interaction graph."""
-    Z = _swarm_positions(config, graph, spec.dim, init)
-    return _run_loop(SCHEME_SWARM, config, spec, Z, graph, on_record, _event_schedule)
+    return _run_loop(SCHEME_SWARM, config, spec, init, graph, on_record, _event_schedule)
 
 
 def run_swarm_global_tick(
@@ -672,8 +662,7 @@ def run_swarm_global_tick(
     scheme in distribution. Per block of ``BLOCK_ROWS`` updates the
     stream is consumed in the order: gaps, thread indices, oracle noise.
     """
-    Z = _swarm_positions(config, graph, spec.dim, init)
-    return _run_loop(SCHEME_GLOBAL_TICK, config, spec, Z, graph, on_record, _tick_schedule)
+    return _run_loop(SCHEME_GLOBAL_TICK, config, spec, init, graph, on_record, _tick_schedule)
 
 
 def run_centralized(
@@ -693,8 +682,7 @@ def run_centralized(
     the N sampling durations of every step, then the oracle noise of
     all the block's samples. The attraction is not used.
     """
-    Z = _positions(init, (spec.dim,))
-    return _run_loop(SCHEME_CENTRALIZED, config, spec, Z, None, on_record, _batch_schedule)
+    return _run_loop(SCHEME_CENTRALIZED, config, spec, init, None, on_record, _batch_schedule)
 
 
 def write_trace_csv(trace: Trace, path: str) -> None:

@@ -15,6 +15,8 @@ import numpy as np
 from ._ranges import PROBABILITY, Range, args, check
 
 CONNECTIVITY_TOL = 1e-10
+# Erdos-Renyi draws before a p is called too small for n.
+ER_MAX_ATTEMPTS = 10_000
 # A swarm, and so each generated graph, has at least two vertices; at
 # the top, 4,096, the int64 adjacency alone takes 128 MiB.
 RANGES = {"n": Range(2, 4096, "an integer from 2 to 4096", integer=True), "p": PROBABILITY}
@@ -40,19 +42,14 @@ class Graph:
     er_attempts: int | None = None
 
 
-def graph_from_adjacency(
-    adjacency: np.ndarray,
-    *,
-    require_connected: bool = True,
-    er_attempts: int | None = None,
-) -> Graph:
-    """Validate an adjacency matrix and wrap it in a Graph."""
+def graph_from_adjacency(adjacency: np.ndarray, *, er_attempts: int | None = None) -> Graph:
+    """Validate an adjacency matrix of ``RANGES["n"]`` vertices, 2 to 4096,
+    and wrap it in a Graph; a disconnected one raises GraphConnectivityError."""
     adj = np.asarray(adjacency)
     if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
         raise ValueError(f"adjacency must be square, got shape {adj.shape}")
     n = adj.shape[0]
-    if n < 1:
-        raise ValueError("graph needs at least one vertex")
+    check(args(RANGES, "n"), (n,))
     if not np.isin(adj, (0, 1)).all():
         raise ValueError("adjacency entries must be 0 or 1")
     adj = adj.astype(np.int64)
@@ -64,7 +61,7 @@ def graph_from_adjacency(
     adj.setflags(write=False)
     degrees.setflags(write=False)
     graph = Graph(n_vertices=n, adjacency=adj, degrees=degrees, er_attempts=er_attempts)
-    if require_connected and not is_connected(graph):
+    if not is_connected(graph):
         raise GraphConnectivityError("graph is not connected")
     return graph
 
@@ -95,30 +92,24 @@ def star_graph(n: int) -> Graph:
     return graph_from_adjacency(adj)
 
 
-def erdos_renyi_connected(
-    n: int,
-    p: float,
-    rng: np.random.Generator,
-    max_attempts: int = 10_000,
-) -> Graph:
+def erdos_renyi_connected(n: int, p: float, rng: np.random.Generator) -> Graph:
     """Sample G(n, p) repeatedly until a connected draw appears.
 
-    Raises GraphConnectivityError when ``max_attempts`` draws all come
+    Raises GraphConnectivityError when ``ER_MAX_ATTEMPTS`` draws all come
     out disconnected, which signals that ``p`` is too small for ``n``.
     """
     check(args(RANGES, "n", "p"), (n, p))
     rows, cols = np.triu_indices(n, k=1)
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, ER_MAX_ATTEMPTS + 1):
         mask = rng.random(rows.size) < p
         adj = np.zeros((n, n), dtype=np.int64)
         adj[rows[mask], cols[mask]] = 1
         adj[cols[mask], rows[mask]] = 1
-        graph = graph_from_adjacency(adj, require_connected=False, er_attempts=attempt)
-        if is_connected(graph):
-            return graph
-    raise GraphConnectivityError(
-        f"no connected graph in {max_attempts} draws of G({n}, {p})"
-    )
+        try:
+            return graph_from_adjacency(adj, er_attempts=attempt)
+        except GraphConnectivityError:
+            pass
+    raise GraphConnectivityError(f"no connected graph in {ER_MAX_ATTEMPTS} draws of G({n}, {p})")
 
 
 def is_connected(graph: Graph) -> bool:
@@ -137,15 +128,15 @@ def laplacian(graph: Graph) -> np.ndarray:
     return np.diag(graph.degrees).astype(float) - graph.adjacency.astype(float)
 
 
-def algebraic_connectivity(graph: Graph, tol: float = CONNECTIVITY_TOL) -> float:
+def algebraic_connectivity(graph: Graph) -> float:
     """Second smallest Laplacian eigenvalue.
 
     Positive exactly when the graph is connected; a value at or below
-    ``tol`` is treated as disconnected and raises.
+    ``CONNECTIVITY_TOL`` is treated as disconnected and raises.
     """
     eigenvalues = np.linalg.eigvalsh(laplacian(graph))
     lam2 = float(eigenvalues[1])
-    if lam2 <= tol:
+    if lam2 <= CONNECTIVITY_TOL:
         raise GraphConnectivityError(
             f"graph is disconnected (second eigenvalue {lam2:.3e})"
         )
@@ -165,14 +156,14 @@ def _json_int(value, what: str) -> int:
 
 
 def graph_from_json_dict(data: dict) -> Graph:
-    """Parse and validate the edge-list form; requires a connected graph."""
+    """Parse and validate the edge-list form; requires a connected graph
+    whose ``n`` is in ``RANGES["n"]``, checked before any matrix is built."""
     if "n" not in data:
         raise ValueError("graph json is missing field 'n'")
     if "edges" not in data:
         raise ValueError("graph json is missing field 'edges'")
-    n = _json_int(data["n"], "n")
-    if n < 1:
-        raise ValueError(f"graph json has invalid vertex count {n}")
+    n = data["n"]
+    check(args(RANGES, "n"), (n,))
     adj = np.zeros((n, n), dtype=np.int64)
     for edge in data["edges"]:
         if len(edge) != 2:

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -340,7 +341,7 @@ def test_cmd_bounds_report(tmp_path):
 def test_cmd_bounds_huge_step_all_inadmissible(tmp_path):
     path = tmp_path / "p.json"
     path.write_text(json.dumps(_bounds_params(gamma=10.0)))
-    report = cmd_bounds(str(path), None)
+    report = cmd_bounds(str(path), str(tmp_path))
     assert report["strong_convex"]["admissible"] is False
     assert report["centralized"]["admissible"] is False
     assert report["convex"]["admissible"] is False
@@ -353,7 +354,7 @@ def test_cmd_bounds_missing_field(tmp_path):
     del params["lambda2"]
     path.write_text(json.dumps(params))
     with pytest.raises(ConfigError, match="lambda2"):
-        cmd_bounds(str(path), None)
+        cmd_bounds(str(path), str(tmp_path))
 
 
 def test_cmd_validate(tmp_path):
@@ -378,6 +379,29 @@ def test_cmd_validate(tmp_path):
     for c in report["checks"]:
         assert set(c) >= {"check", "k", "holds", "lhs", "rhs"}
     assert (tmp_path / "val" / "validation.json").exists()
+
+
+def test_validate_memory_does_not_grow_with_its_records(tmp_path):
+    # lemma 2 needs only lemma2_states of the records, picked up front, so
+    # twice the records is not twice the peak; keeping every (20, 50)
+    # state peaked at 25.7 MiB for 2,500 updates and 46.8 MiB for 5,000
+    def peak(max_updates):
+        cfg = experiment_config_from_dict(_config_dict(
+            objective={"kind": "ridge", "dim": 50, "rho": 0.1},
+            run={**_config_dict()["run"], "n_threads": 20},
+            graph={"kind": "erdos_renyi"}, output_dir=str(tmp_path / str(max_updates)),
+            validate={"max_updates": max_updates, "record_every": 1, "lemma2_states": 2,
+                      "lemma2_replications": 1000, "sigma_samples": 1000},
+        ))
+        tracemalloc.start()
+        try:
+            cmd_validate(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)  # what the first call allocates once is in neither peak
+    assert peak(5000) < 1.4 * peak(2500)
 
 
 def test_validation_lemma4_rows_equal_per_state_checks(tmp_path, monkeypatch):
@@ -930,6 +954,8 @@ def test_number_too_long_to_read_is_exit_2(tmp_path, capsys):
         ({"base": {"kappa": 1.0, "L": 1.0, "sigma_sq": 1.0, "d_bar": 0.5}}, "d_bar"),
         ({"base": {"kappa": 1.0, "L": 1.0, "sigma_sq": 1.0}, "grid": {"N": [10**200]}},
          "grid.N[0]"),
+        # a null d_bar is N - 1 at each grid point, out of range at N = 1
+        ({"base": {"kappa": 1.0, "L": 1.0, "sigma_sq": 1.0}, "grid": {"N": [1]}}, "grid.N"),
     ],
 )
 def test_bad_sweep_parameter_is_exit_2_naming_it(tmp_path, capsys, params, field):
@@ -1049,7 +1075,7 @@ def test_bound_calculators_are_called_through_the_theory_module(tmp_path, monkey
         monkeypatch.setattr(theory, name, counting)
     path = tmp_path / "b.json"
     path.write_text(json.dumps(_bounds_params()))
-    cmd_bounds(str(path), None)
+    cmd_bounds(str(path), str(tmp_path))
     path = tmp_path / "s.json"
     path.write_text(
         json.dumps(

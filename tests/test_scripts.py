@@ -98,8 +98,8 @@ def test_digests_cover_the_documented_run_matrix(capsys):
     assert m and int(m.group(2)) == 324 + 27 + 3
     assert int(m.group(3)) > 100 and int(m.group(4)) == 3
     # three simulate runs of two replications (a trace each and a summary),
-    # then comparison.json, validation.json, bounds.json and sweep.csv
+    # then comparison.json, two validation.json, bounds.json and sweep.csv
     m = re.fullmatch(r"cli ([0-9a-f]{64}) (\d+) files", cli_line)
-    assert m and int(m.group(2)) == 3 * 3 + 4
+    assert m and int(m.group(2)) == 3 * 3 + 5
     # the cli part writes the same bytes twice
-    assert script.cli_digest() == (m.group(1), 13)
+    assert script.cli_digest() == (m.group(1), 14)

@@ -71,8 +71,26 @@ def test_graph_from_adjacency_validation():
         graph_from_adjacency(bad_sym)
     with pytest.raises(ValueError):
         graph_from_adjacency(np.full((2, 2), 2.0) - 2.0 * np.eye(2))
-    with pytest.raises(ValueError, match="at least one vertex"):
+    with pytest.raises(ValueError, match="n must be an integer from 2 to 4096, got 0"):
         graph_from_adjacency(np.zeros((0, 0)))
+
+
+def _unchecked(adj) -> Graph:
+    """A Graph of ``adj`` built around the library's checks, which refuse
+    a disconnected graph."""
+    adj = np.asarray(adj, dtype=np.int64)
+    return Graph(n_vertices=adj.shape[0], adjacency=adj, degrees=adj.sum(axis=1))
+
+
+@pytest.mark.parametrize("n", [1, 4097])
+def test_graphs_from_adjacency_and_json_need_2_to_4096_vertices(n):
+    words = f"n must be an integer from 2 to 4096, got {n}"
+    # a broadcast zero, so the test allocates no n x n matrix either
+    with pytest.raises(ValueError, match=words):
+        graph_from_adjacency(np.broadcast_to(0, (n, n)))
+    # the edge list's n is checked before the n x n matrix is built
+    with pytest.raises(ValueError, match=words):
+        graph_from_json_dict({"n": n, "edges": []})
 
 
 GENERATORS = [
@@ -99,7 +117,7 @@ def test_disconnected_rejected_unless_allowed():
     adj[2, 3] = adj[3, 2] = 1
     with pytest.raises(GraphConnectivityError):
         graph_from_adjacency(adj)
-    g = graph_from_adjacency(adj, require_connected=False)
+    g = _unchecked(adj)
     assert not is_connected(g)
     with pytest.raises(GraphConnectivityError):
         algebraic_connectivity(g)
@@ -130,12 +148,37 @@ def test_erdos_renyi_invalid_p():
 
 
 def test_erdos_renyi_gives_up_when_connectivity_unlikely():
-    # At p = 0.01 a 40-vertex draw almost surely has isolated vertices,
-    # so a small attempt budget runs out.
-    with pytest.raises(GraphConnectivityError):
-        erdos_renyi_connected(40, 0.01, make_rng(0), max_attempts=30)
+    # At p = 1e-6 the one edge of a 2-vertex draw is almost never there,
+    # so all ER_MAX_ATTEMPTS draws come out disconnected.
+    with pytest.raises(GraphConnectivityError, match="no connected graph in 10000 draws"):
+        erdos_renyi_connected(2, 1e-6, make_rng(0))
+    assert topology.ER_MAX_ATTEMPTS == 10_000
     with pytest.raises(ValueError):
         erdos_renyi_connected(4, 0.0, make_rng(0))
+
+
+def _reference_er(n, p, rng):
+    """G(n, p) drawn until connected, each draw checked by reachability."""
+    rows, cols = np.triu_indices(n, k=1)
+    for attempt in range(1, topology.ER_MAX_ATTEMPTS + 1):
+        mask = rng.random(rows.size) < p
+        adj = np.zeros((n, n), dtype=np.int64)
+        adj[rows[mask], cols[mask]] = 1
+        adj[cols[mask], rows[mask]] = 1
+        if is_connected(_unchecked(adj)):
+            return adj, attempt
+    raise AssertionError("no connected draw")
+
+
+def test_erdos_renyi_retries_draw_for_draw_like_the_reference():
+    # at p = 0.15 a 12-vertex draw is often disconnected
+    retried = 0
+    for seed in range(40):
+        g = erdos_renyi_connected(12, 0.15, make_rng(seed))
+        adj, attempts = _reference_er(12, 0.15, make_rng(seed))
+        assert np.array_equal(g.adjacency, adj) and g.er_attempts == attempts
+        retried += attempts > 1
+    assert retried >= 10
 
 
 @given(
@@ -167,7 +210,7 @@ def test_is_connected_agrees_with_spectral_check():
         adj[cut, cut + 1] = adj[cut + 1, cut] = 0
         graphs.append(adj)
     for adj in graphs:
-        g = graph_from_adjacency(adj, require_connected=False)
+        g = _unchecked(adj)
         lam2 = np.linalg.eigvalsh(laplacian(g))[1]
         assert is_connected(g) == (lam2 > CONNECTIVITY_TOL)
 
@@ -194,10 +237,10 @@ def test_graph_from_json_dict_validation():
         graph_from_json_dict({"n": 3, "edges": [[0, 1], [1, 0]]})
     with pytest.raises(GraphConnectivityError):
         graph_from_json_dict({"n": 4, "edges": [[0, 1], [2, 3]]})
-    assert is_connected(graph_from_json_dict({"n": 1, "edges": []}))
+    assert is_connected(graph_from_json_dict({"n": 2, "edges": [[0, 1]]}))
     for data, words in (
         ({"n": 3}, "missing field 'edges'"),
-        ({"n": 0, "edges": []}, "vertex count"),
+        ({"n": 0, "edges": []}, "n must be an integer from 2 to 4096, got 0"),
         ({"n": 3, "edges": [[0, 1, 2]]}, "malformed edge"),
         ({"n": 3, "edges": [[0, 1], [0, 1], [1, 2]]}, "duplicate edge"),
         # a vertex count or id that is not an integer is not rounded
