@@ -531,6 +531,16 @@ def cmd_compare(config: ExperimentConfig, jobs: int = 1) -> dict:
     check([("--jobs", *COUNT)], [jobs], ConfigError)
     if config.threshold is None:
         raise ConfigError("missing required config field: threshold")
+    # The watch tests the swarm mean after each update, never the start:
+    # a threshold the zero start meets is crossed at update 1 by both
+    # schemes, and the race would time one update against one step.
+    spec = build_objective(config)
+    start = float(engine.watched_errors(spec, obj.optimum(spec), np.zeros((1, spec.dim)))[0])
+    if start <= config.threshold:
+        raise ConfigError(
+            f"threshold {config.threshold!r} is already met at the zero start, whose "
+            f"watched error is {start!r}; compare needs a threshold below it"
+        )
     _check_out_dir(config.output_dir, "output_dir")
     tasks = [(config, r) for r in range(config.replications)]
     rows = _run_tasks(_compare_one, tasks, jobs)

@@ -101,7 +101,9 @@ class DivergenceError(RuntimeError):
 
 # The range of each numeric RunConfig field but the capture indices.
 RANGES = {
-    **dict.fromkeys(("n_threads", "max_updates", "record_every"), COUNT),
+    # A step draws N durations and N feature rows; the top is the swarm's.
+    "n_threads": Range(1, 4096, "an integer from 1 to 4096", integer=True),
+    **dict.fromkeys(("max_updates", "record_every"), COUNT),
     **dict.fromkeys(("step_size", "mean_sample_time", "max_virtual_time", "threshold"), POSITIVE),
     "attraction": NONNEGATIVE,
     "seed": Range(-math.inf, math.inf, "an integer", integer=True),
@@ -253,6 +255,18 @@ def _batch_schedule(n_threads: int, mean_time: float, rng: np.random.Generator):
         yield times, rows
 
 
+def watched_errors(spec, x_star, means: np.ndarray) -> np.ndarray:
+    """What the threshold watch tests of each row of ``means``, a swarm
+    mean: its squared error to ``x_star``, or its squared gradient norm
+    when no optimum is known. ``means`` is overwritten; row_dots rounds
+    each row as e.dot(e)."""
+    if x_star is None:
+        err = obj.grad_exact_rows(spec, means)
+    else:
+        err = np.subtract(means, x_star, out=means)
+    return obj.row_dots(err, err)
+
+
 class _Monitor:
     """One run's records, first threshold crossing, captured means and
     per-thread counts, fed what ``_move`` yields a block at a time.
@@ -327,15 +341,8 @@ class _Monitor:
         trajectory = np.cumsum(D[: n_run + 1], axis=0)
         self.sum_vec = trajectory[n_run]
         if self.watch:
-            # The squared error of the swarm mean after each update, or its
-            # squared gradient norm when no optimum is known; row_dots
-            # rounds each row as e.dot(e).
-            err = trajectory[1:] * self.inv_n
-            if self.x_star is None:
-                err = obj.grad_exact_rows(self.spec, err)
-            else:
-                err -= self.x_star
-            hits = np.flatnonzero(obj.row_dots(err, err) <= config.threshold)
+            errors = watched_errors(self.spec, self.x_star, trajectory[1:] * self.inv_n)
+            hits = np.flatnonzero(errors <= config.threshold)
             if hits.size:
                 crossed, hit = True, int(hits[0]) + 1
                 # The state at the crossing: the block's deltas re-added

@@ -42,21 +42,11 @@ class Graph:
     er_attempts: int | None = None
 
 
-def graph_from_adjacency(adjacency: np.ndarray, *, er_attempts: int | None = None) -> Graph:
-    """Validate an adjacency matrix of ``RANGES["n"]`` vertices, 2 to 4096,
-    and wrap it in a Graph; a disconnected one raises GraphConnectivityError."""
-    adj = np.asarray(adjacency)
-    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-        raise ValueError(f"adjacency must be square, got shape {adj.shape}")
-    n = adj.shape[0]
-    check(args(RANGES, "n"), (n,))
-    if not np.isin(adj, (0, 1)).all():
-        raise ValueError("adjacency entries must be 0 or 1")
-    adj = adj.astype(np.int64)
-    if np.diagonal(adj).any():
-        raise ValueError("self-loops are not allowed")
-    if not (adj == adj.T).all():
-        raise ValueError("adjacency must be symmetric")
+def _graph(n: int, rows, cols, er_attempts: int | None = None) -> Graph:
+    """The Graph on ``n`` vertices with the edges ``rows[k]``-``cols[k]``, each listed
+    once; the only place a Graph's arrays are made. Raises GraphConnectivityError."""
+    adj = np.zeros((n, n), dtype=np.int64)
+    adj[rows, cols] = adj[cols, rows] = 1
     degrees = adj.sum(axis=1)
     adj.setflags(write=False)
     degrees.setflags(write=False)
@@ -66,30 +56,39 @@ def graph_from_adjacency(adjacency: np.ndarray, *, er_attempts: int | None = Non
     return graph
 
 
+def graph_from_adjacency(adjacency: np.ndarray) -> Graph:
+    """Validate an adjacency matrix of ``RANGES["n"]`` vertices, 2 to 4096,
+    and build its Graph; a disconnected one raises GraphConnectivityError."""
+    adj = np.asarray(adjacency)
+    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
+        raise ValueError(f"adjacency must be square, got shape {adj.shape}")
+    n = adj.shape[0]
+    check(args(RANGES, "n"), (n,))
+    if not np.isin(adj, (0, 1)).all():
+        raise ValueError("adjacency entries must be 0 or 1")
+    if np.diagonal(adj).any():
+        raise ValueError("self-loops are not allowed")
+    if not (adj == adj.T).all():
+        raise ValueError("adjacency must be symmetric")
+    return _graph(n, *np.nonzero(np.triu(adj, k=1)))
+
+
 def complete_graph(n: int) -> Graph:
     """Complete graph on ``n`` vertices."""
     check(args(RANGES, "n"), (n,))
-    adj = np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64)
-    return graph_from_adjacency(adj)
+    return _graph(n, *np.triu_indices(n, k=1))
 
 
 def path_graph(n: int) -> Graph:
     """Path 0-1-...-(n-1)."""
     check(args(RANGES, "n"), (n,))
-    adj = np.zeros((n, n), dtype=np.int64)
-    idx = np.arange(n - 1)
-    adj[idx, idx + 1] = 1
-    adj[idx + 1, idx] = 1
-    return graph_from_adjacency(adj)
+    return _graph(n, np.arange(n - 1), np.arange(1, n))
 
 
 def star_graph(n: int) -> Graph:
     """Star with hub vertex 0 and ``n - 1`` leaves."""
     check(args(RANGES, "n"), (n,))
-    adj = np.zeros((n, n), dtype=np.int64)
-    adj[0, 1:] = 1
-    adj[1:, 0] = 1
-    return graph_from_adjacency(adj)
+    return _graph(n, 0, np.arange(1, n))
 
 
 def erdos_renyi_connected(n: int, p: float, rng: np.random.Generator) -> Graph:
@@ -102,11 +101,8 @@ def erdos_renyi_connected(n: int, p: float, rng: np.random.Generator) -> Graph:
     rows, cols = np.triu_indices(n, k=1)
     for attempt in range(1, ER_MAX_ATTEMPTS + 1):
         mask = rng.random(rows.size) < p
-        adj = np.zeros((n, n), dtype=np.int64)
-        adj[rows[mask], cols[mask]] = 1
-        adj[cols[mask], rows[mask]] = 1
         try:
-            return graph_from_adjacency(adj, er_attempts=attempt)
+            return _graph(n, rows[mask], cols[mask], er_attempts=attempt)
         except GraphConnectivityError:
             pass
     raise GraphConnectivityError(f"no connected graph in {ER_MAX_ATTEMPTS} draws of G({n}, {p})")
@@ -156,23 +152,22 @@ def _json_int(value, what: str) -> int:
 
 
 def graph_from_json_dict(data: dict) -> Graph:
-    """Parse and validate the edge-list form; requires a connected graph
-    whose ``n`` is in ``RANGES["n"]``, checked before any matrix is built."""
+    """Parse and validate the edge-list form, every edge before any matrix is
+    built; requires a connected graph whose ``n`` is in ``RANGES["n"]``."""
     if "n" not in data:
         raise ValueError("graph json is missing field 'n'")
     if "edges" not in data:
         raise ValueError("graph json is missing field 'edges'")
     n = data["n"]
     check(args(RANGES, "n"), (n,))
-    adj = np.zeros((n, n), dtype=np.int64)
+    edges: set[tuple[int, int]] = set()
     for edge in data["edges"]:
         if len(edge) != 2:
             raise ValueError(f"malformed edge {edge!r}")
         i, j = (_json_int(v, "vertex id") for v in edge)
         if not (0 <= i < j < n):
             raise ValueError(f"edge {edge!r} violates 0 <= i < j < n={n}")
-        if adj[i, j]:
+        if (i, j) in edges:
             raise ValueError(f"duplicate edge {edge!r}")
-        adj[i, j] = 1
-        adj[j, i] = 1
-    return graph_from_adjacency(adj)
+        edges.add((i, j))
+    return _graph(n, *np.array([*edges], dtype=np.int64).reshape(-1, 2).T)

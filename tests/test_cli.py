@@ -3,6 +3,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -694,6 +696,31 @@ def test_diverging_simulate_is_exit_1_naming_the_run(tmp_path, capsys, scheme):
     assert not out.exists()
 
 
+def _python_m_swarmsgd(cwd, *argv):
+    """``python -m swarmsgd argv`` in a child that finds this tree's ``src``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "swarmsgd", *argv], cwd=cwd, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+
+
+def test_python_m_swarmsgd_runs_the_cli(tmp_path):
+    params, out = tmp_path / "params.json", tmp_path / "b"
+    params.write_text(json.dumps(_bounds_params()))
+    done = _python_m_swarmsgd(tmp_path, "bounds", "--config", str(params), "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    assert (out / "bounds.json").is_file()
+    params.write_text(json.dumps(_bounds_params(gamma="fast")))
+    done = _python_m_swarmsgd(tmp_path, "bounds", "--config", str(params), "--out", str(out))
+    assert done.returncode == 2
+    assert "gamma must be a number" in done.stderr
+    done = _python_m_swarmsgd(tmp_path, "--help")
+    assert done.returncode == 0
+    assert "compare" in done.stdout
+
+
 def _exit_code_and_err(capsys, argv):
     try:
         code = main(argv)
@@ -853,7 +880,47 @@ def test_swarm_too_large_for_memory_is_exit_2_writing_nothing(tmp_path, capsys, 
     path.write_text(json.dumps(_config_dict(run=run, output_dir=str(out))))
     code, err = _exit_code_and_err(capsys, [command, "--config", str(path)])
     assert code == 2
-    assert "run.n_threads must be an integer from 2 to 4096, got 1000000" in err
+    assert "run.n_threads must be an integer from 1 to 4096, got 1000000" in err
+    assert not out.exists()
+
+
+def test_centralized_run_of_more_than_4096_threads_is_exit_2_writing_nothing(tmp_path, capsys):
+    # a step draws N durations and N feature rows, so N has the swarm's top
+    out = tmp_path / "o"
+    run = {"n_threads": 4097, "max_updates": 10, "scheme": "centralized"}
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(_config_dict(run=run, output_dir=str(out))))
+    code, err = _exit_code_and_err(capsys, ["simulate", "--config", str(path)])
+    assert code == 2
+    assert "run.n_threads must be an integer from 1 to 4096, got 4097" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "objective,threshold",
+    [
+        # |x*|^2 is about 0.53 at dim 3 and seed 0, far below 100
+        ({"kind": "ridge", "dim": 3, "rho": 0.1}, 100.0),
+        # the sine's zero start is its minimum, where the gradient is 0
+        ({"kind": "nonconvex_sine", "dim": 3}, 0.1),
+        ({"kind": "quadratic", "Q": [[2.0, 0.0], [0.0, 1.0]], "b": [0.0, 0.0]}, 0.1),
+    ],
+)
+def test_compare_whose_zero_start_meets_the_threshold_is_exit_2(
+    tmp_path, capsys, monkeypatch, objective, threshold
+):
+    # every run would cross at update 1 and time one update against one step
+    monkeypatch.setattr(engine, "run_swarm", _refuse_runs)
+    out = tmp_path / "o"
+    data = _config_dict(
+        objective=objective, run={"n_threads": 4, "max_virtual_time": 1.0},
+        replications=3, threshold=threshold, master_seed=0, output_dir=str(out),
+    )
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(data))
+    code, err = _exit_code_and_err(capsys, ["compare", "--config", str(path)])
+    assert code == 2
+    assert f"threshold {threshold!r} is already met at the zero start" in err
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -179,6 +180,115 @@ def test_erdos_renyi_retries_draw_for_draw_like_the_reference():
         assert np.array_equal(g.adjacency, adj) and g.er_attempts == attempts
         retried += attempts > 1
     assert retried >= 10
+
+
+def _matrix_graph(adj, er_attempts=None) -> Graph:
+    """A Graph made the matrix-first way: an int64 copy of the whole n x n
+    matrix and its row sums, as the library once built every graph."""
+    adj = np.asarray(adj).astype(np.int64)
+    return Graph(n_vertices=adj.shape[0], adjacency=adj, degrees=adj.sum(axis=1),
+                 er_attempts=er_attempts)
+
+
+def _matrix_of_edges(n, edges):
+    adj = np.zeros((n, n), dtype=np.int64)
+    for i, j in edges:
+        adj[i, j] = adj[j, i] = 1
+    return adj
+
+
+def _matrix_path(n):
+    adj = np.zeros((n, n), dtype=np.int64)
+    idx = np.arange(n - 1)
+    adj[idx, idx + 1] = 1
+    adj[idx + 1, idx] = 1
+    return adj
+
+
+def _matrix_star(n):
+    adj = np.zeros((n, n), dtype=np.int64)
+    adj[0, 1:] = 1
+    adj[1:, 0] = 1
+    return adj
+
+
+def _assert_same_graph(g, ref):
+    assert g.n_vertices == ref.n_vertices
+    assert g.er_attempts == ref.er_attempts
+    for got, want in ((g.adjacency, ref.adjacency), (g.degrees, ref.degrees)):
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+        assert not got.flags.writeable
+
+
+@pytest.mark.parametrize("n", range(2, 41))
+def test_generators_match_the_matrix_first_reference(n):
+    complete = np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64)
+    _assert_same_graph(complete_graph(n), _matrix_graph(complete))
+    _assert_same_graph(path_graph(n), _matrix_graph(_matrix_path(n)))
+    _assert_same_graph(star_graph(n), _matrix_graph(_matrix_star(n)))
+
+
+def test_erdos_renyi_graphs_match_the_matrix_first_reference():
+    # at p = ln(n)/n a draw is often disconnected, so many need retries
+    retried = 0
+    for n in range(2, 41):
+        p = math.log(n) / n
+        adj, attempts = _reference_er(n, p, make_rng(n))
+        _assert_same_graph(
+            erdos_renyi_connected(n, p, make_rng(n)), _matrix_graph(adj, er_attempts=attempts)
+        )
+        retried += attempts > 1
+    assert retried >= 10
+
+
+def test_graphs_from_outside_match_the_matrix_first_reference():
+    rng = make_rng(7)
+    connected = 0
+    for _ in range(80):
+        n = int(rng.integers(2, 41))
+        adj = np.triu((rng.random((n, n)) < rng.uniform(0.05, 0.6)).astype(np.int64), 1)
+        adj += adj.T
+        edges = np.column_stack(np.nonzero(np.triu(adj, 1)))
+        edges = edges[rng.permutation(len(edges))].tolist()
+        data = {"n": n, "edges": edges}
+        if not is_connected(_unchecked(adj)):
+            with pytest.raises(GraphConnectivityError):
+                graph_from_adjacency(adj)
+            with pytest.raises(GraphConnectivityError):
+                graph_from_json_dict(data)
+            continue
+        connected += 1
+        ref = _matrix_graph(adj)
+        # any 0/1 dtype in, int64 out
+        for matrix in (adj, adj.astype(float), adj.astype(bool)):
+            _assert_same_graph(graph_from_adjacency(matrix), ref)
+        _assert_same_graph(graph_from_json_dict(data), _matrix_graph(_matrix_of_edges(n, edges)))
+    assert connected >= 20
+
+
+def _peak_bytes(build):
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_graph_file_with_a_bad_edge_is_refused_before_any_matrix():
+    def build():
+        with pytest.raises(ValueError, match="violates 0 <= i < j < n=4096"):
+            graph_from_json_dict({"n": 4096, "edges": [[0, 1], [5, 5]]})
+
+    # an n x n int64 matrix would take 128 MiB
+    assert _peak_bytes(build) < 2**20
+
+
+def test_path_graph_peaks_near_its_adjacency():
+    # 2048 x 2048 int64 entries take 32 MiB, and only the adjacency is n x n
+    adjacency = 2048 * 2048 * 8
+    assert _peak_bytes(lambda: path_graph(2048)) < 1.5 * adjacency
 
 
 @given(
