@@ -32,8 +32,8 @@ oracle noise. The centralized scheme draws per block of
 ``max(1, BATCH_SAMPLES // N)`` steps the N sampling durations of every
 step, then the oracle noise of all the block's samples.
 
-A run has two parts: the block mover ``_move``, whose update loops only
-move rows and write each delta into a block buffer, and one
+A run has two parts: the block mover ``_move``, whose kernel step only
+moves rows and writes each delta into a block buffer, and one
 ``_Monitor``, which evaluates each block once its updates are done: one
 test of every update's sum finds the first threshold crossing and the
 captured means read the same sums. The record points wait until at
@@ -42,17 +42,14 @@ or the run's end; then one ``metrics.snapshot`` of their stacked
 positions gives the records, and ``on_record`` is handed that stack,
 never written again, in one call.
 
-The positions live in the first rows of one buffer ``Z``; the row after
-them holds the swarm sum and the rest a block's ridge feature rows. A
-swarm update is then one gather and one gemv, ``w_i . Z[idx_i]``, whose
-index and weight vectors name the thread's own row, its neighbours' rows
-or the sum row, and for ridge the feature row of the update; a row that
-folds only itself multiplies instead.
+The update arithmetic and the event heap run in ``_kernel``: one C
+function per block, in one stated summation order, or where no C
+compiler is found its numpy twin, which gives the same bits. So neither
+the trajectories nor the records depend on the BLAS build.
 """
 from __future__ import annotations
 
 import bisect
-import heapq
 import math
 import time
 from collections import deque
@@ -60,7 +57,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import metrics
+from . import _kernel, metrics
 from . import objective as obj
 from . import topology
 from ._ranges import COUNT, NONNEGATIVE, POSITIVE, Range, args, check
@@ -206,33 +203,23 @@ def _event_schedule(n_threads: int, mean_time: float, rng: np.random.Generator):
     thread_id), thread id breaking exact ties; the firing thread starts
     a new sample whose duration is the next pre-drawn one. Fire times
     never depend on positions, so a whole block is popped ahead of the
-    updates that consume it. Yields (fire times, thread ids) lists.
+    updates that consume it. Yields (fire times list, thread ids array).
     """
     # A thread's first fire time is the duration of the sample it
     # starts computing at t = 0.
-    first = sampling_durations(rng, mean_time, n_threads).tolist()
-    heap = [(t, i) for i, t in enumerate(first)]
-    heapq.heapify(heap)
-    replace = heapq.heapreplace
+    pop_block = _kernel.event_heap(sampling_durations(rng, mean_time, n_threads))
     while True:
-        fired: list[tuple[float, int]] = []
-        fire = fired.append
-        for duration in sampling_durations(rng, mean_time, BLOCK_ROWS).tolist():
-            t, i = heap[0]
-            # heapreplace hands back the (t, i) it pops.
-            fire(replace(heap, (t + duration, i)))
-        times, threads = map(list, zip(*fired))
-        yield times, threads
+        yield pop_block(sampling_durations(rng, mean_time, BLOCK_ROWS))
 
 
 def _tick_schedule(n_threads: int, mean_time: float, rng: np.random.Generator):
     """Who fires when in the global-tick scheme: gaps exponential with
     mean ``mean_time / N``, the updating thread uniform. Yields (fire
-    times, thread ids) lists, one block at a time."""
+    times list, thread ids array), one block at a time."""
     clock = 0.0
     while True:
         gaps = sampling_durations(rng, mean_time / n_threads, BLOCK_ROWS)
-        threads = rng.integers(n_threads, size=BLOCK_ROWS).tolist()
+        threads = rng.integers(n_threads, size=BLOCK_ROWS)
         # cumsum adds one gap at a time, as a scalar clock would.
         times = np.cumsum(np.concatenate(([clock], gaps)))[1:].tolist()
         clock = times[-1]
@@ -242,10 +229,10 @@ def _tick_schedule(n_threads: int, mean_time: float, rng: np.random.Generator):
 def _batch_schedule(n_threads: int, mean_time: float, rng: np.random.Generator):
     """Who moves when in the centralized scheme: a step ends when the
     slowest of its N samples arrives, and the row that moves is always
-    the shared iterate, row 0. Yields (step end times, rows) lists of
-    ``max(1, BATCH_SAMPLES // N)`` steps at a time."""
+    the shared iterate, row 0. Yields (step end times list, rows array)
+    of ``max(1, BATCH_SAMPLES // N)`` steps at a time."""
     steps = max(1, BATCH_SAMPLES // n_threads)
-    rows = [0] * steps
+    rows = np.zeros(steps, dtype=np.int64)
     clock = 0.0
     while True:
         durations = sampling_durations(rng, mean_time, steps * n_threads)
@@ -401,210 +388,105 @@ class _Monitor:
         return Trace(records=self.records, summary=summary, captured_means=self.captured)
 
 
-def _move(config, spec, Z, rows, batch, graph, schedule):
+def _move(config, spec, X, batch, graph, schedule):
     """The updates of all three schemes, a block at a time.
 
-    ``Z`` is the run's buffer: its first ``rows`` rows are the positions
-    ``X`` (N swarm threads, or the one centralized iterate), row ``rows``
-    the swarm sum and the rows after it a block's ridge feature rows; an
-    update applies the mean of ``batch`` oracle samples.
+    ``X`` holds the positions, N swarm threads or the one centralized
+    iterate, and an update applies the mean of ``batch`` oracle samples.
     ``schedule`` yields blocks of (fire times, rows of ``X`` that move).
     A swarm thread ``i`` moves by ``-gamma (g + a sum_j a_ij (x_i -
     x_j))`` with ``g`` one oracle sample at ``x_i``; with ``graph`` None
     the single row is the centralized iterate and ``g`` the mean of N
-    samples. Past the oracle's noise, an update is a fixed weighted sum
-    of rows of ``Z``: row ``i``, whose coefficient folds every term linear
-    in ``x_i``, and with weight ``gamma a`` the neighbours' rows, or the
-    sum row on the complete graph. Each row keeps its index and weight
-    vectors, built once, and the fold costs one gather and one gemv,
-    ``w_i . Z[idx_i]``. A swarm ridge update writes its feature row's
-    slot and its ``r`` into the vectors' first entries, so the gemv is
-    its whole delta; quadratic and sine add the gemv to their oracle
-    term. A row whose fold is its own row alone, the centralized iterate
-    or a swarm row with ``gamma a`` 0 and no feature slot, adds
-    ``coef x_i`` instead. Its zeros may differ in sign from the gemv's,
-    but only where adding them leaves the row as it is, so the positions
-    and sums keep their bits.
+    samples. Past the oracle's noise, an update is the oracle term, then
+    ``coef x_i``, whose coefficient folds every term linear in ``x_i``,
+    then with weight ``gamma a`` the sum of the neighbours' rows, or the
+    swarm sum on the complete graph, which only then is kept.
 
-    One update body is picked per run shape before the loop: the swarm
-    ridge fold, quadratic or sine with the gemv, quadratic or sine with
-    ``coef x_i``, and the centralized ridge step. Each zips the block's
-    moving rows, from one view per row made once per run, with its oracle
-    inputs and the rows of one block buffer ``D``, and writes delta j in
-    place into ``D[j + 1]``; ``D[0]`` is the monitor's. The one branch
-    left adds the delta to the sum row where the complete-graph pull
-    reads it.
-
-    A block is cut up front at the horizon and the budget, and its
-    ``n_run`` updates run one record interval at a time. Per block it
+    The block's updates run in one ``_kernel.mover`` step, in the order
+    ``_kernel.c`` states, which writes delta j into ``D[j + 1]``
+    (``D[0]`` is the monitor's) and copies ``X`` at each record point.
+    A block is cut up front at the horizon and the budget. Per block it
     yields ``_Monitor.block``'s arguments: the fire times, the moving
     rows, ``n_run``, ``D``, a copy of its start and its record points
     with their positions in one fresh (points, rows, dim) stack.
     """
     N, gamma = config.n_threads, config.step_size
+    rows, dim = X.shape
     rng = make_rng(config.seed)
     blocks = schedule(N, config.mean_sample_time, rng)
-    single = batch == 1
 
     kind = spec.kind
+    G = None
     if kind == obj.RIDGE:
         # g = 2 (u . x - c) u + 2 rho x; a mean over N samples scales
         # the data term by 1/N.
-        linear = 2.0 * spec.rho
-        two_gamma = 2.0 * gamma / batch
+        linear, code = 2.0 * spec.rho, _kernel.RIDGE
     elif kind == obj.QUADRATIC:
-        # g = Q x + b + noise; the oracle term writes -gamma Q x into out.
-        linear = 0.0
-        oracle = (-gamma * spec.Q).dot
-        neg_gamma_b = -gamma * spec.b
+        # g = Q x + b + noise; the oracle term is -gamma Q x.
+        linear, code = 0.0, _kernel.QUADRATIC
+        G = np.ascontiguousarray(-gamma * spec.Q)
     else:
         # nonconvex_sine: g = x + 3 sin(2x) + noise
-        linear = 1.0
-        sine_coef = -3.0 * gamma
-
-        def oracle(x, out):
-            np.sin(x * 2.0, out=out)
-            out *= sine_coef
+        linear, code = 1.0, _kernel.SINE
+    two_gamma = 2.0 * gamma / batch
 
     # The centralized iterate is one row with no neighbours and no pull.
-    X, sum_row = Z[:rows], Z[rows]
     a = 0.0 if graph is None else config.attraction
     gamma_a = gamma * a
     complete = graph is None or int(graph.degrees.min()) == N - 1
+    neighbours = None
     if complete:
         # On the complete graph sum_j (x_i - x_j) = N x_i - the sum row.
-        x_coef = [-gamma * (linear + a * rows)] * rows
-        pulled = [[rows]] * rows
+        coef = [-gamma * (linear + a * rows)] * rows
+        pull = _kernel.PULL_SUM
     else:
-        x_coef = [-gamma * (linear + a * d) for d in graph.degrees.tolist()]
-        pulled = [np.flatnonzero(graph.adjacency[i]).tolist() for i in range(N)]
+        coef = [-gamma * (linear + a * d) for d in graph.degrees.tolist()]
+        neighbours = [np.flatnonzero(graph.adjacency[i]) for i in range(N)]
+        pull = _kernel.PULL_NEIGHBOURS
     if not gamma_a:
-        pulled = [[]] * rows
-    # A swarm ridge update's first entries are its feature row's slot
-    # and r, written per update; the slots follow the sum row. A swarm
-    # block has at most BLOCK_ROWS updates, a centralized one may not.
-    slot = rows + 1
-    lead = kind == obj.RIDGE and graph is not None
-    index = [np.array([slot] * lead + [i, *pulled[i]]) for i in range(rows)]
-    weights = [
-        np.array([0.0] * lead + [x_coef[i]] + [gamma_a] * len(pulled[i])) for i in range(rows)
-    ]
-
+        pull = _kernel.PULL_NONE
     # Only the complete-graph pull reads the swarm sum, so only it keeps
-    # the sum row, with the same adds the monitor's cumsum makes.
-    sum_row[:] = X.sum(axis=0)
-    pull_reads_sum = complete and gamma_a != 0.0
-    # One view per row, made once: with its fold vectors, or with its own
-    # coefficient where the fold is that row alone (gamma a is 0).
-    units = [(X[i], weights[i], index[i]) for i in range(rows)]
-    own = [(X[i], x_coef[i]) for i in range(rows)]
-    take = Z.take
-
-    if lead:
-        slot_rows = list(Z[slot:])
-
-        def advance(lo, hi):
-            total = sum_row
-            for s, (xi, w, idx), u, c, d in zip(
-                range(slot + lo, slot + hi), map(units.__getitem__, threads[lo:hi]),
-                slot_rows[lo:hi], targets[lo:hi], d_rows[lo + 1 : hi + 1],
-            ):
-                # delta = r u + coef x_i + the pull, in one gemv.
-                w[0] = c - two_gamma * u.dot(xi)
-                idx[0] = s
-                w.dot(take(idx, 0), out=d)
-                xi += d
-                if pull_reads_sum:
-                    total += d
-
-    elif kind == obj.RIDGE:
-        # The centralized ridge step: r u for one sample, r . U for N.
-        product = np.multiply if single else np.dot
-
-        def advance(lo, hi):
-            for (x, coef), u, c, d in zip(
-                map(own.__getitem__, threads[lo:hi]), features[lo:hi], targets[lo:hi],
-                d_rows[lo + 1 : hi + 1],
-            ):
-                product(c - two_gamma * u.dot(x), u, out=d)
-                d += x * coef
-                x += d
-
-    elif gamma_a:
-
-        def advance(lo, hi):
-            total = sum_row
-            for (xi, w, idx), shift, d in zip(
-                map(units.__getitem__, threads[lo:hi]), shifts[lo:hi], d_rows[lo + 1 : hi + 1]
-            ):
-                oracle(xi, out=d)
-                d += shift
-                d += w.dot(take(idx, 0))
-                xi += d
-                if pull_reads_sum:
-                    total += d
-
-    else:
-
-        def advance(lo, hi):
-            for (xi, coef), shift, d in zip(
-                map(own.__getitem__, threads[lo:hi]), shifts[lo:hi], d_rows[lo + 1 : hi + 1]
-            ):
-                oracle(xi, out=d)
-                d += shift
-                d += xi * coef
-                xi += d
+    # it, with the same adds the monitor's cumsum makes.
+    S = X.sum(axis=0) if pull == _kernel.PULL_SUM else None
 
     clock, k = 0.0, 0
     max_updates = math.inf if config.max_updates is None else config.max_updates
     max_virtual_time = math.inf if config.max_virtual_time is None else config.max_virtual_time
     record_every = config.record_every
-    D = None
+    step = None
 
     for times, threads in blocks:
         n = len(times)
-        if D is None:
+        if step is None:
             # Every block of a schedule has the same length.
-            D = np.empty((n + 1, spec.dim))
-            d_rows = list(D)
+            D = np.empty((n + 1, dim))
+            step = _kernel.mover(
+                code, X, S, D, coef, two_gamma, -3.0 * gamma, gamma_a, pull, neighbours, G,
+                batch, record_every,
+            )
         # Update j draws the samples j*batch .. j*batch + batch - 1.
         features, noise = obj.draw_noise_block(spec, n * batch, rng)
+        targets = shifts = None
         if kind == obj.RIDGE:
             targets = two_gamma * noise
-            if lead:
-                Z[slot : slot + n] = features
-            if single:
-                targets = targets.tolist()
-            else:
-                features = features.reshape(n, batch, spec.dim)
-                targets = targets.reshape(n, batch)
         else:
-            if not single:
-                noise = noise.reshape(n, batch, spec.dim).mean(axis=1)
+            if batch > 1:
+                noise = noise.reshape(n, batch, dim).mean(axis=1)
             shifts = -gamma * noise
             if kind == obj.QUADRATIC:
-                shifts += neg_gamma_b
+                shifts -= gamma * spec.b
         if times[0] < clock or times != sorted(times):
             raise EngineInvariantError("event fires before the current clock")
         # A step still in flight at the horizon is not applied, nor its
         # samples counted.
         n_run = min(bisect.bisect_right(times, max_virtual_time), max_updates - k)
-        k0 = k
         start_X = X.copy()
-        states = np.empty(((k0 + n_run) // record_every - k0 // record_every, *X.shape))
-        points: list[tuple[int, float]] = []
-
-        # The updates, one record interval at a time.
-        seg_start = 0
-        while seg_start < n_run:
-            seg_end = min(n_run, seg_start + record_every - k % record_every)
-            advance(seg_start, seg_end)
-            seg_start = seg_end
-            k = k0 + seg_end
-            if k % record_every == 0:
-                # Records wait for the watch, which may cross before them.
-                states[len(points)] = X
-                points.append((k, times[seg_end - 1]))
+        # Records wait for the watch, which may cross before them.
+        ks = range(k - k % record_every + record_every, k + n_run + 1, record_every)
+        states = np.empty((len(ks), rows, dim))
+        step(n_run, k, threads, features, targets, shifts, states)
+        points = [(r, times[r - k - 1]) for r in ks]
+        k += n_run
         yield times, threads, n_run, D, start_X, points, states
         clock = times[-1]
 
@@ -617,8 +499,8 @@ def _run_loop(scheme, config, spec, init, graph, on_record, schedule) -> Trace:
     decided here once: with a graph, N rows of one oracle sample per
     update; without, the centralized row that averages N samples. The
     thread count, the graph's size and ``init`` are checked in that order.
-    ``_move`` moves the rows of the buffer ``Z`` a block at a time, and
-    one ``_Monitor`` evaluates each block once its updates are done."""
+    ``_move`` moves the rows of ``X`` a block at a time, and one
+    ``_Monitor`` evaluates each block once its updates are done."""
     N = config.n_threads
     if graph is None:
         rows, batch, shape = 1, N, (spec.dim,)
@@ -627,17 +509,16 @@ def _run_loop(scheme, config, spec, init, graph, on_record, schedule) -> Trace:
         if graph.n_vertices != N:
             raise ValueError(f"graph has {graph.n_vertices} vertices for {N} threads")
         rows, batch, shape = N, 1, (N, spec.dim)
-    # The positions, the sum row and BLOCK_ROWS feature slots.
-    Z = np.zeros((rows + 1 + BLOCK_ROWS, spec.dim))
+    X = np.zeros((rows, spec.dim))
     if init is not None:
-        X = np.array(init, dtype=float)
-        if X.shape != shape:
-            raise ValueError(f"init has shape {X.shape}, expected {shape}")
-        if not np.isfinite(X).all():
+        start = np.array(init, dtype=float)
+        if start.shape != shape:
+            raise ValueError(f"init has shape {start.shape}, expected {shape}")
+        if not np.isfinite(start).all():
             raise ValueError("init has a non-finite entry")
-        Z[:rows] = X
-    monitor = _Monitor(scheme, config, spec, Z[:rows], graph, on_record)
-    blocks = _move(config, spec, Z, rows, batch, graph, schedule)
+        X[:] = start
+    monitor = _Monitor(scheme, config, spec, X, graph, on_record)
+    blocks = _move(config, spec, X, batch, graph, schedule)
     # No name keeps a monitored block, so its arrays go before the next.
     while not monitor.block(*next(blocks)):
         pass

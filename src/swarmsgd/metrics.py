@@ -63,11 +63,7 @@ def snapshot(
     rounds as state r alone would: each dot product is a ``row_dots`` row."""
     _, means, Vbar = _dispersion(states, None, spec.dim)
     diffs = np.full_like(means, math.nan) if x_star is None else means - x_star
-    # grad_exact's Q x for quadratic, which rounds differently from x Q
-    if spec.kind == obj.QUADRATIC:
-        grads = np.matmul(spec.Q, means[:, :, None])[:, :, 0] + spec.b
-    else:
-        grads = obj.grad_exact_rows(spec, means)
+    grads = obj.grad_exact_rows(spec, means)
     f_gap = obj.value_rows(spec, means) - f_star
     return MetricSnapshot(obj.row_dots(diffs, diffs), Vbar, f_gap, obj.row_dots(grads, grads))
 

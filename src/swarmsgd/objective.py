@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernel
 from ._ranges import NONNEGATIVE, POSITIVE, Range, args, check
 from .randomness import polar_normals, sampling_durations
 
@@ -162,8 +163,8 @@ def _check_rows(spec: ObjectiveSpec, X: np.ndarray, ndims=(2,)) -> np.ndarray:
 
 def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """``A[i] . B[i]`` for each row, ``B`` a stack like ``A`` or one vector;
-    the stacked matmul hands each row to the dot kernel, as ``dot`` does."""
-    return np.matmul(A[:, None, :], B[..., None])[:, 0, 0]
+    each a dot in ``_kernel``'s fixed order, whatever the BLAS build."""
+    return _kernel.dots(A, B)
 
 
 def value(spec: ObjectiveSpec, x: np.ndarray) -> float:
@@ -178,29 +179,25 @@ def value_rows(spec: ObjectiveSpec, X: np.ndarray) -> np.ndarray:
         diff = X - spec.x_tilde
         return row_dots(diff, diff) / 3.0 + spec.rho * row_dots(X, X) + 1.0
     if spec.kind == QUADRATIC:
-        return row_dots(np.matmul((0.5 * X)[:, None, :], spec.Q)[:, 0], X) + row_dots(X, spec.b)
+        return row_dots(_kernel.matvecs(spec.Q, 0.5 * X), X) + row_dots(X, spec.b)
     S = np.sin(X)
     return 0.5 * row_dots(X, X) + 3.0 * row_dots(S, S)
 
 
 def grad_exact(spec: ObjectiveSpec, x: np.ndarray) -> np.ndarray:
-    """Exact population gradient at ``x``: row 0 of ``grad_exact_rows``,
-    except for quadratic, whose ``Q @ x`` rounds differently from ``x @ Q``."""
-    x = _check_point(spec, x)
-    if spec.kind == QUADRATIC:
-        return spec.Q @ x + spec.b
-    return grad_exact_rows(spec, x[None, :])[0]
+    """Exact population gradient at ``x``: row 0 of ``grad_exact_rows``."""
+    return grad_exact_rows(spec, _check_point(spec, x)[None, :])[0]
 
 
 def grad_exact_rows(spec: ObjectiveSpec, X: np.ndarray) -> np.ndarray:
-    """Exact gradients at each row of ``X``, shape preserved. ``X`` may be
-    a stack of (n, dim) arrays, each of which rounds as alone: a stack's
-    quadratic ``X @ Q`` is one gemm per array."""
+    """Exact gradients at each row of ``X``, shape preserved; ``X`` may be a
+    stack of (n, dim) arrays. Each row rounds as alone: quadratic's ``Q x``
+    is ``_kernel.matvecs``'s fixed-order row dots."""
     X = _check_rows(spec, X, ndims=(2, 3))
     if spec.kind == RIDGE:
         return (2.0 / 3.0 + 2.0 * spec.rho) * X - (2.0 / 3.0) * spec.x_tilde
     if spec.kind == QUADRATIC:
-        return X @ spec.Q + spec.b
+        return _kernel.matvecs(spec.Q, X.reshape(-1, spec.dim)).reshape(X.shape) + spec.b
     return X + 3.0 * np.sin(2.0 * X)
 
 
@@ -242,8 +239,8 @@ def draw_noise_block(
     """Randomness of the next ``rows`` oracle calls, drawn in one go.
 
     Returns ``(U, c)``. For ``ridge``, ``U`` holds the (rows, dim)
-    feature rows, uniform on [-1, 1]^m, and ``c = U @ x_tilde + eps``
-    the (rows,) responses with standard normal ``eps``; call ``j`` at
+    feature rows, uniform on [-1, 1]^m, and ``c = row_dots(U, x_tilde) +
+    eps`` the (rows,) responses with standard normal ``eps``; call ``j`` at
     ``x`` samples ``2 (U[j] . x - c[j]) U[j] + 2 rho x``. For the
     additive-noise kinds ``U`` is None and ``c`` is the (rows, dim)
     noise ``noise_std * Z`` added to the exact gradient; nothing is
@@ -251,7 +248,7 @@ def draw_noise_block(
     """
     if spec.kind == RIDGE:
         U = _features(rng, rows, spec.dim)
-        return U, U @ spec.x_tilde + polar_normals(rng, rows)
+        return U, row_dots(U, spec.x_tilde) + polar_normals(rng, rows)
     if spec.noise_std == 0.0:
         return None, np.zeros((rows, spec.dim))
     return None, spec.noise_std * polar_normals(rng, rows * spec.dim).reshape(rows, spec.dim)
@@ -282,12 +279,29 @@ def sample_gradient(
     return GradientSample(g=g, sampling_time=float(sampling_durations(rng, mean_time, 1)[0]))
 
 
+def _solve_spd(Q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``Q^-1 r`` for a symmetric positive definite ``Q`` by Gaussian
+    elimination without pivoting, which is stable for such a ``Q``. Every
+    step is elementwise, in a fixed order, so unlike LAPACK's solve the
+    bits do not depend on the BLAS build."""
+    A, y = np.array(Q, dtype=float), np.array(r, dtype=float)
+    n = len(y)
+    for k in range(n - 1):
+        scale = A[k + 1 :, k] / A[k, k]
+        A[k + 1 :, k + 1 :] -= np.multiply.outer(scale, A[k, k + 1 :])
+        y[k + 1 :] -= scale * y[k]
+    for k in range(n - 1, -1, -1):
+        y[k] /= A[k, k]
+        y[:k] -= A[:k, k] * y[k]
+    return y
+
+
 def optimum(spec: ObjectiveSpec) -> np.ndarray | None:
     """Closed-form minimizer, or None when there is no usable formula."""
     if spec.kind == RIDGE:
         return spec.x_tilde / (1.0 + 3.0 * spec.rho)
     if spec.kind == QUADRATIC:
-        return np.linalg.solve(spec.Q, -spec.b)
+        return _solve_spd(spec.Q, -spec.b)
     return None
 
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _kernel
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -65,7 +67,7 @@ def polar_normals(rng: np.random.Generator, n: int) -> np.ndarray:
         s = x * x + y * y
         keep = np.flatnonzero((s > 0.0) & (s < 1.0))
         sk = s[keep]
-        factor = np.sqrt(-2.0 * np.log(sk) / sk)
+        factor = np.sqrt(-2.0 * _kernel.logs(sk) / sk)
         accepted = np.empty(2 * keep.size)
         accepted[0::2] = x[keep] * factor
         accepted[1::2] = y[keep] * factor

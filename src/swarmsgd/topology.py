@@ -73,10 +73,22 @@ def graph_from_adjacency(adjacency: np.ndarray) -> Graph:
     return _graph(n, *np.nonzero(np.triu(adj, k=1)))
 
 
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The vertex pairs i < j in row-major order, as ``np.triu_indices(n,
+    k=1)`` lists them, in two int32 arrays: half its int64 pair's bytes."""
+    counts = np.arange(n - 1, 0, -1)  # row i holds n - 1 - i pairs
+    rows = np.repeat(np.arange(n - 1, dtype=np.int32), counts)
+    # Within a row the columns count up by one; row i restarts at i + 1,
+    # a step of i + 2 - n from the last column, n - 1.
+    cols = np.ones(rows.size, dtype=np.int32)
+    cols[np.cumsum(counts[:-1])] = np.arange(3 - n, 1, dtype=np.int32)
+    return rows, np.cumsum(cols, dtype=np.int32, out=cols)
+
+
 def complete_graph(n: int) -> Graph:
     """Complete graph on ``n`` vertices."""
     check(args(RANGES, "n"), (n,))
-    return _graph(n, *np.triu_indices(n, k=1))
+    return _graph(n, *_upper_pairs(n))
 
 
 def path_graph(n: int) -> Graph:
@@ -98,7 +110,7 @@ def erdos_renyi_connected(n: int, p: float, rng: np.random.Generator) -> Graph:
     out disconnected, which signals that ``p`` is too small for ``n``.
     """
     check(args(RANGES, "n", "p"), (n, p))
-    rows, cols = np.triu_indices(n, k=1)
+    rows, cols = _upper_pairs(n)
     for attempt in range(1, ER_MAX_ATTEMPTS + 1):
         mask = rng.random(rows.size) < p
         try:
@@ -109,13 +121,20 @@ def erdos_renyi_connected(n: int, p: float, rng: np.random.Generator) -> Graph:
 
 
 def is_connected(graph: Graph) -> bool:
-    """Breadth-first reachability of every vertex from vertex 0, by frontiers."""
-    seen = np.zeros(graph.n_vertices, dtype=bool)
+    """Breadth-first reachability of every vertex from vertex 0, by frontiers.
+    A frontier's adjacency rows are read 1 MiB at a time, so the memory
+    beyond the adjacency is O(n), whatever the frontier's size."""
+    n = graph.n_vertices
+    chunk = max(1, 2**17 // n)  # rows of 8-byte entries in 1 MiB
+    seen = np.zeros(n, dtype=bool)
     seen[0] = True
-    frontier = seen.copy()
-    while frontier.any():
-        frontier = graph.adjacency[frontier].any(axis=0) & ~seen
-        seen |= frontier
+    frontier = np.zeros(1, dtype=np.intp)
+    while frontier.size:
+        reached = np.zeros(n, dtype=bool)
+        for start in range(0, frontier.size, chunk):
+            reached |= graph.adjacency[frontier[start : start + chunk]].any(axis=0)
+        frontier = np.flatnonzero(reached & ~seen)
+        seen[frontier] = True
     return bool(seen.all())
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import settings
 
+from swarmsgd import _kernel
 from swarmsgd.randomness import make_rng
 
 settings.register_profile("suite", deadline=None, max_examples=50)
@@ -34,6 +35,17 @@ class ZeroFirstExponential:
 def zero_first_exponential():
     """Builds a ``ZeroFirstExponential`` from a seed."""
     return ZeroFirstExponential
+
+
+@pytest.fixture(params=["kernel", "twin"])
+def arithmetic(request, monkeypatch):
+    """Runs a test on the compiled kernel, then on its numpy twin; the
+    kernel case skips where no C compiler builds it."""
+    if request.param == "twin":
+        monkeypatch.setattr(_kernel, "_lib", None)
+    elif _kernel.library() is None:
+        pytest.skip("no C compiler builds the kernel here")
+    return request.param
 
 
 # Acceptance tests register one entry per criterion; the terminal

@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+import operator
 import pickle
 from dataclasses import replace
 
@@ -1041,64 +1043,20 @@ def test_folded_update_matches_the_elementwise_arithmetic(
         np.testing.assert_allclose(seen[k], expected, rtol=1e-12, atol=1e-14)
 
 
-def _bitwise_central_states(config, spec, init):
-    """Centralized steps on the engine's streams in the engine's own
-    arithmetic: ``delta = r.dot(u); delta += x * coef`` for ridge (``u * r``
-    for one thread), the oracle term and then ``x * coef`` for the others."""
-    rng = make_rng(config.seed)
-    N, gamma = config.n_threads, config.step_size
-    x = np.array(init, dtype=float)
-    blocks = engine._batch_schedule(N, config.mean_sample_time, rng)
-    linear = {obj.RIDGE: 2.0 * (spec.rho or 0.0), obj.QUADRATIC: 0.0}.get(spec.kind, 1.0)
-    coef = -gamma * linear
-    two_gamma = 2.0 * gamma / N
-    states = [x.copy()]
-    while len(states) <= config.max_updates:
-        times, _ = next(blocks)
-        n = len(times)
-        U, c = obj.draw_noise_block(spec, n * N, rng)
-        if spec.kind != obj.RIDGE:
-            shifts = -gamma * c.reshape(n, N, spec.dim).mean(axis=1)
-            if spec.kind == obj.QUADRATIC:
-                shifts += -gamma * spec.b
-        for s in range(min(n, config.max_updates + 1 - len(states))):
-            if spec.kind == obj.RIDGE:
-                # One thread keeps one sample a step: r is a scalar.
-                samples = s if N == 1 else slice(s * N, (s + 1) * N)
-                u = U[samples]
-                r = two_gamma * c[samples] - two_gamma * u.dot(x)
-                delta = u * r if N == 1 else r.dot(u)
-            elif spec.kind == obj.QUADRATIC:
-                delta = (-gamma * spec.Q).dot(x)
-                delta += shifts[s]
-            else:
-                delta = np.sin(x * 2.0)
-                delta *= -3.0 * gamma
-                delta += shifts[s]
-            delta += x * coef
-            x += delta
-            states.append(x.copy())
-    return states
-
-
 @pytest.mark.parametrize("n_threads", [1, 6, 100])
 @pytest.mark.parametrize("kind", range(3))
-def test_centralized_is_bitwise_the_elementwise_step(kind, n_threads):
+def test_centralized_is_bitwise_the_elementwise_step(kind, n_threads, arithmetic):
     # 100 threads draw 10 steps a block, 6 threads 170 and 1 thread 1024,
-    # more steps than the buffer has feature slots.
+    # more steps than one swarm block has updates.
     spec = _kind_specs()[kind]
     init = make_rng(13).normal(size=spec.dim)
     config = _swarm_config(n_threads=n_threads, max_updates=700, record_every=1)
     trace, seen = _kept_central_states(config, spec, init=init)
-    reference = _bitwise_central_states(config, spec, init)
-    assert [seen[k].tobytes() for k in range(len(seen))] == [x.tobytes() for x in reference]
-    snap = metrics.snapshot(
-        np.stack(reference)[:, None, :], spec, obj.optimum(spec), obj.optimal_value(spec)
-    )
-    got = [(r.Vbar, r.f_gap, r.grad_norm_sq) for r in trace.records]
-    assert got == list(zip(snap.Vbar.tolist(), snap.f_gap.tolist(), snap.grad_norm_sq.tolist()))
-    if obj.optimum(spec) is not None:
-        assert [r.U for r in trace.records] == snap.U.tolist()
+    ref = _per_update_reference(config, spec, None, engine._batch_schedule, init)
+    assert [(k, seen[k].tobytes()) for k in range(len(seen))] == [
+        (k, x) for k, _, x in ref["seen"]
+    ]
+    assert repr([tuple(vars(r).values()) for r in trace.records]) == repr(ref["records"])
 
 
 def test_one_row_products_agree_bit_for_bit():
@@ -1125,36 +1083,40 @@ def _noiseless_specs():
     )
 
 
+def _dot(u, v):
+    """u . v with the products added one at a time in index order."""
+    return functools.reduce(operator.add, map(operator.mul, u, v))
+
+
+def _added(rows):
+    """The element-wise sum of ``rows``, added one row at a time."""
+    return [functools.reduce(operator.add, column) for column in zip(*rows)]
+
+
 def _per_update_reference(config, spec, graph, schedule, init):
-    """A run in the per-update arithmetic of the loop whose deltas were
-    fresh arrays: every row's fold is ``w_i . Z[idx_i]``, the centralized
-    ridge step ``u * r`` or ``r.dot(u)`` plus that fold; and a monitor
-    that looks at each update in turn. Returns what the engine hands out,
-    and the watched error after every update."""
+    """A run in the engine's stated per-update order, written out in Python
+    floats, and a monitor that looks at each update in turn: the oracle
+    term (a ridge step adds r_s u_s over its samples in turn, r_s =
+    targ_s - 2 gamma / batch u_s . x; quadratic's is -gamma Q x plus the
+    shift, sine's sin(2x) (-3 gamma) plus it), then coef x_i, then gamma a
+    times the sum row or the neighbours' rows added in index order, each
+    dot adding its products in index order. Returns what the engine hands
+    out, and the watched error after every update."""
     rng = make_rng(config.seed)
     N, gamma, central = config.n_threads, config.step_size, graph is None
     rows, batch = (1, N) if central else (N, 1)
     a = 0.0 if central else config.attraction
+    ga = gamma * a
     blocks = schedule(N, config.mean_sample_time, rng)
-    Z = np.zeros((rows + 1 + B, spec.dim))
-    X = Z[:rows]
-    X[:] = init
+    X = np.array(init, dtype=float).reshape(rows, spec.dim)
     linear = {obj.RIDGE: 2.0 * (spec.rho or 0.0), obj.QUADRATIC: 0.0}.get(spec.kind, 1.0)
     complete = central or int(graph.degrees.min()) == N - 1
     if complete:
-        degrees, pulled = [rows] * rows, [[rows]] * rows
+        coef, neighbours = [-gamma * (linear + a * rows)] * rows, None
     else:
-        degrees = graph.degrees.tolist()
-        pulled = [np.flatnonzero(graph.adjacency[i]).tolist() for i in range(N)]
-    if not gamma * a:
-        pulled = [[]] * rows
-    lead = spec.kind == obj.RIDGE and not central
-    index = [np.array([rows + 1] * lead + [i, *pulled[i]]) for i in range(rows)]
-    weights = [
-        np.array([0.0] * lead + [-gamma * (linear + a * degrees[i])] + [gamma * a] * len(pulled[i]))
-        for i in range(rows)
-    ]
-    Z[rows] = X.sum(axis=0)
+        coef = [-gamma * (linear + a * d) for d in graph.degrees.tolist()]
+        neighbours = [np.flatnonzero(graph.adjacency[i]).tolist() for i in range(N)]
+    G = None if spec.kind != obj.QUADRATIC else (-gamma * spec.Q).tolist()
     S, inv_n, x_star = X.sum(axis=0), 1.0 / rows, obj.optimum(spec)
     two_gamma = 2.0 * gamma / batch
     horizon = config.max_virtual_time or math.inf
@@ -1167,47 +1129,40 @@ def _per_update_reference(config, spec, graph, schedule, init):
         n = len(times)
         U, c = obj.draw_noise_block(spec, n * batch, rng)
         if spec.kind == obj.RIDGE:
-            targets = two_gamma * c
-            if lead:
-                Z[rows + 1 : rows + 1 + n] = U
+            U, targets = U.tolist(), (two_gamma * c).tolist()
         else:
             shifts = -gamma * (c if batch == 1 else c.reshape(n, N, spec.dim).mean(axis=1))
             if spec.kind == obj.QUADRATIC:
                 shifts += -gamma * spec.b
+            shifts = shifts.tolist()
         for j in range(n):
             if times[j] > horizon or k == budget:
                 done = True
                 break
             if k in config.capture_mean_at:
                 out["captured"][k] = (S * inv_n).tobytes()
-            i = threads[j]
-            xi, w, idx = X[i], weights[i], index[i]
-            if lead:
-                w[0], idx[0] = targets[j] - two_gamma * U[j].dot(xi), rows + 1 + j
-                delta = w.dot(Z.take(idx, axis=0))
-            elif spec.kind == obj.RIDGE:
-                samples = j if batch == 1 else slice(j * N, j * N + N)
-                u = U[samples]
-                r = targets[samples] - two_gamma * u.dot(xi)
-                delta = u * r if batch == 1 else r.dot(u)
-                delta += w.dot(Z.take(idx, axis=0))
+            i = int(threads[j])
+            x = X[i].tolist()
+            if spec.kind == obj.RIDGE:
+                us = U[j * batch : j * batch + batch]
+                r = [tg - two_gamma * _dot(u, x) for u, tg in zip(us, targets[j * batch :])]
+                delta = _added([[r_s * v for v in u] for r_s, u in zip(r, us)])
+            elif spec.kind == obj.QUADRATIC:
+                delta = [_dot(row, x) + h for row, h in zip(G, shifts[j])]
             else:
-                if spec.kind == obj.QUADRATIC:
-                    delta = (-gamma * spec.Q).dot(xi)
-                else:
-                    delta = np.sin(xi * 2.0)
-                    delta *= -3.0 * gamma
-                delta += shifts[j]
-                delta += w.dot(Z.take(idx, axis=0))
-            xi += delta
-            if complete and gamma * a:
-                Z[rows] += delta
+                delta = [math.sin(v * 2.0) * (-3.0 * gamma) + h for v, h in zip(x, shifts[j])]
+            delta = [d + coef[i] * v for d, v in zip(delta, x)]
+            if ga:
+                # S is the swarm sum the kernel's sum row keeps
+                pulled = S.tolist() if complete else _added(X[neighbours[i]].tolist())
+                delta = [d + ga * p for d, p in zip(delta, pulled)]
+            X[i] = [v + d for v, d in zip(x, delta)]
             S += delta
             k, t = k + 1, times[j]
             out["counts"][i] += 1
             e = (S * inv_n)[None]
             e = obj.grad_exact_rows(spec, e) if x_star is None else e - x_star
-            err = float(obj.row_dots(e, e)[0])
+            err = _dot(e[0].tolist(), e[0].tolist())
             out["errs"].append(err)
             crossed = watch and err <= config.threshold
             if crossed:
@@ -1260,12 +1215,14 @@ REFERENCE_CASES = [
 @pytest.mark.parametrize("kind", range(5))
 @pytest.mark.parametrize("scheme,runner,schedule,graph_kind,attraction", REFERENCE_CASES)
 def test_block_buffer_loops_match_the_per_update_arithmetic_bit_for_bit(
-    scheme, runner, schedule, graph_kind, attraction, kind
+    scheme, runner, schedule, graph_kind, attraction, kind, arithmetic
 ):
-    # The lean loop bodies, their deltas written into the block buffer, and
-    # the monitor's pending records reproduce a per-update reference loop:
-    # positions, records, on_record (k, t, bytes), captures, counts and the
-    # crossing. Kinds 3 and 4 are noiseless, with signed zeros in the start.
+    # The kernel's block step and its numpy twin, their deltas written into
+    # the block buffer, and the monitor's pending records reproduce a
+    # per-update reference loop in the stated order: positions, records,
+    # on_record (k, t, bytes), captures, counts and the crossing. So the
+    # kernel and the twin agree bit for bit. Kinds 3 and 4 are noiseless,
+    # with signed zeros in the start.
     spec = (*_kind_specs(), *_noiseless_specs())[kind]
     n, graph, init = _reference_inputs(graph_kind)
     # a budget, or a time horizon near the end of the same run

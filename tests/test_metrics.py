@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import tracemalloc
 
 import numpy as np
@@ -80,14 +82,19 @@ def _dense_quadratic(dim):
     return obj.quadratic_spec(A @ A.T / dim + np.eye(dim), make_rng(42).normal(size=dim))
 
 
+def _dot(u, v):
+    """u . v with the products added one at a time in index order."""
+    return functools.reduce(operator.add, map(operator.mul, u.tolist(), v.tolist()))
+
+
 def _single_value(spec, x):
     if spec.kind == obj.RIDGE:
         diff = x - spec.x_tilde
-        return diff @ diff / 3.0 + spec.rho * (x @ x) + 1.0
+        return _dot(diff, diff) / 3.0 + spec.rho * _dot(x, x) + 1.0
     if spec.kind == obj.QUADRATIC:
-        return 0.5 * x @ spec.Q @ x + spec.b @ x
+        return _dot(np.array([_dot(row, 0.5 * x) for row in spec.Q]), x) + _dot(x, spec.b)
     s = np.sin(x)
-    return 0.5 * (x @ x) + 3.0 * (s @ s)
+    return 0.5 * _dot(x, x) + 3.0 * _dot(s, s)
 
 
 @pytest.mark.parametrize("R", [1, 3, 128])
@@ -98,7 +105,8 @@ def _single_value(spec, x):
     ids=["ridge", "quadratic", "sine"],
 )
 def test_stacked_snapshot_rounds_each_row_as_the_single_state_formulas(spec, N, R):
-    # The single-state arithmetic a snapshot row replaces, written out.
+    # The single-state arithmetic a snapshot row replaces, written out with
+    # every dot in the stated order.
     P = make_rng(R * 1000 + N).normal(size=(R, N, spec.dim)) * 2.0 + 0.5
     x_star, f_star = obj.optimum(spec), obj.optimal_value(spec)
     assert f_star == (0.0 if x_star is None else _single_value(spec, x_star))
@@ -107,10 +115,12 @@ def test_stacked_snapshot_rounds_each_row_as_the_single_state_formulas(spec, N, 
         mean = X.mean(axis=0)
         Vbar = ((X - mean) ** 2).sum() / N
         g = obj.grad_exact(spec, mean)
-        U = math.nan if x_star is None else (mean - x_star) @ (mean - x_star)
+        if spec.kind == obj.QUADRATIC:
+            assert g.tolist() == [_dot(row, mean) + b for row, b in zip(spec.Q, spec.b)]
+        U = math.nan if x_star is None else _dot(mean - x_star, mean - x_star)
         f = _single_value(spec, mean)
         assert obj.value(spec, mean) == f
-        expected = (U, Vbar, f - f_star, g @ g)
+        expected = (U, Vbar, f - f_star, _dot(g, g))
         got = (snap.U[r], snap.Vbar[r], snap.f_gap[r], snap.grad_norm_sq[r])
         assert np.array_equal(got, expected, equal_nan=True), (r, got, expected)
 

@@ -1,4 +1,5 @@
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -110,7 +111,8 @@ def test_sampling_durations_redraw_a_zero(zero_first_exponential):
 
 def _einsum_polar_normals(rng, n):
     """The polar method as first written, over a (pairs, 2) array with an
-    einsum norm and a boolean row mask: the reference for its bits."""
+    einsum norm and a boolean row mask, and the C library's log: the
+    reference for its bits."""
     out = np.empty(n)
     filled = 0
     while filled < n:
@@ -119,7 +121,7 @@ def _einsum_polar_normals(rng, n):
         s = np.einsum("ij,ij->i", v, v)
         keep = (s > 0.0) & (s < 1.0)
         sk = s[keep]
-        factor = np.sqrt(-2.0 * np.log(sk) / sk)
+        factor = np.sqrt(-2.0 * np.array([math.log(x) for x in sk.tolist()]) / sk)
         accepted = (v[keep] * factor[:, None]).ravel()
         take = min(accepted.size, n - filled)
         out[filled : filled + take] = accepted[:take]

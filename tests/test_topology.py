@@ -291,6 +291,25 @@ def test_path_graph_peaks_near_its_adjacency():
     assert _peak_bytes(lambda: path_graph(2048)) < 1.5 * adjacency
 
 
+def test_is_connected_reads_a_complete_frontier_in_o_n_memory():
+    # The second frontier of a complete graph is n - 1 rows, 32 MiB at n
+    # 2048 if copied at once; read 1 MiB at a time it stays near that.
+    graph = complete_graph(2048)
+    assert _peak_bytes(lambda: topology.is_connected(graph)) < 2 * 2**20
+
+
+def test_complete_and_erdos_renyi_graphs_keep_int32_pairs():
+    # The vertex pairs are two int32 arrays, 16 MiB at n 2048, not
+    # np.triu_indices' two int64 ones, 32 MiB, on a 32 MiB adjacency.
+    adjacency = 2048 * 2048 * 8
+    assert _peak_bytes(lambda: complete_graph(2048)) < 1.6 * adjacency
+    assert _peak_bytes(lambda: erdos_renyi_connected(2048, 0.005, make_rng(2))) < 1.9 * adjacency
+    for n in range(2, 50):
+        rows, cols = topology._upper_pairs(n)
+        assert rows.dtype == cols.dtype == np.int32
+        assert np.array_equal(np.stack([rows, cols]), np.triu_indices(n, k=1))
+
+
 @given(
     n=st.integers(min_value=2, max_value=12),
     p=st.floats(min_value=0.3, max_value=1.0),
