@@ -203,15 +203,19 @@ def cli_digest() -> tuple[str, int]:
     return h.hexdigest(), files
 
 
+def engine_line() -> str:
+    """The engine line ``main`` prints."""
+    digest, outcomes = engine_digest()
+    return (
+        f"engine {digest} {len(outcomes)} runs ({outcomes.count('crossed')} crossed, "
+        f"{outcomes.count('diverged')} diverged)"
+    )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.parse_args(argv)
-    digest, outcomes = engine_digest()
-    print(
-        f"engine {digest} {len(outcomes)} runs ({outcomes.count('crossed')} crossed, "
-        f"{outcomes.count('diverged')} diverged)",
-        flush=True,
-    )
+    print(engine_line(), flush=True)
     digest, files = cli_digest()
     print(f"cli {digest} {files} files")
     return 0

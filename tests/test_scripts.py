@@ -10,6 +10,7 @@ import pytest
 from swarmsgd.theory import harmonic_speedup
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+GOLDEN = Path(__file__).resolve().parent / "golden_digests.json"
 
 
 def _load(name):
@@ -104,3 +105,10 @@ def test_digests_cover_the_documented_run_matrix(capsys):
     assert m and int(m.group(2)) == 3 * 3 + 5
     # the cli part writes the same bytes twice
     assert script.cli_digest() == (m.group(1), 14)
+
+
+def test_engine_digest_is_the_pinned_one():
+    # The engine line of scripts/digests.py, which does not depend on the
+    # BLAS build or numpy's SIMD targets. A change that declares new
+    # arithmetic or a new stream order regenerates the file with the script.
+    assert _load("digests").engine_line() == json.loads(GOLDEN.read_text())["engine"]
