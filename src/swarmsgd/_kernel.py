@@ -4,8 +4,11 @@
 writes: a dot adds its products one at a time in index order, a matrix
 row times a vector is that row's dot, and a delta adds, element by
 element, the oracle term, the own-row term and the pull, whose
-neighbours are added in index order. So no trajectory or record depends
-on which BLAS kernel or SIMD width the CPU selects.
+neighbours are added in index order. The block call also keeps the
+swarm sum, tests the threshold watch after every update, captures the
+listed means and evaluates each record in ``metrics.snapshot``'s order,
+numpy's pairwise sum included. So no trajectory or record depends on
+which BLAS kernel or SIMD width the CPU selects.
 
 The C file is compiled on first use, never at import, with ``-O2
 -ffp-contract=off`` (no FMA contraction, no fast-math), into a cache
@@ -13,18 +16,21 @@ outside the source tree: ``$XDG_CACHE_HOME/swarmsgd``, or
 ``~/.cache/swarmsgd``. The library's name holds the sha256 of the source,
 the compiler's ``--version`` and the flags; it is written to a temporary
 file and moved into place, so a process never loads a half-written
-library. Where no compiler is found or the build fails, the numpy twin
-below runs the same order bit for bit, and ``heapq`` the event heap;
-both paths give the same bits, so the choice changes no output.
+library. Where no compiler is found, the build fails or the cache cannot
+be written, one RuntimeWarning says so and the numpy twin below runs the
+same order bit for bit, and ``heapq`` the event heap; both paths give the
+same bits, so the choice changes no output, only the speed.
 """
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import heapq
 import math
 import os
 import subprocess
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -71,28 +77,58 @@ def build(compiler: str = "cc", cache: str | None = None) -> str:
     return path
 
 
-def load(compiler: str = "cc", cache: str | None = None):
-    """The kernel built by ``compiler`` in ``cache``, loaded, or None when it
-    cannot be built or loaded."""
-    import ctypes
+class Run(ctypes.Structure):
+    """``struct run`` of ``_kernel.c``: one run's arrays and constants."""
 
+    _fields_ = (
+        [(name, ctypes.c_int64) for name in (
+            "rows", "dim", "kind", "batch", "pull", "record_every", "watch", "stop", "hit",
+            "n_captures", "next_capture",
+        )]
+        + [(name, ctypes.c_void_p) for name in (
+            "captures", "nbr_start", "nbr_idx", "X", "S", "captured", "work", "G", "coef", "Q",
+            "b", "x_tilde", "x_star",
+        )]
+        + [(name, ctypes.c_double) for name in (
+            "tg", "sine_coef", "ga", "inv_n", "threshold", "f_star", "rho",
+        )]
+    )
+
+
+def load(compiler: str = "cc", cache: str | None = None):
+    """The kernel built by ``compiler`` in ``cache``, loaded; None, with a
+    RuntimeWarning that says why, when it cannot be built or loaded."""
     try:
         lib = ctypes.CDLL(build(compiler, cache))
-    except (OSError, subprocess.SubprocessError):
-        return None
-    i64, ptr, f64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
-    signatures = {
-        "swarmsgd_dots": (None, [i64, i64, ptr, ptr, i64, ptr]),
-        "swarmsgd_logs": (None, [i64, ptr, ptr]),
-        "swarmsgd_matvecs": (None, [i64, i64, ptr, ptr, ptr]),
-        "swarmsgd_heap_block": (None, [i64, ptr, ptr, i64, ptr, ptr, ptr]),
-        "swarmsgd_move": (None, [i64] * 5 + [ptr] * 9 + [f64] * 3 + [i64, ptr, ptr, ptr]
-                          + [i64, i64, ptr]),
-    }
-    for name, (restype, argtypes) in signatures.items():
-        fn = getattr(lib, name)
-        fn.restype, fn.argtypes = restype, argtypes
-    return lib
+    except subprocess.SubprocessError:
+        reason = f"the build with {compiler!r} failed"
+    except OSError as exc:
+        if exc.filename == compiler:
+            reason = f"no C compiler {compiler!r} was found"
+        elif exc.filename is not None:
+            reason = f"the cache {cache_dir() if cache is None else cache} cannot be written ({exc})"
+        else:
+            reason = f"the built kernel cannot be loaded ({exc})"
+    else:
+        i64, ptr, f64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
+        run = ctypes.POINTER(Run)
+        signatures = {
+            "swarmsgd_dots": (None, [i64, i64, ptr, ptr, i64, ptr]),
+            "swarmsgd_logs": (None, [i64, ptr, ptr]),
+            "swarmsgd_matvecs": (None, [i64, i64, ptr, ptr, ptr]),
+            "swarmsgd_heap_block": (None, [i64, ptr, ptr, i64, ptr, ptr, ptr]),
+            "swarmsgd_records": (None, [run, i64, ptr, ptr]),
+            "swarmsgd_move": (i64, [run, i64, i64, i64] + [ptr] * 7),
+        }
+        for name, (restype, argtypes) in signatures.items():
+            fn = getattr(lib, name)
+            fn.restype, fn.argtypes = restype, argtypes
+        return lib
+    warnings.warn(
+        f"swarmsgd runs its numpy twin, about 10 times slower, as the compiled kernel is "
+        f"not available: {reason}", RuntimeWarning, stacklevel=2,
+    )
+    return None
 
 
 def library():
@@ -100,18 +136,27 @@ def library():
     built, and then the twin runs."""
     global _lib
     if _lib is _UNLOADED:
+        # The twin stands until the load returns, so a fallback warning
+        # that a filter turns into an error is given once all the same.
+        _lib = None
         _lib = load()
     return _lib
 
 
+_address = ctypes.addressof
+_buffer = ctypes.c_char.from_buffer
+
+
 def _ptr(a, dtype=np.float64) -> int | None:
     """The address of the data of ``a``, a C-contiguous ``dtype`` array, or
-    None for None."""
-    if a is None:
+    None for None or an empty array."""
+    if a is None or not a.size:
         return None
     if a.dtype != dtype or not a.flags.c_contiguous:
         raise ValueError(f"the kernel takes C-contiguous {np.dtype(dtype)} arrays, got {a.dtype}")
-    return a.__array_interface__["data"][0]
+    # A writable array's buffer gives the address without building the
+    # interface dict.
+    return _address(_buffer(a)) if a.flags.writeable else a.__array_interface__["data"][0]
 
 
 def _fits(a: np.ndarray | None, shape: tuple) -> bool:
@@ -209,75 +254,131 @@ def _sin(v: float) -> float:
     return math.sin(v) if math.isfinite(v) else math.nan
 
 
-def mover(kind, X, S, D, coef, tg, sine_coef, ga, pull, neighbours, G, batch, record_every):
+def mover(
+    X, S, *, kind, coef, tg, sine_coef, ga, pull, neighbours, G, batch, spec, x_star, f_star,
+    record_every, threshold, stop, captures, captured,
+):
     """The block step of one run, which moves the (rows, dim) positions
-    ``X`` in place: ``step(n_run, k0, threads, feat, targ, shift, states)``
-    runs ``n_run`` updates from update count ``k0`` as ``swarmsgd_move``
-    in ``_kernel.c`` states them, copying ``X`` into the next row of
-    ``states`` after each update whose count is a multiple of
-    ``record_every``.
+    ``X`` and their sum row ``S`` in place: ``step(n_run, k0, ends,
+    threads, feat, targ, shift)`` runs ``n_run`` updates from update count
+    ``k0`` as ``swarmsgd_move`` in ``_kernel.c`` states them, and returns
+    ``(ks, states, records, hit)``: the update counts of the states it
+    recorded, a fresh (len(ks), rows, dim) stack of them, their
+    ``[U, Vbar, f_gap, grad_norm_sq]`` rows and the first crossing's
+    update count, 0 before it. ``step.records(states)`` gives the records
+    of any (R, rows, dim) stack.
 
-    ``kind`` is RIDGE, QUADRATIC or SINE; ``S`` the sum row, read and
-    moved when ``pull`` is PULL_SUM; ``D`` the block buffer whose row
-    j + 1 takes update j's delta; ``coef`` each row's own coefficient;
-    ``tg`` ridge's 2 gamma / batch, ``sine_coef`` -3 gamma and ``ga``
-    gamma a; ``neighbours`` each row's neighbour index array when
-    ``pull`` is PULL_NEIGHBOURS; ``G`` quadratic's -gamma Q; ``batch``
-    ridge's samples per update."""
+    The update: ``kind`` is RIDGE, QUADRATIC or SINE; ``coef`` each row's
+    own coefficient; ``tg`` ridge's 2 gamma / batch, ``sine_coef`` -3
+    gamma and ``ga`` gamma a; ``pull`` says what the pull reads, and
+    ``neighbours`` is each row's neighbour index array for
+    PULL_NEIGHBOURS; ``G`` quadratic's -gamma Q; ``batch`` ridge's samples
+    per update. The records: the objective ``spec``, its optimum
+    ``x_star`` (None when unknown) and value ``f_star``; a state is
+    recorded at k 0, every ``record_every`` updates, at the first update
+    whose watched error is at most ``threshold`` (None: no watch), which
+    with ``stop`` ends the run, and at the run's end, which ``ends`` marks
+    in its last block. The mean before each update count in the sorted
+    ``captures`` is written into the next row of ``captured``."""
     rows, dim = X.shape
+    inv_n = 1.0 / rows
     lib = library()
     if lib is not None:
-        fn = lib.swarmsgd_move
+        fn, records_fn = lib.swarmsgd_move, lib.swarmsgd_records
         coef = np.array(coef, dtype=float)
+        captures = np.array(captures, dtype=np.int64)
         if pull == PULL_NEIGHBOURS:
             starts = np.cumsum([0] + [len(nb) for nb in neighbours], dtype=np.int64)
             flat = np.concatenate(neighbours).astype(np.int64)
         else:
             starts = flat = None
         if not (
-            _fits(coef, (rows,)) and _fits(D, (1, dim))
-            and (pull != PULL_SUM or _fits(S, (dim,)))
+            _fits(coef, (rows,)) and _fits(S, (dim,)) and _fits(captured, (len(captures), dim))
             and (kind != QUADRATIC or _fits(G, (dim, dim)))
+            and (x_star is None or np.shape(x_star) == (dim,))
             # every row has a neighbour, and each is a row of X
             and (flat is None or np.diff(starts).min() > 0 and 0 <= flat.min() <= flat.max() < rows)
         ):
             raise ValueError("the run's arrays do not match its positions")
-        scratch = np.empty(max(batch, dim))
-        fixed = (_ptr(X), _ptr(S), _ptr(D))
-        tail = (_ptr(G), _ptr(coef), tg, sine_coef, ga, pull, _ptr(starts, np.int64),
-                _ptr(flat, np.int64), _ptr(scratch))
+        work = np.empty(dim + max(batch, dim) + 3 * dim + rows * dim)
+        x_star, Q, b, x_tilde = (
+            None if a is None else _rows(a) for a in (x_star, spec.Q, spec.b, spec.x_tilde)
+        )
+        run = Run(
+            rows=rows, dim=dim, kind=kind, batch=batch, pull=pull, record_every=record_every,
+            watch=threshold is not None, stop=stop, n_captures=len(captures),
+            captures=_ptr(captures, np.int64), nbr_start=_ptr(starts, np.int64),
+            nbr_idx=_ptr(flat, np.int64), X=_ptr(X), S=_ptr(S), captured=_ptr(captured),
+            work=_ptr(work), G=_ptr(G), coef=_ptr(coef), Q=_ptr(Q), b=_ptr(b),
+            x_tilde=_ptr(x_tilde), x_star=_ptr(x_star), tg=tg, sine_coef=sine_coef, ga=ga,
+            inv_n=inv_n, threshold=math.nan if threshold is None else threshold,
+            f_star=f_star, rho=spec.rho or 0.0,
+        )
+        ref = ctypes.byref(run)
 
-        def covered(n_run, k0, threads, feat, targ, shift, states) -> bool:
-            """Whether the block's arrays hold what its updates read and
-            write, so the kernel touches nothing outside them."""
-            records = (k0 + n_run) // record_every - k0 // record_every
+        def covered(n_run, threads, feat, targ, shift) -> bool:
+            """Whether the block's arrays hold what its updates read, so the
+            kernel touches nothing outside them."""
             oracle = (
                 _fits(feat, (n_run * batch, dim)) and _fits(targ, (n_run * batch,))
                 if kind == RIDGE else _fits(shift, (n_run, dim))
             )
             return (
-                oracle and _fits(states, (records, rows, dim)) and _fits(D, (n_run + 1, dim))
-                and len(threads) == n_run
+                oracle and len(threads) == n_run
                 and (not n_run or 0 <= threads.min() <= threads.max() < rows)
             )
 
-        def step(n_run, k0, threads, feat, targ, shift, states):
+        def step(n_run, k0, ends, threads, feat, targ, shift):
             threads = np.ascontiguousarray(threads[:n_run], dtype=np.int64)
-            if not covered(n_run, k0, threads, feat, targ, shift, states):
+            if not covered(n_run, threads, feat, targ, shift):
                 raise ValueError("a block's arrays do not cover its updates")
-            fn(
-                n_run, rows, dim, kind, batch, *fixed, _ptr(threads, np.int64), _ptr(feat),
-                _ptr(targ), _ptr(shift), *tail, k0, record_every, _ptr(states),
+            # the record points, the start, a crossing and the run's end
+            cap = (k0 + n_run) // record_every - k0 // record_every + (k0 == 0) + run.watch + ends
+            states, records, ks = np.empty((cap, rows, dim)), np.empty((cap, 4)), np.empty(
+                cap, dtype=np.int64
             )
+            n = fn(
+                ref, n_run, k0, ends, _ptr(threads, np.int64), _ptr(feat), _ptr(targ), _ptr(shift),
+                _ptr(states), _ptr(records), _ptr(ks, np.int64),
+            )
+            return ks[:n].tolist(), states[:n], records[:n].tolist(), run.hit
 
-        step.arrays = (coef, scratch, starts, flat)  # those the pointers name
+        def stack_records(states):
+            states = _rows(states)
+            if states.shape[1:] != (rows, dim):
+                raise ValueError(f"states have shape {states.shape}, expected (R, {rows}, {dim})")
+            out = np.empty((len(states), 4))
+            records_fn(ref, len(states), _ptr(states), _ptr(out))
+            return out
+
+        step.records = stack_records
+        # those the pointers name
+        step.arrays = (run, X, S, G, coef, captures, captured, starts, flat, work, x_star, Q, b,
+                       x_tilde)
         return step
 
-    coef = [float(c) for c in coef]
+    # metrics imports objective, which imports this module.
+    from . import metrics
 
-    def step(n_run, k0, threads, feat, targ, shift, states):
-        written = 0  # states
+    coef = [float(c) for c in coef]
+    captures = [int(c) for c in captures]
+    state = {"watch": threshold is not None, "hit": 0, "next": 0}
+
+    def stack_records(states):
+        if not len(states):
+            return np.empty((0, 4))
+        snap = metrics.snapshot(states, spec, x_star, f_star)
+        return np.column_stack((snap.U, snap.Vbar, snap.f_gap, snap.grad_norm_sq))
+
+    def step(n_run, k0, ends, threads, feat, targ, shift):
+        ks, kept = [], []
+        if k0 == 0:
+            ks.append(0)
+            kept.append(X.copy())
         for j in range(n_run):
+            if state["next"] < len(captures) and captures[state["next"]] == k0 + j:
+                captured[state["next"]] = S * inv_n
+                state["next"] += 1
             i = int(threads[j])
             x = X[i]
             if kind == RIDGE:
@@ -295,12 +396,24 @@ def mover(kind, X, S, D, coef, tg, sine_coef, ga, pull, neighbours, G, batch, re
                 d += ga * S
             elif pull == PULL_NEIGHBOURS:
                 d += ga * np.cumsum(X[neighbours[i]], axis=0)[-1]
-            D[j + 1] = d
             x += d
-            if pull == PULL_SUM:
-                np.add(S, d, out=S)
-            if (k0 + j + 1) % record_every == 0:
-                states[written] = X
-                written += 1
+            np.add(S, d, out=S)
+            k = k0 + j + 1
+            crossed = state["watch"] and bool(
+                metrics.watched_errors(spec, x_star, S[None] * inv_n)[0] <= threshold
+            )
+            if crossed:
+                state["watch"], state["hit"] = False, k
+            if crossed or k % record_every == 0 or ends and j + 1 == n_run:
+                ks.append(k)
+                kept.append(X.copy())
+            if crossed and stop:
+                break
+        if ends and not n_run and k0 % record_every and k0 != state["hit"]:
+            ks.append(k0)
+            kept.append(X.copy())
+        states = np.array(kept).reshape(len(kept), rows, dim)
+        return ks, states, stack_records(states).tolist(), state["hit"]
 
+    step.records = stack_records
     return step

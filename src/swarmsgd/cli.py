@@ -535,7 +535,7 @@ def cmd_compare(config: ExperimentConfig, jobs: int = 1) -> dict:
     # a threshold the zero start meets is crossed at update 1 by both
     # schemes, and the race would time one update against one step.
     spec = build_objective(config)
-    start = float(engine.watched_errors(spec, obj.optimum(spec), np.zeros((1, spec.dim)))[0])
+    start = float(metrics.watched_errors(spec, obj.optimum(spec), np.zeros((1, spec.dim)))[0])
     if start <= config.threshold:
         raise ConfigError(
             f"threshold {config.threshold!r} is already met at the zero start, whose "

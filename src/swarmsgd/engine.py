@@ -32,32 +32,31 @@ oracle noise. The centralized scheme draws per block of
 ``max(1, BATCH_SAMPLES // N)`` steps the N sampling durations of every
 step, then the oracle noise of all the block's samples.
 
-A run has two parts: the block mover ``_move``, whose kernel step only
-moves rows and writes each delta into a block buffer, and one
-``_Monitor``, which evaluates each block once its updates are done: one
-test of every update's sum finds the first threshold crossing and the
-captured means read the same sums. The record points wait until at
-least ``BLOCK_ROWS`` updates are pending, or a crossing, a divergence
-or the run's end; then one ``metrics.snapshot`` of their stacked
-positions gives the records, and ``on_record`` is handed that stack,
-never written again, in one call.
+A run has two parts: the block mover ``_move``, whose kernel step runs
+a block's updates and, after each, the threshold watch on the swarm sum
+it keeps; it captures the listed means and copies and evaluates the
+state at each record point. And one ``_Monitor``, which keeps the
+books: the records wait until at least ``BLOCK_ROWS`` updates are
+pending, or a crossing, a divergence or the run's end; then
+``on_record`` is handed their stacked positions, never written again,
+in one call.
 
-The update arithmetic and the event heap run in ``_kernel``: one C
-function per block, in one stated summation order, or where no C
-compiler is found its numpy twin, which gives the same bits. So neither
-the trajectories nor the records depend on the BLAS build.
+The update arithmetic, the watch, the record metrics and the event heap
+run in ``_kernel``: one C function per block, in one stated summation
+order, or where no C compiler builds it its numpy twin, which gives the
+same bits. So neither the trajectories nor the records depend on the
+BLAS build.
 """
 from __future__ import annotations
 
 import bisect
 import math
 import time
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernel, metrics
+from . import _kernel
 from . import objective as obj
 from . import topology
 from ._ranges import COUNT, NONNEGATIVE, POSITIVE, Range, args, check
@@ -125,14 +124,13 @@ class RunConfig:
     ``RANGES`` gives the range of each numeric field; the counts, the
     capture indices and ``seed`` are integers.
 
-    The crossing and the captures are evaluated once per block of
-    updates. The records wait until at least ``BLOCK_ROWS`` updates are
-    pending, or a crossing, a divergence or the run's end, and are then
-    evaluated in one ``metrics.snapshot`` call. ``on_record(ks, ts,
-    states)`` is then handed what that call evaluated: the records' update
-    counts k and virtual times t, and the (R, N, dim) stack of the
-    positions after each update k, never written again, which it may
-    keep. Over the calls k strictly increases and ends at the final
+    The crossing is tested after every update, and each record is
+    evaluated as ``metrics.snapshot`` would. The records wait until at
+    least ``BLOCK_ROWS`` updates are pending, or a crossing, a divergence
+    or the run's end. ``on_record(ks, ts, states)`` is then handed them:
+    their update counts k and virtual times t, and the (R, N, dim) stack
+    of the positions after each update k, never written again, which it
+    may keep. Over the calls k strictly increases and ends at the final
     record. A record that is not finite ends the run with a
     ``DivergenceError`` once the stack rows before it are handed over.
     """
@@ -242,131 +240,80 @@ def _batch_schedule(n_threads: int, mean_time: float, rng: np.random.Generator):
         yield times, rows
 
 
-def watched_errors(spec, x_star, means: np.ndarray) -> np.ndarray:
-    """What the threshold watch tests of each row of ``means``, a swarm
-    mean: its squared error to ``x_star``, or its squared gradient norm
-    when no optimum is known. ``means`` is overwritten; row_dots rounds
-    each row as e.dot(e)."""
-    if x_star is None:
-        err = obj.grad_exact_rows(spec, means)
-    else:
-        err = np.subtract(means, x_star, out=means)
-    return obj.row_dots(err, err)
-
-
 class _Monitor:
     """One run's records, first threshold crossing, captured means and
     per-thread counts, fed what ``_move`` yields a block at a time.
 
-    Row 0 of the block buffer takes the running sum, so one cumsum over
-    the buffer repeats the mover's sequential adds to its sum row, and
-    the crossing test and the captures read the exact sums. One test over
-    all the block's rows, with the per-update arithmetic, finds the first
-    crossing; its state, rebuilt by re-adding the deltas to the block's
-    start, joins the record points in k order, and so does the final
-    state of a run that ends off them, read from ``X``, the mover's
-    positions. Record points stay pending until at least ``BLOCK_ROWS``
-    updates are, or until a crossing, a failed divergence check or the
-    run's end; then one ``metrics.snapshot`` of their stack gives the
-    records, and ``on_record`` is handed the stack. A run that stops at
-    the crossing records nothing after it.
+    The kernel step has recorded each block's states, the first
+    crossing's among them, in k order, with their metrics. Record points
+    stay pending until at least ``BLOCK_ROWS`` updates are, or until a
+    crossing, a failed divergence check on the swarm sum ``S`` or the
+    run's end; then the records are made and ``on_record`` is handed the
+    stack. ``captured`` holds the mean captured before each update count
+    in ``captures``.
     """
 
-    def __init__(self, scheme, config, spec, X, graph, on_record) -> None:
-        self.scheme, self.config, self.spec, self.on_record = scheme, config, spec, on_record
-        self.X = X
-        self.x_star, self.f_star = obj.optimum(spec), obj.optimal_value(spec)
+    def __init__(self, scheme, config, S, graph, on_record, optimum, captures, captured) -> None:
+        self.scheme, self.config, self.S, self.on_record = scheme, config, S, on_record
+        self.optimum = optimum
+        self.captures = dict(zip(captures, captured))
         self.records: list[TraceRecord] = []
         self.T_hit = self.hit_update = None
-        self.watch = config.threshold is not None
-        self.captures = deque(sorted(set(config.capture_mean_at)))
-        self.captured: dict[int, np.ndarray] = {}
-        self.counts = None if graph is None else np.zeros(X.shape[0], dtype=np.int64)
-        self.sum_vec, self.inv_n = X.sum(axis=0), 1.0 / X.shape[0]
+        self.counts = None if graph is None else np.zeros(graph.n_vertices, dtype=np.int64)
         self.k, self.clock, self.started = 0, 0.0, time.perf_counter()
-        # The pending record points, their state stacks and the updates
-        # since the last records; the start is the first point.
-        self.points, self.stacks, self.pending = [(0, 0.0)], [X[None].copy()], 0
+        # The pending record points, their state stacks, their metrics and
+        # the updates since the last records.
+        self.points, self.stacks, self.metrics, self.pending = [], [], [], 0
 
     def record(self) -> None:
-        """Record the pending points in k order from one snapshot of their
-        stacked states and hand the stack to ``on_record``; a non-finite
-        record ends the run with a DivergenceError once the rows before
-        it are handed over."""
-        points, stacks = self.points, self.stacks
-        self.points, self.stacks, self.pending = [], [], 0
+        """Record the pending points in k order and hand their stacked
+        states to ``on_record``; a non-finite record ends the run with a
+        DivergenceError once the rows before it are handed over."""
+        points, stacks, values = self.points, self.stacks, self.metrics
+        self.points, self.stacks, self.metrics, self.pending = [], [], [], 0
         if not points:
             return
-        states = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
-        snap = metrics.snapshot(states, self.spec, self.x_star, self.f_star)
-        # U stays the math.nan object, which compares equal to itself.
-        Us = [math.nan] * len(points) if self.x_star is None else snap.U.tolist()
-        cols = zip(points, Us, snap.Vbar.tolist(), snap.f_gap.tolist(), snap.grad_norm_sq.tolist())
         n = 0  # the finite records
-        for (k, t), U, Vbar, f_gap, grad_norm_sq in cols:
+        for (k, t), (U, Vbar, f_gap, grad_norm_sq) in zip(points, values):
             if not (math.isfinite(Vbar) and math.isfinite(grad_norm_sq)):
                 break
-            self.records.append(TraceRecord(k, t, U, Vbar, f_gap, grad_norm_sq))
+            # U stays the math.nan object, which compares equal to itself.
+            self.records.append(TraceRecord(
+                k, t, U if self.optimum else math.nan, Vbar, f_gap, grad_norm_sq
+            ))
             n += 1
         if self.on_record is not None and n:
+            states = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
             ks, ts = zip(*points[:n])
             self.on_record(ks, ts, states[:n])
         if n < len(points):
             raise DivergenceError(self.scheme, *points[n])
 
-    def block(self, times, threads, n_run, D, start_X, points, states) -> bool:
-        """Monitor the first ``n_run`` of the block's updates, which
-        start at update ``self.k`` and whose deltas are rows 1 to
-        ``n_run`` of ``D``; True when the run ends with them."""
-        k0, n_done, config = self.k, n_run, self.config
-        # The horizon cut the block short, or the budget is spent.
-        ends = n_run < len(times) or k0 + n_run == config.max_updates
-        crossed = False
-        # Row j is the sum after k0 + j updates: cumsum adds one delta at
-        # a time, as the mover's sum row does.
-        D[0] = self.sum_vec
-        trajectory = np.cumsum(D[: n_run + 1], axis=0)
-        self.sum_vec = trajectory[n_run]
-        if self.watch:
-            errors = watched_errors(self.spec, self.x_star, trajectory[1:] * self.inv_n)
-            hits = np.flatnonzero(errors <= config.threshold)
-            if hits.size:
-                crossed, hit = True, int(hits[0]) + 1
-                # The state at the crossing: the block's deltas re-added
-                # to its start, in order.
-                for j in range(hit):
-                    start_X[threads[j]] += D[j + 1]
-                self.T_hit, self.hit_update, self.watch = times[hit - 1], k0 + hit, False
-                # The crossing state replaces any record point at its k,
-                # in k order. A run that stops there drops the later
-                # points too: its final record is the crossing's.
-                i = sum(p[0] < self.hit_update for p in points)
-                j = sum(p[0] <= self.hit_update for p in points)
-                if config.stop_at_threshold:
-                    n_done, ends, j = hit, True, len(points)
-                states = np.concatenate((states[:i], start_X[None], states[j:]))
-                points[i:j] = [(self.hit_update, self.T_hit)]
-        if points:
-            self.points += points
+    def block(self, times, threads, n_done, ends, hit, ks, states, metrics) -> bool:
+        """Monitor the block's first ``n_done`` updates, which start at
+        update ``self.k``, and the states after the update counts ``ks``
+        that the kernel step recorded with their ``metrics``, a [U, Vbar,
+        f_gap, grad_norm_sq] list each; ``hit`` is the first crossing's
+        update count, 0 before it. True when the run ends with them."""
+        k0 = self.k
+        if ks:
+            # A state at k0 is the start or the final state of a run whose
+            # horizon falls before the block's first update.
+            self.points += [(k, times[k - k0 - 1] if k > k0 else self.clock) for k in ks]
             self.stacks.append(states)
-        # Update k draws its capture before it moves.
-        while self.captures and self.captures[0] < k0 + n_done:
-            c = self.captures.popleft()
-            self.captured[c] = trajectory[c - k0] * self.inv_n
+            self.metrics += metrics
+        crossed = hit > k0
+        if crossed:
+            self.T_hit, self.hit_update = times[hit - k0 - 1], hit
         if self.counts is not None:
             self.counts += np.bincount(threads[:n_done], minlength=self.counts.size)
         self.k = k0 + n_done
         self.pending += n_done
         if n_done:
             self.clock = times[n_done - 1]
-        # Points sit at k 0, the multiples of record_every and the
-        # crossing; a run that ends off them records its final state too.
-        if ends and self.k % config.record_every and self.k != self.hit_update:
-            self.points.append((self.k, self.clock))
-            self.stacks.append(self.X[None].copy())
         # A run that diverges between records stops at its block's end,
         # once the records before it are made.
-        diverged = not (ends or np.isfinite(self.sum_vec).all())
+        diverged = not (ends or np.isfinite(self.S).all())
         if ends or crossed or diverged or self.pending >= BLOCK_ROWS:
             self.record()
         if diverged:
@@ -385,30 +332,35 @@ class _Monitor:
             hit_update=self.hit_update,
             per_thread_update_counts=None if self.counts is None else tuple(self.counts.tolist()),
         )
-        return Trace(records=self.records, summary=summary, captured_means=self.captured)
+        # Update c draws its capture before it moves.
+        captured = {c: mean for c, mean in self.captures.items() if c < self.k}
+        return Trace(records=self.records, summary=summary, captured_means=captured)
 
 
-def _move(config, spec, X, batch, graph, schedule):
+def _move(config, spec, X, S, batch, graph, schedule, x_star, f_star, captures, captured):
     """The updates of all three schemes, a block at a time.
 
     ``X`` holds the positions, N swarm threads or the one centralized
-    iterate, and an update applies the mean of ``batch`` oracle samples.
-    ``schedule`` yields blocks of (fire times, rows of ``X`` that move).
-    A swarm thread ``i`` moves by ``-gamma (g + a sum_j a_ij (x_i -
-    x_j))`` with ``g`` one oracle sample at ``x_i``; with ``graph`` None
-    the single row is the centralized iterate and ``g`` the mean of N
-    samples. Past the oracle's noise, an update is the oracle term, then
-    ``coef x_i``, whose coefficient folds every term linear in ``x_i``,
-    then with weight ``gamma a`` the sum of the neighbours' rows, or the
-    swarm sum on the complete graph, which only then is kept.
+    iterate, and ``S`` their sum row; an update applies the mean of
+    ``batch`` oracle samples. ``schedule`` yields blocks of (fire times,
+    rows of ``X`` that move). A swarm thread ``i`` moves by ``-gamma (g +
+    a sum_j a_ij (x_i - x_j))`` with ``g`` one oracle sample at ``x_i``;
+    with ``graph`` None the single row is the centralized iterate and
+    ``g`` the mean of N samples. Past the oracle's noise, an update is the
+    oracle term, then ``coef x_i``, whose coefficient folds every term
+    linear in ``x_i``, then with weight ``gamma a`` the sum of the
+    neighbours' rows, or on the complete graph the swarm sum.
 
     The block's updates run in one ``_kernel.mover`` step, in the order
-    ``_kernel.c`` states, which writes delta j into ``D[j + 1]``
-    (``D[0]`` is the monitor's) and copies ``X`` at each record point.
-    A block is cut up front at the horizon and the budget. Per block it
-    yields ``_Monitor.block``'s arguments: the fire times, the moving
-    rows, ``n_run``, ``D``, a copy of its start and its record points
-    with their positions in one fresh (points, rows, dim) stack.
+    ``_kernel.c`` states, which after each update tests the watch, and
+    records the state at the start, at each record point, at the first
+    crossing (where a run that stops there ends) and at the run's end,
+    with its metrics from ``x_star`` and ``f_star``; it writes the means
+    before the updates listed in ``captures`` into ``captured``. A block
+    is cut up front at the horizon and the budget. Per block it yields
+    ``_Monitor.block``'s arguments: the fire times, the moving rows, the
+    updates done, whether the run ends, the crossing's update count, and
+    the recorded update counts, states and metric rows.
     """
     N, gamma = config.n_threads, config.step_size
     rows, dim = X.shape
@@ -445,25 +397,19 @@ def _move(config, spec, X, batch, graph, schedule):
         pull = _kernel.PULL_NEIGHBOURS
     if not gamma_a:
         pull = _kernel.PULL_NONE
-    # Only the complete-graph pull reads the swarm sum, so only it keeps
-    # it, with the same adds the monitor's cumsum makes.
-    S = X.sum(axis=0) if pull == _kernel.PULL_SUM else None
+    step = _kernel.mover(
+        X, S, kind=code, coef=coef, tg=two_gamma, sine_coef=-3.0 * gamma, ga=gamma_a, pull=pull,
+        neighbours=neighbours, G=G, batch=batch, spec=spec, x_star=x_star, f_star=f_star,
+        record_every=config.record_every, threshold=config.threshold,
+        stop=config.stop_at_threshold, captures=captures, captured=captured,
+    )
 
     clock, k = 0.0, 0
     max_updates = math.inf if config.max_updates is None else config.max_updates
     max_virtual_time = math.inf if config.max_virtual_time is None else config.max_virtual_time
-    record_every = config.record_every
-    step = None
 
     for times, threads in blocks:
         n = len(times)
-        if step is None:
-            # Every block of a schedule has the same length.
-            D = np.empty((n + 1, dim))
-            step = _kernel.mover(
-                code, X, S, D, coef, two_gamma, -3.0 * gamma, gamma_a, pull, neighbours, G,
-                batch, record_every,
-            )
         # Update j draws the samples j*batch .. j*batch + batch - 1.
         features, noise = obj.draw_noise_block(spec, n * batch, rng)
         targets = shifts = None
@@ -480,14 +426,12 @@ def _move(config, spec, X, batch, graph, schedule):
         # A step still in flight at the horizon is not applied, nor its
         # samples counted.
         n_run = min(bisect.bisect_right(times, max_virtual_time), max_updates - k)
-        start_X = X.copy()
-        # Records wait for the watch, which may cross before them.
-        ks = range(k - k % record_every + record_every, k + n_run + 1, record_every)
-        states = np.empty((len(ks), rows, dim))
-        step(n_run, k, threads, features, targets, shifts, states)
-        points = [(r, times[r - k - 1]) for r in ks]
+        ends = n_run < n or k + n_run == max_updates
+        ks, states, metric_rows, hit = step(n_run, k, ends, threads, features, targets, shifts)
+        if hit > k and config.stop_at_threshold:
+            n_run, ends = hit - k, True
+        yield times, threads, n_run, ends, hit, ks, states, metric_rows
         k += n_run
-        yield times, threads, n_run, D, start_X, points, states
         clock = times[-1]
 
 
@@ -500,7 +444,8 @@ def _run_loop(scheme, config, spec, init, graph, on_record, schedule) -> Trace:
     update; without, the centralized row that averages N samples. The
     thread count, the graph's size and ``init`` are checked in that order.
     ``_move`` moves the rows of ``X`` a block at a time, and one
-    ``_Monitor`` evaluates each block once its updates are done."""
+    ``_Monitor`` keeps the books of each block once its updates are
+    done."""
     N = config.n_threads
     if graph is None:
         rows, batch, shape = 1, N, (spec.dim,)
@@ -517,8 +462,14 @@ def _run_loop(scheme, config, spec, init, graph, on_record, schedule) -> Trace:
         if not np.isfinite(start).all():
             raise ValueError("init has a non-finite entry")
         X[:] = start
-    monitor = _Monitor(scheme, config, spec, X, graph, on_record)
-    blocks = _move(config, spec, X, batch, graph, schedule)
+    # One solve of the optimum gives both; sine has none, and f* is 0.
+    x_star = obj.optimum(spec)
+    f_star = obj.optimal_value(spec) if x_star is None else obj.value(spec, x_star)
+    S = X.sum(axis=0)
+    captures = sorted(set(config.capture_mean_at))
+    captured = np.empty((len(captures), spec.dim))
+    monitor = _Monitor(scheme, config, S, graph, on_record, x_star is not None, captures, captured)
+    blocks = _move(config, spec, X, S, batch, graph, schedule, x_star, f_star, captures, captured)
     # No name keeps a monitored block, so its arrays go before the next.
     while not monitor.block(*next(blocks)):
         pass

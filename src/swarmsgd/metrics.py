@@ -68,6 +68,18 @@ def snapshot(
     return MetricSnapshot(obj.row_dots(diffs, diffs), Vbar, f_gap, obj.row_dots(grads, grads))
 
 
+def watched_errors(spec, x_star, means: np.ndarray) -> np.ndarray:
+    """What the engine's threshold watch tests of each row of ``means``, a
+    swarm mean: its squared error to ``x_star``, or its squared gradient
+    norm when no optimum is known. ``means`` is overwritten; row_dots
+    rounds each row as e.dot(e)."""
+    if x_star is None:
+        err = obj.grad_exact_rows(spec, means)
+    else:
+        err = np.subtract(means, x_star, out=means)
+    return obj.row_dots(err, err)
+
+
 @dataclass(frozen=True)
 class Lemma4Result:
     """Lemma 4 at R states, one (R,) array each."""

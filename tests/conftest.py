@@ -2,6 +2,8 @@
 hook."""
 from __future__ import annotations
 
+import warnings
+
 import pytest
 from hypothesis import settings
 
@@ -10,6 +12,12 @@ from swarmsgd.randomness import make_rng
 
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
+
+# Load the kernel once here: where no C compiler builds it, its one
+# fallback warning is given now, and the suite runs on the numpy twin.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", RuntimeWarning)
+    _kernel.library()
 
 
 class ZeroFirstExponential:

@@ -232,15 +232,16 @@ def test_zero_noise_zero_attraction_is_per_thread_gradient_descent():
 
 
 @pytest.mark.parametrize("scheme", [SCHEME_SWARM, SCHEME_CENTRALIZED])
-def test_optimal_value_is_computed_once_per_run(monkeypatch, scheme):
+def test_quadratic_optimum_is_solved_once_per_run(monkeypatch, scheme):
+    # One elimination gives the optimum and, through it, the optimal value.
     calls = []
-    real = obj.optimal_value
+    real = obj._solve_spd
 
-    def counting(spec):
-        calls.append(spec)
-        return real(spec)
+    def counting(Q, r):
+        calls.append(len(r))
+        return real(Q, r)
 
-    monkeypatch.setattr(obj, "optimal_value", counting)
+    monkeypatch.setattr(obj, "_solve_spd", counting)
     spec = obj.quadratic_spec(np.diag([1.0, 2.0, 3.0]), np.array([0.5, -1.0, 0.2]))
     config = _swarm_config(max_updates=50, record_every=1)
     final = {}
@@ -253,9 +254,11 @@ def test_optimal_value_is_computed_once_per_run(monkeypatch, scheme):
     else:
         trace = run_centralized(config, spec, on_record=keep)
     assert len(trace.records) == 51
-    assert len(calls) == 1
-    # the cached value gives the same bits as recomputing it
-    assert trace.records[-1].f_gap == metrics.snapshot(final["X"][None], spec, obj.optimum(spec), real(spec)).f_gap[0]
+    assert calls == [3]
+    # the value at that optimum gives the bits of obj.optimal_value
+    monkeypatch.undo()
+    snap = metrics.snapshot(final["X"][None], spec, obj.optimum(spec), obj.optimal_value(spec))
+    assert trace.records[-1].f_gap == snap.f_gap[0]
 
 
 def test_capture_mean_at():
@@ -884,10 +887,14 @@ def _synthetic_run(kind, blowup=None, n_rows=5, n_updates=600):
 
 def _monitor_in_blocks(kind, cut, record_every, watch, horizon, blowup=None):
     """Feed one _Monitor the synthetic run cut into blocks of ``cut``
-    updates, as _move would: each block's deltas in rows 1.. of a block
-    buffer whose row 0 the monitor takes. Returns everything the monitor
-    hands out, the DivergenceError's (k, t) for a run that diverges, and
-    the blocks at whose end ``on_record`` was called."""
+    updates, as _move would: per block the states the kernel step
+    records (the start, the record points, the first crossing, where a
+    stopping run ends, and the run's end), their snapshot rows and the
+    crossing, found by ``watched_errors`` on the sums the deltas add up
+    to; the sum row and the captured means are written as the step writes
+    them. Returns everything the monitor hands out, the DivergenceError's
+    (k, t) for a run that diverges, and the blocks at whose end
+    ``on_record`` was called."""
     spec, deltas, threads, times, positions = _synthetic_run(kind, blowup)
     K, n_rows = len(times), positions.shape[1]
     config = RunConfig(
@@ -896,31 +903,52 @@ def _monitor_in_blocks(kind, cut, record_every, watch, horizon, blowup=None):
         threshold=None if watch == "off" else (0.3 if kind == 2 else 0.03),
         stop_at_threshold=watch == "stop", **horizon(times),
     )
+    x_star, f_star, inv_n = obj.optimum(spec), obj.optimal_value(spec), 1.0 / n_rows
     seen, calls_at, block_no = [], set(), [0]
 
     def on_record(ks, ts, states):
         seen.extend((k, t, x.tobytes()) for k, t, x in zip(ks, ts, states))
         calls_at.add(block_no[0])
 
-    # The mover's positions, which hold each block's end when it is monitored.
-    X = positions[0].copy()
+    captures = sorted(set(config.capture_mean_at))
+    captured = np.empty((len(captures), 3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Row k is the sum after k updates, each delta added in turn.
+        sums = np.cumsum(np.concatenate((positions[:1].sum(axis=1), deltas)), axis=0)
+        errors = metrics.watched_errors(spec, x_star, sums[1:] * inv_n)
+    hits = [] if watch == "off" else np.flatnonzero(errors <= config.threshold).tolist()
+    hit = hits[0] + 1 if hits else K + 1
+    S = sums[0].copy()
     monitor = engine._Monitor(
-        SCHEME_SWARM, config, spec, X, topology.complete_graph(n_rows), on_record
+        SCHEME_SWARM, config, S, topology.complete_graph(n_rows), on_record, x_star is not None,
+        captures, captured,
     )
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             for block_no[0], s in enumerate(range(0, K, cut)):
                 e = min(K, s + cut)
-                ks = [k for k in range(s + 1, e + 1) if k % record_every == 0]
+                ends, n_done = e == K, e - s
+                if watch == "stop" and hit <= e:
+                    ends, n_done = True, hit - s
+                done = s + n_done
+                ks = [0] * (s == 0) + [
+                    k for k in range(s + 1, done + 1)
+                    if k % record_every == 0 or k == hit or ends and k == done
+                ]
+                states, rows = positions[ks], np.empty((0, 4))
+                if ks:
+                    snap = metrics.snapshot(states, spec, x_star, f_star)
+                    rows = np.column_stack((snap.U, snap.Vbar, snap.f_gap, snap.grad_norm_sq))
+                for i, c in enumerate(captures):
+                    if s <= c < done:
+                        captured[i] = sums[c] * inv_n
+                S[:] = sums[done]
                 # The time horizon cuts the last block short of one more event.
                 extra = [times[-1] + 1.0] if e == K and config.max_updates is None else []
-                D = np.full((e - s + len(extra) + 1, 3), np.nan)
-                D[1 : e - s + 1] = deltas[s:e]
                 block = (
-                    times[s:e] + extra, threads[s:e] + [0] * len(extra), e - s, D,
-                    positions[s].copy(), [(k, times[k - 1]) for k in ks], positions[ks],
+                    times[s:e] + extra, threads[s:e] + [0] * len(extra), n_done, ends,
+                    hit if hit <= done else 0, ks, states, rows.tolist(),
                 )
-                X[:] = positions[e]
                 if monitor.block(*block):
                     break
             else:
@@ -1267,15 +1295,16 @@ def test_block_buffer_loops_match_the_per_update_arithmetic_bit_for_bit(
 def test_on_record_is_handed_each_evaluated_stack_once(
     monkeypatch, scheme, runner, schedule, graph_kind, attraction, watch
 ):
-    # One on_record call per snapshot, handed the stack it evaluated: the
-    # stacks, flattened, are the records' k and t and the sequential
-    # states, and nothing the run does later writes a stack handed over.
-    snapshots = []
-    real = metrics.snapshot
+    # One on_record call per time the monitor makes its pending records,
+    # handed their stack: the stacks, flattened, are the records' k and t
+    # and the sequential states, and nothing the run does later writes a
+    # stack handed over.
+    flushes = []
+    real = engine._Monitor.record
 
-    def counting(states, *args):
-        snapshots.append(len(states))
-        return real(states, *args)
+    def counting(self):
+        flushes.append(len(self.points))
+        return real(self)
 
     spec = _kind_specs()[0]
     n, graph, init = _reference_inputs(graph_kind)
@@ -1293,12 +1322,12 @@ def test_on_record_is_handed_each_evaluated_stack_once(
     def keep(ks, ts, states):
         calls.append((ks, ts, states, states.copy()))
 
-    monkeypatch.setattr(engine.metrics, "snapshot", counting)
+    monkeypatch.setattr(engine._Monitor, "record", counting)
     if graph is None:
         trace = runner(config, spec, init=init, on_record=keep)
     else:
         trace = runner(config, graph, spec, init=init, on_record=keep)
-    assert [len(states) for _, _, states, _ in calls] == snapshots != []
+    assert [len(states) for _, _, states, _ in calls] == [n for n in flushes if n] != []
     assert all(len(ks) == len(ts) == len(states) for ks, ts, states, _ in calls)
     flat = [(k, t, x.tobytes()) for ks, ts, states, _ in calls for k, t, x in zip(ks, ts, states)]
     assert [(k, t) for k, t, _ in flat] == [(r.k, r.t) for r in trace.records]
@@ -1306,19 +1335,15 @@ def test_on_record_is_handed_each_evaluated_stack_once(
     assert all(np.array_equal(states, copy) for _, _, states, copy in calls)
 
 
-def test_centralized_records_are_made_once_per_block_rows_steps(monkeypatch):
+def test_centralized_records_are_made_once_per_block_rows_steps():
     # At N = 100 a draw block is 10 steps; its records wait until at least
-    # BLOCK_ROWS steps are pending, so 5,000 steps make about 20 snapshots.
+    # BLOCK_ROWS steps are pending, so 5,000 steps make about 20 on_record
+    # calls.
     calls = []
-    real = metrics.snapshot
-
-    def counting(*args, **kwargs):
-        calls.append(len(args[0]))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(engine.metrics, "snapshot", counting)
     config = _swarm_config(n_threads=100, max_updates=5000, record_every=2)
-    trace = run_centralized(config, _spec())
+    trace = run_centralized(
+        config, _spec(), on_record=lambda ks, ts, states: calls.append(len(states))
+    )
     assert len(calls) <= math.ceil(5000 / B) + 2
     assert sum(calls) == len(trace.records) == 2501
     # and no more wait than BLOCK_ROWS steps and one draw block hold

@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from swarmsgd import _kernel, engine
+from swarmsgd import _kernel, engine, metrics
+from swarmsgd import objective as obj
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -106,13 +107,63 @@ def test_a_failed_build_falls_back_to_the_twin_with_the_same_bits(tmp_path, monk
     for compiler in (str(tmp_path / "no-such-cc"), "false", _fake_compiler(tmp_path)):
         with pytest.raises((OSError, subprocess.SubprocessError)):
             _kernel.build(compiler, str(cache))
-        assert _kernel.load(compiler, str(cache)) is None
+        with pytest.warns(RuntimeWarning, match="numpy twin"):
+            assert _kernel.load(compiler, str(cache)) is None
     # the failed build left nothing behind
     assert not cache.exists() or list(cache.iterdir()) == []
     expected = _few_runs_digest()
-    monkeypatch.setattr(_kernel, "_lib", _kernel.load(_fake_compiler(tmp_path), str(cache)))
+    with pytest.warns(RuntimeWarning):
+        twin = _kernel.load(_fake_compiler(tmp_path), str(cache))
+    monkeypatch.setattr(_kernel, "_lib", twin)
     assert _kernel.library() is None
     assert _few_runs_digest() == expected
+
+
+def test_the_fallback_warning_names_its_reason(tmp_path):
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    reasons = [
+        (str(tmp_path / "no-such-cc"), str(tmp_path), "no C compiler"),
+        ("false", str(tmp_path), "the build with 'false' failed"),
+        (_fake_compiler(tmp_path), str(tmp_path), "failed"),
+        ("cc", str(not_a_dir / "cache"), "cannot be written"),
+    ]
+    for compiler, cache, reason in reasons:
+        if compiler == "cc":
+            _needs_compiler()
+        with pytest.warns(RuntimeWarning) as caught:
+            assert _kernel.load(compiler, cache) is None
+        (warning,) = caught
+        assert reason in str(warning.message) and "10 times slower" in str(warning.message)
+
+
+SIMULATE = """
+import json, sys
+from swarmsgd import cli
+config = {"objective": {"kind": "ridge", "dim": 3, "rho": 0.1},
+          "run": {"scheme": "swarm_event_driven", "n_threads": 5, "step_size": 0.01,
+                  "attraction": 1.0, "mean_sample_time": 0.02, "max_updates": 300},
+          "graph": {"kind": "complete"}, "replications": 2, "master_seed": 3,
+          "output_dir": sys.argv[1]}
+with open(sys.argv[2], "w") as fh:
+    json.dump(config, fh)
+sys.exit(cli.main(["simulate", "--config", sys.argv[2]]))
+"""
+
+
+def test_the_fallback_warns_once_on_stderr_and_in_no_output_file(tmp_path):
+    # A cache under a file cannot be written, so the twin runs.
+    (tmp_path / "file").write_text("")
+    env = {**os.environ, "PYTHONPATH": str(SRC), "XDG_CACHE_HOME": str(tmp_path / "file")}
+    out = tmp_path / "out"
+    done = subprocess.run(
+        [sys.executable, "-c", SIMULATE, str(out), str(tmp_path / "config.json")], env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.count("RuntimeWarning") == 1 and "cannot be written" in done.stderr
+    files = [p for p in out.rglob("*") if p.is_file()]
+    assert files and not any("twin" in p.read_text() for p in files)
 
 
 BUILD = "import sys; from swarmsgd import _kernel; print(_kernel.build(cache=sys.argv[1]))"
@@ -180,23 +231,125 @@ def test_bits_do_not_depend_on_the_blas_or_simd_kernels():
     assert lines == {_few_runs_digest()}
 
 
+_CODES = {obj.RIDGE: _kernel.RIDGE, obj.QUADRATIC: _kernel.QUADRATIC,
+          obj.NONCONVEX_SINE: _kernel.SINE}
+
+
+def _specs(dim, rng):
+    M = rng.normal(size=(dim, dim))
+    return [
+        obj.ridge_spec_random(0.1, dim, rng),
+        obj.quadratic_spec(M @ M.T + np.eye(dim), rng.normal(size=dim), noise_std=0.5),
+        obj.nonconvex_sine_spec(dim),
+    ]
+
+
+def _mover(spec, X, threshold=None, stop=False, captures=(), record_every=1):
+    """A block step for ``spec`` on the positions ``X``, with no pull; its
+    sum row and captured means are ``step.S`` and ``step.captured``."""
+    rows, dim = X.shape
+    S = X.sum(axis=0)
+    captured = np.empty((len(captures), dim))
+    x_star = obj.optimum(spec)
+    step = _kernel.mover(
+        X, S, kind=_CODES[spec.kind], coef=[-0.01] * rows, tg=0.02, sine_coef=-0.03, ga=0.0,
+        pull=_kernel.PULL_NONE, neighbours=None,
+        G=None if spec.Q is None else np.ascontiguousarray(-0.01 * spec.Q), batch=1,
+        spec=spec, x_star=x_star, f_star=obj.optimal_value(spec), record_every=record_every,
+        threshold=threshold, stop=stop, captures=captures, captured=captured,
+    )
+    step.S, step.captured = S, captured
+    return step
+
+
+# (rows, dim): N dim below 8, from 8 to 128, past 128 with one split and
+# with several, and 20,480; the means of dim 1 are pairwise sums too.
+RECORD_SHAPES = [(1, 1), (2, 3), (5, 1), (9, 1), (3, 5), (8, 16), (20, 1), (3, 43),
+                 (300, 1), (20, 20), (100, 20), (50, 100), (4096, 5)]
+
+
+@pytest.mark.parametrize("rows,dim", RECORD_SHAPES)
+def test_record_metrics_are_the_snapshot_bit_for_bit(rows, dim, arithmetic):
+    rng = np.random.default_rng(rows * 1000 + dim)
+    states = rng.normal(size=(2, rows, dim)) * 10.0 ** rng.integers(-4, 3, size=(2, rows, dim))
+    states[1] += 3.0
+    for spec in _specs(dim, rng):
+        x_star, f_star = obj.optimum(spec), obj.optimal_value(spec)
+        records = _mover(spec, np.zeros((rows, dim))).records(states)
+        snap = metrics.snapshot(states, spec, x_star, f_star)
+        expected = np.column_stack((snap.U, snap.Vbar, snap.f_gap, snap.grad_norm_sq))
+        assert records.tobytes() == expected.tobytes(), (spec.kind, rows, dim)
+
+
+def _block(spec, rows, n, rng):
+    """The threads and oracle inputs of a block of ``n`` updates."""
+    threads = rng.integers(rows, size=n)
+    if spec.kind == obj.RIDGE:
+        return threads, rng.uniform(-1, 1, size=(n, spec.dim)), rng.normal(size=n) * 0.02, None
+    return threads, None, None, rng.normal(size=(n, spec.dim)) * 0.01 - 0.001
+
+
+@pytest.mark.parametrize("dim", [1, 3, 20])
+def test_crossing_is_the_first_watched_error_at_most_the_threshold(dim, arithmetic):
+    # The captures give the mean after every update; the crossing is the
+    # first update whose watched_errors of that mean passes.
+    rng = np.random.default_rng(dim)
+    rows, n = 6, 300
+    for spec in _specs(dim, rng):
+        start = rng.normal(size=(rows, dim)) + 1.0
+        block = _block(spec, rows, n + 1, rng)
+        step = _mover(spec, start.copy(), captures=range(n + 1))
+        step(n + 1, 0, False, *block)
+        means = step.captured[1:].copy()
+        errors = metrics.watched_errors(spec, obj.optimum(spec), means)
+        threshold = np.sort(errors)[n // 3]
+        first = int(np.flatnonzero(errors <= threshold)[0]) + 1
+        for stop in (False, True):
+            step = _mover(spec, start.copy(), threshold=threshold, stop=stop, record_every=50)
+            ks, states, _, hit = step(n, 0, True, *block)
+            assert hit == first, (spec.kind, stop)
+            # recorded in k order: the start, the crossing, the record
+            # points up to a stop and the run's end
+            expected = sorted({0, first, *range(50, n + 1, 50), n})
+            assert ks == ([k for k in expected if k <= first] if stop else expected)
+            assert len(states) == len(ks)
+
+
 def test_kernel_step_refuses_arrays_that_do_not_cover_the_block():
     _needs_compiler()
-    X, D = np.zeros((3, 2)), np.empty((5, 2))
-    step = _kernel.mover(_kernel.SINE, X, None, D, [-0.01] * 3, 0.0, -0.03, 0.0,
-                         _kernel.PULL_NONE, None, None, 1, 2)
-    threads, shift, states = np.array([0, 1, 2, 0]), np.ones((4, 2)), np.empty((2, 3, 2))
-    step(4, 0, threads, None, None, shift, states)
-    assert np.array_equal(states[1], X) and not np.array_equal(states[0], X)
+    spec = obj.nonconvex_sine_spec(2)
+    X = np.zeros((3, 2))
+    step = _mover(spec, X, record_every=2)
+    threads, shift = np.array([0, 1, 2, 0]), np.ones((4, 2))
+    ks, states, records, hit = step(4, 0, False, threads, None, None, shift)
+    assert ks == [0, 2, 4] and hit == 0
+    assert np.array_equal(states[2], X) and not np.array_equal(states[1], X)
+    assert np.array(records).tobytes() == step.records(states).tobytes()
     bad = [
-        (np.array([0, 1, 3, 0]), shift, states),  # a thread past the last row
-        (np.array([0, -1, 2, 0]), shift, states),
-        (threads, shift[:3], states),  # too few shift rows
-        (threads, np.ones((4, 3)), states),
-        (threads, shift, states[:1]),  # no room for the second record
-        (threads, np.ones((4, 4))[:, ::2], states),  # not contiguous
-        (threads, shift.astype(np.float32), states),
+        (np.array([0, 1, 3, 0]), shift),  # a thread past the last row
+        (np.array([0, -1, 2, 0]), shift),
+        (threads, shift[:3]),  # too few shift rows
+        (threads, np.ones((4, 3))),
+        (threads, np.ones((4, 4))[:, ::2]),  # not contiguous
+        (threads, shift.astype(np.float32)),
     ]
-    for threads_, shift_, states_ in bad:
+    for threads_, shift_ in bad:
         with pytest.raises(ValueError):
-            step(4, 0, threads_, None, None, shift_, states_)
+            step(4, 4, False, threads_, None, None, shift_)
+    # a capture with no row to take it, or an optimum of another length
+    with pytest.raises(ValueError):
+        _kernel.mover(
+            X, X.sum(axis=0), kind=_kernel.SINE, coef=[0.0] * 3, tg=0.0, sine_coef=-0.03, ga=0.0,
+            pull=_kernel.PULL_NONE, neighbours=None, G=None, batch=1, spec=spec, x_star=None,
+            f_star=0.0, record_every=1, threshold=None, stop=False, captures=(3,),
+            captured=np.empty((0, 2)),
+        )
+    with pytest.raises(ValueError):
+        _kernel.mover(
+            X, X.sum(axis=0), kind=_kernel.SINE, coef=[0.0] * 3, tg=0.0, sine_coef=-0.03, ga=0.0,
+            pull=_kernel.PULL_NONE, neighbours=None, G=None, batch=1, spec=spec,
+            x_star=np.zeros(3), f_star=0.0, record_every=1, threshold=None, stop=False,
+            captures=(), captured=np.empty((0, 2)),
+        )
+    with pytest.raises(ValueError):
+        step.records(np.zeros((2, 3, 3)))
