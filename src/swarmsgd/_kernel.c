@@ -227,13 +227,6 @@ static void record_metrics(const struct run *r, const double *P, double *out)
     out[3] = dot(e, e, dim);
 }
 
-/* The records of count (rows, dim) states, four doubles each. */
-void swarmsgd_records(const struct run *r, int64_t count, const double *states, double *out)
-{
-    for (int64_t c = 0; c < count; c++)
-        record_metrics(r, states + c * r->rows * r->dim, out + 4 * c);
-}
-
 /* Record X as the state after update count k in slot *written. */
 static void record(const struct run *r, int64_t k, double *states, double *records,
                    int64_t *ks, int64_t *written)

@@ -117,7 +117,6 @@ def load(compiler: str = "cc", cache: str | None = None):
             "swarmsgd_logs": (None, [i64, ptr, ptr]),
             "swarmsgd_matvecs": (None, [i64, i64, ptr, ptr, ptr]),
             "swarmsgd_heap_block": (None, [i64, ptr, ptr, i64, ptr, ptr, ptr]),
-            "swarmsgd_records": (None, [run, i64, ptr, ptr]),
             "swarmsgd_move": (i64, [run, i64, i64, i64] + [ptr] * 7),
         }
         for name, (restype, argtypes) in signatures.items():
@@ -265,8 +264,7 @@ def mover(
     ``(ks, states, records, hit)``: the update counts of the states it
     recorded, a fresh (len(ks), rows, dim) stack of them, their
     ``[U, Vbar, f_gap, grad_norm_sq]`` rows and the first crossing's
-    update count, 0 before it. ``step.records(states)`` gives the records
-    of any (R, rows, dim) stack.
+    update count, 0 before it.
 
     The update: ``kind`` is RIDGE, QUADRATIC or SINE; ``coef`` each row's
     own coefficient; ``tg`` ridge's 2 gamma / batch, ``sine_coef`` -3
@@ -284,7 +282,7 @@ def mover(
     inv_n = 1.0 / rows
     lib = library()
     if lib is not None:
-        fn, records_fn = lib.swarmsgd_move, lib.swarmsgd_records
+        fn = lib.swarmsgd_move
         coef = np.array(coef, dtype=float)
         captures = np.array(captures, dtype=np.int64)
         if pull == PULL_NEIGHBOURS:
@@ -294,8 +292,10 @@ def mover(
             starts = flat = None
         if not (
             _fits(coef, (rows,)) and _fits(S, (dim,)) and _fits(captured, (len(captures), dim))
-            and (kind != QUADRATIC or _fits(G, (dim, dim)))
-            and (x_star is None or np.shape(x_star) == (dim,))
+            and record_every >= 1 and (x_star is None or np.shape(x_star) == (dim,))
+            and (kind != RIDGE or np.shape(spec.x_tilde) == (dim,))
+            and (kind != QUADRATIC or _fits(G, (dim, dim)) and np.shape(spec.Q) == (dim, dim)
+                 and np.shape(spec.b) == (dim,))
             # every row has a neighbour, and each is a row of X
             and (flat is None or np.diff(starts).min() > 0 and 0 <= flat.min() <= flat.max() < rows)
         ):
@@ -343,15 +343,6 @@ def mover(
             )
             return ks[:n].tolist(), states[:n], records[:n].tolist(), run.hit
 
-        def stack_records(states):
-            states = _rows(states)
-            if states.shape[1:] != (rows, dim):
-                raise ValueError(f"states have shape {states.shape}, expected (R, {rows}, {dim})")
-            out = np.empty((len(states), 4))
-            records_fn(ref, len(states), _ptr(states), _ptr(out))
-            return out
-
-        step.records = stack_records
         # those the pointers name
         step.arrays = (run, X, S, G, coef, captures, captured, starts, flat, work, x_star, Q, b,
                        x_tilde)
@@ -366,9 +357,9 @@ def mover(
 
     def stack_records(states):
         if not len(states):
-            return np.empty((0, 4))
+            return []
         snap = metrics.snapshot(states, spec, x_star, f_star)
-        return np.column_stack((snap.U, snap.Vbar, snap.f_gap, snap.grad_norm_sq))
+        return np.column_stack((snap.U, snap.Vbar, snap.f_gap, snap.grad_norm_sq)).tolist()
 
     def step(n_run, k0, ends, threads, feat, targ, shift):
         ks, kept = [], []
@@ -413,7 +404,6 @@ def mover(
             ks.append(k0)
             kept.append(X.copy())
         states = np.array(kept).reshape(len(kept), rows, dim)
-        return ks, states, stack_records(states).tolist(), state["hit"]
+        return ks, states, stack_records(states), state["hit"]
 
-    step.records = stack_records
     return step
