@@ -110,7 +110,7 @@ def load(compiler: str = "cc", cache: str | None = None):
         else:
             reason = f"the built kernel cannot be loaded ({exc})"
     else:
-        i64, ptr, f64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
+        i64, ptr = ctypes.c_int64, ctypes.c_void_p
         run = ctypes.POINTER(Run)
         signatures = {
             "swarmsgd_dots": (None, [i64, i64, ptr, ptr, i64, ptr]),
@@ -353,23 +353,18 @@ def mover(
 
     coef = [float(c) for c in coef]
     captures = [int(c) for c in captures]
-    state = {"watch": threshold is not None, "hit": 0, "next": 0}
-
-    def stack_records(states):
-        if not len(states):
-            return []
-        snap = metrics.snapshot(states, spec, x_star, f_star)
-        return np.column_stack((snap.U, snap.Vbar, snap.f_gap, snap.grad_norm_sq)).tolist()
+    watch, hit, next_capture = threshold is not None, 0, 0
 
     def step(n_run, k0, ends, threads, feat, targ, shift):
+        nonlocal watch, hit, next_capture
         ks, kept = [], []
         if k0 == 0:
             ks.append(0)
             kept.append(X.copy())
         for j in range(n_run):
-            if state["next"] < len(captures) and captures[state["next"]] == k0 + j:
-                captured[state["next"]] = S * inv_n
-                state["next"] += 1
+            if next_capture < len(captures) and captures[next_capture] == k0 + j:
+                captured[next_capture] = S * inv_n
+                next_capture += 1
             i = int(threads[j])
             x = X[i]
             if kind == RIDGE:
@@ -390,20 +385,23 @@ def mover(
             x += d
             np.add(S, d, out=S)
             k = k0 + j + 1
-            crossed = state["watch"] and bool(
+            crossed = watch and bool(
                 metrics.watched_errors(spec, x_star, S[None] * inv_n)[0] <= threshold
             )
             if crossed:
-                state["watch"], state["hit"] = False, k
+                watch, hit = False, k
             if crossed or k % record_every == 0 or ends and j + 1 == n_run:
                 ks.append(k)
                 kept.append(X.copy())
             if crossed and stop:
                 break
-        if ends and not n_run and k0 % record_every and k0 != state["hit"]:
+        if ends and not n_run and k0 % record_every and k0 != hit:
             ks.append(k0)
             kept.append(X.copy())
-        states = np.array(kept).reshape(len(kept), rows, dim)
-        return ks, states, stack_records(states), state["hit"]
+        states, records = np.array(kept).reshape(len(kept), rows, dim), []
+        if ks:
+            snap = metrics.snapshot(states, spec, x_star, f_star)
+            records = np.column_stack((snap.U, snap.Vbar, snap.f_gap, snap.grad_norm_sq)).tolist()
+        return ks, states, records, hit
 
     return step
