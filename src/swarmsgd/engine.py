@@ -249,14 +249,13 @@ class _Monitor:
     stay pending until at least ``BLOCK_ROWS`` updates are, or until a
     crossing, a failed divergence check on the swarm sum ``S`` or the
     run's end; then the records are made and ``on_record`` is handed the
-    stack. ``captured`` holds the mean captured before each update count
-    in ``captures``.
+    stack. ``captures`` maps each capture's update count to the row the
+    kernel step writes the mean before that update into.
     """
 
-    def __init__(self, scheme, config, S, graph, on_record, optimum, captures, captured) -> None:
+    def __init__(self, scheme, config, S, graph, on_record, optimum, captures) -> None:
         self.scheme, self.config, self.S, self.on_record = scheme, config, S, on_record
-        self.optimum = optimum
-        self.captures = dict(zip(captures, captured))
+        self.optimum, self.captures = optimum, captures
         self.records: list[TraceRecord] = []
         self.T_hit = self.hit_update = None
         self.counts = None if graph is None else np.zeros(graph.n_vertices, dtype=np.int64)
@@ -468,7 +467,9 @@ def _run_loop(scheme, config, spec, init, graph, on_record, schedule) -> Trace:
     S = X.sum(axis=0)
     captures = sorted(set(config.capture_mean_at))
     captured = np.empty((len(captures), spec.dim))
-    monitor = _Monitor(scheme, config, S, graph, on_record, x_star is not None, captures, captured)
+    monitor = _Monitor(
+        scheme, config, S, graph, on_record, x_star is not None, dict(zip(captures, captured))
+    )
     blocks = _move(config, spec, X, S, batch, graph, schedule, x_star, f_star, captures, captured)
     # No name keeps a monitored block, so its arrays go before the next.
     while not monitor.block(*next(blocks)):

@@ -921,7 +921,7 @@ def _monitor_in_blocks(kind, cut, record_every, watch, horizon, blowup=None):
     S = sums[0].copy()
     monitor = engine._Monitor(
         SCHEME_SWARM, config, S, topology.complete_graph(n_rows), on_record, x_star is not None,
-        captures, captured,
+        dict(zip(captures, captured)),
     )
     try:
         with np.errstate(over="ignore", invalid="ignore"):
