@@ -268,9 +268,10 @@ def mover(
 
     The update: ``kind`` is RIDGE, QUADRATIC or SINE; ``coef`` each row's
     own coefficient; ``tg`` ridge's 2 gamma / batch, ``sine_coef`` -3
-    gamma and ``ga`` gamma a; ``pull`` says what the pull reads, and
-    ``neighbours`` is each row's neighbour index array for
-    PULL_NEIGHBOURS; ``G`` quadratic's -gamma Q; ``batch`` ridge's samples
+    gamma and ``ga`` gamma a; ``pull`` says what the pull reads, and for
+    PULL_NEIGHBOURS ``neighbours`` is the int64 pair ``(starts, idx)``:
+    row i's neighbours are ``idx[starts[i]:starts[i + 1]]``, in index
+    order; ``G`` quadratic's -gamma Q; ``batch`` ridge's samples
     per update. The records: the objective ``spec``, its optimum
     ``x_star`` (None when unknown) and value ``f_star``; a state is
     recorded at k 0, every ``record_every`` updates, at the first update
@@ -280,24 +281,23 @@ def mover(
     ``captures`` is written into the next row of ``captured``."""
     rows, dim = X.shape
     inv_n = 1.0 / rows
+    starts, idx = neighbours if pull == PULL_NEIGHBOURS else (None, None)
     lib = library()
     if lib is not None:
         fn = lib.swarmsgd_move
         coef = np.array(coef, dtype=float)
         captures = np.array(captures, dtype=np.int64)
-        if pull == PULL_NEIGHBOURS:
-            starts = np.cumsum([0] + [len(nb) for nb in neighbours], dtype=np.int64)
-            flat = np.concatenate(neighbours).astype(np.int64)
-        else:
-            starts = flat = None
         if not (
             _fits(coef, (rows,)) and _fits(S, (dim,)) and _fits(captured, (len(captures), dim))
             and record_every >= 1 and (x_star is None or np.shape(x_star) == (dim,))
             and (kind != RIDGE or np.shape(spec.x_tilde) == (dim,))
             and (kind != QUADRATIC or _fits(G, (dim, dim)) and np.shape(spec.Q) == (dim, dim)
                  and np.shape(spec.b) == (dim,))
-            # every row has a neighbour, and each is a row of X
-            and (flat is None or np.diff(starts).min() > 0 and 0 <= flat.min() <= flat.max() < rows)
+            # every row has a neighbour, each a row of X, and the kernel
+            # reads starts[0 .. rows] and idx[starts[0] .. starts[rows]]
+            and (starts is None or len(starts) == rows + 1 and starts[0] == 0
+                 and np.diff(starts).min() > 0 and starts[-1] == len(idx)
+                 and 0 <= idx.min() <= idx.max() < rows)
         ):
             raise ValueError("the run's arrays do not match its positions")
         work = np.empty(dim + max(batch, dim) + 3 * dim + rows * dim)
@@ -308,7 +308,7 @@ def mover(
             rows=rows, dim=dim, kind=kind, batch=batch, pull=pull, record_every=record_every,
             watch=threshold is not None, stop=stop, n_captures=len(captures),
             captures=_ptr(captures, np.int64), nbr_start=_ptr(starts, np.int64),
-            nbr_idx=_ptr(flat, np.int64), X=_ptr(X), S=_ptr(S), captured=_ptr(captured),
+            nbr_idx=_ptr(idx, np.int64), X=_ptr(X), S=_ptr(S), captured=_ptr(captured),
             work=_ptr(work), G=_ptr(G), coef=_ptr(coef), Q=_ptr(Q), b=_ptr(b),
             x_tilde=_ptr(x_tilde), x_star=_ptr(x_star), tg=tg, sine_coef=sine_coef, ga=ga,
             inv_n=inv_n, threshold=math.nan if threshold is None else threshold,
@@ -344,7 +344,7 @@ def mover(
             return ks[:n].tolist(), states[:n], records[:n].tolist(), run.hit
 
         # those the pointers name
-        step.arrays = (run, X, S, G, coef, captures, captured, starts, flat, work, x_star, Q, b,
+        step.arrays = (run, X, S, G, coef, captures, captured, starts, idx, work, x_star, Q, b,
                        x_tilde)
         return step
 
@@ -381,7 +381,7 @@ def mover(
             if pull == PULL_SUM:
                 d += ga * S
             elif pull == PULL_NEIGHBOURS:
-                d += ga * np.cumsum(X[neighbours[i]], axis=0)[-1]
+                d += ga * np.cumsum(X[idx[starts[i] : starts[i + 1]]], axis=0)[-1]
             x += d
             np.add(S, d, out=S)
             k = k0 + j + 1

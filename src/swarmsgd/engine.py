@@ -32,14 +32,15 @@ oracle noise. The centralized scheme draws per block of
 ``max(1, BATCH_SAMPLES // N)`` steps the N sampling durations of every
 step, then the oracle noise of all the block's samples.
 
-A run has two parts: the block mover ``_move``, whose kernel step runs
-a block's updates and, after each, the threshold watch on the swarm sum
-it keeps; it captures the listed means and copies and evaluates the
-state at each record point. And one ``_Monitor``, which keeps the
-books: the records wait until at least ``BLOCK_ROWS`` updates are
-pending, or a crossing, a divergence or the run's end; then
-``on_record`` is handed their stacked positions, never written again,
-in one call.
+A run is one loop over its schedule: per block it draws the oracle
+noise, cuts the block at the horizon and the budget, and runs it in one
+kernel step, which after each update tests the threshold watch on the
+swarm sum it keeps, captures the listed means, and copies and evaluates
+the state at each record point. One ``_Monitor`` keeps the books: the
+update count and clock, the crossing, and the records, which wait until
+at least ``BLOCK_ROWS`` updates are pending, or a crossing, a divergence
+or the run's end; then ``on_record`` is handed their stacked positions,
+never written again, in one call.
 
 The update arithmetic, the watch, the record metrics and the event heap
 run in ``_kernel``: one C function per block, in one stated summation
@@ -99,14 +100,16 @@ class DivergenceError(RuntimeError):
 RANGES = {
     # A step draws N durations and N feature rows; the top is the swarm's.
     "n_threads": Range(1, 4096, "an integer from 1 to 4096", integer=True),
-    **dict.fromkeys(("max_updates", "record_every"), COUNT),
+    "max_updates": COUNT,
+    # The kernel holds the record step and each capture index in an int64.
+    "record_every": Range(1, 2**63 - 1, "an integer from 1 to 2**63 - 1", integer=True),
     **dict.fromkeys(("step_size", "mean_sample_time", "max_virtual_time", "threshold"), POSITIVE),
     "attraction": NONNEGATIVE,
     "seed": Range(-math.inf, math.inf, "an integer", integer=True),
 }
 _OPTIONAL = ("max_updates", "max_virtual_time", "threshold")  # may also be None
 # the range of each capture index
-_CAPTURE = {"capture_mean_at": Range(0, math.inf, "an integer at least 0", integer=True)}
+_CAPTURE = {"capture_mean_at": Range(0, 2**63 - 1, "an integer from 0 to 2**63 - 1", integer=True)}
 
 
 @dataclass(frozen=True)
@@ -157,6 +160,8 @@ class RunConfig:
             )
         if self.stop_at_threshold and self.threshold is None:
             raise ValueError("stop_at_threshold requires a threshold")
+        gap = self.mean_sample_time / self.n_threads  # the global tick's mean gap
+        check([("mean_sample_time / n_threads", *POSITIVE)], [gap])
 
 
 @dataclass(frozen=True)
@@ -241,8 +246,8 @@ def _batch_schedule(n_threads: int, mean_time: float, rng: np.random.Generator):
 
 
 class _Monitor:
-    """One run's records, first threshold crossing, captured means and
-    per-thread counts, fed what ``_move`` yields a block at a time.
+    """One run's books, a block at a time: its update count ``k`` and
+    ``clock``, records, first crossing, captured means and thread counts.
 
     The kernel step has recorded each block's states, the first
     crossing's among them, in k order, with their metrics. Record points
@@ -293,7 +298,8 @@ class _Monitor:
         update ``self.k``, and the states after the update counts ``ks``
         that the kernel step recorded with their ``metrics``, a [U, Vbar,
         f_gap, grad_norm_sq] list each; ``hit`` is the first crossing's
-        update count, 0 before it. True when the run ends with them."""
+        update count, 0 before it, where a stopping run ends. True when
+        the run ends with them."""
         k0 = self.k
         if ks:
             # A state at k0 is the start or the final state of a run whose
@@ -304,6 +310,8 @@ class _Monitor:
         crossed = hit > k0
         if crossed:
             self.T_hit, self.hit_update = times[hit - k0 - 1], hit
+            if self.config.stop_at_threshold:
+                n_done, ends = hit - k0, True
         if self.counts is not None:
             self.counts += np.bincount(threads[:n_done], minlength=self.counts.size)
         self.k = k0 + n_done
@@ -336,102 +344,59 @@ class _Monitor:
         return Trace(records=self.records, summary=summary, captured_means=captured)
 
 
-def _move(config, spec, X, S, batch, graph, schedule, x_star, f_star, captures, captured):
-    """The updates of all three schemes, a block at a time.
+def _block_step(config, spec, X, S, batch, graph, x_star, f_star, captures, captured):
+    """The ``_kernel.mover`` step of one run, ``step(n_run, k0, ends,
+    threads, features, noise)``, which takes the oracle draws as
+    ``objective.draw_noise_block`` returns them.
 
     ``X`` holds the positions, N swarm threads or the one centralized
     iterate, and ``S`` their sum row; an update applies the mean of
-    ``batch`` oracle samples. ``schedule`` yields blocks of (fire times,
-    rows of ``X`` that move). A swarm thread ``i`` moves by ``-gamma (g +
+    ``batch`` oracle samples. A swarm thread ``i`` moves by ``-gamma (g +
     a sum_j a_ij (x_i - x_j))`` with ``g`` one oracle sample at ``x_i``;
     with ``graph`` None the single row is the centralized iterate and
     ``g`` the mean of N samples. Past the oracle's noise, an update is the
     oracle term, then ``coef x_i``, whose coefficient folds every term
     linear in ``x_i``, then with weight ``gamma a`` the sum of the
     neighbours' rows, or on the complete graph the swarm sum.
-
-    The block's updates run in one ``_kernel.mover`` step, in the order
-    ``_kernel.c`` states, which after each update tests the watch, and
-    records the state at the start, at each record point, at the first
-    crossing (where a run that stops there ends) and at the run's end,
-    with its metrics from ``x_star`` and ``f_star``; it writes the means
-    before the updates listed in ``captures`` into ``captured``. A block
-    is cut up front at the horizon and the budget. Per block it yields
-    ``_Monitor.block``'s arguments: the fire times, the moving rows, the
-    updates done, whether the run ends, the crossing's update count, and
-    the recorded update counts, states and metric rows.
     """
-    N, gamma = config.n_threads, config.step_size
-    rows, dim = X.shape
-    rng = make_rng(config.seed)
-    blocks = schedule(N, config.mean_sample_time, rng)
-
-    kind = spec.kind
-    G = None
-    if kind == obj.RIDGE:
-        # g = 2 (u . x - c) u + 2 rho x; a mean over N samples scales
-        # the data term by 1/N.
-        linear, code = 2.0 * spec.rho, _kernel.RIDGE
-    elif kind == obj.QUADRATIC:
-        # g = Q x + b + noise; the oracle term is -gamma Q x.
-        linear, code = 0.0, _kernel.QUADRATIC
-        G = np.ascontiguousarray(-gamma * spec.Q)
-    else:
-        # nonconvex_sine: g = x + 3 sin(2x) + noise
-        linear, code = 1.0, _kernel.SINE
-    two_gamma = 2.0 * gamma / batch
+    gamma, (rows, dim), kind = config.step_size, X.shape, spec.kind
+    # The coefficient of x in g, past ridge's data term and quadratic's Q x.
+    linear, code = {
+        obj.RIDGE: (2.0 * (spec.rho or 0.0), _kernel.RIDGE),  # g = 2 (u . x - c) u + 2 rho x
+        obj.QUADRATIC: (0.0, _kernel.QUADRATIC),  # g = Q x + b + noise
+        obj.NONCONVEX_SINE: (1.0, _kernel.SINE),  # g = x + 3 sin(2x) + noise
+    }[kind]
+    G = np.ascontiguousarray(-gamma * spec.Q) if kind == obj.QUADRATIC else None
+    two_gamma = 2.0 * gamma / batch  # a mean of N samples scales ridge's data term by 1/N
 
     # The centralized iterate is one row with no neighbours and no pull.
     a = 0.0 if graph is None else config.attraction
-    gamma_a = gamma * a
-    complete = graph is None or int(graph.degrees.min()) == N - 1
     neighbours = None
-    if complete:
+    if graph is None or int(graph.degrees.min()) == rows - 1:
         # On the complete graph sum_j (x_i - x_j) = N x_i - the sum row.
         coef = [-gamma * (linear + a * rows)] * rows
-        pull = _kernel.PULL_SUM
     else:
         coef = [-gamma * (linear + a * d) for d in graph.degrees.tolist()]
-        neighbours = [np.flatnonzero(graph.adjacency[i]) for i in range(N)]
-        pull = _kernel.PULL_NEIGHBOURS
-    if not gamma_a:
-        pull = _kernel.PULL_NONE
+        # Row i's neighbours are idx[starts[i]:starts[i + 1]], in index order.
+        neighbours = np.cumsum([0, *graph.degrees]), np.flatnonzero(graph.adjacency) % rows
+    pull = (_kernel.PULL_NONE if not gamma * a
+            else _kernel.PULL_SUM if neighbours is None else _kernel.PULL_NEIGHBOURS)
     step = _kernel.mover(
-        X, S, kind=code, coef=coef, tg=two_gamma, sine_coef=-3.0 * gamma, ga=gamma_a, pull=pull,
+        X, S, kind=code, coef=coef, tg=two_gamma, sine_coef=-3.0 * gamma, ga=gamma * a, pull=pull,
         neighbours=neighbours, G=G, batch=batch, spec=spec, x_star=x_star, f_star=f_star,
         record_every=config.record_every, threshold=config.threshold,
         stop=config.stop_at_threshold, captures=captures, captured=captured,
     )
 
-    clock, k = 0.0, 0
-    max_updates = math.inf if config.max_updates is None else config.max_updates
-    max_virtual_time = math.inf if config.max_virtual_time is None else config.max_virtual_time
-
-    for times, threads in blocks:
-        n = len(times)
-        # Update j draws the samples j*batch .. j*batch + batch - 1.
-        features, noise = obj.draw_noise_block(spec, n * batch, rng)
-        targets = shifts = None
+    def move(n_run, k0, ends, threads, features, noise):
         if kind == obj.RIDGE:
-            targets = two_gamma * noise
-        else:
-            if batch > 1:
-                noise = noise.reshape(n, batch, dim).mean(axis=1)
-            shifts = -gamma * noise
-            if kind == obj.QUADRATIC:
-                shifts -= gamma * spec.b
-        if times[0] < clock or times != sorted(times):
-            raise EngineInvariantError("event fires before the current clock")
-        # A step still in flight at the horizon is not applied, nor its
-        # samples counted.
-        n_run = min(bisect.bisect_right(times, max_virtual_time), max_updates - k)
-        ends = n_run < n or k + n_run == max_updates
-        ks, states, metric_rows, hit = step(n_run, k, ends, threads, features, targets, shifts)
-        if hit > k and config.stop_at_threshold:
-            n_run, ends = hit - k, True
-        yield times, threads, n_run, ends, hit, ks, states, metric_rows
-        k += n_run
-        clock = times[-1]
+            return step(n_run, k0, ends, threads, features, two_gamma * noise, None)
+        shifts = -gamma * (noise.reshape(-1, batch, dim).mean(axis=1) if batch > 1 else noise)
+        if kind == obj.QUADRATIC:
+            shifts -= gamma * spec.b
+        return step(n_run, k0, ends, threads, None, None, shifts)
+
+    return move
 
 
 # A diverging run is reported by its DivergenceError, not by numpy's
@@ -442,9 +407,8 @@ def _run_loop(scheme, config, spec, init, graph, on_record, schedule) -> Trace:
     decided here once: with a graph, N rows of one oracle sample per
     update; without, the centralized row that averages N samples. The
     thread count, the graph's size and ``init`` are checked in that order.
-    ``_move`` moves the rows of ``X`` a block at a time, and one
-    ``_Monitor`` keeps the books of each block once its updates are
-    done."""
+    Each block of ``schedule``, fire times and moving rows of ``X``, is
+    cut at the horizon and the budget, run and handed to the monitor."""
     N = config.n_threads
     if graph is None:
         rows, batch, shape = 1, N, (spec.dim,)
@@ -470,11 +434,22 @@ def _run_loop(scheme, config, spec, init, graph, on_record, schedule) -> Trace:
     monitor = _Monitor(
         scheme, config, S, graph, on_record, x_star is not None, dict(zip(captures, captured))
     )
-    blocks = _move(config, spec, X, S, batch, graph, schedule, x_star, f_star, captures, captured)
-    # No name keeps a monitored block, so its arrays go before the next.
-    while not monitor.block(*next(blocks)):
-        pass
-    return monitor.trace(batch)
+    step = _block_step(config, spec, X, S, batch, graph, x_star, f_star, captures, captured)
+    max_updates, max_time = config.max_updates or math.inf, config.max_virtual_time or math.inf
+    rng = make_rng(config.seed)
+    for times, threads in schedule(N, config.mean_sample_time, rng):
+        # Update j draws the samples j*batch .. j*batch + batch - 1.
+        features, noise = obj.draw_noise_block(spec, len(times) * batch, rng)
+        if times[0] < monitor.clock or times != sorted(times):
+            raise EngineInvariantError("event fires before the current clock")
+        # A step still in flight at the horizon is not applied, nor its
+        # samples counted.
+        k = monitor.k
+        n_run = min(bisect.bisect_right(times, max_time), max_updates - k)
+        ends = n_run < len(times) or k + n_run == max_updates
+        ks, states, metric_rows, hit = step(n_run, k, ends, threads, features, noise)
+        if monitor.block(times, threads, n_run, ends, hit, ks, states, metric_rows):
+            return monitor.trace(batch)
 
 
 def run_swarm(

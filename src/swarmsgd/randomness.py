@@ -79,7 +79,10 @@ def polar_normals(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def sampling_durations(rng: np.random.Generator, mean_time: float, n: int) -> np.ndarray:
     """``n`` exponential sampling durations; a draw that is not positive
-    is redrawn, so no sample completes instantly."""
+    is redrawn, so no sample completes instantly. Raises ValueError for a
+    ``mean_time`` that is not positive, whose draws would all be redrawn."""
+    if not mean_time > 0.0:
+        raise ValueError(f"mean_time must be positive, got {mean_time!r}")
     durations = rng.exponential(mean_time, n)
     redraw = np.flatnonzero(durations <= 0.0)
     while redraw.size:

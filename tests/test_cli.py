@@ -759,6 +759,14 @@ def _exit_code_and_err(capsys, argv):
          "run.mean_sample_time"),
         ({"run": {"n_threads": 5, "max_updates": 10, "attraction": -1}}, "run.attraction"),
         ({"run": {"n_threads": 5, "max_updates": 10, "record_every": 0}}, "run.record_every"),
+        # past the int64 the kernel holds it in
+        ({"run": {"n_threads": 5, "max_updates": 10, "record_every": 2**64}}, "run.record_every"),
+        ({"run": {"n_threads": 5, "max_updates": 10, "record_every": 2**64 + 5}},
+         "run.record_every"),
+        ({"validate": {"record_every": 2**64}}, "validate.record_every"),
+        # a global-tick mean gap mean_sample_time / n_threads of 0
+        ({"run": {"n_threads": 2, "max_updates": 10, "mean_sample_time": 5e-324,
+                  "scheme": "swarm_global_tick"}}, "mean_sample_time"),
         ({"run": {"n_threads": 5, "max_updates": 0}}, "run.max_updates"),
         ({"validate": {"lemma2_states": -1}}, "validate.lemma2_states"),
         ({"validate": {"sigma_samples": -5}}, "validate.sigma_samples"),

@@ -87,11 +87,32 @@ def test_config_validation():
     _swarm_config(
         max_updates=np.int64(10), record_every=np.int32(3), capture_mean_at=(np.int64(2),)
     )
+    # the kernel holds the record step and the capture indices in an int64
+    for field, value in [
+        ("record_every", 2**64), ("record_every", 2**64 + 5), ("record_every", 2**63),
+        ("capture_mean_at", (2**64,)), ("capture_mean_at", (0, 2**63)),
+    ]:
+        with pytest.raises(ValueError, match=f"{field}.* must be an integer from"):
+            _swarm_config(**{field: value})
+    _swarm_config(record_every=2**63 - 1, capture_mean_at=(2**63 - 1,))
+    # the global tick's mean gap mean_sample_time / n_threads underflows to 0
+    with pytest.raises(ValueError, match="mean_sample_time"):
+        _swarm_config(n_threads=2, mean_sample_time=5e-324)
+    _swarm_config(n_threads=2, mean_sample_time=1e-323)
     # the seed is an integer too; make_rng masks a negative one
     for seed in (1.5, None, "3", True):
         with pytest.raises(ValueError, match="seed"):
             _swarm_config(seed=seed)
     _swarm_config(seed=-1)
+
+
+@pytest.mark.parametrize("runner", [run_swarm, run_swarm_global_tick])
+def test_the_int64_top_record_step_and_capture_reach_the_kernel_whole(runner, arithmetic):
+    # A record step of 2**63 - 1 records the start and the end, and a
+    # capture there is never taken, on the kernel as on the twin.
+    config = _swarm_config(max_updates=10, record_every=2**63 - 1, capture_mean_at=(2**63 - 1,))
+    trace = runner(config, topology.path_graph(5), _spec())
+    assert [r.k for r in trace.records] == [0, 10] and trace.captured_means == {}
 
 
 def test_swarm_run_needs_two_threads():
@@ -887,7 +908,7 @@ def _synthetic_run(kind, blowup=None, n_rows=5, n_updates=600):
 
 def _monitor_in_blocks(kind, cut, record_every, watch, horizon, blowup=None):
     """Feed one _Monitor the synthetic run cut into blocks of ``cut``
-    updates, as _move would: per block the states the kernel step
+    updates, as _run_loop does: per block the states the kernel step
     records (the start, the record points, the first crossing, where a
     stopping run ends, and the run's end), their snapshot rows and the
     crossing, found by ``watched_errors`` on the sums the deltas add up

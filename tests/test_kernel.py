@@ -364,3 +364,32 @@ def test_kernel_step_refuses_arrays_that_do_not_cover_the_block():
             x_star=np.zeros(3), f_star=0.0, record_every=1, threshold=None, stop=False,
             captures=(), captured=np.empty((0, 2)),
         )
+
+
+def test_kernel_step_refuses_a_neighbour_pair_outside_its_rows():
+    # The kernel reads starts[0 .. rows] and idx[starts[0] .. starts[rows]],
+    # and each idx entry as a row of X.
+    _needs_compiler()
+    spec = obj.nonconvex_sine_spec(2)
+    X = np.zeros((3, 2))
+
+    def mover(starts, idx):
+        return _kernel.mover(
+            X, X.sum(axis=0), kind=_kernel.SINE, coef=[0.0] * 3, tg=0.0, sine_coef=-0.03,
+            ga=0.01, pull=_kernel.PULL_NEIGHBOURS, neighbours=(np.array(starts), np.array(idx)),
+            G=None, batch=1, spec=spec, x_star=None, f_star=0.0, record_every=1,
+            threshold=None, stop=False, captures=(), captured=np.empty((0, 2)),
+        )
+
+    mover([0, 1, 3, 4], [1, 0, 2, 1])  # the path 0 - 1 - 2
+    bad = [
+        ([0, 1, 3, 4], [1, 0, 3, 1]),  # a neighbour past the last row
+        ([0, 1, 3, 4], [1, 0, -1, 1]),
+        ([0, 1, 3, 5], [1, 0, 2, 1]),  # starts past the end of idx
+        ([0, 1, 3], [1, 0, 2, 1]),  # too few starts
+        ([1, 1, 3, 4], [1, 0, 2, 1]),  # a row with no neighbour
+        ([0, 1, 3, 4], [1, 0, 2, 1, 0]),  # an idx entry no row reads
+    ]
+    for starts, idx in bad:
+        with pytest.raises(ValueError):
+            mover(starts, idx)

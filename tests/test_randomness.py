@@ -109,6 +109,20 @@ def test_sampling_durations_redraw_a_zero(zero_first_exponential):
     assert durations.shape == (4,) and np.all(durations > 0.0)
 
 
+class _NoDraws:
+    def exponential(self, scale, size):
+        raise AssertionError("a draw was made")
+
+
+def test_sampling_durations_refuse_a_mean_that_is_not_positive():
+    # Every draw of mean 0 is 0, so the redraw loop would never end; the
+    # mean is refused before the first draw.
+    for mean in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="mean_time must be positive"):
+            sampling_durations(_NoDraws(), mean, 4)
+    assert sampling_durations(make_rng(0), 5e-324, 4).min() > 0.0
+
+
 def _einsum_polar_normals(rng, n):
     """The polar method as first written, over a (pairs, 2) array with an
     einsum norm and a boolean row mask, and the C library's log: the

@@ -107,8 +107,9 @@ def test_digests_cover_the_documented_run_matrix(capsys):
     assert script.cli_digest() == (m.group(1), 14)
 
 
-def test_engine_digest_is_the_pinned_one():
-    # The engine line of scripts/digests.py, which does not depend on the
-    # BLAS build or numpy's SIMD targets. A change that declares new
-    # arithmetic or a new stream order regenerates the file with the script.
+def test_engine_digest_is_the_pinned_one(arithmetic):
+    # The engine line of scripts/digests.py, on the kernel and on its numpy
+    # twin, which does not depend on the BLAS build or numpy's SIMD targets.
+    # A change that declares new arithmetic or a new stream order
+    # regenerates the file with the script.
     assert _load("digests").engine_line() == json.loads(GOLDEN.read_text())["engine"]
