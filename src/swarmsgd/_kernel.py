@@ -10,6 +10,11 @@ listed means and evaluates each record in ``metrics.snapshot``'s order,
 numpy's pairwise sum included. So no trajectory or record depends on
 which BLAS kernel or SIMD width the CPU selects.
 
+Only ``mover`` lays an update out for the kernel: it works out a run's
+constants and neighbour rows from the objective and the graph, turns the
+oracle draws into what the kernel reads, and checks every input before
+the kernel and the twin part, so both refuse the same ones.
+
 The C file is compiled on first use, never at import, with ``-O2
 -ffp-contract=off`` (no FMA contraction, no fast-math), into a cache
 outside the source tree: ``$XDG_CACHE_HOME/swarmsgd``, or
@@ -159,9 +164,12 @@ def _ptr(a, dtype=np.float64) -> int | None:
 
 
 def _fits(a: np.ndarray | None, shape: tuple) -> bool:
-    """Whether ``a`` has ``shape`` past its first axis and at least
-    ``shape[0]`` entries along it."""
-    return a is not None and a.shape[1:] == shape[1:] and len(a) >= shape[0]
+    """Whether ``a`` is a C-contiguous float64 array with ``shape`` past its
+    first axis and at least ``shape[0]`` entries along it."""
+    return (
+        a is not None and a.dtype == np.float64 and a.flags.c_contiguous
+        and a.shape[1:] == shape[1:] and len(a) >= shape[0]
+    )
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
@@ -173,6 +181,8 @@ def dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """``A[r] . B[r]`` for each row r of the (R, dim) ``A``, ``B`` a stack
     like ``A`` or one vector, each a dot in the stated order."""
     A, B = _rows(A), _rows(B)
+    if A.ndim != 2 or B.shape not in (A.shape, A.shape[1:]):
+        raise ValueError(f"dots takes an (R, dim) A, B like A or A[0], got {A.shape}, {B.shape}")
     rows, dim = A.shape
     lib = library()
     if lib is None:
@@ -199,6 +209,8 @@ def matvecs(M: np.ndarray, X: np.ndarray) -> np.ndarray:
     """``M @ x`` for each row x of the (R, dim) ``X``, each entry a dot of a
     row of the (dim, dim) ``M`` with x, in the stated order."""
     M, X = _rows(M), _rows(X)
+    if X.ndim != 2 or M.shape != (X.shape[1],) * 2:
+        raise ValueError(f"matvecs takes a (dim, dim) M and (R, dim) X, got {M.shape}, {X.shape}")
     rows, dim = X.shape
     lib = library()
     if lib is None:
@@ -254,58 +266,96 @@ def _sin(v: float) -> float:
 
 
 def mover(
-    X, S, *, kind, coef, tg, sine_coef, ga, pull, neighbours, G, batch, spec, x_star, f_star,
-    record_every, threshold, stop, captures, captured,
+    X, S, spec, graph, *, gamma, a, batch, x_star, f_star, record_every, threshold, stop,
+    captures, captured,
 ):
     """The block step of one run, which moves the (rows, dim) positions
     ``X`` and their sum row ``S`` in place: ``step(n_run, k0, ends,
-    threads, feat, targ, shift)`` runs ``n_run`` updates from update count
-    ``k0`` as ``swarmsgd_move`` in ``_kernel.c`` states them, and returns
-    ``(ks, states, records, hit)``: the update counts of the states it
-    recorded, a fresh (len(ks), rows, dim) stack of them, their
-    ``[U, Vbar, f_gap, grad_norm_sq]`` rows and the first crossing's
-    update count, 0 before it.
+    threads, features, noise)`` runs ``n_run`` updates from update count
+    ``k0``, row ``threads[j]`` moving at update j, from the oracle draws
+    as ``objective.draw_noise_block`` returns them, and returns ``(ks,
+    states, records, hit)``: the update counts of the states it recorded,
+    a fresh (len(ks), rows, dim) stack of them, their ``[U, Vbar, f_gap,
+    grad_norm_sq]`` rows and the first crossing's update count, 0 before.
 
-    The update: ``kind`` is RIDGE, QUADRATIC or SINE; ``coef`` each row's
-    own coefficient; ``tg`` ridge's 2 gamma / batch, ``sine_coef`` -3
-    gamma and ``ga`` gamma a; ``pull`` says what the pull reads, and for
-    PULL_NEIGHBOURS ``neighbours`` is the int64 pair ``(starts, idx)``:
-    row i's neighbours are ``idx[starts[i]:starts[i + 1]]``, in index
-    order; ``G`` quadratic's -gamma Q; ``batch`` ridge's samples
-    per update. The records: the objective ``spec``, its optimum
-    ``x_star`` (None when unknown) and value ``f_star``; a state is
-    recorded at k 0, every ``record_every`` updates, at the first update
-    whose watched error is at most ``threshold`` (None: no watch), which
-    with ``stop`` ends the run, and at the run's end, which ``ends`` marks
-    in its last block. The mean before each update count in the sorted
-    ``captures`` is written into the next row of ``captured``."""
+    A row ``i`` moves by ``-gamma (g + a sum_j a_ij (x_i - x_j))`` over
+    ``graph``, ``g`` the mean of ``batch`` samples of ``spec``'s oracle at
+    ``x_i``; ``graph`` None has no pull, as for the centralized row. The
+    records: a state is recorded at k 0, every ``record_every`` updates,
+    at the first update whose watched error, against the optimum
+    ``x_star`` (None when unknown), is at most ``threshold`` (None: no
+    watch), which with ``stop`` ends the run, and at the run's end, which
+    ``ends`` marks in its last block; ``f_star`` is the optimal value. The
+    mean before each update count in the sorted ``captures`` is written
+    into the next row of ``captured``. A run whose arrays do not match
+    ``X``, or a block whose threads and draws do not cover its updates,
+    raises ValueError on the kernel and the twin alike."""
+    # metrics imports objective, which imports this module.
+    from . import metrics
+    from . import objective as obj
+
     rows, dim = X.shape
     inv_n = 1.0 / rows
-    starts, idx = neighbours if pull == PULL_NEIGHBOURS else (None, None)
+    # The coefficient of x in g, past ridge's data term and quadratic's Q x.
+    linear, code = {
+        obj.RIDGE: (2.0 * (spec.rho or 0.0), RIDGE),  # g = 2 (u . x - c) u + 2 rho x
+        obj.QUADRATIC: (0.0, QUADRATIC),  # g = Q x + b + noise
+        obj.NONCONVEX_SINE: (1.0, SINE),  # g = x + 3 sin(2x) + noise
+    }[spec.kind]
+    G = np.ascontiguousarray(-gamma * spec.Q) if code == QUADRATIC else None
+    tg = 2.0 * gamma / batch  # a mean of N samples scales ridge's data term by 1/N
+    sine_coef = -3.0 * gamma
+    a = 0.0 if graph is None else a
+    starts = idx = None
+    if graph is None or int(graph.degrees.min()) == rows - 1:
+        # On the complete graph sum_j (x_i - x_j) = N x_i - the sum row.
+        coef = [-gamma * (linear + a * rows)] * rows
+    else:
+        coef = [-gamma * (linear + a * d) for d in graph.degrees.tolist()]
+        # Row i's neighbours are idx[starts[i]:starts[i + 1]], in index order.
+        starts, idx = np.cumsum([0, *graph.degrees]), np.flatnonzero(graph.adjacency) % rows
+    ga = gamma * a
+    pull = PULL_NONE if not ga else PULL_SUM if starts is None else PULL_NEIGHBOURS
+    captures = np.array(captures, dtype=np.int64)
+    if not (
+        _fits(X, X.shape) and _fits(S, (dim,)) and _fits(captured, (len(captures), dim))
+        and spec.dim == dim and len(coef) == rows and record_every >= 1
+        and (x_star is None or np.shape(x_star) == (dim,))
+        # every row has a neighbour, and the kernel reads starts[0 .. rows]
+        # and idx[0 .. starts[rows]], each a row of X as made
+        and (starts is None or len(starts) == rows + 1 and np.diff(starts).min() > 0
+             and starts[-1] == len(idx))
+    ):
+        raise ValueError("the run's arrays do not match its positions")
+
+    def oracle(n_run, threads, features, noise):
+        """The block's threads and the ``(feat, targ, shift)`` its updates
+        read; a ValueError unless the arrays hold what they read, so the
+        kernel touches nothing outside them."""
+        threads = np.ascontiguousarray(threads[:n_run], dtype=np.int64)
+        if not (
+            len(threads) == n_run and (not n_run or 0 <= threads.min() <= threads.max() < rows)
+            and (_fits(features, (n_run * batch, dim)) and _fits(noise, (n_run * batch,))
+                 if code == RIDGE else _fits(noise, (n_run * batch, dim)))
+        ):
+            raise ValueError("a block's arrays do not cover its updates")
+        if code == RIDGE:
+            return threads, features, tg * noise, None
+        shift = -gamma * (noise.reshape(-1, batch, dim).mean(axis=1) if batch > 1 else noise)
+        if code == QUADRATIC:
+            shift -= gamma * spec.b
+        return threads, None, None, shift
+
     lib = library()
     if lib is not None:
         fn = lib.swarmsgd_move
         coef = np.array(coef, dtype=float)
-        captures = np.array(captures, dtype=np.int64)
-        if not (
-            _fits(coef, (rows,)) and _fits(S, (dim,)) and _fits(captured, (len(captures), dim))
-            and record_every >= 1 and (x_star is None or np.shape(x_star) == (dim,))
-            and (kind != RIDGE or np.shape(spec.x_tilde) == (dim,))
-            and (kind != QUADRATIC or _fits(G, (dim, dim)) and np.shape(spec.Q) == (dim, dim)
-                 and np.shape(spec.b) == (dim,))
-            # every row has a neighbour, each a row of X, and the kernel
-            # reads starts[0 .. rows] and idx[starts[0] .. starts[rows]]
-            and (starts is None or len(starts) == rows + 1 and starts[0] == 0
-                 and np.diff(starts).min() > 0 and starts[-1] == len(idx)
-                 and 0 <= idx.min() <= idx.max() < rows)
-        ):
-            raise ValueError("the run's arrays do not match its positions")
         work = np.empty(dim + max(batch, dim) + 3 * dim + rows * dim)
         x_star, Q, b, x_tilde = (
-            None if a is None else _rows(a) for a in (x_star, spec.Q, spec.b, spec.x_tilde)
+            None if v is None else _rows(v) for v in (x_star, spec.Q, spec.b, spec.x_tilde)
         )
         run = Run(
-            rows=rows, dim=dim, kind=kind, batch=batch, pull=pull, record_every=record_every,
+            rows=rows, dim=dim, kind=code, batch=batch, pull=pull, record_every=record_every,
             watch=threshold is not None, stop=stop, n_captures=len(captures),
             captures=_ptr(captures, np.int64), nbr_start=_ptr(starts, np.int64),
             nbr_idx=_ptr(idx, np.int64), X=_ptr(X), S=_ptr(S), captured=_ptr(captured),
@@ -316,22 +366,8 @@ def mover(
         )
         ref = ctypes.byref(run)
 
-        def covered(n_run, threads, feat, targ, shift) -> bool:
-            """Whether the block's arrays hold what its updates read, so the
-            kernel touches nothing outside them."""
-            oracle = (
-                _fits(feat, (n_run * batch, dim)) and _fits(targ, (n_run * batch,))
-                if kind == RIDGE else _fits(shift, (n_run, dim))
-            )
-            return (
-                oracle and len(threads) == n_run
-                and (not n_run or 0 <= threads.min() <= threads.max() < rows)
-            )
-
-        def step(n_run, k0, ends, threads, feat, targ, shift):
-            threads = np.ascontiguousarray(threads[:n_run], dtype=np.int64)
-            if not covered(n_run, threads, feat, targ, shift):
-                raise ValueError("a block's arrays do not cover its updates")
+        def step(n_run, k0, ends, threads, features, noise):
+            threads, feat, targ, shift = oracle(n_run, threads, features, noise)
             # the record points, the start, a crossing and the run's end
             cap = (k0 + n_run) // record_every - k0 // record_every + (k0 == 0) + run.watch + ends
             states, records, ks = np.empty((cap, rows, dim)), np.empty((cap, 4)), np.empty(
@@ -348,15 +384,12 @@ def mover(
                        x_tilde)
         return step
 
-    # metrics imports objective, which imports this module.
-    from . import metrics
-
-    coef = [float(c) for c in coef]
-    captures = [int(c) for c in captures]
+    captures = captures.tolist()
     watch, hit, next_capture = threshold is not None, 0, 0
 
-    def step(n_run, k0, ends, threads, feat, targ, shift):
+    def step(n_run, k0, ends, threads, features, noise):
         nonlocal watch, hit, next_capture
+        threads, feat, targ, shift = oracle(n_run, threads, features, noise)
         ks, kept = [], []
         if k0 == 0:
             ks.append(0)
@@ -367,11 +400,11 @@ def mover(
                 next_capture += 1
             i = int(threads[j])
             x = X[i]
-            if kind == RIDGE:
+            if code == RIDGE:
                 U = feat[j * batch : (j + 1) * batch]
                 r = targ[j * batch : (j + 1) * batch] - tg * np.cumsum(U * x, axis=1)[:, -1]
                 d = np.cumsum(r[:, None] * U, axis=0)[-1]
-            elif kind == QUADRATIC:
+            elif code == QUADRATIC:
                 d = np.cumsum(G * x, axis=1)[:, -1] + shift[j]
             else:
                 d = np.fromiter(map(_sin, (x * 2.0).tolist()), float, dim)

@@ -46,7 +46,9 @@ The update arithmetic, the watch, the record metrics and the event heap
 run in ``_kernel``: one C function per block, in one stated summation
 order, or where no C compiler builds it its numpy twin, which gives the
 same bits. So neither the trajectories nor the records depend on the
-BLAS build.
+BLAS build. ``_kernel.mover`` builds a run's step from the run's own
+inputs, the objective, the graph, the step size and the attraction, and
+each block's step takes the oracle draws as they are drawn.
 """
 from __future__ import annotations
 
@@ -344,61 +346,6 @@ class _Monitor:
         return Trace(records=self.records, summary=summary, captured_means=captured)
 
 
-def _block_step(config, spec, X, S, batch, graph, x_star, f_star, captures, captured):
-    """The ``_kernel.mover`` step of one run, ``step(n_run, k0, ends,
-    threads, features, noise)``, which takes the oracle draws as
-    ``objective.draw_noise_block`` returns them.
-
-    ``X`` holds the positions, N swarm threads or the one centralized
-    iterate, and ``S`` their sum row; an update applies the mean of
-    ``batch`` oracle samples. A swarm thread ``i`` moves by ``-gamma (g +
-    a sum_j a_ij (x_i - x_j))`` with ``g`` one oracle sample at ``x_i``;
-    with ``graph`` None the single row is the centralized iterate and
-    ``g`` the mean of N samples. Past the oracle's noise, an update is the
-    oracle term, then ``coef x_i``, whose coefficient folds every term
-    linear in ``x_i``, then with weight ``gamma a`` the sum of the
-    neighbours' rows, or on the complete graph the swarm sum.
-    """
-    gamma, (rows, dim), kind = config.step_size, X.shape, spec.kind
-    # The coefficient of x in g, past ridge's data term and quadratic's Q x.
-    linear, code = {
-        obj.RIDGE: (2.0 * (spec.rho or 0.0), _kernel.RIDGE),  # g = 2 (u . x - c) u + 2 rho x
-        obj.QUADRATIC: (0.0, _kernel.QUADRATIC),  # g = Q x + b + noise
-        obj.NONCONVEX_SINE: (1.0, _kernel.SINE),  # g = x + 3 sin(2x) + noise
-    }[kind]
-    G = np.ascontiguousarray(-gamma * spec.Q) if kind == obj.QUADRATIC else None
-    two_gamma = 2.0 * gamma / batch  # a mean of N samples scales ridge's data term by 1/N
-
-    # The centralized iterate is one row with no neighbours and no pull.
-    a = 0.0 if graph is None else config.attraction
-    neighbours = None
-    if graph is None or int(graph.degrees.min()) == rows - 1:
-        # On the complete graph sum_j (x_i - x_j) = N x_i - the sum row.
-        coef = [-gamma * (linear + a * rows)] * rows
-    else:
-        coef = [-gamma * (linear + a * d) for d in graph.degrees.tolist()]
-        # Row i's neighbours are idx[starts[i]:starts[i + 1]], in index order.
-        neighbours = np.cumsum([0, *graph.degrees]), np.flatnonzero(graph.adjacency) % rows
-    pull = (_kernel.PULL_NONE if not gamma * a
-            else _kernel.PULL_SUM if neighbours is None else _kernel.PULL_NEIGHBOURS)
-    step = _kernel.mover(
-        X, S, kind=code, coef=coef, tg=two_gamma, sine_coef=-3.0 * gamma, ga=gamma * a, pull=pull,
-        neighbours=neighbours, G=G, batch=batch, spec=spec, x_star=x_star, f_star=f_star,
-        record_every=config.record_every, threshold=config.threshold,
-        stop=config.stop_at_threshold, captures=captures, captured=captured,
-    )
-
-    def move(n_run, k0, ends, threads, features, noise):
-        if kind == obj.RIDGE:
-            return step(n_run, k0, ends, threads, features, two_gamma * noise, None)
-        shifts = -gamma * (noise.reshape(-1, batch, dim).mean(axis=1) if batch > 1 else noise)
-        if kind == obj.QUADRATIC:
-            shifts -= gamma * spec.b
-        return step(n_run, k0, ends, threads, None, None, shifts)
-
-    return move
-
-
 # A diverging run is reported by its DivergenceError, not by numpy's
 # warnings on the way there.
 @np.errstate(over="ignore", invalid="ignore")
@@ -434,7 +381,12 @@ def _run_loop(scheme, config, spec, init, graph, on_record, schedule) -> Trace:
     monitor = _Monitor(
         scheme, config, S, graph, on_record, x_star is not None, dict(zip(captures, captured))
     )
-    step = _block_step(config, spec, X, S, batch, graph, x_star, f_star, captures, captured)
+    step = _kernel.mover(
+        X, S, spec, graph, gamma=config.step_size, a=config.attraction, batch=batch,
+        x_star=x_star, f_star=f_star, record_every=config.record_every,
+        threshold=config.threshold, stop=config.stop_at_threshold, captures=captures,
+        captured=captured,
+    )
     max_updates, max_time = config.max_updates or math.inf, config.max_virtual_time or math.inf
     rng = make_rng(config.seed)
     for times, threads in schedule(N, config.mean_sample_time, rng):

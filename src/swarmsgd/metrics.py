@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernel
 from . import objective as obj
 from . import topology
 from ._ranges import COUNT, Range, args, check
@@ -60,24 +61,24 @@ def snapshot(
 ) -> MetricSnapshot:
     """Compute all trace metrics for each state of an (R, N, m) stack,
     given the optimum (None when unknown) and the optimal value. Row r
-    rounds as state r alone would: each dot product is a ``row_dots`` row."""
+    rounds as state r alone would: each dot product is a ``_kernel.dots`` row."""
     _, means, Vbar = _dispersion(states, None, spec.dim)
     diffs = np.full_like(means, math.nan) if x_star is None else means - x_star
     grads = obj.grad_exact_rows(spec, means)
     f_gap = obj.value_rows(spec, means) - f_star
-    return MetricSnapshot(obj.row_dots(diffs, diffs), Vbar, f_gap, obj.row_dots(grads, grads))
+    return MetricSnapshot(_kernel.dots(diffs, diffs), Vbar, f_gap, _kernel.dots(grads, grads))
 
 
 def watched_errors(spec, x_star, means: np.ndarray) -> np.ndarray:
     """What the engine's threshold watch tests of each row of ``means``, a
     swarm mean: its squared error to ``x_star``, or its squared gradient
-    norm when no optimum is known. ``means`` is overwritten; row_dots
+    norm when no optimum is known. ``means`` is overwritten; ``_kernel.dots``
     rounds each row as e.dot(e)."""
     if x_star is None:
         err = obj.grad_exact_rows(spec, means)
     else:
         err = np.subtract(means, x_star, out=means)
-    return obj.row_dots(err, err)
+    return _kernel.dots(err, err)
 
 
 @dataclass(frozen=True)

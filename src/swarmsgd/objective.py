@@ -59,8 +59,10 @@ RANGES = {
 
 @dataclass(frozen=True, eq=False)
 class ObjectiveSpec:
-    """Immutable description of one objective instance; its ``kind``, one
-    of ``KINDS``, is checked when it is built."""
+    """Immutable description of one objective instance. When it is built,
+    its ``kind`` must be one of ``KINDS``, and ``x_tilde``, ``Q`` and ``b``
+    must have ``dim``'s shape: the kind's own always, the others when
+    given."""
 
     kind: str
     dim: int
@@ -73,6 +75,13 @@ class ObjectiveSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown objective kind {self.kind!r}")
+        own = {RIDGE: ("x_tilde",), QUADRATIC: ("Q", "b"), NONCONVEX_SINE: ()}[self.kind]
+        for name, shape in (("x_tilde", (self.dim,)), ("Q", (self.dim,) * 2), ("b", (self.dim,))):
+            given = getattr(self, name)
+            if (given is not None or name in own) and np.shape(given) != shape:
+                raise ValueError(
+                    f"{name} must have shape {shape} for dim {self.dim}, got {np.shape(given)}"
+                )
 
 
 @dataclass(frozen=True)
@@ -161,12 +170,6 @@ def _check_rows(spec: ObjectiveSpec, X: np.ndarray, ndims=(2,)) -> np.ndarray:
     return X
 
 
-def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """``A[i] . B[i]`` for each row, ``B`` a stack like ``A`` or one vector;
-    each a dot in ``_kernel``'s fixed order, whatever the BLAS build."""
-    return _kernel.dots(A, B)
-
-
 def value(spec: ObjectiveSpec, x: np.ndarray) -> float:
     """Population objective value at ``x``: row 0 of ``value_rows``."""
     return float(value_rows(spec, _check_point(spec, x)[None, :])[0])
@@ -177,11 +180,11 @@ def value_rows(spec: ObjectiveSpec, X: np.ndarray) -> np.ndarray:
     X = _check_rows(spec, X)
     if spec.kind == RIDGE:
         diff = X - spec.x_tilde
-        return row_dots(diff, diff) / 3.0 + spec.rho * row_dots(X, X) + 1.0
+        return _kernel.dots(diff, diff) / 3.0 + spec.rho * _kernel.dots(X, X) + 1.0
     if spec.kind == QUADRATIC:
-        return row_dots(_kernel.matvecs(spec.Q, 0.5 * X), X) + row_dots(X, spec.b)
+        return _kernel.dots(_kernel.matvecs(spec.Q, 0.5 * X), X) + _kernel.dots(X, spec.b)
     S = np.sin(X)
-    return 0.5 * row_dots(X, X) + 3.0 * row_dots(S, S)
+    return 0.5 * _kernel.dots(X, X) + 3.0 * _kernel.dots(S, S)
 
 
 def grad_exact(spec: ObjectiveSpec, x: np.ndarray) -> np.ndarray:
@@ -239,7 +242,7 @@ def draw_noise_block(
     """Randomness of the next ``rows`` oracle calls, drawn in one go.
 
     Returns ``(U, c)``. For ``ridge``, ``U`` holds the (rows, dim)
-    feature rows, uniform on [-1, 1]^m, and ``c = row_dots(U, x_tilde) +
+    feature rows, uniform on [-1, 1]^m, and ``c = _kernel.dots(U, x_tilde) +
     eps`` the (rows,) responses with standard normal ``eps``; call ``j`` at
     ``x`` samples ``2 (U[j] . x - c[j]) U[j] + 2 rho x``. For the
     additive-noise kinds ``U`` is None and ``c`` is the (rows, dim)
@@ -248,7 +251,7 @@ def draw_noise_block(
     """
     if spec.kind == RIDGE:
         U = _features(rng, rows, spec.dim)
-        return U, row_dots(U, spec.x_tilde) + polar_normals(rng, rows)
+        return U, _kernel.dots(U, spec.x_tilde) + polar_normals(rng, rows)
     if spec.noise_std == 0.0:
         return None, np.zeros((rows, spec.dim))
     return None, spec.noise_std * polar_normals(rng, rows * spec.dim).reshape(rows, spec.dim)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from swarmsgd import _kernel, engine, metrics
+from swarmsgd import _kernel, engine, metrics, topology
 from swarmsgd import objective as obj
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -66,6 +66,18 @@ def test_dots_matvecs_and_logs_follow_the_stated_order(arithmetic):
         ]
     x = rng.random(1000)
     assert _kernel.logs(x).tolist() == [math.log(v) for v in x.tolist()]
+
+
+def test_dots_and_matvecs_refuse_shapes_they_would_read_past(arithmetic):
+    A = np.ones((5, 3))
+    for B in (np.ones((1, 3)), np.ones(2), np.ones((5, 2)), np.ones((4, 3)), np.ones((5, 3, 1))):
+        with pytest.raises(ValueError, match="dots takes"):
+            _kernel.dots(A, B)
+    with pytest.raises(ValueError, match="dots takes"):
+        _kernel.dots(np.ones(3), np.ones(3))
+    for M, X in ((np.eye(2), A), (np.ones((3, 2)), A), (np.eye(3), np.ones(3))):
+        with pytest.raises(ValueError, match="matvecs takes"):
+            _kernel.matvecs(M, X)
 
 
 def _fake_compiler(tmp_path):
@@ -231,10 +243,6 @@ def test_bits_do_not_depend_on_the_blas_or_simd_kernels():
     assert lines == {_few_runs_digest()}
 
 
-_CODES = {obj.RIDGE: _kernel.RIDGE, obj.QUADRATIC: _kernel.QUADRATIC,
-          obj.NONCONVEX_SINE: _kernel.SINE}
-
-
 def _specs(dim, rng):
     M = rng.normal(size=(dim, dim))
     return [
@@ -244,32 +252,28 @@ def _specs(dim, rng):
     ]
 
 
-def _mover(spec, X, threshold=None, stop=False, captures=(), record_every=1):
-    """A block step for ``spec`` on the positions ``X``, with no pull; its
-    captured means are ``step.captured``."""
-    rows, dim = X.shape
-    S = X.sum(axis=0)
-    captured = np.empty((len(captures), dim))
-    x_star = obj.optimum(spec)
-    step = _kernel.mover(
-        X, S, kind=_CODES[spec.kind], coef=[-0.01] * rows, tg=0.02, sine_coef=-0.03, ga=0.0,
-        pull=_kernel.PULL_NONE, neighbours=None,
-        G=None if spec.Q is None else np.ascontiguousarray(-0.01 * spec.Q), batch=1,
-        spec=spec, x_star=x_star, f_star=obj.optimal_value(spec), record_every=record_every,
-        threshold=threshold, stop=stop, captures=captures, captured=captured,
-    )
-    step.captured = captured
+def _mover(spec, X, graph=None, **run):
+    """A block step for ``spec`` on the positions ``X``, over ``graph`` with
+    attraction 1, or with no pull when it is None; ``run`` overrides the
+    other keywords of the mover. Its captured means are ``step.captured``."""
+    run = {
+        "gamma": 0.01, "a": 1.0, "batch": 1, "x_star": obj.optimum(spec),
+        "f_star": obj.optimal_value(spec), "record_every": 1, "threshold": None, "stop": False,
+        "captures": (), **run,
+    }
+    run.setdefault("captured", np.empty((len(run["captures"]), X.shape[1])))
+    step = _kernel.mover(X, X.sum(axis=0), spec, graph, **run)
+    step.captured = run["captured"]
     return step
 
 
 def _start_records(spec, states):
     """The kernel step's record of each state of the stack as the start
     of a run: an empty block from update 0."""
-    rows = []
+    rows, rng = [], np.random.default_rng()
     for state in states:
         step = _mover(spec, state.copy())
-        ks, kept, records, _ = step(0, 0, False, np.empty(0, dtype=np.int64),
-                                    np.empty((0, spec.dim)), np.empty(0), np.empty((0, spec.dim)))
+        ks, kept, records, _ = step(0, 0, False, *_block(spec, len(state), 0, rng))
         assert ks == [0] and kept.tobytes() == state.tobytes()
         rows += records
     return np.array(rows)
@@ -295,11 +299,12 @@ def test_record_metrics_are_the_snapshot_bit_for_bit(rows, dim, arithmetic):
 
 
 def _block(spec, rows, n, rng):
-    """The threads and oracle inputs of a block of ``n`` updates."""
+    """The threads and oracle draws of a block of ``n`` updates, shaped as
+    ``objective.draw_noise_block`` returns them."""
     threads = rng.integers(rows, size=n)
     if spec.kind == obj.RIDGE:
-        return threads, rng.uniform(-1, 1, size=(n, spec.dim)), rng.normal(size=n) * 0.02, None
-    return threads, None, None, rng.normal(size=(n, spec.dim)) * 0.01 - 0.001
+        return threads, rng.uniform(-1, 1, size=(n, spec.dim)), rng.normal(size=n)
+    return threads, None, rng.normal(size=(n, spec.dim)) + 0.1
 
 
 @pytest.mark.parametrize("dim", [1, 3, 20])
@@ -328,68 +333,69 @@ def test_crossing_is_the_first_watched_error_at_most_the_threshold(dim, arithmet
             assert len(states) == len(ks)
 
 
-def test_kernel_step_refuses_arrays_that_do_not_cover_the_block():
-    _needs_compiler()
+def test_kernel_step_refuses_arrays_that_do_not_cover_the_block(arithmetic):
     spec = obj.nonconvex_sine_spec(2)
     X = np.zeros((3, 2))
     step = _mover(spec, X, record_every=2)
-    threads, shift = np.array([0, 1, 2, 0]), np.ones((4, 2))
-    ks, states, records, hit = step(4, 0, False, threads, None, None, shift)
+    threads, noise = np.array([0, 1, 2, 0]), np.ones((4, 2))
+    ks, states, records, hit = step(4, 0, False, threads, None, noise)
     assert ks == [0, 2, 4] and hit == 0
     assert np.array_equal(states[2], X) and not np.array_equal(states[1], X)
     assert np.array(records).tobytes() == _start_records(spec, states).tobytes()
     bad = [
-        (np.array([0, 1, 3, 0]), shift),  # a thread past the last row
-        (np.array([0, -1, 2, 0]), shift),
-        (threads, shift[:3]),  # too few shift rows
+        (np.array([0, 1, 3, 0]), noise),  # a thread past the last row
+        (np.array([0, -1, 2, 0]), noise),
+        (threads[:3], noise),  # too few threads
+        (threads, noise[:3]),  # too few noise rows
         (threads, np.ones((4, 3))),
         (threads, np.ones((4, 4))[:, ::2]),  # not contiguous
-        (threads, shift.astype(np.float32)),
+        (threads, noise.astype(np.float32)),
     ]
-    for threads_, shift_ in bad:
+    for threads_, noise_ in bad:
         with pytest.raises(ValueError):
-            step(4, 4, False, threads_, None, None, shift_)
+            step(4, 4, False, threads_, None, noise_)
+    ridge = obj.ridge_spec(0.1, [0.5, 0.5])
+    step = _mover(ridge, X.copy())
+    features, targets = np.ones((4, 2)), np.ones(4)
+    step(4, 0, False, threads, features, targets)
+    for features_, targets_ in [(None, targets), (features[:3], targets), (features, targets[:3]),
+                                (features, np.ones((4, 1))), (features.T.copy().T, targets)]:
+        with pytest.raises(ValueError):
+            step(4, 4, False, threads, features_, targets_)
     # a capture with no row to take it, or an optimum of another length
     with pytest.raises(ValueError):
-        _kernel.mover(
-            X, X.sum(axis=0), kind=_kernel.SINE, coef=[0.0] * 3, tg=0.0, sine_coef=-0.03, ga=0.0,
-            pull=_kernel.PULL_NONE, neighbours=None, G=None, batch=1, spec=spec, x_star=None,
-            f_star=0.0, record_every=1, threshold=None, stop=False, captures=(3,),
-            captured=np.empty((0, 2)),
-        )
+        _mover(spec, X, x_star=None, captures=(3,), captured=np.empty((0, 2)))
     with pytest.raises(ValueError):
-        _kernel.mover(
-            X, X.sum(axis=0), kind=_kernel.SINE, coef=[0.0] * 3, tg=0.0, sine_coef=-0.03, ga=0.0,
-            pull=_kernel.PULL_NONE, neighbours=None, G=None, batch=1, spec=spec,
-            x_star=np.zeros(3), f_star=0.0, record_every=1, threshold=None, stop=False,
-            captures=(), captured=np.empty((0, 2)),
-        )
+        _mover(spec, X, x_star=np.zeros(3))
+    # positions of another dimension than the objective's
+    with pytest.raises(ValueError):
+        _mover(obj.nonconvex_sine_spec(3), X)
 
 
-def test_kernel_step_refuses_a_neighbour_pair_outside_its_rows():
+def _forged(degrees):
+    """The path 0 - 1 - 2 with ``degrees`` in place of its row sums."""
+    path = topology.graph_from_adjacency([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+    return topology.Graph(3, path.adjacency, np.array(degrees))
+
+
+def test_kernel_step_refuses_a_neighbour_pair_outside_its_rows(arithmetic):
     # The kernel reads starts[0 .. rows] and idx[starts[0] .. starts[rows]],
-    # and each idx entry as a row of X.
-    _needs_compiler()
+    # which the degrees and the adjacency give.
     spec = obj.nonconvex_sine_spec(2)
-    X = np.zeros((3, 2))
-
-    def mover(starts, idx):
-        return _kernel.mover(
-            X, X.sum(axis=0), kind=_kernel.SINE, coef=[0.0] * 3, tg=0.0, sine_coef=-0.03,
-            ga=0.01, pull=_kernel.PULL_NEIGHBOURS, neighbours=(np.array(starts), np.array(idx)),
-            G=None, batch=1, spec=spec, x_star=None, f_star=0.0, record_every=1,
-            threshold=None, stop=False, captures=(), captured=np.empty((0, 2)),
-        )
-
-    mover([0, 1, 3, 4], [1, 0, 2, 1])  # the path 0 - 1 - 2
+    X = np.arange(6.0).reshape(3, 2)
+    step = _mover(spec, X.copy(), _forged([1, 2, 1]))  # the path as it is
+    ks, states, _, _ = step(1, 0, False, np.array([1]), None, np.zeros((1, 2)))
+    # row 1 moves by -0.03 sin(2 x) - 0.03 x + 0.01 (x_0 + x_2)
+    x = X[1]
+    assert ks == [0, 1] and np.allclose(
+        states[1], [X[0], x - 0.03 * np.sin(2 * x) - 0.03 * x + 0.01 * (X[0] + X[2]), X[2]]
+    )
     bad = [
-        ([0, 1, 3, 4], [1, 0, 3, 1]),  # a neighbour past the last row
-        ([0, 1, 3, 4], [1, 0, -1, 1]),
-        ([0, 1, 3, 5], [1, 0, 2, 1]),  # starts past the end of idx
-        ([0, 1, 3], [1, 0, 2, 1]),  # too few starts
-        ([1, 1, 3, 4], [1, 0, 2, 1]),  # a row with no neighbour
-        ([0, 1, 3, 4], [1, 0, 2, 1, 0]),  # an idx entry no row reads
+        [1, 2],  # too few rows
+        [0, 2, 2],  # a row with no neighbour
+        [1, 2, 2],  # a degree sum past the edge count
+        [1, 1, 1],  # an edge no row reads
     ]
-    for starts, idx in bad:
+    for degrees in bad:
         with pytest.raises(ValueError):
-            mover(starts, idx)
+            _mover(spec, X.copy(), _forged(degrees))

@@ -421,3 +421,23 @@ def test_spec_kind_is_one_of_the_kinds():
 def test_constructors_reject_nan_and_infinite_inputs(build):
     with pytest.raises(ValueError):
         build()
+
+
+@pytest.mark.parametrize(
+    "fields,name",
+    [
+        ({"kind": "ridge", "rho": 0.1, "x_tilde": np.array([0.5, 0.5])}, "x_tilde"),
+        ({"kind": "ridge", "rho": 0.1}, "x_tilde"),
+        ({"kind": "quadratic", "Q": np.eye(2), "b": np.zeros(3)}, "Q"),
+        ({"kind": "quadratic", "Q": np.eye(3), "b": np.zeros((3, 1))}, "b"),
+        ({"kind": "quadratic", "Q": np.eye(3)}, "b"),
+        ({"kind": "nonconvex_sine", "x_tilde": np.zeros(2)}, "x_tilde"),
+    ],
+    ids=["ridge-x_tilde-short", "ridge-x_tilde-missing", "quadratic-Q-small",
+         "quadratic-b-column", "quadratic-b-missing", "sine-x_tilde-short"],
+)
+def test_a_spec_refuses_arrays_of_another_dimension_naming_the_field(fields, name, arithmetic):
+    # Past its end the kernel's dots would read memory the array does not
+    # hold; the spec is refused before any oracle draws from it.
+    with pytest.raises(ValueError, match=f"^{name} must have shape"):
+        obj.ObjectiveSpec(dim=3, **fields)
