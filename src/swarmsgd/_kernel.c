@@ -2,9 +2,17 @@
  * and its event heap, in one stated order, so that no result depends on
  * a BLAS kernel or a SIMD width.
  *
- * Built by _kernel.py with -O2 -ffp-contract=off (no FMA contraction, no
- * fast-math), loaded through ctypes; _kernel.py holds a numpy twin of
- * every function that follows the same order bit for bit.
+ * Built by _kernel.py with -O3 -ffp-contract=off (no FMA contraction, no
+ * fast-math, no -march), loaded through ctypes; _kernel.py holds a numpy
+ * twin of every function that follows the same order bit for bit. -O3
+ * vectorizes the element-wise loops, which reorders no sum; without
+ * -fassociative-math the dots and the pairwise sums stay serial.
+ *
+ * The oracle draws come from the run's own numpy bit generator, through
+ * the bitgen_t its Generator's bit_generator.ctypes.bit_generator points
+ * at, held under the generator's lock: each uniform is next_double(), as
+ * numpy's Generator.random draws it, so the kernel's draws and the
+ * stream after them are numpy's.
  *
  * The order:
  * - a dot u . x is u[0] x[0], then + u[m] x[m] for m = 1, 2, ... in turn;
@@ -34,6 +42,9 @@
  *   are combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) before
  *   the tail is added in turn; more are split at n / 2 rounded down to a
  *   multiple of 8 and the two halves' sums added. The sum adds to 0.0.
+ * - a standard normal is the Marsaglia polar method's, in
+ *   randomness.polar_normals' rounds: a feature u is next_double() 2 - 1,
+ *   and a ridge response is u . x_tilde + eps.
  */
 #include <math.h>
 #include <stdint.h>
@@ -46,6 +57,16 @@
 #define PULL_NONE 0
 #define PULL_SUM 1
 #define PULL_NEIGHBOURS 2
+
+/* numpy's bitgen_t (numpy/random/bitgen.h), declared here so that the
+ * kernel needs no numpy header. */
+typedef struct bitgen {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
 
 /* One run's arrays and constants; _kernel.Run mirrors this layout. work
  * holds dim + max(batch, dim) + 3 dim + rows dim doubles. */
@@ -103,11 +124,43 @@ void swarmsgd_dots(int64_t rows, int64_t dim, const double *A, const double *B,
         out[r] = dot(A + r * dim, B + r * b_stride, dim);
 }
 
-/* out[i] = log(x[i]), the C library's. */
-void swarmsgd_logs(int64_t n, const double *x, double *out)
+/* out[0 .. n) = n standard normals from g. Each round draws max(8,
+ * int(0.7 deficit) + 4) candidate pairs (x, y), each next_double() 2 - 1;
+ * while the count is short, a pair with 0 < s = x x + y y < 1 gives x f,
+ * then y f, with f = sqrt(-2 log(s) / s). Candidates past the count are
+ * drawn and dropped. */
+void swarmsgd_normals(bitgen_t *g, int64_t n, double *out)
 {
-    for (int64_t i = 0; i < n; i++)
-        out[i] = log(x[i]);
+    int64_t filled = 0;
+    while (filled < n) {
+        int64_t pairs = (int64_t)((double)(n - filled) * 0.7) + 4;
+        if (pairs < 8)
+            pairs = 8;
+        for (int64_t p = 0; p < pairs; p++) {
+            double x = g->next_double(g->state) * 2.0 - 1.0;
+            double y = g->next_double(g->state) * 2.0 - 1.0;
+            double s = x * x + y * y;
+            if (filled < n && s > 0.0 && s < 1.0) {
+                double f = sqrt(-2.0 * log(s) / s);
+                out[filled++] = x * f;
+                if (filled < n)
+                    out[filled++] = y * f;
+            }
+        }
+    }
+}
+
+/* Ridge's draws for rows oracle calls from g: the (rows, dim) features U,
+ * row by row, then the rows normals eps, then c[r] = U[r] . x_tilde +
+ * eps[r]. */
+void swarmsgd_ridge_draws(bitgen_t *g, int64_t rows, int64_t dim, const double *x_tilde,
+                          double *U, double *c)
+{
+    for (int64_t i = 0; i < rows * dim; i++)
+        U[i] = g->next_double(g->state) * 2.0 - 1.0;
+    swarmsgd_normals(g, rows, c);
+    for (int64_t r = 0; r < rows; r++)
+        c[r] = dot(U + r * dim, x_tilde, dim) + c[r];
 }
 
 /* out[r][m] = M[m] . X[r] for the (dim, dim) matrix M. */

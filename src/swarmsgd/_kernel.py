@@ -8,15 +8,17 @@ neighbours are added in index order. The block call also keeps the
 swarm sum, tests the threshold watch after every update, captures the
 listed means and evaluates each record in ``metrics.snapshot``'s order,
 numpy's pairwise sum included. So no trajectory or record depends on
-which BLAS kernel or SIMD width the CPU selects.
+which BLAS kernel or SIMD width the CPU selects. ``normals`` and
+``ridge_draws`` draw the oracle noise from the run's numpy bit generator.
 
 Only ``mover`` lays an update out for the kernel: it works out a run's
 constants and neighbour rows from the objective and the graph, turns the
 oracle draws into what the kernel reads, and checks every input before
 the kernel and the twin part, so both refuse the same ones.
 
-The C file is compiled on first use, never at import, with ``-O2
--ffp-contract=off`` (no FMA contraction, no fast-math), into a cache
+The C file is compiled on first use, never at import, with ``-O3
+-ffp-contract=off`` (vectorized element-wise loops; no FMA contraction,
+fast-math or ``-march``, so no sum is reordered), into a cache
 outside the source tree: ``$XDG_CACHE_HOME/swarmsgd``, or
 ``~/.cache/swarmsgd``. The library's name holds the sha256 of the source,
 the compiler's ``--version`` and the flags; it is written to a temporary
@@ -40,7 +42,7 @@ import warnings
 import numpy as np
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
-FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 RIDGE, QUADRATIC, SINE = 0, 1, 2
 PULL_NONE, PULL_SUM, PULL_NEIGHBOURS = 0, 1, 2
 
@@ -119,7 +121,8 @@ def load(compiler: str = "cc", cache: str | None = None):
         run = ctypes.POINTER(Run)
         signatures = {
             "swarmsgd_dots": (None, [i64, i64, ptr, ptr, i64, ptr]),
-            "swarmsgd_logs": (None, [i64, ptr, ptr]),
+            "swarmsgd_normals": (None, [ptr, i64, ptr]),
+            "swarmsgd_ridge_draws": (None, [ptr, i64, i64, ptr, ptr, ptr]),
             "swarmsgd_matvecs": (None, [i64, i64, ptr, ptr, ptr]),
             "swarmsgd_heap_block": (None, [i64, ptr, ptr, i64, ptr, ptr, ptr]),
             "swarmsgd_move": (i64, [run, i64, i64, i64] + [ptr] * 7),
@@ -193,16 +196,59 @@ def dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
-def logs(x: np.ndarray) -> np.ndarray:
-    """The C library's natural log of each entry of the vector ``x``, which
-    numpy's SIMD log does not always round alike."""
-    x = _rows(x)
+def _draw(fn, rng: np.random.Generator, *args) -> None:
+    """``fn(rng's bitgen_t, *args)`` under the lock numpy's fills hold."""
+    with rng.bit_generator.lock:
+        fn(rng.bit_generator.ctypes.bit_generator, *args)
+
+
+def normals(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` standard normals by the Marsaglia polar method, drawn from
+    ``rng`` in ``randomness.polar_normals``' rounds."""
+    out = np.empty(n)
     lib = library()
-    if lib is None:
-        return np.fromiter(map(math.log, x.tolist()), float, len(x))
-    out = np.empty(len(x))
-    lib.swarmsgd_logs(len(x), _ptr(x), _ptr(out))
+    if lib is not None:
+        _draw(lib.swarmsgd_normals, rng, n, _ptr(out))
+        return out
+    filled = 0
+    while filled < n:
+        # Acceptance rate is pi/4 and each accepted pair yields two
+        # variates, so 0.7x the deficit in candidate pairs usually
+        # finishes in one round.
+        pairs = max(8, int((n - filled) * 0.7) + 4)
+        # Candidate pair m is (v[2m], v[2m + 1]).
+        v = rng.random(2 * pairs)
+        v *= 2.0
+        v -= 1.0
+        x, y = v[0::2], v[1::2]
+        s = x * x + y * y
+        keep = np.flatnonzero((s > 0.0) & (s < 1.0))
+        sk = s[keep]
+        # The C library's log, which numpy's SIMD log does not always match.
+        factor = np.sqrt(-2.0 * np.fromiter(map(math.log, sk.tolist()), float, len(sk)) / sk)
+        accepted = np.empty(2 * keep.size)
+        accepted[0::2] = x[keep] * factor
+        accepted[1::2] = y[keep] * factor
+        take = min(accepted.size, n - filled)
+        out[filled : filled + take] = accepted[:take]
+        filled += take
     return out
+
+
+def ridge_draws(rng: np.random.Generator, rows: int, x_tilde: np.ndarray) -> tuple:
+    """Ridge's ``(U, c)`` for ``rows`` oracle calls: the (rows, dim) features
+    U, uniform on [-1, 1]^dim, row by row, then ``rows`` ``normals`` eps,
+    and ``c = dots(U, x_tilde) + eps``."""
+    x_tilde = _rows(x_tilde)
+    lib = library()
+    if lib is not None:
+        U, c = np.empty((rows, len(x_tilde))), np.empty(rows)
+        _draw(lib.swarmsgd_ridge_draws, rng, rows, len(x_tilde), _ptr(x_tilde), _ptr(U), _ptr(c))
+        return U, c
+    U = rng.random((rows, len(x_tilde)))
+    U *= 2.0
+    U -= 1.0
+    return U, dots(U, x_tilde) + normals(rng, rows)
 
 
 def matvecs(M: np.ndarray, X: np.ndarray) -> np.ndarray:

@@ -14,11 +14,13 @@ Three families are supported:
 
 The oracle is stated once, for a block of calls: ``noisy_gradients``
 gives one unbiased sample per row, from randomness ``draw_noise_block``
-draws, and the engine evaluates such blocks inline. The per-call
-``noisy_gradient`` is one row of it; ``sample_gradient`` adds the
-exponential sampling duration, the engine's unit of virtual time.
-``noisy_gradient_chunks`` draws the validators' large batches a chunk
-of rows at a time, one ``noisy_gradients`` call per chunk.
+draws, and the engine evaluates such blocks inline. ``_kernel`` draws
+them from the Generator's bit generator, in C where it is built, with
+numpy's bits. The per-call ``noisy_gradient`` is one row of it;
+``sample_gradient`` adds the exponential sampling duration, the engine's
+unit of virtual time. ``noisy_gradient_chunks`` draws the validators'
+large batches a chunk of rows at a time, one ``noisy_gradients`` call
+per chunk.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import _kernel
 from ._ranges import NONNEGATIVE, POSITIVE, Range, args, check
-from .randomness import polar_normals, sampling_durations
+from .randomness import sampling_durations
 
 RIDGE = "ridge"
 QUADRATIC = "quadratic"
@@ -242,27 +244,20 @@ def draw_noise_block(
     """Randomness of the next ``rows`` oracle calls, drawn in one go.
 
     Returns ``(U, c)``. For ``ridge``, ``U`` holds the (rows, dim)
-    feature rows, uniform on [-1, 1]^m, and ``c = _kernel.dots(U, x_tilde) +
-    eps`` the (rows,) responses with standard normal ``eps``; call ``j`` at
-    ``x`` samples ``2 (U[j] . x - c[j]) U[j] + 2 rho x``. For the
+    feature rows, uniform on [-1, 1]^m and drawn row by row, and ``c =
+    _kernel.dots(U, x_tilde) + eps`` the (rows,) responses with standard
+    normal ``eps`` drawn after them (``_kernel.ridge_draws``); call ``j``
+    at ``x`` samples ``2 (U[j] . x - c[j]) U[j] + 2 rho x``. For the
     additive-noise kinds ``U`` is None and ``c`` is the (rows, dim)
-    noise ``noise_std * Z`` added to the exact gradient; nothing is
-    drawn when ``noise_std`` is 0. Each row is one unbiased sample.
+    noise ``noise_std * Z``, ``Z`` from ``_kernel.normals``, added to the
+    exact gradient; nothing is drawn when ``noise_std`` is 0. Each row is
+    one unbiased sample, drawn as numpy draws on the kernel and the twin.
     """
     if spec.kind == RIDGE:
-        U = _features(rng, rows, spec.dim)
-        return U, _kernel.dots(U, spec.x_tilde) + polar_normals(rng, rows)
+        return _kernel.ridge_draws(rng, rows, spec.x_tilde)
     if spec.noise_std == 0.0:
         return None, np.zeros((rows, spec.dim))
-    return None, spec.noise_std * polar_normals(rng, rows * spec.dim).reshape(rows, spec.dim)
-
-
-def _features(rng: np.random.Generator, rows: int, dim: int) -> np.ndarray:
-    """``rows`` ridge feature rows, uniform on [-1, 1]^dim."""
-    U = rng.random((rows, dim))
-    U *= 2.0
-    U -= 1.0
-    return U
+    return None, spec.noise_std * _kernel.normals(rng, rows * spec.dim).reshape(rows, spec.dim)
 
 
 def sample_gradient(

@@ -3,7 +3,7 @@
 Every stochastic routine in this package draws from a numpy Generator
 seeded through ``derive_seed``, so a whole experiment is reproducible
 from one master seed plus a documented integer path (replication index,
-stream tag).
+stream tag). ``_kernel`` draws the normals from the Generator, bit for bit.
 """
 from __future__ import annotations
 
@@ -49,32 +49,11 @@ def polar_normal(rng: np.random.Generator) -> float:
 
 
 def polar_normals(rng: np.random.Generator, n: int) -> np.ndarray:
-    """``n`` standard normals via the vectorized Marsaglia polar method."""
+    """``n`` standard normals via the Marsaglia polar method, drawn by
+    ``_kernel.normals`` in C from ``rng``'s bit generator, or by its twin."""
     if n < 0:
         raise ValueError(f"need a nonnegative count, got {n}")
-    out = np.empty(n)
-    filled = 0
-    while filled < n:
-        # Acceptance rate is pi/4 and each accepted pair yields two
-        # variates, so 0.7x the deficit in candidate pairs usually
-        # finishes in one round.
-        pairs = max(8, int((n - filled) * 0.7) + 4)
-        # Candidate pair m is (v[2m], v[2m + 1]).
-        v = rng.random(2 * pairs)
-        v *= 2.0
-        v -= 1.0
-        x, y = v[0::2], v[1::2]
-        s = x * x + y * y
-        keep = np.flatnonzero((s > 0.0) & (s < 1.0))
-        sk = s[keep]
-        factor = np.sqrt(-2.0 * _kernel.logs(sk) / sk)
-        accepted = np.empty(2 * keep.size)
-        accepted[0::2] = x[keep] * factor
-        accepted[1::2] = y[keep] * factor
-        take = min(accepted.size, n - filled)
-        out[filled : filled + take] = accepted[:take]
-        filled += take
-    return out
+    return _kernel.normals(rng, n)
 
 
 def sampling_durations(rng: np.random.Generator, mean_time: float, n: int) -> np.ndarray:

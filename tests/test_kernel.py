@@ -1,5 +1,6 @@
-"""The fixed-order kernel: its C heap, its dots, its build and cache, its
-numpy twin, and bits that do not depend on the BLAS or SIMD kernels."""
+"""The fixed-order kernel: its C heap, its dots, its draws from the run's
+own bit generator, its build and cache, its numpy twin, and bits that do
+not depend on the BLAS or SIMD kernels."""
 import functools
 import hashlib
 import math
@@ -14,6 +15,7 @@ import pytest
 
 from swarmsgd import _kernel, engine, metrics, topology
 from swarmsgd import objective as obj
+from swarmsgd.randomness import make_rng, polar_normals
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -53,7 +55,7 @@ def _dot(u, v):
     return functools.reduce(operator.add, map(operator.mul, u, v))
 
 
-def test_dots_matvecs_and_logs_follow_the_stated_order(arithmetic):
+def test_dots_and_matvecs_follow_the_stated_order(arithmetic):
     rng = np.random.default_rng(8)
     for dim in (1, 2, 3, 7, 20, 100):
         A, B = rng.normal(size=(2, 9, dim)) * 10.0 ** rng.integers(-8, 8, size=(2, 9, dim))
@@ -64,8 +66,95 @@ def test_dots_matvecs_and_logs_follow_the_stated_order(arithmetic):
         assert _kernel.matvecs(M, A).tolist() == [
             [_dot(m, a) for m in M.tolist()] for a in A.tolist()
         ]
-    x = rng.random(1000)
-    assert _kernel.logs(x).tolist() == [math.log(v) for v in x.tolist()]
+
+
+def _numpy_normals(rng, n):
+    """The polar method's rounds over ``rng.random``'s uniforms, with the
+    C library's log: the normals the kernel must draw, and the number of
+    rounds they took."""
+    out, rounds = np.empty(0), 0
+    while out.size < n:
+        pairs = max(8, int((n - out.size) * 0.7) + 4)
+        xy = rng.random((pairs, 2)) * 2.0 - 1.0
+        s = xy[:, 0] * xy[:, 0] + xy[:, 1] * xy[:, 1]
+        inside = (s > 0.0) & (s < 1.0)
+        logs = np.array([math.log(v) for v in s[inside].tolist()])
+        factor = np.sqrt(-2.0 * logs / s[inside])
+        out = np.concatenate([out, (xy[inside] * factor[:, None]).ravel()[: n - out.size]])
+        rounds += 1
+    return out, rounds
+
+
+def _numpy_draws(spec, rows, rng):
+    """``objective.draw_noise_block``'s ``(U, c)`` from ``rng.random``: the
+    features row by row, then the normals, and ridge's responses with the
+    dot in index order."""
+    if spec.kind == obj.RIDGE:
+        U = rng.random((rows, spec.dim)) * 2.0 - 1.0
+        dots = U[:, 0] * spec.x_tilde[0]
+        for m in range(1, spec.dim):
+            dots = dots + U[:, m] * spec.x_tilde[m]
+        return U, dots + _numpy_normals(rng, rows)[0]
+    if spec.noise_std == 0.0:
+        return None, np.zeros((rows, spec.dim))
+    return None, spec.noise_std * _numpy_normals(rng, rows * spec.dim)[0].reshape(rows, spec.dim)
+
+
+def _assert_draws_are_numpys(spec, rows, rng, twin):
+    U, c = obj.draw_noise_block(spec, rows, rng)
+    U_ref, c_ref = _numpy_draws(spec, rows, twin)
+    assert (U is None) == (U_ref is None)
+    if U is not None:
+        assert U.shape == U_ref.shape and U.tobytes() == U_ref.tobytes()
+    assert c.shape == c_ref.shape and c.tobytes() == c_ref.tobytes()
+    # the stream goes on where numpy's does
+    assert rng.random(5).tobytes() == twin.random(5).tobytes()
+
+
+DRAW_SPECS = {
+    "ridge": lambda dim: obj.ridge_spec(0.1, np.linspace(0.0, 1.0, dim)),
+    "quadratic": lambda dim: obj.quadratic_spec(np.eye(dim) * 2.0, np.ones(dim), noise_std=0.5),
+    "sine": lambda dim: obj.nonconvex_sine_spec(dim),
+    "noiseless": lambda dim: obj.quadratic_spec(np.eye(dim), np.ones(dim), noise_std=0.0),
+}
+
+
+@pytest.mark.parametrize("kind", list(DRAW_SPECS))
+def test_the_draws_are_numpys_from_the_run_generator(kind, arithmetic):
+    # 200 seeds at each shape of at most 2,048 entries, 10 at the larger.
+    for rows in (0, 1, 7, 256, 1020):
+        for dim in (1, 3, 20, 100):
+            spec = DRAW_SPECS[kind](dim)
+            for seed in range(200 if rows * dim <= 2048 else 10):
+                _assert_draws_are_numpys(spec, rows, make_rng(seed), make_rng(seed))
+
+
+def test_the_normals_are_numpys_past_one_round_and_on_other_bit_generators(arithmetic):
+    rng, twin = make_rng(79), make_rng(79)
+    expected, rounds = _numpy_normals(twin, 8)
+    assert rounds == 2
+    assert polar_normals(rng, 8).tobytes() == expected.tobytes()
+    assert rng.random(5).tobytes() == twin.random(5).tobytes()
+    second_rounds = 0
+    for seed in range(200):
+        for n in (1, 7, 8, 256, 1020):
+            rng, twin = (np.random.Generator(np.random.Philox(seed)) for _ in range(2))
+            expected, rounds = _numpy_normals(twin, n)
+            second_rounds += rounds > 1
+            assert polar_normals(rng, n).tobytes() == expected.tobytes()
+            assert rng.random(5).tobytes() == twin.random(5).tobytes()
+        rng, twin = (np.random.Generator(np.random.Philox(seed)) for _ in range(2))
+        _assert_draws_are_numpys(DRAW_SPECS["ridge"](20), 256, rng, twin)
+    assert second_rounds
+
+
+def test_the_build_flags_keep_every_value():
+    # -O3 may vectorize element-wise loops, which reorders no sum; these
+    # would reassociate the dots and sums or contract them into FMAs.
+    assert "-ffp-contract=off" in _kernel.FLAGS
+    unsafe = ("-Ofast", "-ffast-math", "-fassociative-math", "-funsafe-math-optimizations", "-mfma")
+    for flag in _kernel.FLAGS:
+        assert flag not in unsafe and not flag.startswith("-march="), flag
 
 
 def test_dots_and_matvecs_refuse_shapes_they_would_read_past(arithmetic):

@@ -144,7 +144,7 @@ def _einsum_polar_normals(rng, n):
 
 
 @pytest.mark.parametrize("n", [1, 7, 100, 256, 1000, 1024, 4096])
-def test_polar_normals_match_the_einsum_version(n):
+def test_polar_normals_match_the_einsum_version(n, arithmetic):
     for seed in range(200):
         rng, twin = make_rng(seed), make_rng(seed)
         assert polar_normals(rng, n).tobytes() == _einsum_polar_normals(twin, n).tobytes()
